@@ -16,6 +16,9 @@ epigraph block.  Four solvers share this cost:
 * zero-crossing - rational kind with denominator bounded below by a margin
                   p on [0, rbar], which removes common-root poles.
 
+The barrel and zero-crossing LMIs are both built by ``shape_program``,
+which the CLI's program dump shares.
+
 All certificate equality systems are derived programmatically from the
 interval decomposition; the hand-eliminated closed forms are used only as
 cross-checks in the tests.
@@ -311,37 +314,6 @@ def barrel_systems(rbar):
     return space, (S1, T1, S2, T2), eqs1 + eqs2
 
 
-def solve_barrel(cost, cfg, options=None):
-    """Barrel-shaped polynomial model: L' <= 0 and L'' <= 0 on [0, rbar].
-
-    A pure LMI: the model coefficients stay explicit decision variables tied
-    to the certificate entries by the matching equalities.
-    """
-    opts = options or TIGHT
-    space, grams, eqs = barrel_systems(cfg.rbar)
-    Mr, mr, c, idx, _scale = _restricted(cost, "polynomial")
-
-    bld = sdp.LmiBuilder()
-    bld.add_epigraph(Mr, mr, c, ["k1", "k2", "k3"], "gamma")
-    for G in grams:
-        bld.add_affine_matrix(G.entries, space.names)
-    for eq in eqs:
-        bld.add_equality_poly(eq, space.names)
-    bld.set_cost({"gamma": 1.0})
-    sol = sdp.solve(bld.build(), opts)
-    if sol.status != "optimal":
-        raise CalibrationError(f"barrel solve failed: {sol.status}", sol.status)
-    k = _full_k("polynomial", [bld.value(sol, n) for n in ("k1", "k2", "k3")])
-    k = _polish_inactive(
-        cost, "polynomial", k,
-        lambda kk: shape_check(DistortionModel("polynomial", tuple(kk)),
-                               "barrel", cfg.rbar).max_violation <= 1e-10)
-    model = DistortionModel("polynomial", tuple(k))
-    report = shape_check(model, "barrel", cfg.rbar)
-    return CalibResult(model, cost.objective(k), report, sol.status,
-                       warnings=_data_warnings(cost))
-
-
 def zero_crossing_systems(rbar, margin_p):
     """Matching equalities tying g - p to its interval certificate."""
     names = (list(K_NAMES) + certs.certificate_names("s1", "t1", 3) + ["r"])
@@ -354,6 +326,61 @@ def zero_crossing_systems(rbar, margin_p):
     return space, (S1, T1), eqs
 
 
+def shape_program(cost, shape, cfg):
+    """LMI program of an affine shape fit, with a readout of its solution.
+
+    ``shape`` is "barrel" (polynomial model, certificates for -f' and -f''
+    on [0, rbar]) or "positivity" (rational model, certificate for g - p).
+    The program minimizes the epigraph variable of the restricted cost
+    subject to the certificate Gram blocks and the coefficient-matching
+    equalities.  ``readout(sol)`` returns the six model coefficients.
+    """
+    if shape == "barrel":
+        kind = "polynomial"
+        space, grams, eqs = barrel_systems(cfg.rbar)
+    elif shape == "positivity":
+        kind = "rational"
+        space, grams, eqs = zero_crossing_systems(cfg.rbar, cfg.margin_p)
+    else:
+        raise ValueError(f"no affine shape program for {shape!r}")
+    Mr, mr, c, idx, _scale = _restricted(cost, kind)
+    names = [K_NAMES[i] for i in idx]
+
+    bld = sdp.LmiBuilder()
+    bld.add_epigraph(Mr, mr, c, names, "gamma")
+    for G in grams:
+        bld.add_affine_matrix(G.entries, space.names)
+    for eq in eqs:
+        bld.add_equality_poly(eq, space.names)
+    bld.set_cost({"gamma": 1.0})
+
+    def readout(sol):
+        return _full_k(kind, [bld.value(sol, n) for n in names])
+
+    return bld.build(), readout
+
+
+def solve_barrel(cost, cfg, options=None):
+    """Barrel-shaped polynomial model: L' <= 0 and L'' <= 0 on [0, rbar].
+
+    A pure LMI: the model coefficients stay explicit decision variables tied
+    to the certificate entries by the matching equalities.
+    """
+    opts = options or TIGHT
+    program, readout = shape_program(cost, "barrel", cfg)
+    sol = sdp.solve(program, opts)
+    if sol.status != "optimal":
+        raise CalibrationError(f"barrel solve failed: {sol.status}", sol.status)
+    k = _polish_inactive(
+        cost, "polynomial", readout(sol),
+        lambda kk: shape_check(DistortionModel("polynomial", tuple(kk)),
+                               "barrel", cfg.rbar).max_violation <= 1e-10)
+    model = DistortionModel("polynomial", tuple(k))
+    report = shape_check(model, "barrel", cfg.rbar)
+    return CalibResult(model, cost.objective(k), report, sol.status,
+                       warnings=_data_warnings(cost))
+
+
 def solve_zero_crossing(cost, cfg, options=None):
     """Rational model with g(r) >= p on [0, rbar]; removes pole spikes.
 
@@ -362,23 +389,13 @@ def solve_zero_crossing(cost, cfg, options=None):
     t11 = (1 - p) / rbar).
     """
     opts = options or TIGHT
-    space, grams, eqs = zero_crossing_systems(cfg.rbar, cfg.margin_p)
-    Mr, mr, c, _, _scale = _restricted(cost, "rational")
-
-    bld = sdp.LmiBuilder()
-    bld.add_epigraph(Mr, mr, c, list(K_NAMES), "gamma")
-    for G in grams:
-        bld.add_affine_matrix(G.entries, space.names)
-    for eq in eqs:
-        bld.add_equality_poly(eq, space.names)
-    bld.set_cost({"gamma": 1.0})
-    sol = sdp.solve(bld.build(), opts)
+    program, readout = shape_program(cost, "positivity", cfg)
+    sol = sdp.solve(program, opts)
     if sol.status != "optimal":
         raise CalibrationError(f"zero-crossing solve failed: {sol.status}",
                                sol.status)
-    k = np.array([bld.value(sol, n) for n in K_NAMES])
     k = _polish_inactive(
-        cost, "rational", k,
+        cost, "rational", readout(sol),
         lambda kk: shape_check(DistortionModel("rational", tuple(kk)),
                                "positivity", cfg.rbar,
                                margin=cfg.margin_p).max_violation == 0.0)

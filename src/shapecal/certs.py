@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import Polynomial, PolyMatrix
+from .poly import Polynomial
 
 # A matrix counts as a certificate when its smallest eigenvalue is no less
 # than -PSD_RTOL * (1 + largest eigenvalue); interior-point solutions sit on
@@ -140,13 +140,6 @@ class VarSpace:
     def const(self, value):
         return Polynomial.constant(self.dim, value)
 
-    def affine(self, coeffs, constant=0.0):
-        """Affine polynomial from a {name: coefficient} map."""
-        p = self.const(constant)
-        for name, c in coeffs.items():
-            p = p + c * self.var(name)
-        return p
-
 
 def gram_entry_names(prefix, size):
     """Upper-triangle entry names, row major: prefix1, prefix2, ..."""
@@ -194,30 +187,6 @@ class SymbolicGram:
             for j in range(n):
                 out = out + self.entries[i, j] * powers[i + j]
         return out
-
-    def entry_names(self):
-        names = []
-        seen = set()
-        for i in range(self.size):
-            for j in range(i, self.size):
-                for alpha in self.entries[i, j].terms:
-                    name = self.space.names[alpha.index(1)]
-                    if name not in seen:
-                        seen.add(name)
-                        names.append(name)
-        return names
-
-    def eval_matrix(self, values):
-        """Numeric matrix given a {name: value} assignment."""
-        x = np.array([values.get(n, 0.0) for n in self.space.names])
-        out = np.empty((self.size, self.size))
-        for i in range(self.size):
-            for j in range(self.size):
-                out[i, j] = self.entries[i, j].eval(x)
-        return out
-
-    def to_poly_matrix(self):
-        return PolyMatrix(self.entries)
 
 
 def certificate_parity(degree):

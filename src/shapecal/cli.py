@@ -62,7 +62,8 @@ def build_parser():
     p.add_argument("--delta-max", type=int, default=2)
     p.add_argument("--out", help="model JSON output path")
     p.add_argument("--dump-sdp", help="write the assembled program as JSON "
-                   "for external cross-checking (LMI shapes only)")
+                   "for external cross-checking (barrel and positivity "
+                   "only)")
 
     p = sub.add_parser("undistort", help="invert a model over a point CSV")
     p.add_argument("--model", required=True)
@@ -128,6 +129,10 @@ def cmd_calibrate(args):
         print("error: --rbar is required for shaped calibration",
               file=sys.stderr)
         return EXIT_USAGE
+    if args.dump_sdp and args.shape not in ("barrel", "positivity"):
+        print("error: --dump-sdp covers only the barrel and positivity "
+              "shapes", file=sys.stderr)
+        return EXIT_USAGE
     data = calib.read_correspondences(args.data)
     cost = calib.assemble_cost(data)
     if args.shape == "none":
@@ -135,8 +140,11 @@ def cmd_calibrate(args):
     else:
         cfg = calib.CalibConfig(rbar=args.rbar, margin_p=args.margin_p,
                                 delta_max=args.delta_max, shape=args.shape)
-        if args.dump_sdp and args.shape in ("barrel", "positivity"):
-            _dump_program(cost, cfg, args.dump_sdp)
+        if args.dump_sdp:
+            program = calib.shape_program(cost, args.shape, cfg)[0]
+            with open(args.dump_sdp, "w") as fh:
+                fh.write(sdp.program_to_json(program))
+                fh.write("\n")
         result = calib.solve_shape(cost, cfg)
 
     print(f"status: {result.solver_status}")
@@ -164,27 +172,6 @@ def cmd_calibrate(args):
         save_model(result.model, args.out)
         print(f"wrote {args.out}")
     return EXIT_OK
-
-
-def _dump_program(cost, cfg, path):
-    bld = sdp.LmiBuilder()
-    if cfg.shape == "barrel":
-        space, grams, eqs = calib.barrel_systems(cfg.rbar)
-        Mr, mr, c, _, _ = calib._restricted(cost, "polynomial")
-        bld.add_epigraph(Mr, mr, c, ["k1", "k2", "k3"], "gamma")
-    else:
-        space, grams, eqs = calib.zero_crossing_systems(cfg.rbar,
-                                                        cfg.margin_p)
-        Mr, mr, c, _, _ = calib._restricted(cost, "rational")
-        bld.add_epigraph(Mr, mr, c, list(calib.K_NAMES), "gamma")
-    for G in grams:
-        bld.add_affine_matrix(G.entries, space.names)
-    for eq in eqs:
-        bld.add_equality_poly(eq, space.names)
-    bld.set_cost({"gamma": 1.0})
-    with open(path, "w") as fh:
-        fh.write(sdp.program_to_json(bld.build()))
-        fh.write("\n")
 
 
 def cmd_undistort(args):

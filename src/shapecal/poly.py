@@ -32,10 +32,6 @@ def grlex_key(alpha):
     return (sum(alpha), tuple(-a for a in alpha))
 
 
-def monomial_degree(alpha):
-    return sum(alpha)
-
-
 class Polynomial:
     """Sparse polynomial in ``dim`` variables with float coefficients.
 
@@ -95,9 +91,6 @@ class Polynomial:
 
     def is_zero(self, tol=COEFF_EPS):
         return all(abs(c) <= tol for c in self.terms.values())
-
-    def coefficient(self, alpha):
-        return self.terms.get(tuple(alpha), 0.0)
 
     def univariate_coeffs(self, length=None):
         """Dense coefficient vector for a univariate polynomial, low degree first."""
@@ -372,13 +365,3 @@ class PolyMatrix:
     @classmethod
     def from_scalar(cls, p):
         return cls(np.array([[p]], dtype=object))
-
-    @classmethod
-    def constant(cls, mat, dim):
-        mat = np.asarray(mat, dtype=float)
-        n = mat.shape[0]
-        entries = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                entries[i, j] = Polynomial.constant(dim, mat[i, j])
-        return cls(entries)

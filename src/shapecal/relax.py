@@ -12,6 +12,11 @@ degree up to 2 and ceil(deg/2) beyond.  The bounds are monotone in delta
 and reach the global minimum at a finite order for the problems treated
 here.
 
+One assembler builds every moment program: ``structured_relaxation`` takes
+explicit row bases, and ``relax`` calls it with the full bases of its
+order.  ``moment_matrix`` and ``localizing_matrix`` are the textbook
+symbolic forms of the same blocks, kept as references.
+
 Extraction reads the candidate minimizer off the first-order moments and
 certifies it by (a) a flat-extension rank comparison between the moment
 matrices of consecutive orders and (b) direct feasibility plus matching of
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sdp
-from .poly import Basis, LinearForm, Polynomial, PolyMatrix, basis, riesz
+from .poly import Basis, LinearForm, Polynomial, PolyMatrix, basis
 
 
 @dataclass
@@ -167,65 +172,30 @@ def moment_matrix_value(y_map, delta, d):
 def relax(pmi, delta):
     """Build the order-delta LMI relaxation of a PMI program.
 
-    Variables are all moments y_alpha with |alpha| <= 2*delta; y_0 is pinned
-    to 1 by an equality.  Each polynomial equality q contributes the affine
-    equalities l_y(x^beta q) = 0 for every |beta| <= 2*delta - deg q.
-    Returns (LmiProgram, MomentIndexing).
+    The program comes from ``structured_relaxation`` over full bases: moment
+    rows psi_delta = basis(d, delta), and localizing rows basis(d, delta -
+    gamma) for every constraint, with gamma the offset of the merged
+    block-diagonal constraint.  Its variables are then all moments y_alpha
+    with |alpha| <= 2*delta in graded-lex order, y_0 pinned to 1.  Each
+    polynomial equality q enters as the shifted equalities l_y(x^beta q) = 0
+    for every |beta| <= 2*delta - deg q.  ``localizing_matrix`` is the
+    textbook form of the same blocks.  Returns (LmiProgram, MomentIndexing).
     """
     need = min_order(pmi)
     if delta < need:
         raise ValueError(f"relaxation order {delta} below minimum {need}")
     d = pmi.dim
-    idx = MomentIndexing.create(delta, d)
-    nvars = len(idx)
-    zero_alpha = (0,) * d
-
-    def form_to_affine(form):
-        return sdp.AffineForm(
-            {idx.position(a): c for a, c in form.coefficients.items()},
-            form.constant)
-
-    cost = form_to_affine(riesz(pmi.cost))
-
-    blocks = []
-    # Moment matrix block.
-    sym = moment_matrix(delta, d)
-    n = sym.shape[0]
-    coeff = {}
-    for i in range(n):
-        for j in range(n):
-            vi = idx.position(sym[i, j])
-            coeff.setdefault(vi, np.zeros((n, n)))[i, j] += 0.5
-            coeff[vi][j, i] += 0.5
-    # The double loop adds each (i, j) and (j, i) once; diagonal got 1.0.
-    blocks.append(sdp.AffineBlock(n, np.zeros((n, n)), coeff))
-
-    # Localizing blocks, one per constraint, all at order delta - gamma with
-    # the offset of the merged block-diagonal constraint.
     gam = max((gamma_offset(G) for G in pmi.constraints), default=1)
-    for G in pmi.constraints:
-        loc = localizing_matrix(G, delta - gam)
-        m = loc.shape[0]
-        constant = np.zeros((m, m))
-        lcoeff = {}
-        for i in range(m):
-            for j in range(m):
-                form = loc[i, j]
-                constant[i, j] += form.constant
-                for a, c in form.coefficients.items():
-                    vi = idx.position(a)
-                    lcoeff.setdefault(vi, np.zeros((m, m)))[i, j] += c
-        blocks.append(sdp.AffineBlock(m, constant, lcoeff))
-
-    equalities = [sdp.AffineForm({idx.position(zero_alpha): 1.0}, -1.0)]
-    for q in pmi.equalities:
-        budget = 2 * delta - q.degree
-        for beta in basis(d, budget).monomials:
-            shifted = Polynomial(d, {tuple(b + a for b, a in zip(beta, alpha)): c
-                                     for alpha, c in q.terms.items()})
-            equalities.append(form_to_affine(riesz(shifted)))
-
-    return sdp.LmiProgram(nvars, cost, blocks, equalities), idx
+    loc_rows = basis(d, delta - gam).monomials
+    shifted = [Polynomial(d, {tuple(b + a for b, a in zip(beta, alpha)): c
+                              for alpha, c in q.terms.items()})
+               for q in pmi.equalities
+               for beta in basis(d, 2 * delta - q.degree).monomials]
+    program = structured_relaxation(
+        PmiProgram(d, pmi.cost, pmi.constraints, shifted),
+        basis(d, delta).monomials,
+        {ci: loc_rows for ci in range(len(pmi.constraints))})[0]
+    return program, MomentIndexing.create(delta, d)
 
 
 @dataclass
@@ -314,10 +284,12 @@ def structured_relaxation(pmi, mm_rows, loc_rows):
     not listed are localized against the constant row only (their entries
     evaluated at the moments directly).  Any such program is sound: moment
     vectors of measures on the feasible set satisfy every block, so the
-    optimum still bounds the PMI from below.  Used to tighten specific
+    optimum still bounds the PMI from below.  ``relax`` calls it with the
+    full bases of an order; other callers use it to tighten specific
     variable interactions without paying for a full order step.
 
-    Returns (LmiProgram, MomentIndexing-like index of the variables used).
+    Returns (LmiProgram, variables used in graded-lex order,
+    {exponent: variable position}).
     """
     d = pmi.dim
     mm_rows = [tuple(r) for r in mm_rows]

@@ -125,7 +125,6 @@ class SolverOptions:
     accept_feas_tol: float = None
     accept_gap_tol: float = None
     stall_iterations: int = 10
-    verbose: bool = False
 
     def __post_init__(self):
         if self.accept_feas_tol is None:
@@ -204,17 +203,6 @@ def epigraph_block(M, m, c, var_indices, gamma_index):
     return AffineBlock(size, constant, coeff)
 
 
-def quadratic_to_epigraph(M, m, c):
-    """Epigraph block over a fresh variable layout (k..., gamma).
-
-    Returns (gamma index, block); k occupies indices 0..len(m)-1 and gamma
-    the next one.  Convenience wrapper over ``epigraph_block`` for callers
-    that build a program around a single quadratic.
-    """
-    nk = len(m)
-    return nk, epigraph_block(M, m, c, list(range(nk)), nk)
-
-
 # ---------------------------------------------------------------------------
 # Program builder over named variables
 # ---------------------------------------------------------------------------
@@ -234,9 +222,6 @@ class LmiBuilder:
             self.index[name] = len(self.names)
             self.names.append(name)
         return self.index[name]
-
-    def variables(self, names):
-        return [self.variable(n) for n in names]
 
     def set_cost(self, coefficients, constant=0.0):
         self._cost = ({self.variable(n): float(c)
@@ -503,10 +488,10 @@ def solve(program, options=None):
 
     def take_step(y, Xs, Ss, rp, Rds, mu, mode):
         """One interior-point step; mode is 'mehrotra' or 'center'."""
+        Lxs = [_chol_with_jitter(X, 1.0 + np.abs(X).max()) for X in Xs]
+        Lss = [_chol_with_jitter(S, 1.0 + np.abs(S).max()) for S in Ss]
         Gs, Ginvs, Ws, sigs = [], [], [], []
-        for X, S in zip(Xs, Ss):
-            Lx = _chol_with_jitter(X, 1.0 + np.abs(X).max())
-            Ls = _chol_with_jitter(S, 1.0 + np.abs(S).max())
+        for Lx, Ls in zip(Lxs, Lss):
             _, sig, Vt = np.linalg.svd(Ls.T @ Lx)
             sig = np.maximum(sig, 1e-300)
             G = Lx @ Vt.T / np.sqrt(sig)
@@ -542,9 +527,6 @@ def solve(program, options=None):
                    for Rc, W, dS in zip(Rcs, Ws, dSs)]
             dSs = [0.5 * (d + d.T) for d in dSs]
             return dy, dXs, dSs
-
-        Lxs = [_chol_with_jitter(X, 1.0 + np.abs(X).max()) for X in Xs]
-        Lss = [_chol_with_jitter(S, 1.0 + np.abs(S).max()) for S in Ss]
 
         if mode == "center":
             # Pure centering toward the current mu target; polishes the
@@ -599,10 +581,6 @@ def solve(program, options=None):
         iterations = it + 1
         gap, pobj, dobj, rp, Rds, relgap, pres, dres = metrics(y, Xs, Ss)
         mu = gap / m_total
-
-        if opts.verbose:
-            print(f"  it {it:3d}  pobj {pobj:+.9e}  dobj {dobj:+.9e}  "
-                  f"gap {relgap:.2e}  pres {pres:.2e}  dres {dres:.2e}")
 
         acceptable = pres <= opts.accept_feas_tol and dres <= opts.accept_feas_tol
         if best is None or (acceptable and abs(relgap) < best[5]):

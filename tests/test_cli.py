@@ -129,6 +129,40 @@ def test_calibrate_dump_sdp(tmp_path):
     assert len(doc["equalities"]) == 5
 
 
+def test_calibrate_dump_sdp_positivity(tmp_path):
+    data = synth_correspondences(
+        DistortionModel("rational", (-0.2, 0.08, 0.06, -0.15, 0.07, 0.05)),
+        (0.05, 0.6), n=50, seed=2)
+    path = tmp_path / "d.csv"
+    calib.write_correspondences(path, data)
+    dump = tmp_path / "prog.json"
+    code = run_cli("calibrate", "--shape", "positivity", "--rbar", "1.0",
+                   str(path), "--dump-sdp", str(dump))
+    assert code == 0
+    doc = json.loads(dump.read_text())
+    assert doc["nvars"] == 13
+    assert len(doc["blocks"]) == 3
+    assert len(doc["equalities"]) == 4
+
+
+@pytest.mark.parametrize("shape", ["none", "pincushion"])
+def test_calibrate_dump_sdp_other_shapes_exit_2(tmp_path, capsys,
+                                                 monkeypatch, shape):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver ran despite the usage error")
+
+    monkeypatch.setattr(calib, "solve_shape", no_solve)
+    monkeypatch.setattr(calib, "solve_unconstrained", no_solve)
+    path = tmp_path / "d.csv"
+    calib.write_correspondences(path, [(0.1, 0.1, 0.1, 0.1)])
+    dump = tmp_path / "prog.json"
+    code = run_cli("calibrate", "--shape", shape, "--rbar", "1.0",
+                   str(path), "--dump-sdp", str(dump))
+    assert code == cli.EXIT_USAGE
+    assert "--dump-sdp" in capsys.readouterr().err
+    assert not dump.exists()
+
+
 def test_undistort_identity(tmp_path):
     model_path = tmp_path / "model.json"
     save_model(DistortionModel.identity(), model_path)

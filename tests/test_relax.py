@@ -239,6 +239,45 @@ def test_polynomial_equalities_enter_as_moment_equalities():
     assert res.extracted[0] == pytest.approx(1.0, abs=1e-5)
 
 
+def test_relax_blocks_match_textbook_forms():
+    # relax() assembles through structured_relaxation over full bases; its
+    # blocks must equal the textbook moment and localizing matrices entry
+    # by entry, and each equality q must add one row per |beta| <= 2*delta
+    # - deg q.
+    x0 = Polynomial.variable(2, 0)
+    x1 = Polynomial.variable(2, 1)
+    one = Polynomial.constant(2, 1.0)
+    G = PolyMatrix(np.array([[x0 * x1, one], [one, x0 + 2]], dtype=object))
+    disc = PolyMatrix.from_scalar(4 - x0 * x0 - x1 * x1)
+    cases = [PmiProgram(2, x0 + x1, [G]),
+             PmiProgram(2, x0 + x1, [G, disc], [x0 * x1 - 0.5])]
+    for pmi in cases:
+        gam = max(gamma_offset(C) for C in pmi.constraints)
+        for delta in (1, 2):
+            program, idx = build_relaxation(pmi, delta)
+            assert len(program.blocks) == 1 + len(pmi.constraints)
+            forms = [np.array([[{a: 1.0} for a in row]
+                               for row in moment_matrix(delta, 2)])]
+            for C in pmi.constraints:
+                loc = localizing_matrix(C, delta - gam)
+                forms.append(np.array([[f.coefficients for f in row]
+                                       for row in loc]))
+                assert all(f.constant == 0.0 for f in loc.flat)
+            for blk, form in zip(program.blocks, forms):
+                assert blk.size == form.shape[0]
+                assert not blk.constant.any()
+                for i in range(blk.size):
+                    for j in range(blk.size):
+                        got = {v: m[i, j] for v, m in blk.coeff.items()
+                               if m[i, j] != 0.0}
+                        want = {idx.position(a): c
+                                for a, c in form[i, j].items()}
+                        assert got == want
+            rows = sum(len(basis(2, 2 * delta - q.degree))
+                       for q in pmi.equalities)
+            assert len(program.equalities) == 1 + rows
+
+
 def test_cross_path_affine_pmi_equals_direct_lmi():
     # An affine PMI relaxed at order one must match the direct LMI optimum:
     # both solve min gamma with [[1, 0.7], [0.7, gamma]] PSD.
