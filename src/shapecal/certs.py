@@ -189,10 +189,6 @@ class SymbolicGram:
         return out
 
 
-def certificate_parity(degree):
-    return "even" if degree % 2 == 0 else "odd"
-
-
 def certificate_names(s_prefix, t_prefix, degree):
     """Entry names a symbolic certificate of this degree will use.
 

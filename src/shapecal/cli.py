@@ -16,8 +16,8 @@ import numpy as np
 
 from . import calib, pipeline, sdp
 from .calib import CalibDataError, CalibrationError
-from .distortion import (DistortionModel, NoRootError, PoleError, load_model,
-                         save_model, undistort)
+from .distortion import (NoRootError, PoleError, load_model, save_model,
+                         undistort)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -100,6 +100,14 @@ def _parse_target(text):
     except ValueError as exc:
         raise CalibDataError(f"bad --target {text!r}, expected ROWSxCOLS") \
             from exc
+
+
+def _parse_sigmas(text):
+    try:
+        return tuple(float(s) for s in text.split(","))
+    except ValueError as exc:
+        raise CalibDataError(f"bad --sigmas {text!r}, expected comma-"
+                             f"separated numbers") from exc
 
 
 def cmd_synth(args):
@@ -190,7 +198,11 @@ def cmd_undistort(args):
             if len(parts) != 2:
                 raise CalibDataError(
                     f"{args.points}:{lineno}: expected 2 fields")
-            rows.append([float(v) for v in parts])
+            try:
+                rows.append([float(v) for v in parts])
+            except ValueError as exc:
+                raise CalibDataError(
+                    f"{args.points}:{lineno}: {exc}") from exc
     out_lines = ["x,y,error"]
     for row in rows:
         try:
@@ -207,7 +219,7 @@ def cmd_undistort(args):
 
 def cmd_experiment(args):
     rows, cols = _parse_target(args.target)
-    sigmas = tuple(float(s) for s in args.sigmas.split(","))
+    sigmas = _parse_sigmas(args.sigmas)
     cfg = pipeline.ExperimentConfig(
         shape=args.shape, sigmas=sigmas, trials=args.trials, seed=args.seed,
         scene=pipeline.SceneConfig(target_rows=rows, target_cols=cols,

@@ -148,8 +148,15 @@ def undistort(model, point, search_max):
     return p * (r / rhat)
 
 
-def _solve_radius(model, rhat, search_max, grid=512):
-    rs = np.linspace(0.0, search_max, grid + 1)
+# Intervals of the uniform scan over [0, search_max]: the scalar search
+# only brackets its root before bisecting, while the vectorized inversion
+# interpolates the curve and polishes with just four Newton steps.
+SCALAR_SCAN_INTERVALS = 512
+CURVE_SCAN_INTERVALS = 4096
+
+
+def _solve_radius(model, rhat, search_max):
+    rs = np.linspace(0.0, search_max, SCALAR_SCAN_INTERVALS + 1)
     try:
         h = rs * model.L(rs) - rhat
     except PoleError:
@@ -193,7 +200,7 @@ def _solve_radius(model, rhat, search_max, grid=512):
     return r
 
 
-def undistort_radii(model, rhats, search_max, grid=4096):
+def undistort_radii(model, rhats, search_max):
     """Vectorized smallest-root inversion of r * L(r) over many radii.
 
     Radii are inverted on the first strictly increasing branch of the
@@ -204,7 +211,7 @@ def undistort_radii(model, rhats, search_max, grid=4096):
     r_out = np.full(rhats.shape, np.nan)
     ok = np.zeros(rhats.shape, dtype=bool)
     try:
-        rs = np.linspace(0.0, search_max, grid + 1)
+        rs = np.linspace(0.0, search_max, CURVE_SCAN_INTERVALS + 1)
         q = rs * model.L(rs)
     except PoleError:
         rs = None

@@ -17,8 +17,9 @@ On top of the scene generator sit the pose estimation pieces:
 * ``aso_loop``: alternation of the shape-constrained distortion solve with
   ``ba_refine``;
 * ``run_experiment``: the BA / SO / ASO comparison over noise levels, with
-  per-trial seeds split deterministically from one master seed so reports
-  are byte-reproducible.
+  per-trial seeds split deterministically from one master seed and the
+  trials run one after another in job order, so reports are
+  byte-reproducible.
 
 Validation error is measured on a fresh per-camera grid of ground-truth
 points whose true projections cover the full image including the corners.
@@ -26,10 +27,8 @@ points whose true projections cover the full image including the corners.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import math
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -259,22 +258,28 @@ def add_noise(scene, sigma):
     return replace(scene, pixels=noisy, noise_sigma=float(sigma))
 
 
-def perturb_cameras(cameras, seed, rot_deg=0.5, trans_frac=0.005,
-                    focal_frac=0.01):
+# Pose error of ``perturb_cameras``: rotation in degrees, relative
+# translation and focal-length scales.
+PERTURB_ROT_DEG = 0.5
+PERTURB_TRANS_FRAC = 0.005
+PERTURB_FOCAL_FRAC = 0.01
+
+
+def perturb_cameras(cameras, seed):
     """Randomly perturbed copies of ground-truth cameras.
 
-    Stand-in for an external pose bootstrap: rotations by ``rot_deg``
-    degrees around random axes, translations and focal lengths by the given
-    relative fractions.
+    Stand-in for an external pose bootstrap: rotations by
+    ``PERTURB_ROT_DEG`` degrees around random axes, translations and focal
+    lengths by the ``PERTURB_*_FRAC`` relative fractions.
     """
     rng = _rng(seed, 2)
     out = []
     for cam in cameras:
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
-        dR = rodrigues(axis * math.radians(rot_deg))
-        t = cam.t * (1.0 + trans_frac * rng.normal(size=3))
-        f = cam.focal * (1.0 + focal_frac * rng.normal())
+        dR = rodrigues(axis * math.radians(PERTURB_ROT_DEG))
+        t = cam.t * (1.0 + PERTURB_TRANS_FRAC * rng.normal(size=3))
+        f = cam.focal * (1.0 + PERTURB_FOCAL_FRAC * rng.normal())
         K = cam.K.copy()
         K[0, 0] = K[1, 1] = f
         out.append(Camera(dR @ cam.R, t, K))
@@ -285,25 +290,34 @@ def perturb_cameras(cameras, seed, rot_deg=0.5, trans_frac=0.005,
 # Levenberg-Marquardt
 # ---------------------------------------------------------------------------
 
-def levenberg_marquardt(fun, x0, max_iterations=100, rel_tol=1e-10,
-                        damping=1e-3, damping_max=1e12):
+# Every Levenberg-Marquardt run: iteration cap, relative-improvement stop,
+# initial damping, and the damping past which no step can help (diverged).
+LM_MAX_ITERATIONS = 100
+LM_REL_TOL = 1e-10
+LM_DAMPING = 1e-3
+LM_DAMPING_MAX = 1e12
+
+
+def levenberg_marquardt(fun, x0):
     """Damped least squares with a forward-difference Jacobian.
 
     Only improving steps are accepted, so the cost trace is non-increasing;
-    stops on relative improvement below ``rel_tol``, the iteration cap, or
-    the damping exceeding ``damping_max`` (reported as diverged).
+    stops on relative improvement below ``LM_REL_TOL``, after
+    ``LM_MAX_ITERATIONS`` iterations, or with the damping exceeding
+    ``LM_DAMPING_MAX`` (reported as diverged).
     """
     x = np.asarray(x0, dtype=float).copy()
     r = fun(x)
     cost = float(r @ r)
     trace = [cost]
+    damping = LM_DAMPING
     status = "maxIterations"
-    for _ in range(max_iterations):
+    for _ in range(LM_MAX_ITERATIONS):
         J = _num_jacobian(fun, x, r)
         g = J.T @ r
         H = J.T @ J
         accepted = False
-        while damping <= damping_max:
+        while damping <= LM_DAMPING_MAX:
             try:
                 step = np.linalg.solve(H + damping * np.diag(np.maximum(
                     np.diag(H), 1e-12)), -g)
@@ -321,9 +335,10 @@ def levenberg_marquardt(fun, x0, max_iterations=100, rel_tol=1e-10,
             damping *= 10.0
         trace.append(cost)
         if not accepted:
-            status = "diverged" if damping > damping_max else "stalled"
+            status = "diverged" if damping > LM_DAMPING_MAX else "stalled"
             break
-        if len(trace) >= 2 and trace[-2] - trace[-1] <= rel_tol * (1.0 + trace[-2]):
+        if len(trace) >= 2 and \
+                trace[-2] - trace[-1] <= LM_REL_TOL * (1.0 + trace[-2]):
             status = "converged"
             break
     else:
@@ -353,8 +368,7 @@ def _cam_params(cam):
 BOOTSTRAP_FOCAL_PRIOR = 1.0
 
 
-def ba_refine(scene, cameras, model, max_iterations=100, rel_tol=1e-10,
-              focal_prior_weight=0.0):
+def ba_refine(scene, cameras, model, focal_prior_weight=0.0):
     """Pose refinement with the distortion model frozen.
 
     Cameras decouple given a fixed model and fixed target, so each runs its
@@ -382,8 +396,7 @@ def ba_refine(scene, cameras, model, max_iterations=100, rel_tol=1e-10,
             prior = focal_prior_weight * math.log(p[6] / f0)
             return np.concatenate([err, [prior]])
 
-        p_opt, trace, status = levenberg_marquardt(
-            resid, _cam_params(cam), max_iterations, rel_tol)
+        p_opt, trace, status = levenberg_marquardt(resid, _cam_params(cam))
         if not (f0 / 4.0 <= p_opt[6] <= f0 * 4.0):
             refined.append(cam)
             statuses.append("reverted")
@@ -393,8 +406,7 @@ def ba_refine(scene, cameras, model, max_iterations=100, rel_tol=1e-10,
     return refined, reprojection_rms(scene, refined, model), statuses
 
 
-def ba_full(scene, cameras, kind, max_iterations=100, rel_tol=1e-10,
-            focal_prior_weight=0.0):
+def ba_full(scene, cameras, kind, focal_prior_weight=0.0):
     """Classical joint bundle adjustment with free distortion coefficients.
 
     One Levenberg-Marquardt over all camera parameters plus the active
@@ -432,7 +444,7 @@ def ba_full(scene, cameras, kind, max_iterations=100, rel_tol=1e-10,
         except (ValueError, ArithmeticError):
             return np.full(nres, 1e8)
 
-    p_opt, trace, _ = levenberg_marquardt(resid, x0, max_iterations, rel_tol)
+    p_opt, trace, _ = levenberg_marquardt(resid, x0)
     cams, model = unpack(p_opt)
     return cams, model, reprojection_rms(scene, cams, model)
 
@@ -527,7 +539,7 @@ def bootstrap_poses(scene, seed):
     return cams
 
 
-def aso_loop(scene, cameras, cfg, iterations=10, options=None):
+def aso_loop(scene, cameras, cfg, iterations=10):
     """Alternate the shape-constrained fit with frozen-model pose refinement.
 
     Each pass fits the distortion on correspondences induced by the current
@@ -543,7 +555,7 @@ def aso_loop(scene, cameras, cfg, iterations=10, options=None):
     for _ in range(iterations):
         data = correspondences(scene, cams)
         cost = calib.assemble_cost(data)
-        result = calib.solve_shape(cost, cfg, options)
+        result = calib.solve_shape(cost, cfg)
         if result.model is None:
             break
         cams, rms, _ = ba_refine(scene, cams, result.model)
@@ -673,37 +685,21 @@ def _one_trial(cfg, sigma, trial):
 def run_experiment(cfg):
     """BA / SO / ASO comparison over the configured noise levels.
 
-    Trials are independent (seeds split per trial index) and may run in
-    parallel; SHAPECAL_THREADS caps the worker count.  Per-trial failures
-    are recorded as error entries rather than aborting the run.
+    Trials are independent (seeds split per trial index) and run one after
+    another in job order: sigma-major, then trial.  Per-trial failures are
+    recorded as error entries rather than aborting the run.
     """
     if cfg.trials < 1:
         raise ValueError("need at least one trial")
-    jobs = [(sigma, trial) for sigma in cfg.sigmas
-            for trial in range(cfg.trials)]
-    workers = int(os.environ.get("SHAPECAL_THREADS",
-                                 min(os.cpu_count() or 1, len(jobs))))
     records = []
     errors = []
-
-    def run(job):
-        sigma, trial = job
-        try:
-            return _one_trial(cfg, sigma, trial)
-        except Exception as exc:  # per-trial failures are data, not fatal
-            return exc
-
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
-    for (sigma, trial), recs in zip(jobs, results):
-        if isinstance(recs, Exception):
-            errors.append({"sigma": sigma, "trial": trial,
-                           "error": str(recs)})
-        else:
-            records.extend(recs)
+    for sigma in cfg.sigmas:
+        for trial in range(cfg.trials):
+            try:
+                records.extend(_one_trial(cfg, sigma, trial))
+            except Exception as exc:  # per-trial failures are data, not fatal
+                errors.append({"sigma": sigma, "trial": trial,
+                               "error": str(exc)})
 
     config_doc = {
         "shape": cfg.shape,

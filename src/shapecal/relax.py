@@ -210,14 +210,23 @@ class RelaxationResult:
     solver_status: str = ""
 
 
-def extract(sol, idx, pmi, feas_tol=1e-6, gap_rtol=1e-5, rank_rtol=1e-6):
+# Certification of an extracted candidate by ``extract`` and
+# ``structured_candidate``: PMI feasibility and relative match of its cost
+# to the bound, both looser than the solver tolerances.
+CANDIDATE_FEAS_TOL = 1e-6
+CANDIDATE_GAP_RTOL = 1e-5
+RANK_RTOL = 1e-6    # singular values below this fraction of the top are 0
+
+
+def extract(sol, idx, pmi):
     """Read a candidate minimizer off a solved relaxation and certify it.
 
     The candidate is the vector of first-order moments.  It is certified
-    when it is feasible for the PMI within ``feas_tol`` and either the flat
-    rank test between consecutive moment matrices passes or its cost matches
-    the relaxation bound within ``gap_rtol``.  Returns a RelaxationResult;
-    uncertified is a valid outcome carrying the bound alone.
+    when it is feasible for the PMI within ``CANDIDATE_FEAS_TOL`` and either
+    the flat rank test between consecutive moment matrices passes or its
+    cost matches the relaxation bound within ``CANDIDATE_GAP_RTOL``.
+    Returns a RelaxationResult; uncertified is a valid outcome carrying the
+    bound alone.
     """
     if sol.status != "optimal":
         raise ValueError(f"extract requires an optimal solution, got {sol.status}")
@@ -232,15 +241,15 @@ def extract(sol, idx, pmi, feas_tol=1e-6, gap_rtol=1e-5, rank_rtol=1e-6):
 
     def numeric_rank(M):
         sv = np.linalg.svd(M, compute_uv=False)
-        return int((sv > rank_rtol * sv[0]).sum()) if sv[0] > 0 else 0
+        return int((sv > RANK_RTOL * sv[0]).sum()) if sv[0] > 0 else 0
 
     rank_hi = numeric_rank(M_hi)
     rank_flat = rank_hi == numeric_rank(M_lo)
 
-    feasible = pmi.feasible(x_star, feas_tol)
+    feasible = pmi.feasible(x_star, CANDIDATE_FEAS_TOL)
     cand_cost = pmi.cost.eval(x_star)
     bound = sol.primal_objective
-    cost_ok = abs(cand_cost - bound) <= gap_rtol * (1.0 + abs(bound))
+    cost_ok = abs(cand_cost - bound) <= CANDIDATE_GAP_RTOL * (1.0 + abs(bound))
     # A flat rank comparison certifies exactness of the bound, but only a
     # rank-one moment matrix makes the first-order moments an atom of the
     # representing measure; higher flat ranks are mixtures whose barycenter
@@ -265,7 +274,7 @@ def solve_order(pmi, delta, options=None):
     sol = sdp.solve(program, options)
     if sol.status != "optimal":
         return RelaxationResult(
-            lower_bound=sol.primal_objective if sol.status == "optimal" else math.nan,
+            lower_bound=math.nan,
             moment_vector=np.asarray(sol.z),
             extracted=None,
             certified=False,
@@ -363,16 +372,15 @@ def structured_relaxation(pmi, mm_rows, loc_rows):
     return program, variables, pos
 
 
-def structured_candidate(sol, variables, pos, pmi,
-                         feas_tol=1e-6, gap_rtol=1e-5):
+def structured_candidate(sol, variables, pos, pmi):
     """Candidate extraction for a structured relaxation solution."""
     d = pmi.dim
     x_star = np.array([sol.z[pos[tuple(1 if j == i else 0 for j in range(d))]]
                        for i in range(d)])
-    feasible = pmi.feasible(x_star, feas_tol)
+    feasible = pmi.feasible(x_star, CANDIDATE_FEAS_TOL)
     cand_cost = pmi.cost.eval(x_star)
     bound = sol.primal_objective
-    cost_ok = abs(cand_cost - bound) <= gap_rtol * (1.0 + abs(bound))
+    cost_ok = abs(cand_cost - bound) <= CANDIDATE_GAP_RTOL * (1.0 + abs(bound))
     return RelaxationResult(
         lower_bound=bound,
         moment_vector=np.asarray(sol.z),

@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from .poly import Polynomial
-
 
 class SdpError(Exception):
     pass
@@ -112,19 +110,21 @@ class LmiProgram:
                     raise ValueError(f"equality references variable {i}")
 
 
+STEP_FRACTION = 0.98          # of the way to the PSD boundary a step goes
+UNBOUNDED_THRESHOLD = 1e12    # objective magnitude that means divergence
+CENTERING_STEPS = 2           # pure centering steps after convergence
+STALL_ITERATIONS = 10         # iterations without progress before stopping
+
+
 @dataclass
 class SolverOptions:
     feas_tol: float = 1e-8
     gap_tol: float = 1e-7       # relative duality gap
     max_iterations: int = 100
-    step_fraction: float = 0.98
-    unbounded_threshold: float = 1e12
-    centering_steps: int = 2    # pure centering steps after convergence
     # When progress stalls before the targets are met, the best iterate is
     # still accepted as optimal if it meets these (defaults: the targets).
     accept_feas_tol: float = None
     accept_gap_tol: float = None
-    stall_iterations: int = 10
 
     def __post_init__(self):
         if self.accept_feas_tol is None:
@@ -538,9 +538,9 @@ def solve(program, options=None):
             # Mehrotra: affine-scaling predictor, then corrector with the
             # second-order term expressed in the Nesterov-Todd scaled space.
             dy_a, dX_a, dS_a = kkt_solve([-X for X in Xs])
-            ap = min(1.0, opts.step_fraction *
+            ap = min(1.0, STEP_FRACTION *
                      min(_max_step(L, d) for L, d in zip(Lxs, dX_a)))
-            ad = min(1.0, opts.step_fraction *
+            ad = min(1.0, STEP_FRACTION *
                      min(_max_step(L, d) for L, d in zip(Lss, dS_a)))
             mu_aff = sum(float(np.tensordot(X + ap * dX, S + ad * dS))
                          for X, dX, S, dS in zip(Xs, dX_a, Ss, dS_a)) / m_total
@@ -557,9 +557,9 @@ def solve(program, options=None):
                 Rcs.append(G @ D @ G.T)
             dy, dXs, dSs = kkt_solve(Rcs)
 
-        ap = min(1.0, opts.step_fraction *
+        ap = min(1.0, STEP_FRACTION *
                  min(_max_step(L, d) for L, d in zip(Lxs, dXs)))
-        ad = min(1.0, opts.step_fraction *
+        ad = min(1.0, STEP_FRACTION *
                  min(_max_step(L, d) for L, d in zip(Lss, dSs)))
         if max(ap, ad) < 1e-10:
             raise np.linalg.LinAlgError("step length collapsed")
@@ -595,23 +595,23 @@ def solve(program, options=None):
         if feasible and relgap <= opts.gap_tol:
             status = "optimal"
             break
-        if it - last_improvement >= opts.stall_iterations:
+        if it - last_improvement >= STALL_ITERATIONS:
             # No measurable progress; classify from the best iterate below.
             break
-        if pobj < -opts.unbounded_threshold and pres <= 1e-3:
+        if pobj < -UNBOUNDED_THRESHOLD and pres <= 1e-3:
             status = "unbounded"
             break
-        if pobj < -1e-3 * opts.unbounded_threshold and dres > 1e-4:
+        if pobj < -1e-3 * UNBOUNDED_THRESHOLD and dres > 1e-4:
             # Objective diverging while the conic side of the pair stays
             # infeasible: a recession direction, not slow convergence.
             diverging += 1
             if diverging >= 10:
                 status = "unbounded"
                 break
-        if dobj > opts.unbounded_threshold and dres <= 1e-3:
+        if dobj > UNBOUNDED_THRESHOLD and dres <= 1e-3:
             status = "infeasible"
             break
-        if dobj > 1e-3 * opts.unbounded_threshold and pres > 1e-4:
+        if dobj > 1e-3 * UNBOUNDED_THRESHOLD and pres > 1e-4:
             diverging_dual += 1
             if diverging_dual >= 10:
                 status = "infeasible"
@@ -627,7 +627,7 @@ def solve(program, options=None):
     if status in ("maxIterations", "numericalFailure") and accepted:
         status = "optimal"
 
-    if status == "optimal" and opts.centering_steps > 0 and accepted:
+    if status == "optimal" and accepted:
         # Pure centering steps from the best accepted iterate sharpen the
         # argmin coordinates: on the central path the minimizer block of y
         # is exact for every mu, so restoring centrality removes most of
@@ -636,7 +636,7 @@ def solve(program, options=None):
         Xs_c = [X.copy() for X in best[1]]
         Ss_c = [S.copy() for S in best[2]]
         try:
-            for _ in range(opts.centering_steps):
+            for _ in range(CENTERING_STEPS):
                 gap, _p, _d, rp, Rds, _rg, _pr, _dr = metrics(y_c, Xs_c, Ss_c)
                 mu = gap / m_total
                 y_c, Xs_c, Ss_c = take_step(y_c, Xs_c, Ss_c, rp, Rds, mu,

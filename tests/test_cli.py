@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from shapecal import calib, cli
+from shapecal import calib, cli, pipeline
 from shapecal.distortion import DistortionModel, distort, save_model
 
 from util import common_root_mustache, synth_correspondences
@@ -211,6 +211,33 @@ def test_undistort_marks_pole_rows(tmp_path):
     lines = out.read_text().splitlines()[1:]
     assert lines[0].endswith(",")        # first row inverts fine
     assert lines[1].endswith("Error")    # second is beyond the pole
+
+
+def test_undistort_non_numeric_field_exits_3(tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    save_model(DistortionModel.identity(), model_path)
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x,y\n0.3,0.4\n0.1,abc\n")
+    out = tmp_path / "out.csv"
+    code = run_cli("undistort", "--model", str(model_path),
+                   "--points", str(pts), "--out", str(out))
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert f"{pts}:3:" in err and "abc" in err
+    assert not out.exists()
+
+
+def test_experiment_bad_sigmas_exits_3(tmp_path, capsys, monkeypatch):
+    def no_run(cfg):
+        raise AssertionError("experiment ran despite the data error")
+
+    monkeypatch.setattr(pipeline, "run_experiment", no_run)
+    out = tmp_path / "rep"
+    code = run_cli("experiment", "--sigmas", "0,abc", "--out", str(out))
+    assert code == cli.EXIT_DATA
+    assert "bad --sigmas '0,abc'" in capsys.readouterr().err
+    assert not (tmp_path / "rep.json").exists()
 
 
 def test_experiment_small_and_deterministic(tmp_path):

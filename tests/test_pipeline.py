@@ -253,6 +253,29 @@ def test_experiment_report_roundtrip_and_csv():
     assert len(csv.splitlines()) == len(report.records) + 1
 
 
+def test_run_experiment_records_a_failed_trial(monkeypatch):
+    cfg = ExperimentConfig(shape="barrel", sigmas=(0.0, 0.5), trials=2,
+                           seed=4, aso_iterations=1,
+                           scene=SceneConfig(target_rows=6, target_cols=6,
+                                             cameras=3))
+    original = pipeline._one_trial
+
+    def one_trial(cfg, sigma, trial):
+        if (sigma, trial) == (0.0, 0):
+            raise RuntimeError("injected failure")
+        return original(cfg, sigma, trial)
+
+    monkeypatch.setattr(pipeline, "_one_trial", one_trial)
+    report = run_experiment(cfg)
+    assert report.config["errors"] == [
+        {"sigma": 0.0, "trial": 0, "error": "injected failure"}]
+    assert [(r["sigma"], r["trial"], r["method"]) for r in report.records] \
+        == [(sigma, trial, method)
+            for sigma, trial in [(0.0, 1), (0.5, 0), (0.5, 1)]
+            for method in ("BA", "SO", "ASO")]
+    assert run_experiment(cfg).to_json() == report.to_json()
+
+
 def test_scene_json_roundtrip():
     scene = small_scene(seed=12)
     text = scene_to_json(scene)
