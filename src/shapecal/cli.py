@@ -96,10 +96,18 @@ def build_parser():
 def _parse_target(text):
     try:
         rows, cols = text.lower().split("x")
-        return int(rows), int(cols)
+        rows, cols = int(rows), int(cols)
     except ValueError as exc:
         raise CalibDataError(f"bad --target {text!r}, expected ROWSxCOLS") \
             from exc
+    if rows < 2 or cols < 2:
+        raise CalibDataError(f"bad --target {text!r}, need at least 2x2")
+    return rows, cols
+
+
+def _require_at_least(option, value, low):
+    if value < low:
+        raise CalibDataError(f"bad {option} {value}, need at least {low}")
 
 
 def _parse_sigmas(text):
@@ -112,6 +120,7 @@ def _parse_sigmas(text):
 
 def cmd_synth(args):
     rows, cols = _parse_target(args.target)
+    _require_at_least("--cameras", args.cameras, 1)
     cfg = pipeline.SceneConfig(target_rows=rows, target_cols=cols,
                                cameras=args.cameras,
                                coverage=args.coverage)
@@ -220,6 +229,8 @@ def cmd_undistort(args):
 def cmd_experiment(args):
     rows, cols = _parse_target(args.target)
     sigmas = _parse_sigmas(args.sigmas)
+    _require_at_least("--trials", args.trials, 1)
+    _require_at_least("--cameras", args.cameras, 1)
     cfg = pipeline.ExperimentConfig(
         shape=args.shape, sigmas=sigmas, trials=args.trials, seed=args.seed,
         scene=pipeline.SceneConfig(target_rows=rows, target_cols=cols,
@@ -242,6 +253,7 @@ def cmd_experiment(args):
 
 
 def cmd_curve(args):
+    _require_at_least("--samples", args.samples, 1)
     model = load_model(args.model)
     rs = np.linspace(0.0, args.rmax, args.samples)
     lines = ["r,L,L1,L2"]

@@ -86,9 +86,23 @@ class Camera:
         return np.array([self.K[0, 2], self.K[1, 2]])
 
     def with_params(self, rvec, t, focal):
+        """This camera with a new pose and focal, built without the checks.
+
+        ``rodrigues`` of a finite vector is a proper rotation by construction
+        and ``K`` is a copy with only the focal changed, so the constructor's
+        orthonormality, determinant and ``K`` checks are skipped; a
+        non-finite rotation, ``t`` or focal still raises ``ValueError``.
+        """
+        R = rodrigues(rvec)
+        t = np.asarray(t, dtype=float)
+        if not (np.isfinite(R).all() and np.isfinite(t).all()
+                and math.isfinite(focal)):
+            raise ValueError("non-finite camera parameters")
         K = self.K.copy()
         K[0, 0] = K[1, 1] = focal
-        return Camera(rodrigues(rvec), np.asarray(t, dtype=float), K)
+        cam = object.__new__(Camera)
+        cam.R, cam.t, cam.K = R, t, K
+        return cam
 
 
 @dataclass
@@ -298,13 +312,15 @@ LM_DAMPING = 1e-3
 LM_DAMPING_MAX = 1e12
 
 
-def levenberg_marquardt(fun, x0):
-    """Damped least squares with a forward-difference Jacobian.
+def levenberg_marquardt(fun, x0, jacobian=None):
+    """Damped least squares on the residual vector ``fun(x)``.
 
-    Only improving steps are accepted, so the cost trace is non-increasing;
-    stops on relative improvement below ``LM_REL_TOL``, after
-    ``LM_MAX_ITERATIONS`` iterations, or with the damping exceeding
-    ``LM_DAMPING_MAX`` (reported as diverged).
+    ``jacobian(x, r)`` returns the Jacobian of ``fun`` at ``x``, given
+    ``r = fun(x)``; by default it is forward differences of ``fun``
+    (``_num_jacobian``).  Only improving steps are accepted, so the cost
+    trace is non-increasing; stops on relative improvement below
+    ``LM_REL_TOL``, after ``LM_MAX_ITERATIONS`` iterations, or with the
+    damping exceeding ``LM_DAMPING_MAX`` (reported as diverged).
     """
     x = np.asarray(x0, dtype=float).copy()
     r = fun(x)
@@ -313,7 +329,8 @@ def levenberg_marquardt(fun, x0):
     damping = LM_DAMPING
     status = "maxIterations"
     for _ in range(LM_MAX_ITERATIONS):
-        J = _num_jacobian(fun, x, r)
+        J = (jacobian(x, r) if jacobian is not None
+             else _num_jacobian(fun, x, r))
         g = J.T @ r
         H = J.T @ J
         accepted = False
@@ -350,11 +367,16 @@ def _num_jacobian(fun, x, r0):
     n = len(x)
     J = np.empty((len(r0), n))
     for j in range(n):
-        h = 1e-7 * (1.0 + abs(x[j]))
-        xp = x.copy()
-        xp[j] += h
+        xp, h = _forward_step(x, j)
         J[:, j] = (fun(xp) - r0) / h
     return J
+
+
+def _forward_step(x, j):
+    h = 1e-7 * (1.0 + abs(x[j]))
+    xp = x.copy()
+    xp[j] += h
+    return xp, h
 
 
 def _cam_params(cam):
@@ -388,8 +410,8 @@ def ba_refine(scene, cameras, model, focal_prior_weight=0.0):
         def resid(p, cam=cam, pts=pts, pix=pix, f0=f0):
             if p[6] <= 0:
                 return np.full(pix.size + 1, 1e8)
-            trial = cam.with_params(p[:3], p[3:6], p[6])
             try:
+                trial = cam.with_params(p[:3], p[3:6], p[6])
                 err = (project(trial, pts, model) - pix).ravel()
             except (ValueError, ArithmeticError):
                 return np.full(pix.size + 1, 1e8)
@@ -411,20 +433,54 @@ def ba_full(scene, cameras, kind, focal_prior_weight=0.0):
 
     One Levenberg-Marquardt over all camera parameters plus the active
     coefficients of the model kind, with the same optional per-camera
-    log-focal prior as ``ba_refine``.  Returns (cameras, model, pixel RMS).
+    log-focal prior as ``ba_refine``.  Its forward-difference Jacobian is
+    built block by block (``_ba_full_problem``): a camera's columns
+    re-project only that camera, bit for bit what differencing the whole
+    residual gives.  Returns (cameras, model, pixel RMS).
+    """
+    x0, resid, jacobian, unpack = _ba_full_problem(scene, cameras, kind,
+                                                   focal_prior_weight)
+    p_opt = levenberg_marquardt(resid, x0, jacobian)[0]
+    cams, model = unpack(p_opt)
+    return cams, model, reprojection_rms(scene, cams, model)
+
+
+def _ba_full_problem(scene, cameras, kind, focal_prior_weight):
+    """Start point, residual, Jacobian and unpacking of ``ba_full``.
+
+    The parameters are 7 per camera (axis-angle, translation, focal), then
+    the active coefficients of ``kind``.  The residual stacks each camera's
+    pixel errors, then one log-focal prior row per camera; any failure
+    gives the sentinel vector of 1e8.  ``jacobian(x, r0)`` equals
+    ``_num_jacobian(resid, x, r0)`` bit for bit: a camera's parameters move
+    only its pixel rows and its prior row, and every other row of the
+    difference is ``(a - a) / h = +0.0``.  The coefficient columns, and
+    every column at a sentinel or non-finite ``r0``, difference the whole
+    residual.  Returns ``(x0, resid, jacobian, unpack)``.
     """
     active = list(calib.KIND_INDICES[kind])
     ncam = len(cameras)
     f0s = np.array([c.focal for c in cameras])
     x0 = np.concatenate([_cam_params(c) for c in cameras]
                         + [np.zeros(len(active))])
-    nres = sum(p.size for p in scene.pixels) + ncam
+    pts = [scene.target[idx] for idx in scene.point_indices]
+    bounds = np.cumsum([0] + [p.size for p in scene.pixels])
+    pixel_rows = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    nres = int(bounds[-1]) + ncam
+    prior_rows = slice(nres - ncam, nres)
+
+    def camera(p, i):
+        return cameras[i].with_params(p[7 * i:7 * i + 3],
+                                      p[7 * i + 3:7 * i + 6], p[7 * i + 6])
+
+    def pixel_errors(cam, i, model):
+        return (project(cam, pts[i], model) - scene.pixels[i]).ravel()
+
+    def prior(focals):
+        return focal_prior_weight * np.log(focals / f0s)
 
     def unpack(p):
-        cams = [cameras[i].with_params(p[7 * i:7 * i + 3],
-                                       p[7 * i + 3:7 * i + 6],
-                                       p[7 * i + 6])
-                for i in range(ncam)]
+        cams = [camera(p, i) for i in range(ncam)]
         k = np.zeros(6)
         k[active] = p[7 * ncam:]
         return cams, DistortionModel(kind, tuple(k))
@@ -435,18 +491,36 @@ def ba_full(scene, cameras, kind, focal_prior_weight=0.0):
             return np.full(nres, 1e8)
         try:
             cams, model = unpack(p)
-            parts = []
-            for cam, pix, idx in zip(cams, scene.pixels, scene.point_indices):
-                parts.append((project(cam, scene.target[idx], model)
-                              - pix).ravel())
-            parts.append(focal_prior_weight * np.log(focals / f0s))
+            parts = [pixel_errors(cam, i, model) for i, cam in enumerate(cams)]
+            parts.append(prior(focals))
             return np.concatenate(parts)
         except (ValueError, ArithmeticError):
             return np.full(nres, 1e8)
 
-    p_opt, trace, _ = levenberg_marquardt(resid, x0)
-    cams, model = unpack(p_opt)
-    return cams, model, reprojection_rms(scene, cams, model)
+    def jacobian(x, r0):
+        if not np.isfinite(r0).all() or np.all(r0 == 1e8):
+            return _num_jacobian(resid, x, r0)
+        J = np.zeros((nres, len(x)))
+        model = unpack(x)[1]
+        for i, rows in enumerate(pixel_rows):
+            for j in range(7 * i, 7 * i + 7):
+                xp, h = _forward_step(x, j)
+                focals = xp[6:7 * ncam:7]
+                try:
+                    if focals[i] <= 0:
+                        raise ValueError("non-positive focal")
+                    err = pixel_errors(camera(xp, i), i, model)
+                except (ValueError, ArithmeticError):
+                    J[:, j] = (1e8 - r0) / h
+                    continue
+                J[rows, j] = (err - r0[rows]) / h
+                J[prior_rows, j] = (prior(focals) - r0[prior_rows]) / h
+        for j in range(7 * ncam, len(x)):
+            xp, h = _forward_step(x, j)
+            J[:, j] = (resid(xp) - r0) / h
+        return J
+
+    return x0, resid, jacobian, unpack
 
 
 def reprojection_rms(scene, cameras, model):

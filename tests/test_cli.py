@@ -240,6 +240,42 @@ def test_experiment_bad_sigmas_exits_3(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "rep.json").exists()
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--trials", "0", "bad --trials 0, need at least 1"),
+    ("--target", "1x1", "bad --target '1x1', need at least 2x2"),
+])
+def test_experiment_out_of_range_exits_3(tmp_path, capsys, monkeypatch,
+                                         option, value, message):
+    def no_run(cfg):
+        raise AssertionError("experiment ran despite the data error")
+
+    monkeypatch.setattr(pipeline, "run_experiment", no_run)
+    code = run_cli("experiment", option, value, "--out",
+                   str(tmp_path / "rep"))
+    assert code == cli.EXIT_DATA
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "rep.json").exists()
+
+
+def test_synth_zero_cameras_exits_3(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    code = run_cli("synth", "--out", str(out), "--cameras", "0")
+    assert code == cli.EXIT_DATA
+    assert "bad --cameras 0, need at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_curve_negative_samples_exits_3(tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    save_model(DistortionModel.identity(), model_path)
+    out = tmp_path / "curve.csv"
+    code = run_cli("curve", "--model", str(model_path), "--rmax", "1.0",
+                   "--samples", "-1", "--out", str(out))
+    assert code == cli.EXIT_DATA
+    assert "bad --samples -1, need at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_small_and_deterministic(tmp_path):
     out1 = tmp_path / "rep1"
     out2 = tmp_path / "rep2"

@@ -173,6 +173,102 @@ def test_ba_full_recovers_distortion():
     assert np.abs(np.array(model.k) - BARREL.k).max() <= 1e-3
 
 
+def _ba_start(seed=5, cameras=4):
+    scene = add_noise(small_scene(seed=seed, cameras=cameras), 0.5)
+    cams0 = perturb_cameras(scene.cameras, seed)
+    cams_init, _, _ = ba_refine(scene, cams0, DistortionModel.identity())
+    return scene, cams_init
+
+
+def _assert_block_jacobian_exact(problem, x):
+    _, resid, jacobian, _ = problem
+    r0 = resid(x)
+    assert np.array_equal(jacobian(x, r0),
+                          pipeline._num_jacobian(resid, x, r0))
+
+
+@pytest.mark.parametrize("kind, weight", [("polynomial", 0.0),
+                                          ("division", 1.0)])
+def test_ba_full_block_jacobian_at_start_point(kind, weight):
+    scene, cams = _ba_start()
+    problem = pipeline._ba_full_problem(scene, cams, kind, weight)
+    _assert_block_jacobian_exact(problem, problem[0])
+
+
+def test_ba_full_block_jacobian_when_a_camera_column_raises():
+    scene, cams = _ba_start()
+    problem = pipeline._ba_full_problem(scene, cams, "polynomial", 1.0)
+    x0, resid = problem[:2]
+    # Camera 1 faces the target plane from 1e-9 away: every point is in
+    # front, but tilting it by one difference step puts some behind it.
+    x = x0.copy()
+    x[7:13] = [0.0, 0.0, 0.0, 0.0, 0.0, 1e-9]
+    assert not np.all(resid(x) == 1e8)
+    xp, _ = pipeline._forward_step(x, 7)
+    assert np.all(resid(xp) == 1e8)
+    _assert_block_jacobian_exact(problem, x)
+
+
+def test_ba_full_block_jacobian_when_a_focal_crosses_zero():
+    scene, cams = _ba_start()
+    problem = pipeline._ba_full_problem(scene, cams, "polynomial", 1.0)
+    x0, resid = problem[:2]
+    x = x0.copy()
+    x[6] = -0.5e-7
+    assert np.all(resid(x) == 1e8)
+    xp, _ = pipeline._forward_step(x, 6)
+    assert xp[6] > 0 and not np.all(resid(xp) == 1e8)
+    _assert_block_jacobian_exact(problem, x)
+
+
+def test_ba_full_block_jacobian_at_sentinel_residual():
+    scene, cams = _ba_start()
+    problem = pipeline._ba_full_problem(scene, cams, "division", 0.0)
+    x = problem[0].copy()
+    x[7 * 2 + 5] = -100.0  # camera 2 behind the target plane
+    assert np.all(problem[1](x) == 1e8)
+    _assert_block_jacobian_exact(problem, x)
+
+
+def test_ba_full_block_jacobian_gives_the_dense_iterates():
+    scene, cams = _ba_start()
+    x0, resid, jacobian, unpack = pipeline._ba_full_problem(
+        scene, cams, "polynomial", 0.0)
+    x_block, trace_block, status_block = levenberg_marquardt(resid, x0,
+                                                             jacobian)
+    x_dense, trace_dense, status_dense = levenberg_marquardt(resid, x0)
+    assert np.array_equal(x_block, x_dense)
+    assert trace_block == trace_dense and status_block == status_dense
+    cams_dense, model_dense = unpack(x_dense)
+    cams_ba, model_ba, rms_ba = ba_full(scene, cams, "polynomial")
+    assert model_ba.k == model_dense.k
+    assert rms_ba == reprojection_rms(scene, cams_dense, model_dense)
+    for a, b in zip(cams_ba, cams_dense):
+        assert np.array_equal(a.R, b.R) and np.array_equal(a.t, b.t) \
+            and np.array_equal(a.K, b.K)
+
+
+def test_with_params_matches_the_validated_camera():
+    cam = small_scene().cameras[0]
+    rvec = np.array([0.1, -0.2, 0.3])
+    t = np.array([0.5, -0.1, 12.0])
+    K = cam.K.copy()
+    K[0, 0] = K[1, 1] = 512.5
+    fast = cam.with_params(rvec, t, 512.5)
+    ref = Camera(rodrigues(rvec), t, K)
+    assert type(fast) is Camera
+    for name in ("R", "t", "K"):
+        assert np.array_equal(getattr(fast, name), getattr(ref, name))
+    for bad in (([np.nan, 0.0, 0.0], t, 512.5), ([np.inf, 0.0, 0.0], t, 512.5),
+                (rvec, [0.0, np.inf, 1.0], 512.5), (rvec, t, np.nan)):
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            cam.with_params(*bad)
+    with pytest.raises(ValueError, match="proper rotation"):
+        Camera(np.diag([1.0, 1.0, -1.0]), t, K)
+    with pytest.raises(ValueError, match="orthonormal"):
+        Camera(1.01 * np.eye(3), t, K)
+
+
 def test_correspondences_shapes_and_units():
     scene = small_scene()
     data = correspondences(scene, scene.cameras)
