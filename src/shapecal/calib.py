@@ -16,12 +16,15 @@ epigraph block.  Four solvers share this cost:
 * zero-crossing - rational kind with denominator bounded below by a margin
                   p on [0, rbar], which removes common-root poles.
 
-The barrel and zero-crossing LMIs are both built by ``shape_program``,
-which the CLI's program dump shares.
+``SHAPE_KINDS`` names the model kind each shape fits.  The barrel and
+zero-crossing LMIs are both built by ``shape_program``, which the CLI's
+program dump shares, and solved by one affine path.  Each pincushion fit
+builds its symbolic system once; the PMI and the certificate-repair LMI
+both come from it.
 
 All certificate equality systems are derived programmatically from the
-interval decomposition; the hand-eliminated closed forms are used only as
-cross-checks in the tests.
+interval decomposition by one builder, ``_certified_systems``; the
+hand-eliminated closed forms are used only as cross-checks in the tests.
 """
 
 from __future__ import annotations
@@ -42,6 +45,10 @@ KIND_INDICES = {
 }
 
 K_NAMES = ("k1", "k2", "k3", "k4", "k5", "k6")
+
+# Model kind fitted for each value of CalibConfig.shape.
+SHAPE_KINDS = {"none": "rational", "barrel": "polynomial",
+               "pincushion": "division", "positivity": "rational"}
 
 # Solves behind the calibration API aim tighter than the solver defaults
 # (coefficient recovery needs the extra centering accuracy) but accept a
@@ -233,7 +240,7 @@ def _polish_inactive(cost, kind, k_ipm, feasible_fn):
     return k_ipm
 
 
-def solve_unconstrained(cost, kind="rational", options=None):
+def solve_unconstrained(cost, kind=SHAPE_KINDS["none"], options=None):
     """Least squares over the coefficients of one model kind, as an LMI.
 
     Minimizes the epigraph variable of the quadratic cost; agrees with the
@@ -289,41 +296,51 @@ def _model_f(space, r):
             + space.var("k2") * (r ** 2) + space.var("k3") * (r ** 3))
 
 
+def _certified_systems(params, rbar, targets, extra=()):
+    """Interval certificates on [0, rbar] matched against target polynomials.
+
+    ``targets`` lists (degree, target) pairs, where ``target(space, r, ridx)``
+    builds the polynomial to certify nonnegative.  Certificate i (from 1)
+    names its Gram entries with the prefixes s<i> and t<i>.  The space holds
+    ``params``, every certificate entry, r, then ``extra``.  Returns (space,
+    Gram matrices [S1, T1, S2, ...], one equality system per target).
+    """
+    names = list(params)
+    for i, (degree, _) in enumerate(targets, start=1):
+        names += certs.certificate_names(f"s{i}", f"t{i}", degree)
+    space = certs.VarSpace(names + ["r"] + list(extra))
+    r = space.var("r")
+    ridx = space.index["r"]
+    grams, systems = [], []
+    for i, (degree, target) in enumerate(targets, start=1):
+        S, T, cert = certs.symbolic_certificate(space, "r", 0.0, rbar, degree,
+                                                f"s{i}", f"t{i}")
+        grams += [S, T]
+        systems.append(certs.match_coefficients(target(space, r, ridx), cert,
+                                                space, "r"))
+    return space, grams, systems
+
+
 def barrel_systems(rbar):
     """Matching equalities for the barrel shape, derived symbolically.
 
     Returns (space, gram matrices, equalities) for the two targets -f' and
     -f'' on [0, rbar].
     """
-    names = (["k1", "k2", "k3"]
-             + certs.certificate_names("s1", "t1", 2)
-             + certs.certificate_names("s2", "t2", 1)
-             + ["r"])
-    space = certs.VarSpace(names)
-    r = space.var("r")
-    ridx = space.index["r"]
-    f = _model_f(space, r)
-    minus_f1 = -f.derivative(ridx)
-    minus_f2 = -f.derivative(ridx).derivative(ridx)
-    S1, T1, cert1 = certs.symbolic_certificate(space, "r", 0.0, rbar, 2,
-                                               "s1", "t1")
-    S2, T2, cert2 = certs.symbolic_certificate(space, "r", 0.0, rbar, 1,
-                                               "s2", "t2")
-    eqs1 = certs.match_coefficients(minus_f1, cert1, space, "r")
-    eqs2 = certs.match_coefficients(minus_f2, cert2, space, "r")
-    return space, (S1, T1, S2, T2), eqs1 + eqs2
+    space, grams, (eqs1, eqs2) = _certified_systems(
+        ["k1", "k2", "k3"], rbar,
+        [(2, lambda space, r, ridx: -_model_f(space, r).derivative(ridx)),
+         (1, lambda space, r, ridx:
+          -_model_f(space, r).derivative(ridx).derivative(ridx))])
+    return space, tuple(grams), eqs1 + eqs2
 
 
 def zero_crossing_systems(rbar, margin_p):
     """Matching equalities tying g - p to its interval certificate."""
-    names = (list(K_NAMES) + certs.certificate_names("s1", "t1", 3) + ["r"])
-    space = certs.VarSpace(names)
-    r = space.var("r")
-    target = _model_g(space, r) - margin_p
-    S1, T1, cert1 = certs.symbolic_certificate(space, "r", 0.0, rbar, 3,
-                                               "s1", "t1")
-    eqs = certs.match_coefficients(target, cert1, space, "r")
-    return space, (S1, T1), eqs
+    space, grams, (eqs,) = _certified_systems(
+        K_NAMES, rbar,
+        [(3, lambda space, r, ridx: _model_g(space, r) - margin_p)])
+    return space, tuple(grams), eqs
 
 
 def shape_program(cost, shape, cfg):
@@ -336,13 +353,12 @@ def shape_program(cost, shape, cfg):
     equalities.  ``readout(sol)`` returns the six model coefficients.
     """
     if shape == "barrel":
-        kind = "polynomial"
         space, grams, eqs = barrel_systems(cfg.rbar)
     elif shape == "positivity":
-        kind = "rational"
         space, grams, eqs = zero_crossing_systems(cfg.rbar, cfg.margin_p)
     else:
         raise ValueError(f"no affine shape program for {shape!r}")
+    kind = SHAPE_KINDS[shape]
     Mr, mr, c, idx, _scale = _restricted(cost, kind)
     names = [K_NAMES[i] for i in idx]
 
@@ -360,25 +376,39 @@ def shape_program(cost, shape, cfg):
     return bld.build(), readout
 
 
+# Per affine shape: the name a failed solve reports, and the largest shape
+# violation at which the plain least-squares point replaces the solver's.
+_AFFINE_SHAPES = {"barrel": ("barrel", 1e-10),
+                  "positivity": ("zero-crossing", 0.0)}
+
+
+def _solve_affine(cost, shape, cfg, options):
+    """Solve ``shape_program``, polish an inactive optimum, and report."""
+    label, polish_tol = _AFFINE_SHAPES[shape]
+    kind = SHAPE_KINDS[shape]
+    program, readout = shape_program(cost, shape, cfg)
+    sol = sdp.solve(program, options or TIGHT)
+    if sol.status != "optimal":
+        raise CalibrationError(f"{label} solve failed: {sol.status}",
+                               sol.status)
+
+    def report(k):
+        return shape_check(DistortionModel(kind, tuple(k)), shape, cfg.rbar,
+                           margin=cfg.margin_p)
+
+    k = _polish_inactive(cost, kind, readout(sol),
+                         lambda kk: report(kk).max_violation <= polish_tol)
+    return CalibResult(DistortionModel(kind, tuple(k)), cost.objective(k),
+                       report(k), sol.status, warnings=_data_warnings(cost))
+
+
 def solve_barrel(cost, cfg, options=None):
     """Barrel-shaped polynomial model: L' <= 0 and L'' <= 0 on [0, rbar].
 
     A pure LMI: the model coefficients stay explicit decision variables tied
     to the certificate entries by the matching equalities.
     """
-    opts = options or TIGHT
-    program, readout = shape_program(cost, "barrel", cfg)
-    sol = sdp.solve(program, opts)
-    if sol.status != "optimal":
-        raise CalibrationError(f"barrel solve failed: {sol.status}", sol.status)
-    k = _polish_inactive(
-        cost, "polynomial", readout(sol),
-        lambda kk: shape_check(DistortionModel("polynomial", tuple(kk)),
-                               "barrel", cfg.rbar).max_violation <= 1e-10)
-    model = DistortionModel("polynomial", tuple(k))
-    report = shape_check(model, "barrel", cfg.rbar)
-    return CalibResult(model, cost.objective(k), report, sol.status,
-                       warnings=_data_warnings(cost))
+    return _solve_affine(cost, "barrel", cfg, options)
 
 
 def solve_zero_crossing(cost, cfg, options=None):
@@ -388,21 +418,7 @@ def solve_zero_crossing(cost, cfg, options=None):
     matching equalities (which also force the constant-coefficient relation
     t11 = (1 - p) / rbar).
     """
-    opts = options or TIGHT
-    program, readout = shape_program(cost, "positivity", cfg)
-    sol = sdp.solve(program, opts)
-    if sol.status != "optimal":
-        raise CalibrationError(f"zero-crossing solve failed: {sol.status}",
-                               sol.status)
-    k = _polish_inactive(
-        cost, "rational", readout(sol),
-        lambda kk: shape_check(DistortionModel("rational", tuple(kk)),
-                               "positivity", cfg.rbar,
-                               margin=cfg.margin_p).max_violation == 0.0)
-    model = DistortionModel("rational", tuple(k))
-    report = shape_check(model, "positivity", cfg.rbar, margin=cfg.margin_p)
-    return CalibResult(model, cost.objective(k), report, sol.status,
-                       warnings=_data_warnings(cost))
+    return _solve_affine(cost, "positivity", cfg, options)
 
 
 # ---------------------------------------------------------------------------
@@ -411,64 +427,53 @@ def solve_zero_crossing(cost, cfg, options=None):
 
 PINCUSHION_FREE = ["k4", "k5", "k6", "t12", "t13", "s22",
                    "s32", "s34", "s36", "t32"]
-PINCUSHION_PIVOTS = {
-    "g": ["t11", "s11", "s12", "s13"],
-    "gp": ["s21", "s23", "t21"],
-    "h": ["s31", "t31", "s33", "s35", "t33"],
-}
+# Pivots eliminated from the systems of g, -g' and h, in that order.
+PINCUSHION_PIVOTS = [
+    ["t11", "s11", "s12", "s13"],
+    ["s21", "s23", "t21"],
+    ["s31", "t31", "s33", "s35", "t33"],
+]
+
+
+def _pincushion_h(space, r, ridx):
+    g = _model_g(space, r)
+    g1 = g.derivative(ridx)
+    return 2 * (g1 * g1) - g * g1.derivative(ridx)
 
 
 def pincushion_systems(rbar):
     """Symbolic constraint set for the pincushion shape of the division model.
 
     Builds the three targets g >= 0, -g' >= 0 and the curvature combination
-    h = 2 g'^2 - g g'' >= 0 on [0, rbar], matches each against its interval
-    certificate, and returns the space, the certificates, and the equality
-    systems keyed by target.
+    h = 2 g'^2 - g g'' >= 0 on [0, rbar] and matches each against its
+    interval certificate.  Returns the space, the Gram matrices [S1, T1, S2,
+    T2, S3, T3], and the equality systems of g, -g' and h as a list.  The
+    space ends with the unknown ``margin``, which enters no system; the
+    certificate-repair LMI subtracts it from the Gram diagonals.
     """
-    names = (["k4", "k5", "k6"]
-             + certs.certificate_names("s1", "t1", 3)
-             + certs.certificate_names("s2", "t2", 2)
-             + certs.certificate_names("s3", "t3", 4)
-             + ["r"])
-    space = certs.VarSpace(names)
-    r = space.var("r")
-    ridx = space.index["r"]
-    g = _model_g(space, r)
-    g1 = g.derivative(ridx)
-    g2 = g1.derivative(ridx)
-    h = 2 * (g1 * g1) - g * g2
-
-    S1, T1, cert_g = certs.symbolic_certificate(space, "r", 0.0, rbar, 3,
-                                                "s1", "t1")
-    S2, T2, cert_gp = certs.symbolic_certificate(space, "r", 0.0, rbar, 2,
-                                                 "s2", "t2")
-    S3, T3, cert_h = certs.symbolic_certificate(space, "r", 0.0, rbar, 4,
-                                                "s3", "t3")
-    systems = {
-        "g": certs.match_coefficients(g, cert_g, space, "r"),
-        "gp": certs.match_coefficients(-g1, cert_gp, space, "r"),
-        "h": certs.match_coefficients(h, cert_h, space, "r"),
-    }
-    return space, {"S1": S1, "T1": T1, "S2": S2, "T2": T2,
-                   "S3": S3, "T3": T3}, systems
+    return _certified_systems(
+        ["k4", "k5", "k6"], rbar,
+        [(3, lambda space, r, ridx: _model_g(space, r)),
+         (2, lambda space, r, ridx: -_model_g(space, r).derivative(ridx)),
+         (4, _pincushion_h)],
+        extra=["margin"])
 
 
 def _embed(p, src_space, dst_names):
     """Re-express a polynomial over a smaller named variable list."""
-    keep = [src_space.index[n] for n in dst_names if n in src_space.index]
-    kept_names = [n for n in dst_names if n in src_space.index]
-    q = p.restrict(keep)
-    out_dim = len(dst_names)
-    pos = {kept_names[i]: dst_names.index(kept_names[i])
-           for i in range(len(kept_names))}
+    pos = [dst_names.index(n) if n in dst_names else None
+           for n in src_space.names]
     terms = {}
-    for alpha, cval in q.terms.items():
-        beta = [0] * out_dim
+    for alpha, cval in p.terms.items():
+        beta = [0] * len(dst_names)
         for i, e in enumerate(alpha):
-            beta[pos[kept_names[i]]] = e
+            if not e:
+                continue
+            if pos[i] is None:
+                raise ValueError("polynomial involves a dropped variable")
+            beta[pos[i]] = e
         terms[tuple(beta)] = cval
-    return Polynomial(out_dim, terms)
+    return Polynomial(len(dst_names), terms)
 
 
 def pincushion_pmi(cost, cfg):
@@ -478,99 +483,69 @@ def pincushion_pmi(cost, cfg):
     coefficients and a free certificate entry per system remain), which
     keeps the polynomial matrix degree at two and the variable count at
     eleven; escalation of the relaxation order stays tractable that way.
-    Returns (PmiProgram, names, cost scale); gamma is the last variable and
-    measures the residual divided by the scale.
+    Returns (PmiProgram, cost scale, repair); gamma is the last variable and
+    measures the residual divided by the scale.  ``repair(k_div, options)``
+    tells whether certificate entries exist that make every constraint hold
+    at the division coefficients ``k_div`` exactly, reusing the same
+    symbolic system.
     """
     space, grams, systems = pincushion_systems(cfg.rbar)
     substitution = {}
-    for key, pivots in PINCUSHION_PIVOTS.items():
-        substitution.update(certs.eliminate(systems[key], pivots, space))
+    for eqs, pivots in zip(systems, PINCUSHION_PIVOTS):
+        substitution.update(certs.eliminate(eqs, pivots, space))
 
     pmi_names = PINCUSHION_FREE + ["gamma"]
     dim = len(pmi_names)
 
-    def to_pmi(p):
-        return _embed(certs.substitute_all(p, substitution, space),
-                      space, pmi_names)
-
-    constraints = []
     # Epigraph of the restricted quadratic cost, as a polynomial matrix.
-    Mr, mr, c, _, scale = _restricted(cost, "division")
-    L = sdp.factor_psd(Mr)
-    rank = L.shape[0]
-    size = rank + 1
-    entries = np.empty((size, size), dtype=object)
-    kvars = [Polynomial.variable(dim, pmi_names.index(n))
-             for n in ("k4", "k5", "k6")]
-    gamma = Polynomial.variable(dim, pmi_names.index("gamma"))
-    for i in range(rank):
-        for j in range(rank):
-            entries[i, j] = Polynomial.constant(dim, 1.0 if i == j else 0.0)
-    for i in range(rank):
-        lk = sum((L[i, j] * kvars[j] for j in range(3)),
-                 Polynomial.zero(dim))
-        entries[i, rank] = lk
-        entries[rank, i] = lk
-    corner = gamma - c
-    for j in range(3):
-        corner = corner - mr[j] * kvars[j]
-    entries[rank, rank] = corner
-    constraints.append(PolyMatrix(entries))
+    Mr, mr, c, _, scale = _restricted(cost, SHAPE_KINDS["pincushion"])
+    epi = sdp.epigraph_block(Mr, mr, c, [0, 1, 2], dim - 1)
+    units = {vi: tuple(int(j == vi) for j in range(dim)) for vi in epi.coeff}
+    entries = np.empty((epi.size, epi.size), dtype=object)
+    for i in range(epi.size):
+        for j in range(epi.size):
+            terms = {units[vi]: m[i, j] for vi, m in epi.coeff.items()}
+            terms[(0,) * dim] = epi.constant[i, j]
+            entries[i, j] = Polynomial(dim, terms)
+    constraints = [PolyMatrix(entries)]
 
-    for name in ("S1", "T1", "S2", "T2", "S3", "T3"):
-        G = grams[name]
+    for G in grams:
         sub_entries = np.empty((G.size, G.size), dtype=object)
         for i in range(G.size):
             for j in range(G.size):
-                sub_entries[i, j] = to_pmi(G.entries[i, j])
+                sub_entries[i, j] = _embed(
+                    certs.substitute_all(G.entries[i, j], substitution, space),
+                    space, pmi_names)
         constraints.append(PolyMatrix(sub_entries))
 
-    pmi = relax.PmiProgram(dim, gamma, constraints)
-    return pmi, pmi_names, scale
+    def repair(k_div, options):
+        # Search certificate entries matching every system at k exactly,
+        # maximizing the smallest Gram-block margin (bounded above by one so
+        # the program stays bounded).
+        bld = sdp.LmiBuilder()
+        margin = space.var("margin")
+        for G in grams:
+            shifted = G.entries.copy()
+            for i in range(G.size):
+                shifted[i, i] = shifted[i, i] - margin
+            bld.add_affine_matrix(shifted, space.names)
+        one = np.array([[1.0]])
+        bld.add_block(sdp.AffineBlock(1, one,
+                                      {bld.variable("margin"): -one}))
+        for eqs in systems:
+            for eq in eqs:
+                for name, val in zip(("k4", "k5", "k6"), k_div):
+                    eq = eq.substitute(space.index[name], space.const(val))
+                bld.add_equality_poly(eq, space.names)
+        bld.set_cost({"margin": -1.0})
+        sol = sdp.solve(bld.build(), options)
+        # Boundary optima land at numerically-zero margins; anything beyond
+        # a small negative tolerance means no certificate exists at these k.
+        return bool(sol.status == "optimal"
+                    and bld.value(sol, "margin") >= -1e-8)
 
-
-def _pincushion_repair(cost, cfg, k_div, options):
-    """Feasibility certificate for fixed division coefficients.
-
-    Solves a small LMI that searches certificate entries making every
-    constraint hold at k exactly, maximizing the smallest block margin.
-    Returns the margin if the system is feasible, else None.
-    """
-    space, grams, systems = pincushion_systems(cfg.rbar)
-    kvals = {"k4": k_div[0], "k5": k_div[1], "k6": k_div[2]}
-
-    bld = sdp.LmiBuilder()
-    margin = "feas_margin"
-    for name in ("S1", "T1", "S2", "T2", "S3", "T3"):
-        G = grams[name]
-        n = G.size
-        entries = np.empty((n, n), dtype=object)
-        mvar = Polynomial.variable(space.dim + 1, space.dim)
-        for i in range(n):
-            for j in range(n):
-                p = G.entries[i, j]
-                q = Polynomial(space.dim + 1,
-                               {alpha + (0,): cv for alpha, cv in p.terms.items()})
-                entries[i, j] = q - mvar if i == j else q
-        bld.add_affine_matrix(entries, space.names + [margin])
-    # Bound the margin above so the feasibility program stays bounded.
-    one = np.array([[1.0]])
-    bld.add_block(sdp.AffineBlock(1, one,
-                                  {bld.variable(margin): -one}))
-    for key in ("g", "gp", "h"):
-        for eq in systems[key]:
-            num = eq
-            for name, val in kvals.items():
-                num = num.substitute(space.index[name], space.const(val))
-            bld.add_equality_poly(num, space.names)
-    bld.set_cost({margin: -1.0})
-    sol = sdp.solve(bld.build(), options)
-    if sol.status != "optimal":
-        return None
-    mval = bld.value(sol, margin)
-    # Boundary optima land at numerically-zero margins; anything beyond a
-    # small negative tolerance means no certificate exists at these k.
-    return mval if mval >= -1e-8 else None
+    gamma = Polynomial.variable(dim, dim - 1)
+    return relax.PmiProgram(dim, gamma, constraints), scale, repair
 
 
 # Escalating the relaxation order is pointless once the moment vector would
@@ -616,7 +591,8 @@ def solve_pincushion(cost, cfg, options=None):
     best lower bound and feasible candidate, if any.
     """
     opts = options or TIGHT
-    pmi, names, scale = pincushion_pmi(cost, cfg)
+    kind = SHAPE_KINDS["pincushion"]
+    pmi, scale, repair = pincushion_pmi(cost, cfg)
     warnings = _data_warnings(cost)
 
     # Full higher orders are large; certification compares costs at 1e-5
@@ -638,16 +614,15 @@ def solve_pincushion(cost, cfg, options=None):
         bound = result.lower_bound * scale
         state["best_bound"] = max(state["best_bound"], bound)
         k_div = np.array(result.extracted[:3])
-        k = _full_k("division", k_div)
+        k = _full_k(kind, k_div)
         cand_cost = cost.objective(k)
         certified = result.certified
-        if not certified and _pincushion_repair(cost, cfg, k_div, opts) \
-                is not None:
+        if not certified and repair(k_div, opts):
             state["best_candidate"] = (k, cand_cost)
             certified = abs(cand_cost - bound) <= 1e-5 * (1.0 + abs(bound))
         if not certified:
             return None
-        model = DistortionModel("division", tuple(k))
+        model = DistortionModel(kind, tuple(k))
         report = shape_check(model, "pincushion", cfg.rbar)
         if report.max_violation > 1e-6:
             # Candidate sits just outside the shape tolerance; keep looking.
@@ -686,7 +661,7 @@ def solve_pincushion(cost, cfg, options=None):
         else None
     if state["best_candidate"] is not None:
         k, cand_cost = state["best_candidate"]
-        model = DistortionModel("division", tuple(k))
+        model = DistortionModel(kind, tuple(k))
         report = shape_check(model, "pincushion", cfg.rbar)
         return CalibResult(model, cand_cost, report, "uncertified",
                            relaxation_order=state["order"], certified=False,
@@ -699,7 +674,7 @@ def solve_pincushion(cost, cfg, options=None):
 def solve_shape(cost, cfg, options=None):
     """Route to the solver selected by cfg.shape."""
     if cfg.shape == "none":
-        return solve_unconstrained(cost, "rational", options)
+        return solve_unconstrained(cost, SHAPE_KINDS["none"], options)
     if cfg.shape == "barrel":
         return solve_barrel(cost, cfg, options)
     if cfg.shape == "pincushion":

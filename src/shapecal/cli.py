@@ -110,6 +110,16 @@ def _require_at_least(option, value, low):
         raise CalibDataError(f"bad {option} {value}, need at least {low}")
 
 
+def _require_positive(option, value):
+    if not value > 0:
+        raise CalibDataError(f"bad {option} {value}, need a positive value")
+
+
+def _require_margin(value):
+    if not 0 < value < 1:
+        raise CalibDataError(f"bad --p {value}, need 0 < p < 1")
+
+
 def _parse_sigmas(text):
     try:
         return tuple(float(s) for s in text.split(","))
@@ -121,6 +131,7 @@ def _parse_sigmas(text):
 def cmd_synth(args):
     rows, cols = _parse_target(args.target)
     _require_at_least("--cameras", args.cameras, 1)
+    _require_positive("--coverage", args.coverage)
     cfg = pipeline.SceneConfig(target_rows=rows, target_cols=cols,
                                cameras=args.cameras,
                                coverage=args.coverage)
@@ -150,6 +161,9 @@ def cmd_calibrate(args):
         print("error: --dump-sdp covers only the barrel and positivity "
               "shapes", file=sys.stderr)
         return EXIT_USAGE
+    if args.rbar is not None:
+        _require_positive("--rbar", args.rbar)
+    _require_margin(args.margin_p)
     data = calib.read_correspondences(args.data)
     cost = calib.assemble_cost(data)
     if args.shape == "none":
@@ -192,6 +206,7 @@ def cmd_calibrate(args):
 
 
 def cmd_undistort(args):
+    _require_positive("--search-max", args.search_max)
     model = load_model(args.model)
     rows = []
     with open(args.points) as fh:
@@ -231,6 +246,8 @@ def cmd_experiment(args):
     sigmas = _parse_sigmas(args.sigmas)
     _require_at_least("--trials", args.trials, 1)
     _require_at_least("--cameras", args.cameras, 1)
+    _require_positive("--rbar", args.rbar)
+    _require_margin(args.margin_p)
     cfg = pipeline.ExperimentConfig(
         shape=args.shape, sigmas=sigmas, trials=args.trials, seed=args.seed,
         scene=pipeline.SceneConfig(target_rows=rows, target_cols=cols,

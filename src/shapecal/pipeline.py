@@ -523,15 +523,22 @@ def _ba_full_problem(scene, cameras, kind, focal_prior_weight):
     return x0, resid, jacobian, unpack
 
 
-def reprojection_rms(scene, cameras, model):
-    """Pixel RMS between predicted projections and the scene observations."""
+def _pixel_rms(cameras, pairs, model):
+    """Pixel RMS over one (points, pixels) pair per camera."""
     total = 0.0
     count = 0
-    for cam, pix, idx in zip(cameras, scene.pixels, scene.point_indices):
-        pred = project(cam, scene.target[idx], model)
+    for cam, (X, pix) in zip(cameras, pairs):
+        pred = project(cam, X, model)
         total += float(((pred - pix) ** 2).sum())
-        count += len(idx)
+        count += len(X)
     return math.sqrt(total / max(count * 2, 1))
+
+
+def reprojection_rms(scene, cameras, model):
+    """Pixel RMS between predicted projections and the scene observations."""
+    return _pixel_rms(cameras, ((scene.target[idx], pix) for pix, idx
+                                in zip(scene.pixels, scene.point_indices)),
+                      model)
 
 
 def correspondences(scene, cameras):
@@ -588,13 +595,7 @@ def validation_points(scene, grid=41):
 
 def validation_rms(val_points, cameras, model):
     """Pixel RMS of estimated (cameras, model) on the validation lattice."""
-    total = 0.0
-    count = 0
-    for cam, (X, pix) in zip(cameras, val_points):
-        pred = project(cam, X, model)
-        total += float(((pred - pix) ** 2).sum())
-        count += len(X)
-    return math.sqrt(total / max(count * 2, 1))
+    return _pixel_rms(cameras, val_points, model)
 
 
 # ---------------------------------------------------------------------------
@@ -640,9 +641,6 @@ def aso_loop(scene, cameras, cfg, iterations=10):
 # ---------------------------------------------------------------------------
 # The BA / SO / ASO experiment
 # ---------------------------------------------------------------------------
-
-SHAPE_KINDS = {"barrel": "polynomial", "pincushion": "division",
-               "positivity": "rational"}
 
 DEFAULT_TRUE_MODELS = {
     "barrel": DistortionModel("polynomial", (-0.2, -0.08, 0.0, 0, 0, 0)),
@@ -721,7 +719,7 @@ def _one_trial(cfg, sigma, trial):
     seed = int(np.random.SeedSequence((cfg.seed, trial)).generate_state(1)[0])
     scene = generate_scene(cfg.scene, model_true, seed)
     noisy = add_noise(scene, sigma)
-    kind = SHAPE_KINDS[cfg.shape]
+    kind = calib.SHAPE_KINDS[cfg.shape]
     ccfg = calib.CalibConfig(rbar=cfg.rbar, margin_p=cfg.margin_p,
                              delta_max=cfg.delta_max, shape=cfg.shape)
     val_points = validation_points(scene, cfg.validation_grid)

@@ -199,17 +199,6 @@ class Polynomial:
             result = result + term
         return result
 
-    def restrict(self, keep):
-        """Project onto the variables in ``keep`` (others must not appear)."""
-        keep = list(keep)
-        drop = [i for i in range(self.dim) if i not in keep]
-        out = {}
-        for alpha, c in self.terms.items():
-            if any(alpha[i] for i in drop):
-                raise ValueError("polynomial involves a dropped variable")
-            out[tuple(alpha[i] for i in keep)] = c
-        return Polynomial(len(keep), out)
-
     def collect(self, var):
         """Coefficients with respect to powers of one variable.
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shapecal import calib
+from shapecal import calib, sdp
 from shapecal.calib import (CalibConfig, Correspondence, assemble_cost,
                             build_rows, read_correspondences, residual_rms,
                             solve_barrel, solve_pincushion,
@@ -312,3 +312,67 @@ def test_pincushion_uncertified_reported_distinctly():
     assert res.certified is False
     assert res.relaxation_order == 1
     assert res.lower_bound is not None and res.lower_bound > 0
+
+
+def test_pincushion_systems_built_once_per_fit(monkeypatch):
+    # The noisy order-1 candidate below fails the moment-side certificate,
+    # so the certificate-repair LMI runs; it must reuse the fit's symbolic
+    # system instead of deriving its own.
+    calls = []
+    build = calib.pincushion_systems
+
+    def counting(rbar):
+        calls.append(rbar)
+        return build(rbar)
+
+    monkeypatch.setattr(calib, "pincushion_systems", counting)
+    # Only the repair LMI adds polynomial equalities on this path.
+    repair_rows = []
+    add_equality_poly = sdp.LmiBuilder.add_equality_poly
+
+    def watched(self, p, var_names):
+        repair_rows.append(p)
+        return add_equality_poly(self, p, var_names)
+
+    monkeypatch.setattr(sdp.LmiBuilder, "add_equality_poly", watched)
+    true = DistortionModel("division", (0, 0, 0, -0.08, 0.0, 0.0))
+    data = synth_correspondences(true, (0.02, 0.5), n=256, seed=5,
+                                 noise=2.0 / 540)
+    res = solve_pincushion(assemble_cost(data),
+                           CalibConfig(rbar=1.0, shape="pincushion",
+                                       delta_max=1))
+    assert res.solver_status == "uncertified"
+    assert repair_rows
+    assert calls == [1.0]
+
+
+def test_pincushion_repair_matches_direct_feasibility():
+    true = DistortionModel("division", (0, 0, 0, -0.08, 0.0, 0.0))
+    data = synth_correspondences(true, (0.02, 0.5), n=100, seed=6)
+    _, _, repair = calib.pincushion_pmi(
+        assemble_cost(data), CalibConfig(rbar=1.0, shape="pincushion"))
+    for k_div in ([-0.08, 0.0, 0.0], [-0.2, 0.01, 0.0], [0.0, 0.0, 0.0]):
+        assert pincushion_feasible(*k_div, rbar=1.0)
+        assert repair(np.array(k_div), calib.TIGHT)
+    for k_div in ([0.05, 0.0, 0.0], [0.3, -0.1, 0.0]):
+        assert not pincushion_feasible(*k_div, rbar=1.0)
+        assert not repair(np.array(k_div), calib.TIGHT)
+
+
+def test_pincushion_pmi_epigraph_is_the_sdp_epigraph_block():
+    true = DistortionModel("division", (0, 0, 0, -0.08, 0.0, 0.0))
+    data = synth_correspondences(true, (0.02, 0.5), n=100, seed=6,
+                                 noise=1e-3)
+    cost = assemble_cost(data)
+    pmi, scale, _ = calib.pincushion_pmi(
+        cost, CalibConfig(rbar=1.0, shape="pincushion"))
+    Mr, mr, c, _, scale_r = calib._restricted(cost, "division")
+    assert scale == scale_r
+    dim = pmi.dim
+    block = sdp.epigraph_block(Mr, mr, c, [0, 1, 2], dim - 1)
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        z = rng.normal(size=dim)
+        assert np.allclose(pmi.constraints[0].eval(z), block.value_at(z),
+                           rtol=0.0, atol=1e-12)
+    assert pmi.cost.eval(z) == z[-1]

@@ -276,6 +276,78 @@ def test_curve_negative_samples_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def _no_experiment(monkeypatch):
+    def no_run(cfg):
+        raise AssertionError("experiment ran despite the data error")
+
+    monkeypatch.setattr(pipeline, "run_experiment", no_run)
+
+
+def _no_data_read(monkeypatch):
+    def no_read(path):
+        raise AssertionError("calibrate read data despite the data error")
+
+    monkeypatch.setattr(calib, "read_correspondences", no_read)
+
+
+@pytest.mark.parametrize("command", ["calibrate", "experiment"])
+@pytest.mark.parametrize("value", ["-1", "0", "nan"])
+def test_nonpositive_rbar_exits_3(tmp_path, capsys, monkeypatch, command,
+                                  value):
+    _no_experiment(monkeypatch)
+    _no_data_read(monkeypatch)
+    if command == "calibrate":
+        args = ["calibrate", "--shape", "barrel", str(tmp_path / "d.csv")]
+    else:
+        args = ["experiment", "--out", str(tmp_path / "rep")]
+    assert run_cli(*args, "--rbar", value) == cli.EXIT_DATA
+    assert f"bad --rbar {float(value)}, need a positive value" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "rep.json").exists()
+
+
+@pytest.mark.parametrize("command", ["calibrate", "experiment"])
+@pytest.mark.parametrize("value", ["0", "1", "1.5", "-0.1"])
+def test_margin_outside_unit_interval_exits_3(tmp_path, capsys, monkeypatch,
+                                             command, value):
+    _no_experiment(monkeypatch)
+    _no_data_read(monkeypatch)
+    if command == "calibrate":
+        args = ["calibrate", "--shape", "positivity", "--rbar", "1",
+                str(tmp_path / "d.csv")]
+    else:
+        args = ["experiment", "--shape", "positivity", "--out",
+                str(tmp_path / "rep")]
+    assert run_cli(*args, "--p", value) == cli.EXIT_DATA
+    assert f"bad --p {float(value)}, need 0 < p < 1" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_undistort_nonpositive_search_max_exits_3(tmp_path, capsys, value):
+    model_path = tmp_path / "model.json"
+    save_model(DistortionModel.identity(), model_path)
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x,y\n0.3,0.4\n")
+    out = tmp_path / "out.csv"
+    code = run_cli("undistort", "--model", str(model_path), "--points",
+                   str(pts), "--out", str(out), "--search-max", value)
+    assert code == cli.EXIT_DATA
+    assert f"bad --search-max {float(value)}, need a positive value" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-0.5"])
+def test_synth_nonpositive_coverage_exits_3(tmp_path, capsys, value):
+    out = tmp_path / "s.json"
+    code = run_cli("synth", "--out", str(out), "--coverage", value)
+    assert code == cli.EXIT_DATA
+    assert f"bad --coverage {float(value)}, need a positive value" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_small_and_deterministic(tmp_path):
     out1 = tmp_path / "rep1"
     out2 = tmp_path / "rep2"
