@@ -8,15 +8,21 @@ the global optimum and says so.
 
 import numpy as np
 
-from shapecal import relax, sdp
+from shapecal import relax
 from shapecal.poly import Polynomial, PolyMatrix
-from shapecal.relax import PmiProgram, moment_matrix, solve_order
+from shapecal.relax import PmiProgram, solve_order
 
 x = Polynomial.variable(1, 0)
 box = PolyMatrix.from_scalar((1 - x) * (1 + x))     # x in [-1, 1]
 
-print("moment matrix of order 1 (one variable):")
-print(moment_matrix(1, 1))
+# The first block of a relaxation is its moment matrix; each entry is one
+# moment variable, named here by its exponent.
+program, idx = relax.relax(PmiProgram(1, x * x, [box]), 1)
+M = program.blocks[0]
+print("moment matrix of order 1 (one variable), entry exponents:")
+for i in range(M.size):
+    print("  ", [idx.moments.monomials[v] for j in range(M.size)
+                 for v, c in M.coeff.items() if c[i, j]])
 
 # A convex warm-up: minimize x^2 on [-1, 1].
 res = solve_order(PmiProgram(1, x * x, [box]), 1)

@@ -17,10 +17,10 @@ epigraph block.  Four solvers share this cost:
                   p on [0, rbar], which removes common-root poles.
 
 ``SHAPE_KINDS`` names the model kind each shape fits.  The barrel and
-zero-crossing LMIs are both built by ``shape_program``, which the CLI's
-program dump shares, and solved by one affine path.  Each pincushion fit
-builds its symbolic system once; the PMI and the certificate-repair LMI
-both come from it.
+zero-crossing LMIs are both built by ``shape_program`` and solved by one
+affine path; the CLI's program dump hands its build to that path.  Each
+pincushion fit builds its symbolic system once; the PMI and the
+certificate-repair LMI both come from it.
 
 All certificate equality systems are derived programmatically from the
 interval decomposition by one builder, ``_certified_systems``; the
@@ -105,6 +105,8 @@ class CalibConfig:
             raise ValueError("rbar must be positive")
         if not 0.0 < self.margin_p < 1.0:
             raise ValueError("margin_p must lie strictly between 0 and 1")
+        if self.delta_max < 1:
+            raise ValueError("delta_max must be at least 1")
 
 
 @dataclass
@@ -382,11 +384,13 @@ _AFFINE_SHAPES = {"barrel": ("barrel", 1e-10),
                   "positivity": ("zero-crossing", 0.0)}
 
 
-def _solve_affine(cost, shape, cfg, options):
-    """Solve ``shape_program``, polish an inactive optimum, and report."""
+def _solve_affine(cost, shape, cfg, options, built=None):
+    """Solve a ``shape_program`` build, polish an inactive optimum, report.
+
+    ``built`` is that build when the caller already holds it."""
     label, polish_tol = _AFFINE_SHAPES[shape]
     kind = SHAPE_KINDS[shape]
-    program, readout = shape_program(cost, shape, cfg)
+    program, readout = built or shape_program(cost, shape, cfg)
     sol = sdp.solve(program, options or TIGHT)
     if sol.status != "optimal":
         raise CalibrationError(f"{label} solve failed: {sol.status}",

@@ -164,6 +164,7 @@ def cmd_calibrate(args):
     if args.rbar is not None:
         _require_positive("--rbar", args.rbar)
     _require_margin(args.margin_p)
+    _require_at_least("--delta-max", args.delta_max, 1)
     data = calib.read_correspondences(args.data)
     cost = calib.assemble_cost(data)
     if args.shape == "none":
@@ -172,11 +173,13 @@ def cmd_calibrate(args):
         cfg = calib.CalibConfig(rbar=args.rbar, margin_p=args.margin_p,
                                 delta_max=args.delta_max, shape=args.shape)
         if args.dump_sdp:
-            program = calib.shape_program(cost, args.shape, cfg)[0]
+            built = calib.shape_program(cost, args.shape, cfg)
             with open(args.dump_sdp, "w") as fh:
-                fh.write(sdp.program_to_json(program))
+                fh.write(sdp.program_to_json(built[0]))
                 fh.write("\n")
-        result = calib.solve_shape(cost, cfg)
+            result = calib._solve_affine(cost, args.shape, cfg, None, built)
+        else:
+            result = calib.solve_shape(cost, cfg)
 
     print(f"status: {result.solver_status}")
     if result.model is not None:

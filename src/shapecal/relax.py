@@ -14,14 +14,15 @@ here.
 
 One assembler builds every moment program: ``structured_relaxation`` takes
 explicit row bases, and ``relax`` calls it with the full bases of its
-order.  ``moment_matrix`` and ``localizing_matrix`` are the textbook
-symbolic forms of the same blocks, kept as references.
+order.
 
-Extraction reads the candidate minimizer off the first-order moments and
-certifies it by (a) a flat-extension rank comparison between the moment
-matrices of consecutive orders and (b) direct feasibility plus matching of
-the candidate cost against the relaxation bound; an uncertified bound is a
-valid, honestly reported outcome.
+One candidate core serves every solved relaxation.  It reads the candidate
+minimizer off the first-order moments and certifies it by direct
+feasibility plus matching of the candidate cost against the relaxation
+bound; for a full order it also compares the ranks of the moment matrices
+of consecutive orders (flat extension).  ``extract`` and
+``structured_candidate`` are its two entry points.  An uncertified bound is
+a valid, honestly reported outcome.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sdp
-from .poly import Basis, LinearForm, Polynomial, PolyMatrix, basis
+from .poly import Basis, Polynomial, PolyMatrix, basis
 
 
 @dataclass
@@ -105,68 +106,12 @@ class MomentIndexing:
     row_basis: Basis      # psi_delta, indexes moment-matrix rows
     moments: Basis        # all exponents up to degree 2*delta
 
-    @classmethod
-    def create(cls, delta, d):
-        return cls(delta, d, basis(d, delta), basis(d, 2 * delta))
-
-    def __len__(self):
-        return len(self.moments)
-
     def position(self, alpha):
         return self.moments.position(alpha)
 
     def values(self, y):
         """Map a moment vector to {exponent: value}."""
         return {a: y[i] for i, a in enumerate(self.moments.monomials)}
-
-
-def moment_matrix(delta, d):
-    """Symbolic moment matrix: entry (i, j) is the exponent alpha_i + alpha_j.
-
-    Equal exponent sums share one moment variable, which gives the matrix its
-    Hankel-type repetition structure; entry (0, 0) is the constant exponent.
-    """
-    rows = basis(d, delta).monomials
-    n = len(rows)
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = tuple(a + b for a, b in zip(rows[i], rows[j]))
-    return out
-
-
-def localizing_matrix(G, delta):
-    """Entry-wise Riesz image of (psi_delta psi_delta') tensor G.
-
-    Block (i, j) holds l_y(x^(alpha_i + alpha_j) * G); entries are
-    LinearForms over moment variables.
-    """
-    rows = basis(G.dim, delta).monomials
-    nb = len(rows)
-    g = G.size
-    out = np.empty((nb * g, nb * g), dtype=object)
-    for i in range(nb):
-        for j in range(nb):
-            shift = tuple(a + b for a, b in zip(rows[i], rows[j]))
-            for a in range(g):
-                for b in range(g):
-                    coeffs = {}
-                    for beta, cval in G.entries[a, b].terms.items():
-                        key = tuple(s + e for s, e in zip(shift, beta))
-                        coeffs[key] = coeffs.get(key, 0.0) + cval
-                    out[i * g + a, j * g + b] = LinearForm(coeffs)
-    return out
-
-
-def moment_matrix_value(y_map, delta, d):
-    """Numeric moment matrix from an exponent-to-value map."""
-    sym = moment_matrix(delta, d)
-    n = sym.shape[0]
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = y_map[sym[i, j]]
-    return out
 
 
 def relax(pmi, delta):
@@ -178,8 +123,9 @@ def relax(pmi, delta):
     block-diagonal constraint.  Its variables are then all moments y_alpha
     with |alpha| <= 2*delta in graded-lex order, y_0 pinned to 1.  Each
     polynomial equality q enters as the shifted equalities l_y(x^beta q) = 0
-    for every |beta| <= 2*delta - deg q.  ``localizing_matrix`` is the
-    textbook form of the same blocks.  Returns (LmiProgram, MomentIndexing).
+    for every |beta| <= 2*delta - deg q.  Returns (LmiProgram,
+    MomentIndexing); the program's variable positions are exactly
+    ``MomentIndexing.moments.index``.
     """
     need = min_order(pmi)
     if delta < need:
@@ -191,11 +137,11 @@ def relax(pmi, delta):
                               for alpha, c in q.terms.items()})
                for q in pmi.equalities
                for beta in basis(d, 2 * delta - q.degree).monomials]
+    rows = basis(d, delta)
     program = structured_relaxation(
-        PmiProgram(d, pmi.cost, pmi.constraints, shifted),
-        basis(d, delta).monomials,
+        PmiProgram(d, pmi.cost, pmi.constraints, shifted), rows.monomials,
         {ci: loc_rows for ci in range(len(pmi.constraints))})[0]
-    return program, MomentIndexing.create(delta, d)
+    return program, MomentIndexing(delta, d, rows, basis(d, 2 * delta))
 
 
 @dataclass
@@ -210,62 +156,80 @@ class RelaxationResult:
     solver_status: str = ""
 
 
-# Certification of an extracted candidate by ``extract`` and
-# ``structured_candidate``: PMI feasibility and relative match of its cost
-# to the bound, both looser than the solver tolerances.
+# Certification of an extracted candidate: PMI feasibility and relative
+# match of its cost to the bound, both looser than the solver tolerances.
 CANDIDATE_FEAS_TOL = 1e-6
 CANDIDATE_GAP_RTOL = 1e-5
 RANK_RTOL = 1e-6    # singular values below this fraction of the top are 0
 
 
-def extract(sol, idx, pmi):
-    """Read a candidate minimizer off a solved relaxation and certify it.
+def _mono_sum(a, b):
+    return tuple(x + y for x, y in zip(a, b))
 
-    The candidate is the vector of first-order moments.  It is certified
-    when it is feasible for the PMI within ``CANDIDATE_FEAS_TOL`` and either
-    the flat rank test between consecutive moment matrices passes or its
-    cost matches the relaxation bound within ``CANDIDATE_GAP_RTOL``.
-    Returns a RelaxationResult; uncertified is a valid outcome carrying the
-    bound alone.
+
+def _numeric_rank(M):
+    sv = np.linalg.svd(M, compute_uv=False)
+    return int((sv > RANK_RTOL * sv[0]).sum()) if sv[0] > 0 else 0
+
+
+def _candidate(sol, pos, pmi, order, rank_rows=None):
+    """The candidate core behind ``extract`` and ``structured_candidate``.
+
+    ``pos`` maps a moment exponent to its position in ``sol.z``.  The
+    candidate is the vector of first-order moments.  It is certified when it
+    is feasible for the PMI within ``CANDIDATE_FEAS_TOL`` and either its
+    cost matches the bound within ``CANDIDATE_GAP_RTOL`` or, when
+    ``rank_rows`` gives the row exponents of M_delta and M_(delta-gamma),
+    both moment matrices have rank one.
     """
     if sol.status != "optimal":
-        raise ValueError(f"extract requires an optimal solution, got {sol.status}")
+        raise ValueError(f"candidate needs an optimal solution, got "
+                         f"{sol.status}")
     d = pmi.dim
-    y_map = idx.values(sol.z)
-    x_star = np.array([y_map[tuple(1 if i == j else 0 for j in range(d))]
-                       for i in range(d)])
-
-    gam = max((gamma_offset(G) for G in pmi.constraints), default=1)
-    M_hi = moment_matrix_value(y_map, idx.order, d)
-    M_lo = moment_matrix_value(y_map, idx.order - gam, d)
-
-    def numeric_rank(M):
-        sv = np.linalg.svd(M, compute_uv=False)
-        return int((sv > RANK_RTOL * sv[0]).sum()) if sv[0] > 0 else 0
-
-    rank_hi = numeric_rank(M_hi)
-    rank_flat = rank_hi == numeric_rank(M_lo)
+    z = np.asarray(sol.z)
+    x_star = z[[pos[tuple(1 if j == i else 0 for j in range(d))]
+                for i in range(d)]]
+    rank_flat = rank_one = False
+    if rank_rows is not None:
+        rank_hi, rank_lo = (
+            _numeric_rank(z[np.array([[pos[_mono_sum(a, b)] for b in rows]
+                                      for a in rows])])
+            for rows in rank_rows)
+        rank_flat = rank_hi == rank_lo
+        # A flat rank comparison certifies exactness of the bound, but only
+        # a rank-one moment matrix makes the first-order moments an atom of
+        # the representing measure; higher flat ranks are mixtures whose
+        # barycenter need not be optimal, so they stay uncertified here.
+        rank_one = rank_flat and rank_hi == 1
 
     feasible = pmi.feasible(x_star, CANDIDATE_FEAS_TOL)
     cand_cost = pmi.cost.eval(x_star)
     bound = sol.primal_objective
     cost_ok = abs(cand_cost - bound) <= CANDIDATE_GAP_RTOL * (1.0 + abs(bound))
-    # A flat rank comparison certifies exactness of the bound, but only a
-    # rank-one moment matrix makes the first-order moments an atom of the
-    # representing measure; higher flat ranks are mixtures whose barycenter
-    # need not be optimal, so they stay uncertified here.
-    certified = bool(feasible and (cost_ok or (rank_flat and rank_hi == 1)))
-
     return RelaxationResult(
         lower_bound=bound,
-        moment_vector=np.asarray(sol.z),
+        moment_vector=z,
         extracted=x_star,
-        certified=certified,
-        order=idx.order,
+        certified=bool(feasible and (cost_ok or rank_one)),
+        order=order,
         rank_flat=rank_flat,
         candidate_cost=cand_cost,
         solver_status=sol.status,
     )
+
+
+def extract(sol, idx, pmi):
+    """Candidate of a solved full-order relaxation, with the flat rank test.
+
+    One call of the candidate core over ``idx``'s moment positions; the rank
+    test compares the moment matrices of orders delta and delta - gamma.
+    Raises ``ValueError`` on a non-optimal solution.  Returns a
+    RelaxationResult; uncertified is a valid outcome carrying the bound.
+    """
+    gam = max((gamma_offset(G) for G in pmi.constraints), default=1)
+    rank_rows = (idx.row_basis.monomials,
+                 basis(pmi.dim, idx.order - gam).monomials)
+    return _candidate(sol, idx.moments.index, pmi, idx.order, rank_rows)
 
 
 def solve_order(pmi, delta, options=None):
@@ -310,24 +274,20 @@ def structured_relaxation(pmi, mm_rows, loc_rows):
         if e_i not in mm_rows:
             raise ValueError("moment rows must contain every coordinate")
 
-    def mono_sum(a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
+    # The moment matrix is the localizing matrix of the constant 1.
+    one = PolyMatrix.from_scalar(Polynomial.constant(d, 1.0))
+    localized = [(one, mm_rows)] + [
+        (G, [tuple(r) for r in loc_rows.get(ci, [zero])])
+        for ci, G in enumerate(pmi.constraints)]
     needed = set(pmi.cost.terms)
-    for i, a in enumerate(mm_rows):
-        for b_ in mm_rows[i:]:
-            needed.add(mono_sum(a, b_))
-    loc_entries = {}
-    for ci, G in enumerate(pmi.constraints):
-        rows = [tuple(r) for r in loc_rows.get(ci, [zero])]
-        loc_entries[ci] = rows
+    for G, rows in localized:
         for i, a in enumerate(rows):
             for b_ in rows[i:]:
-                shift = mono_sum(a, b_)
+                shift = _mono_sum(a, b_)
                 for x in range(G.size):
                     for yv in range(G.size):
                         for beta in G.entries[x, yv].terms:
-                            needed.add(mono_sum(shift, beta))
+                            needed.add(_mono_sum(shift, beta))
     variables = sorted(needed, key=lambda a: (sum(a), tuple(-v for v in a)))
     pos = {a: i for i, a in enumerate(variables)}
     nvars = len(variables)
@@ -335,28 +295,18 @@ def structured_relaxation(pmi, mm_rows, loc_rows):
     cost = sdp.AffineForm({pos[a]: c for a, c in pmi.cost.terms.items()}, 0.0)
 
     blocks = []
-    n = len(mm_rows)
-    coeff = {}
-    for i in range(n):
-        for j in range(n):
-            vi = pos[mono_sum(mm_rows[i], mm_rows[j])]
-            coeff.setdefault(vi, np.zeros((n, n)))[i, j] += 0.5
-            coeff[vi][j, i] += 0.5
-    blocks.append(sdp.AffineBlock(n, np.zeros((n, n)), coeff))
-
-    for ci, G in enumerate(pmi.constraints):
-        rows = loc_entries[ci]
+    for G, rows in localized:
         nb = len(rows)
         msize = nb * G.size
         constant = np.zeros((msize, msize))
         lcoeff = {}
         for i in range(nb):
             for j in range(nb):
-                shift = mono_sum(rows[i], rows[j])
+                shift = _mono_sum(rows[i], rows[j])
                 for x in range(G.size):
                     for yv in range(G.size):
                         for beta, cval in G.entries[x, yv].terms.items():
-                            vi = pos[mono_sum(shift, beta)]
+                            vi = pos[_mono_sum(shift, beta)]
                             lcoeff.setdefault(vi, np.zeros((msize, msize)))[
                                 i * G.size + x, j * G.size + yv] += cval
         blocks.append(sdp.AffineBlock(msize, constant, lcoeff))
@@ -373,23 +323,14 @@ def structured_relaxation(pmi, mm_rows, loc_rows):
 
 
 def structured_candidate(sol, variables, pos, pmi):
-    """Candidate extraction for a structured relaxation solution."""
-    d = pmi.dim
-    x_star = np.array([sol.z[pos[tuple(1 if j == i else 0 for j in range(d))]]
-                       for i in range(d)])
-    feasible = pmi.feasible(x_star, CANDIDATE_FEAS_TOL)
-    cand_cost = pmi.cost.eval(x_star)
-    bound = sol.primal_objective
-    cost_ok = abs(cand_cost - bound) <= CANDIDATE_GAP_RTOL * (1.0 + abs(bound))
-    return RelaxationResult(
-        lower_bound=bound,
-        moment_vector=np.asarray(sol.z),
-        extracted=x_star,
-        certified=bool(feasible and cost_ok),
-        order=0,
-        candidate_cost=cand_cost,
-        solver_status=sol.status,
-    )
+    """Candidate of a solved ``structured_relaxation``, reported at order 0.
+
+    One call of the candidate core over the program's ``pos``; no rank test,
+    so only feasibility plus a cost match certifies.  ``variables`` is
+    unused; callers pass ``structured_relaxation``'s return as it comes.
+    Raises ``ValueError`` on a non-optimal solution.
+    """
+    return _candidate(sol, pos, pmi, 0)
 
 
 def solve_hierarchy(pmi, delta_max=3, options=None):

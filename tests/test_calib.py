@@ -314,6 +314,12 @@ def test_pincushion_uncertified_reported_distinctly():
     assert res.lower_bound is not None and res.lower_bound > 0
 
 
+@pytest.mark.parametrize("delta_max", [0, -3])
+def test_config_rejects_relaxation_order_cap_below_one(delta_max):
+    with pytest.raises(ValueError, match="delta_max"):
+        CalibConfig(rbar=1.0, shape="pincushion", delta_max=delta_max)
+
+
 def test_pincushion_systems_built_once_per_fit(monkeypatch):
     # The noisy order-1 candidate below fails the moment-side certificate,
     # so the certificate-repair LMI runs; it must reuse the fit's symbolic

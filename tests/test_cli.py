@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from shapecal import calib, cli, pipeline
+from shapecal import calib, cli, pipeline, sdp
 from shapecal.distortion import DistortionModel, distort, save_model
 
 from util import common_root_mustache, synth_correspondences
@@ -143,6 +143,43 @@ def test_calibrate_dump_sdp_positivity(tmp_path):
     assert doc["nvars"] == 13
     assert len(doc["blocks"]) == 3
     assert len(doc["equalities"]) == 4
+
+
+@pytest.mark.parametrize("shape, systems, model", [
+    ("barrel", "barrel_systems",
+     DistortionModel("polynomial", (-0.1, -0.02, 0, 0, 0, 0))),
+    ("positivity", "zero_crossing_systems",
+     DistortionModel("rational", (-0.2, 0.08, 0.06, -0.15, 0.07, 0.05))),
+])
+def test_calibrate_dump_sdp_builds_the_program_once(tmp_path, capsys,
+                                                    monkeypatch, shape,
+                                                    systems, model):
+    # The solve takes the dumped program: one symbolic build per run, the
+    # same dump as a fresh shape_program and the same printed result as a
+    # run without the dump.
+    data = synth_correspondences(model, (0.05, 0.6), n=200, seed=2)
+    path = tmp_path / "d.csv"
+    calib.write_correspondences(path, data)
+    args = ["calibrate", "--shape", shape, "--rbar", "1.0", str(path)]
+    assert run_cli(*args) == 0
+    plain = capsys.readouterr().out
+    cfg = calib.CalibConfig(rbar=1.0, shape=shape)
+    expected = sdp.program_to_json(calib.shape_program(
+        calib.assemble_cost(data), shape, cfg)[0]) + "\n"
+
+    calls = []
+    build = getattr(calib, systems)
+
+    def counting(*a):
+        calls.append(a)
+        return build(*a)
+
+    monkeypatch.setattr(calib, systems, counting)
+    dump = tmp_path / "prog.json"
+    assert run_cli(*args, "--dump-sdp", str(dump)) == 0
+    assert len(calls) == 1
+    assert dump.read_text() == expected
+    assert capsys.readouterr().out == plain
 
 
 @pytest.mark.parametrize("shape", ["none", "pincushion"])
@@ -320,6 +357,17 @@ def test_margin_outside_unit_interval_exits_3(tmp_path, capsys, monkeypatch,
                 str(tmp_path / "rep")]
     assert run_cli(*args, "--p", value) == cli.EXIT_DATA
     assert f"bad --p {float(value)}, need 0 < p < 1" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_calibrate_delta_max_below_one_exits_3(tmp_path, capsys, monkeypatch,
+                                              value):
+    _no_data_read(monkeypatch)
+    args = ["calibrate", "--shape", "pincushion", "--rbar", "1",
+            str(tmp_path / "d.csv")]
+    assert run_cli(*args, "--delta-max", value) == cli.EXIT_DATA
+    assert f"bad --delta-max {value}, need at least 1" in \
         capsys.readouterr().err
 
 

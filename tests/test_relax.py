@@ -6,9 +6,10 @@ import pytest
 from shapecal import relax, sdp
 from shapecal.poly import Polynomial, PolyMatrix, basis
 from shapecal.relax import (MomentIndexing, PmiProgram, block_diag, extract,
-                            gamma_offset, localizing_matrix, min_order,
-                            moment_matrix, relax as build_relaxation,
+                            gamma_offset, min_order,
+                            relax as build_relaxation,
                             solve_hierarchy, solve_order)
+from util import localizing_matrix, moment_matrix
 
 OPTS = sdp.SolverOptions(feas_tol=1e-9, gap_tol=1e-9,
                          accept_feas_tol=1e-8, accept_gap_tol=1e-7)
@@ -378,3 +379,59 @@ def test_cross_path_barrel_pmi_matches_direct_lmi():
     # polishes away; agreement at the coefficient level is coarser.
     k_pmi = [res.extracted[names.index(f"k{i}")] for i in (1, 2, 3)]
     assert np.allclose(k_pmi, direct.model.k[:3], atol=2e-3)
+
+
+def _hand_solution(pmi, delta, atoms, weights, objective, status="optimal"):
+    """An SdpSolution holding the moments of a finite atomic measure."""
+    idx = build_relaxation(pmi, delta)[1]
+    z = np.array([sum(w * x ** a[0] for x, w in zip(atoms, weights))
+                  for a in idx.moments.monomials])
+    sol = sdp.SdpSolution(z, objective, objective, status, 0)
+    return sol, idx
+
+
+QUAD = PmiProgram(1, (X - 0.3) * (X - 0.3), [BOX01])
+
+
+def test_candidate_point_mass_certified_by_rank_one_flatness():
+    # The bound is set off the true cost, so only the rank test certifies.
+    sol, idx = _hand_solution(QUAD, 2, [0.3], [1.0], -0.5)
+    full = extract(sol, idx, QUAD)
+    part = relax.structured_candidate(sol, idx.moments.monomials,
+                                      idx.moments.index, QUAD)
+    assert full.rank_flat and full.certified and full.order == 2
+    assert not part.rank_flat and not part.certified and part.order == 0
+    assert full.extracted[0] == part.extracted[0] == pytest.approx(0.3)
+
+
+def test_candidate_two_atom_mixture_is_flat_but_uncertified():
+    # Equal atoms at 0.2 and 0.8: the flat ranks are 2, the barycenter 0.5
+    # is feasible, and its cost 0.04 misses the mixture's 0.13.
+    sol, idx = _hand_solution(QUAD, 2, [0.2, 0.8], [0.5, 0.5], 0.13)
+    full = extract(sol, idx, QUAD)
+    part = relax.structured_candidate(sol, idx.moments.monomials,
+                                      idx.moments.index, QUAD)
+    assert full.rank_flat
+    assert not full.certified and not part.certified
+    assert full.extracted[0] == pytest.approx(0.5)
+
+
+def test_candidate_refuses_non_optimal_solution():
+    sol, idx = _hand_solution(QUAD, 2, [0.3], [1.0], 0.0, "maxIterations")
+    with pytest.raises(ValueError, match="maxIterations"):
+        extract(sol, idx, QUAD)
+    with pytest.raises(ValueError, match="maxIterations"):
+        relax.structured_candidate(sol, idx.moments.monomials,
+                                   idx.moments.index, QUAD)
+
+
+def test_candidate_entry_points_agree_on_a_solved_relaxation():
+    pmi = PmiProgram(1, (X - 0.4) * (X - 0.4) * (X + 1), [BOX01])
+    program, idx = build_relaxation(pmi, 2)
+    sol = sdp.solve(program, OPTS)
+    full = extract(sol, idx, pmi)
+    part = relax.structured_candidate(sol, idx.moments.monomials,
+                                      idx.moments.index, pmi)
+    assert np.array_equal(full.extracted, part.extracted)
+    assert full.candidate_cost == part.candidate_cost
+    assert full.lower_bound == part.lower_bound

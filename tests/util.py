@@ -3,6 +3,7 @@
 import numpy as np
 
 from shapecal.distortion import DistortionModel
+from shapecal.poly import LinearForm, basis
 
 
 def synth_correspondences(model, radii, n=200, seed=0, noise=0.0):
@@ -48,3 +49,41 @@ def common_root_mustache(rho=2.0, a=-0.16, b=0.02, c=-0.25, d=0.03):
     k1, k2, k3 = a + s, b + s * a, s * b
     k4, k5, k6 = c + s, d + s * c, s * d
     return DistortionModel("rational", (k1, k2, k3, k4, k5, k6))
+
+
+def moment_matrix(delta, d):
+    """Textbook symbolic moment matrix: entry (i, j) is alpha_i + alpha_j.
+
+    Equal exponent sums share one moment variable, which gives the matrix its
+    Hankel-type repetition structure; entry (0, 0) is the constant exponent.
+    """
+    rows = basis(d, delta).monomials
+    n = len(rows)
+    out = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            out[i, j] = tuple(a + b for a, b in zip(rows[i], rows[j]))
+    return out
+
+
+def localizing_matrix(G, delta):
+    """Textbook localizing matrix: the Riesz image of (psi psi') (x) G.
+
+    Block (i, j) holds l_y(x^(alpha_i + alpha_j) * G), with psi the basis of
+    order delta; entries are LinearForms over moment exponents.
+    """
+    rows = basis(G.dim, delta).monomials
+    nb = len(rows)
+    g = G.size
+    out = np.empty((nb * g, nb * g), dtype=object)
+    for i in range(nb):
+        for j in range(nb):
+            shift = tuple(a + b for a, b in zip(rows[i], rows[j]))
+            for a in range(g):
+                for b in range(g):
+                    coeffs = {}
+                    for beta, cval in G.entries[a, b].terms.items():
+                        key = tuple(s + e for s, e in zip(shift, beta))
+                        coeffs[key] = coeffs.get(key, 0.0) + cval
+                    out[i * g + a, j * g + b] = LinearForm(coeffs)
+    return out
