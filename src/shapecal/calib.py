@@ -623,7 +623,8 @@ def solve_pincushion(cost, cfg, options=None):
         certified = result.certified
         if not certified and repair(k_div, opts):
             state["best_candidate"] = (k, cand_cost)
-            certified = abs(cand_cost - bound) <= 1e-5 * (1.0 + abs(bound))
+            certified = abs(cand_cost - bound) <= \
+                relax.CANDIDATE_GAP_RTOL * (1.0 + abs(bound))
         if not certified:
             return None
         model = DistortionModel(kind, tuple(k))

@@ -771,7 +771,7 @@ def run_experiment(cfg):
                 records.extend(_one_trial(cfg, sigma, trial))
             except Exception as exc:  # per-trial failures are data, not fatal
                 errors.append({"sigma": sigma, "trial": trial,
-                               "error": str(exc)})
+                               "error": f"{type(exc).__name__}: {exc}"})
 
     config_doc = {
         "shape": cfg.shape,

@@ -1,6 +1,6 @@
-"""Dense primal-dual interior-point solver for small linear matrix inequality
-programs, plus the Schur-complement construction that turns a convex
-quadratic cost into a linear (epigraph) objective.
+"""Primal-dual interior-point solver for linear matrix inequality programs,
+plus the Schur-complement construction that turns a convex quadratic cost
+into a linear (epigraph) objective.
 
 A program is
 
@@ -13,10 +13,15 @@ Equalities are removed up front by restricting z to an affine subspace
 an inconsistent system is reported as infeasible without running the
 interior-point loop.  The reduced problem is the dual side of a standard
 conic pair, and is solved by an infeasible-start path-following method with
-Nesterov-Todd scaling and a Mehrotra predictor-corrector step.  All linear
-algebra is dense: the intended problem sizes are blocks up to roughly 100
-and a few hundred to a thousand variables, where forming the Schur
-complement explicitly is both simplest and fast.
+Nesterov-Todd scaling and a Mehrotra predictor-corrector step.  The Schur
+complement M_ij = sum_b <A_i, W_b A_j W_b> is formed explicitly and
+factored densely; the intended problem sizes are blocks up to roughly 100
+and up to a few thousand variables.  Each block's share of M comes from one
+of two formulas, chosen by one size rule (``SPARSE_SCHUR_MIN_ENTRIES``):
+small blocks keep their coefficients as a dense tensor and use two GEMMs,
+while the blocks of large moment relaxations, whose coefficients are about
+0.1% dense, keep (variable, row, column, value) triplets and use the
+sparse formula of Fujisawa, Kojima and Nakata (1997).
 
 The solver is reentrant and keeps no global state; a single call is
 single-threaded.
@@ -29,6 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import cho_solve, solve_triangular
 
 
@@ -144,6 +150,13 @@ class SdpSolution:
     # optimal exits; complementary to the block slacks, they carry the
     # active-face geometry (rank-one for an epigraph block at its optimum).
     block_duals: list = None
+    # Why the iteration stopped: targets_met, stalled (no progress for
+    # STALL_ITERATIONS; ``status`` says whether the best iterate was
+    # accepted), iteration_cap, step_failure, unbounded, infeasible or
+    # inconsistent_equalities.  ``centered`` is set when the centering steps
+    # replaced the returned iterate.  Diagnostics only.
+    exit_reason: str = ""
+    centered: bool = False
 
     @property
     def relative_gap(self):
@@ -317,8 +330,8 @@ def _eliminate_equalities(program):
     Returns (z0, N, status) with z = z0 + N w; status is 'ok' or
     'infeasible'.  N is either a dense null-space basis or, when every
     equality pins a single variable (the common case for moment programs),
-    ("select", free_indices), which lets the caller slice block tensors
-    instead of densifying them.
+    ("select", free_indices), which lets the caller take the reduced block
+    coefficients straight from each block's coefficient map.
     """
     n = program.nvars
     eqs = program.equalities
@@ -375,6 +388,159 @@ def _eliminate_equalities(program):
     return z0, ("dense", N), "ok"
 
 
+# A block takes the sparse Schur-complement formula when its reduced
+# coefficients, stored dense, would hold at least this many entries (q
+# variables times m^2).  Moment relaxations of order two and up are far above
+# it and their coefficients are about 0.1% dense; every other program of the
+# package is far below it and keeps the dense GEMM formula.
+SPARSE_SCHUR_MIN_ENTRIES = 100_000
+# Entries of W A_j W the sparse formula forms at a time (4 MB).
+SCHUR_CHUNK_ENTRIES = 2 ** 19
+
+
+class _DenseCoeffs:
+    """Reduced coefficients A_i of one block as a dense (q, m, m) tensor."""
+
+    def __init__(self, A):
+        self.A = A
+        self.flat = A.reshape(A.shape[0], -1)
+
+    def magnitude(self):
+        """Largest |entry| of each A_i."""
+        return np.abs(self.A).max(axis=(1, 2), initial=0.0)
+
+    def restrict(self, keep):
+        return _DenseCoeffs(self.A[keep])
+
+    def inner(self, X):
+        """The vector of <A_i, X>."""
+        return self.flat @ X.ravel()
+
+    def combine(self, y):
+        """sum_i y_i A_i."""
+        return np.tensordot(y, self.A, axes=(0, 0))
+
+    def add_schur(self, M, W):
+        """M_ij += <A_i, W A_j W>; the congruences run as two large GEMMs."""
+        q, m = self.A.shape[0], W.shape[0]
+        AW = (self.A.reshape(q * m, m) @ W).reshape(q, m, m)
+        U = (AW.transpose(0, 2, 1).reshape(q * m, m) @ W).reshape(q, m, m)
+        M += self.flat @ np.ascontiguousarray(U.reshape(q, -1).T)
+
+
+class _SparseCoeffs:
+    """Reduced coefficients of one block as (var, row, col, value) triplets.
+
+    Row i of ``csr`` is vec(A_i).  The Schur complement follows Fujisawa,
+    Kojima and Nakata (Math. Programming 79, 1997): with A_j symmetric,
+    W A_j W = X_j + X_j' for X_j = sum_s v_s W[:, a_s] W[b_s, :] over the
+    upper-triangle nonzeros (a_s, b_s) of A_j, diagonal values halved, so
+    M_ij = 2 <A_i, X_j>.  The X_j come from batched thin matmuls over each
+    variable's few nonzeros, padded to the largest count.
+    """
+
+    def __init__(self, csr, m):
+        self.csr = csr
+        self.m = m
+        q = csr.shape[0]
+        coo = csr.tocoo()     # sorted by variable
+        row, col = np.divmod(coo.col, m)
+        upper = row <= col
+        var, row, col = coo.row[upper], row[upper], col[upper]
+        # The factor 2 of M_ij folds into the values: off-diagonal entries
+        # carry 2 v, diagonal ones v.
+        val = np.where(row == col, 1.0, 2.0) * coo.data[upper]
+        counts = np.bincount(var, minlength=q)
+        slot = np.arange(var.size) - np.repeat(np.cumsum(counts) - counts,
+                                               counts)
+        width = max(int(counts.max(initial=0)), 1)
+        self.rows = np.zeros((q, width), dtype=np.intp)
+        self.cols = np.zeros((q, width), dtype=np.intp)
+        self.vals = np.zeros((q, width))
+        self.rows[var, slot] = row
+        self.cols[var, slot] = col
+        self.vals[var, slot] = val
+
+    def magnitude(self):
+        return abs(self.csr).max(axis=1).toarray().ravel()
+
+    def restrict(self, keep):
+        return _SparseCoeffs(self.csr[keep], self.m)
+
+    def inner(self, X):
+        return self.csr @ X.ravel()
+
+    def combine(self, y):
+        return (self.csr.T @ y).reshape(self.m, self.m)
+
+    def add_schur(self, M, W):
+        # The X_j go in runs of variables that fit SCHUR_CHUNK_ENTRIES, so
+        # no q x m x m array is ever held.
+        q, m = self.csr.shape[0], self.m
+        step = max(1, SCHUR_CHUNK_ENTRIES // (m * m))
+        for j in range(0, q, step):
+            run = slice(j, j + step)
+            left = W[:, self.rows[run]].transpose(1, 0, 2) \
+                * self.vals[run, None, :]
+            X = left @ W[self.cols[run]]
+            M[:, run] += self.csr @ X.reshape(len(X), -1).T
+
+
+def _reduce(program):
+    """The program restricted to the affine subspace of its equalities.
+
+    Returns (z0, N, Cs, coeffs) with z = z0 + N w: block b requires
+    Cs[b] - sum_j w_j A_{b,j} PSD, where ``coeffs[b]`` holds the A_{b,j}
+    (the standard conic pair's A_i are minus the reduced block
+    coefficients).  N and the rest are None when the equalities are
+    inconsistent.  A block takes the sparse storage when its dense tensor
+    would reach ``SPARSE_SCHUR_MIN_ENTRIES``.
+    """
+    n = program.nvars
+    z0, basis, eq_status = _eliminate_equalities(program)
+    if eq_status == "infeasible":
+        return z0, None, None, None
+    kind, data = basis
+    if kind == "select":
+        N = np.zeros((n, len(data)))
+        N[data, np.arange(len(data))] = 1.0
+        pos = {v: j for j, v in enumerate(data)}
+    else:
+        N = data
+    q = N.shape[1]
+    Cs, coeffs = [], []
+    for blk in program.blocks:
+        C = blk.constant.copy()
+        for i, mat in blk.coeff.items():
+            if z0[i]:
+                C += z0[i] * mat
+        Cs.append(C)
+        m = blk.size
+        sparse_path = q * m * m >= SPARSE_SCHUR_MIN_ENTRIES
+        if kind == "dense":
+            A = -np.tensordot(N, blk.tensor(n), axes=(0, 0))
+            coeffs.append(_SparseCoeffs(sparse.csr_matrix(A.reshape(q, -1)), m)
+                          if sparse_path else _DenseCoeffs(A))
+        elif sparse_path:
+            var, idx, val = [], [np.zeros(0, np.intp)], [np.zeros(0)]
+            for i, mat in blk.coeff.items():
+                if i in pos:
+                    idx.append(np.flatnonzero(mat))
+                    var += [pos[i]] * idx[-1].size
+                    val.append(-mat.ravel()[idx[-1]])
+            coeffs.append(_SparseCoeffs(sparse.csr_matrix(
+                (np.concatenate(val), (var, np.concatenate(idx))),
+                shape=(q, m * m)), m))
+        else:
+            A = np.zeros((q, m, m))
+            for i, mat in blk.coeff.items():
+                if i in pos:
+                    A[pos[i]] = mat
+            np.negative(A, out=A)
+            coeffs.append(_DenseCoeffs(A))
+    return z0, N, Cs, coeffs
+
+
 def solve(program, options=None):
     """Solve an LMI program; see the module docstring for the method.
 
@@ -392,76 +558,38 @@ def solve(program, options=None):
     c_full = program.cost.dense(n)
     offset = program.cost.constant
 
-    z0, basis, eq_status = _eliminate_equalities(program)
-    if eq_status == "infeasible":
-        return SdpSolution(z0, math.nan, math.nan, "infeasible", 0)
-    selection = basis[0] == "select"
-
-    # Reduced block data: C_b + sum_j w_j B_{b,j} must be PSD.
-    Cs, Bs = [], []
-    for blk in program.blocks:
-        C = blk.constant.copy()
-        for i, mat in blk.coeff.items():
-            if z0[i]:
-                C += z0[i] * mat
-        Cs.append(C)
-        if selection:
-            free = basis[1]
-            B = np.zeros((len(free), blk.size, blk.size))
-            pos = {v: j for j, v in enumerate(free)}
-            for i, mat in blk.coeff.items():
-                if i in pos:
-                    B[pos[i]] = mat
-            Bs.append(B)
-        else:
-            Bs.append(np.tensordot(basis[1], blk.tensor(n), axes=(0, 0)))
-    if selection:
-        N = np.zeros((n, len(basis[1])))
-        N[basis[1], np.arange(len(basis[1]))] = 1.0
-        c_red = c_full[basis[1]]
-    else:
-        N = basis[1]
-        c_red = N.T @ c_full
+    z0, N, Cs, coeffs = _reduce(program)
+    if N is None:
+        return SdpSolution(z0, math.nan, math.nan, "infeasible", 0,
+                           exit_reason="inconsistent_equalities")
+    c_red = N.T @ c_full
     offset = offset + float(c_full @ z0)
 
     # Constant-only feasibility and inert variable directions.
     live = np.zeros(N.shape[1], dtype=bool)
-    for B in Bs:
-        if B.size:
-            live |= np.abs(B).max(axis=(1, 2)) > 1e-13
+    for A in coeffs:
+        live |= A.magnitude() > 1e-13
     dead = ~live
     if dead.any() and np.abs(c_red[dead]).max(initial=0.0) > 1e-11:
-        return SdpSolution(z0, -math.inf, math.nan, "unbounded", 0)
+        return SdpSolution(z0, -math.inf, math.nan, "unbounded", 0,
+                           exit_reason="unbounded")
     if (~live).all():
         ok = all(np.linalg.eigvalsh(C)[0] >= -opts.feas_tol * (1 + np.abs(C).max())
                  for C in Cs)
         status = "optimal" if ok else "infeasible"
-        return SdpSolution(z0, offset, offset if ok else math.nan, status, 0)
+        return SdpSolution(z0, offset, offset if ok else math.nan, status, 0,
+                           exit_reason="targets_met" if ok else "infeasible")
     if dead.any():
         N = N[:, live]
-        Bs = [B[live] for B in Bs]
+        coeffs = [A.restrict(live) for A in coeffs]
         c_red = c_red[live]
 
     q = c_red.size
     m_sizes = [C.shape[0] for C in Cs]
     m_total = sum(m_sizes)
 
-    # Standard conic pair: our z is the dual vector y with b = -c.  The flat
-    # views drive every contraction with the Schur complement; moment-style
-    # blocks are extremely sparse, so those go through CSR storage.
+    # Standard conic pair: our z is the dual vector y with b = -c.
     b = -c_red
-    As = [-B for B in Bs]
-    A_flat = []
-    for A in As:
-        flat = A.reshape(q, -1)
-        if flat.size > 1_000_000:
-            density = np.count_nonzero(flat) / flat.size
-            if density < 0.05:
-                from scipy import sparse
-                A_flat.append(sparse.csr_matrix(flat))
-                continue
-        A_flat.append(flat)
-
     b_scale = 1.0 + np.abs(b).max()
     C_scales = [1.0 + np.linalg.norm(C, "fro") for C in Cs]
 
@@ -477,9 +605,8 @@ def solve(program, options=None):
         gap = sum(float(np.tensordot(X, S)) for X, S in zip(Xs, Ss))
         pobj = float(c_red @ y) + offset
         dobj = -sum(float(np.tensordot(C, X)) for C, X in zip(Cs, Xs)) + offset
-        rp = b - sum(Af @ X.ravel() for Af, X in zip(A_flat, Xs))
-        Rds = [C - S - np.tensordot(y, A, axes=(0, 0))
-               for C, S, A in zip(Cs, Ss, As)]
+        rp = b - sum(A.inner(X) for A, X in zip(coeffs, Xs))
+        Rds = [C - S - A.combine(y) for C, S, A in zip(Cs, Ss, coeffs)]
         relgap = gap / (1.0 + max(abs(pobj), abs(dobj)))
         pres = max(np.linalg.norm(Rd, "fro") / sc
                    for Rd, sc in zip(Rds, C_scales))
@@ -502,27 +629,20 @@ def solve(program, options=None):
             sigs.append(sig)
 
         # Schur complement M_ij = sum_b <A_i, W A_j W>, shared by the
-        # predictor and corrector solves of this iteration.  The congruence
-        # W A_i W runs as two large reshaped GEMMs over the stacked tensor.
+        # predictor and corrector solves of this iteration.
         M = np.zeros((q, q))
-        for A, Af, W in zip(As, A_flat, Ws):
-            m = W.shape[0]
-            AW = (A.reshape(q * m, m) @ W).reshape(q, m, m)
-            U = (AW.transpose(0, 2, 1).reshape(q * m, m) @ W).reshape(q, m, m)
-            UT = np.ascontiguousarray(U.reshape(q, -1).T)
-            M += Af @ UT
+        for A, W in zip(coeffs, Ws):
+            A.add_schur(M, W)
         M = 0.5 * (M + M.T)
         Mchol = _chol_with_jitter(M, max(np.trace(M) / q, 1e-30))
 
-        base_rhs = rp + sum(Af @ (W @ Rd @ W).ravel()
-                            for Af, W, Rd in zip(A_flat, Ws, Rds))
+        base_rhs = rp + sum(A.inner(W @ Rd @ W)
+                            for A, W, Rd in zip(coeffs, Ws, Rds))
 
         def kkt_solve(Rcs):
-            rhs = base_rhs - sum(Af @ Rc.ravel()
-                                 for Af, Rc in zip(A_flat, Rcs))
+            rhs = base_rhs - sum(A.inner(Rc) for A, Rc in zip(coeffs, Rcs))
             dy = cho_solve((Mchol, True), rhs)
-            dSs = [Rd - np.tensordot(dy, A, axes=(0, 0))
-                   for Rd, A in zip(Rds, As)]
+            dSs = [Rd - A.combine(dy) for Rd, A in zip(Rds, coeffs)]
             dXs = [0.5 * ((Rc - W @ dS @ W) + (Rc - W @ dS @ W).T)
                    for Rc, W, dS in zip(Rcs, Ws, dSs)]
             dSs = [0.5 * (d + d.T) for d in dSs]
@@ -569,6 +689,7 @@ def solve(program, options=None):
         return y, Xs, Ss
 
     status = "maxIterations"
+    reason = "iteration_cap"
     best = None
     iterations = 0
     diverging = 0
@@ -593,40 +714,42 @@ def solve(program, options=None):
             last_improvement = it
         feasible = pres <= opts.feas_tol and dres <= opts.feas_tol
         if feasible and relgap <= opts.gap_tol:
-            status = "optimal"
+            status, reason = "optimal", "targets_met"
             break
         if it - last_improvement >= STALL_ITERATIONS:
             # No measurable progress; classify from the best iterate below.
+            reason = "stalled"
             break
         if pobj < -UNBOUNDED_THRESHOLD and pres <= 1e-3:
-            status = "unbounded"
+            status = reason = "unbounded"
             break
         if pobj < -1e-3 * UNBOUNDED_THRESHOLD and dres > 1e-4:
             # Objective diverging while the conic side of the pair stays
             # infeasible: a recession direction, not slow convergence.
             diverging += 1
             if diverging >= 10:
-                status = "unbounded"
+                status = reason = "unbounded"
                 break
         if dobj > UNBOUNDED_THRESHOLD and dres <= 1e-3:
-            status = "infeasible"
+            status = reason = "infeasible"
             break
         if dobj > 1e-3 * UNBOUNDED_THRESHOLD and pres > 1e-4:
             diverging_dual += 1
             if diverging_dual >= 10:
-                status = "infeasible"
+                status = reason = "infeasible"
                 break
 
         try:
             y, Xs, Ss = take_step(y, Xs, Ss, rp, Rds, mu, "mehrotra")
         except np.linalg.LinAlgError:
-            status = "numericalFailure"
+            status, reason = "numericalFailure", "step_failure"
             break
 
     accepted = best is not None and best[5] <= opts.accept_gap_tol
     if status in ("maxIterations", "numericalFailure") and accepted:
         status = "optimal"
 
+    centered = False
     if status == "optimal" and accepted:
         # Pure centering steps from the best accepted iterate sharpen the
         # argmin coordinates: on the central path the minimizer block of y
@@ -647,6 +770,7 @@ def solve(program, options=None):
                     and dres_c <= opts.accept_feas_tol \
                     and relgap_c <= max(opts.accept_gap_tol, 2.0 * best[5]):
                 best = (y_c, Xs_c, Ss_c, pobj_c, dobj_c, relgap_c)
+                centered = True
         except np.linalg.LinAlgError:
             pass
 
@@ -661,7 +785,8 @@ def solve(program, options=None):
             pobj = -math.inf
 
     z = z0 + N @ y_best
-    return SdpSolution(z, pobj, dobj, status, iterations, duals)
+    return SdpSolution(z, pobj, dobj, status, iterations, duals, reason,
+                       centered)
 
 
 # ---------------------------------------------------------------------------

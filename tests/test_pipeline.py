@@ -364,7 +364,8 @@ def test_run_experiment_records_a_failed_trial(monkeypatch):
     monkeypatch.setattr(pipeline, "_one_trial", one_trial)
     report = run_experiment(cfg)
     assert report.config["errors"] == [
-        {"sigma": 0.0, "trial": 0, "error": "injected failure"}]
+        {"sigma": 0.0, "trial": 0,
+         "error": "RuntimeError: injected failure"}]
     assert [(r["sigma"], r["trial"], r["method"]) for r in report.records] \
         == [(sigma, trial, method)
             for sigma, trial in [(0.0, 1), (0.5, 0), (0.5, 1)]

@@ -1,9 +1,17 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from shapecal import sdp
+from shapecal import calib, pipeline, relax, sdp
+from shapecal.calib import CalibConfig, assemble_cost
+from shapecal.poly import Polynomial, PolyMatrix
 from shapecal.sdp import (AffineBlock, AffineForm, LmiBuilder, LmiProgram,
                           SolverOptions, epigraph_block, factor_psd, solve)
+from util import synth_correspondences
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TIGHT = SolverOptions(feas_tol=1e-9, gap_tol=1e-9,
                       accept_feas_tol=1e-8, accept_gap_tol=1e-7)
@@ -293,3 +301,168 @@ def test_program_json_dump_roundtrips_shape():
     assert doc["blocks"][0]["size"] == 2
     assert doc["blocks"][0]["constant"] == [0.0, 1.0, 1.0, 0.0]
     assert doc["cost"]["coefficients"] == {"0": 1.0, "1": 1.0}
+
+
+# ---------------------------------------------------------------------------
+# Exit reasons
+# ---------------------------------------------------------------------------
+
+def test_exit_reasons_of_the_plain_exits():
+    assert solve(schur_2x2_program()).exit_reason == "targets_met"
+    inconsistent = LmiProgram(
+        1, AffineForm({0: 1.0}), schur_2x2_program().blocks,
+        [AffineForm({0: 1.0}, 0.0), AffineForm({0: 1.0}, -1.0)])
+    assert solve(inconsistent).exit_reason == "inconsistent_equalities"
+    unbounded = LmiProgram(
+        1, AffineForm({0: -1.0}),
+        [AffineBlock(1, np.array([[0.0]]), {0: np.array([[1.0]])})])
+    assert solve(unbounded).exit_reason == "unbounded"
+    capped = solve(hyperbola_program(), SolverOptions(max_iterations=2))
+    assert (capped.status, capped.exit_reason) == ("maxIterations",
+                                                   "iteration_cap")
+
+
+def test_barrel_stall_reports_a_stalled_exit():
+    # This noiseless barrel fit stops improving before the tight targets
+    # are met; its best iterate is accepted, and the exit says so.
+    data = synth_correspondences(pipeline.DEFAULT_TRUE_MODELS["barrel"],
+                                 (0.02, 0.9), n=200, seed=7)
+    program, _ = calib.shape_program(assemble_cost(data), "barrel",
+                                     CalibConfig(rbar=1.0, shape="barrel"))
+    sol = solve(program, calib.TIGHT)
+    assert sol.status == "optimal"
+    assert sol.exit_reason == "stalled"
+
+
+# ---------------------------------------------------------------------------
+# Dense and sparse Schur-complement formulas
+# ---------------------------------------------------------------------------
+
+# Cuts of the Schur rule that force every block onto one path.
+FORCE = {"dense": math.inf, "sparse": 0}
+
+
+def _coeffs(program, path):
+    """Reduced block coefficients with every block forced onto one path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdp, "SPARSE_SCHUR_MIN_ENTRIES", FORCE[path])
+        coeffs = sdp._reduce(program)[3]
+    kind = sdp._SparseCoeffs if path == "sparse" else sdp._DenseCoeffs
+    assert all(isinstance(A, kind) for A in coeffs)
+    return coeffs
+
+
+def _small_order2_program():
+    # Quartic cost under a 2x2 quadratic matrix inequality: 15 moments,
+    # two 6x6 blocks.
+    x = Polynomial.variable(2, 0)
+    y = Polynomial.variable(2, 1)
+    G = PolyMatrix(np.array([[1 - x * x, 0.5 * x * y],
+                             [0.5 * x * y, 1 - y * y]], dtype=object))
+    pmi = relax.PmiProgram(2, x ** 4 + y * y - x * y + 0.3 * x, [G])
+    return relax.relax(pmi, 2)[0]
+
+
+def _random_sparse_program(rng, dense_equality):
+    m, q = 9, 40
+    coeff = {}
+    for i in range(q):
+        mat = np.zeros((m, m))
+        for _ in range(rng.integers(1, 4)):
+            a, b = rng.integers(0, m, size=2)
+            mat[a, b] = mat[b, a] = rng.normal()
+        coeff[i] = mat
+    eqs = [AffineForm({0: 1.0, 1: 1.0}, -1.0)] if dense_equality else []
+    return LmiProgram(q, AffineForm({0: 1.0}),
+                      [AffineBlock(m, np.eye(m), coeff)], eqs)
+
+
+@pytest.mark.parametrize("program", [
+    _small_order2_program(),
+    _random_sparse_program(np.random.default_rng(3), False),
+    _random_sparse_program(np.random.default_rng(4), True)],
+    ids=["order2", "random", "random-dense-basis"])
+def test_sparse_and_dense_block_products_agree(program, monkeypatch):
+    rng = np.random.default_rng(11)
+    dense = _coeffs(program, "dense")
+    sparse = _coeffs(program, "sparse")
+    for D, S in zip(dense, sparse):
+        q, m = D.A.shape[0], D.A.shape[1]
+        G = rng.normal(size=(m, m))
+        W = G @ G.T
+        Md = np.zeros((q, q))
+        D.add_schur(Md, W)
+        # Whole blocks at once, and in runs of three variables.
+        for chunk in (sdp.SCHUR_CHUNK_ENTRIES, 3 * m * m):
+            monkeypatch.setattr(sdp, "SCHUR_CHUNK_ENTRIES", chunk)
+            Ms = np.zeros((q, q))
+            S.add_schur(Ms, W)
+            assert np.abs(Ms - Md).max() <= 1e-12 * np.abs(Md).max()
+        X = W + W.T
+        assert np.allclose(S.inner(X), D.inner(X), rtol=1e-12, atol=1e-12)
+        y = rng.normal(size=q)
+        assert np.allclose(S.combine(y), D.combine(y), rtol=1e-12,
+                           atol=1e-12)
+        assert np.array_equal(S.magnitude() > 1e-13, D.magnitude() > 1e-13)
+
+
+def test_schur_rule_sends_only_full_order2_blocks_to_the_sparse_path(
+        monkeypatch):
+    # The benchmark's seed-1 pincushion set that escalates to order 2.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+    data = workloads.pincushion_candidate(workloads.Size().scene, 1, 7)
+    cost = assemble_cost(data)
+    pmi, _, repair = calib.pincushion_pmi(
+        cost, CalibConfig(rbar=1.0, shape="pincushion"))
+
+    def kinds(program):
+        return {type(A) for A in sdp._reduce(program)[3]}
+
+    assert kinds(relax.relax(pmi, 2)[0]) == {sdp._SparseCoeffs}
+
+    programs = [
+        relax.relax(pmi, 1)[0],
+        calib.shape_program(cost, "barrel",
+                            CalibConfig(rbar=1.0, shape="barrel"))[0],
+        calib.shape_program(cost, "positivity",
+                            CalibConfig(rbar=1.0, margin_p=0.1,
+                                        shape="positivity"))[0]]
+
+    def record(program, options=None):
+        programs.append(program)
+        return sdp.SdpSolution(np.zeros(program.nvars), math.nan, math.nan,
+                               "numericalFailure", 0)
+
+    monkeypatch.setattr(sdp, "solve", record)
+    calib._pincushion_structured(pmi, calib.TIGHT)
+    repair(np.zeros(3), calib.TIGHT)
+    assert len(programs) == 5
+    for program in programs:
+        assert kinds(program) == {sdp._DenseCoeffs}
+
+
+@pytest.fixture(scope="module")
+def order2_on_both_paths():
+    program = _small_order2_program()
+    sols = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for path, cut in FORCE.items():
+            mp.setattr(sdp, "SPARSE_SCHUR_MIN_ENTRIES", cut)
+            sols[path] = solve(program, TIGHT)
+    return sols
+
+
+def test_order2_solves_alike_on_both_schur_paths(order2_on_both_paths):
+    dense, sparse = (order2_on_both_paths[p] for p in ("dense", "sparse"))
+    assert dense.status == sparse.status == "optimal"
+    assert abs(dense.iterations - sparse.iterations) <= 1
+    assert sparse.primal_objective == pytest.approx(
+        dense.primal_objective, rel=1e-9)
+
+
+def test_order2_exits_for_the_same_reason_on_both_schur_paths(
+        order2_on_both_paths):
+    dense, sparse = (order2_on_both_paths[p] for p in ("dense", "sparse"))
+    assert dense.exit_reason == sparse.exit_reason != ""
+    assert dense.centered == sparse.centered
