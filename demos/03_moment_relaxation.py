@@ -17,11 +17,12 @@ box = PolyMatrix.from_scalar((1 - x) * (1 + x))     # x in [-1, 1]
 
 # The first block of a relaxation is its moment matrix; each entry is one
 # moment variable, named here by its exponent.
-program, idx = relax.relax(PmiProgram(1, x * x, [box]), 1)
+program, pos = relax.relax(PmiProgram(1, x * x, [box]), 1)
+exponents = list(pos)     # pos maps each exponent to its variable position
 M = program.blocks[0]
 print("moment matrix of order 1 (one variable), entry exponents:")
 for i in range(M.size):
-    print("  ", [idx.moments.monomials[v] for j in range(M.size)
+    print("  ", [exponents[v] for j in range(M.size)
                  for v, c in M.coeff.items() if c[i, j]])
 
 # A convex warm-up: minimize x^2 on [-1, 1].

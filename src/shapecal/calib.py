@@ -20,7 +20,9 @@ epigraph block.  Four solvers share this cost:
 zero-crossing LMIs are both built by ``shape_program`` and solved by one
 affine path; the CLI's program dump hands its build to that path.  Each
 pincushion fit builds its symbolic system once; the PMI and the
-certificate-repair LMI both come from it.
+certificate-repair LMI both come from it.  The fit walks one ladder of
+relaxation passes (order 1, the structured pass, then the full orders) in
+one loop, and a pass whose solve fails is warned with the solver's status.
 
 All certificate equality systems are derived programmatically from the
 interval decomposition by one builder, ``_certified_systems``; the
@@ -101,8 +103,8 @@ class CalibConfig:
     shape: str = "none"
 
     def __post_init__(self):
-        if self.rbar <= 0:
-            raise ValueError("rbar must be positive")
+        if not 0 < self.rbar < math.inf:
+            raise ValueError("rbar must be positive and finite")
         if not 0.0 < self.margin_p < 1.0:
             raise ValueError("margin_p must lie strictly between 0 and 1")
         if self.delta_max < 1:
@@ -137,28 +139,6 @@ def _as_array(data):
     if not np.isfinite(arr).all():
         raise CalibDataError("correspondences contain non-finite values")
     return arr
-
-
-def build_rows(corr):
-    """Per-point data rows: A_i (2x6) and b_i (2,).
-
-    The radius comes from the ideal point.  Columns follow the rational
-    model layout: numerator coefficients negated on the ideal point,
-    denominator coefficients on the observed point.
-    """
-    if isinstance(corr, Correspondence):
-        x, y, xh, yh = corr.x, corr.y, corr.xhat, corr.yhat
-    else:
-        x, y, xh, yh = (float(v) for v in corr)
-    r = math.hypot(x, y)
-    powers = np.array([r, r ** 2, r ** 3])
-    A = np.zeros((2, 6))
-    A[0, :3] = -x * powers
-    A[0, 3:] = xh * powers
-    A[1, :3] = -y * powers
-    A[1, 3:] = yh * powers
-    b = np.array([x - xh, y - yh])
-    return A, b
 
 
 def assemble_cost(data):
@@ -429,9 +409,8 @@ def solve_zero_crossing(cost, cfg, options=None):
 # Pincushion: quadratic coupling, solved through the moment relaxation
 # ---------------------------------------------------------------------------
 
-PINCUSHION_FREE = ["k4", "k5", "k6", "t12", "t13", "s22",
-                   "s32", "s34", "s36", "t32"]
-# Pivots eliminated from the systems of g, -g' and h, in that order.
+# Pivots eliminated from the systems of g, -g' and h, in that order; the
+# PMI keeps every other name of the symbolic space but r and margin.
 PINCUSHION_PIVOTS = [
     ["t11", "s11", "s12", "s13"],
     ["s21", "s23", "t21"],
@@ -498,7 +477,8 @@ def pincushion_pmi(cost, cfg):
     for eqs, pivots in zip(systems, PINCUSHION_PIVOTS):
         substitution.update(certs.eliminate(eqs, pivots, space))
 
-    pmi_names = PINCUSHION_FREE + ["gamma"]
+    dropped = {"r", "margin"}.union(*PINCUSHION_PIVOTS)
+    pmi_names = [n for n in space.names if n not in dropped] + ["gamma"]
     dim = len(pmi_names)
 
     # Epigraph of the restricted quadratic cost, as a polynomial matrix.
@@ -563,7 +543,9 @@ def _pincushion_structured(pmi, options):
     The only nonlinearity in the program is quadratic in the division
     coefficients, so a moment basis of all variables plus the coefficient
     quadratics, with every block localized against {1, k4, k5, k6}, captures
-    most of the second order at a fraction of its size.
+    most of the second order at a fraction of its size.  A failed solve
+    comes back as a result carrying the solver's status, as from
+    ``relax.solve_order``.
     """
     d = pmi.dim
     zero = (0,) * d
@@ -574,12 +556,40 @@ def _pincushion_structured(pmi, options):
     mm_rows = [zero] + coords + kquads
     k_rows = [zero] + coords[:3]
     loc_rows = {ci: k_rows for ci in range(len(pmi.constraints))}
-    program, variables, pos = relax.structured_relaxation(pmi, mm_rows,
-                                                          loc_rows)
+    program, pos = relax.structured_relaxation(pmi, mm_rows, loc_rows)
     sol = sdp.solve(program, options)
     if sol.status != "optimal":
-        return None
-    return relax.structured_candidate(sol, variables, pos, pmi)
+        return relax.RelaxationResult(math.nan, np.asarray(sol.z), None,
+                                      False, 0, solver_status=sol.status)
+    return relax.structured_candidate(sol, pos, pmi)
+
+
+def _pincushion_passes(pmi, cfg, opts, warnings):
+    """Relaxation passes in escalation order, as (order, label, result).
+
+    Order 1 runs at ``opts``.  The structured pass and the full higher
+    orders are large; certification compares costs at 1e-5 relative, so
+    those solves run at standard rather than recovery accuracy.  A full
+    order whose moment vector would outgrow the dense solver ends the
+    ladder with a warning.
+    """
+    loose = sdp.SolverOptions(feas_tol=1e-8, gap_tol=1e-7,
+                              accept_feas_tol=1e-7, accept_gap_tol=1e-7,
+                              max_iterations=60)
+    yield 1, "order 1", relax.solve_order(pmi, 1, opts)
+    if cfg.delta_max < 2:
+        return
+    # Structured pass: tightened coefficient moments at a fraction of the
+    # full second order; its bound certificate stands on its own.
+    yield 2, "structured", _pincushion_structured(pmi, loose)
+    for delta in range(2, cfg.delta_max + 1):
+        nmoments = math.comb(pmi.dim + 2 * delta, pmi.dim)
+        if nmoments > MAX_RELAXATION_VARIABLES:
+            warnings.append(
+                f"relaxation order {delta} skipped: {nmoments} moment "
+                f"variables exceed the dense-solver budget")
+            return
+        yield delta, f"order {delta}", relax.solve_order(pmi, delta, loose)
 
 
 def solve_pincushion(cost, cfg, options=None):
@@ -598,82 +608,44 @@ def solve_pincushion(cost, cfg, options=None):
     kind = SHAPE_KINDS["pincushion"]
     pmi, scale, repair = pincushion_pmi(cost, cfg)
     warnings = _data_warnings(cost)
-
-    # Full higher orders are large; certification compares costs at 1e-5
-    # relative, so those solves run at standard rather than recovery
-    # accuracy.
-    loose = sdp.SolverOptions(feas_tol=1e-8, gap_tol=1e-7,
-                              accept_feas_tol=1e-7, accept_gap_tol=1e-7,
-                              max_iterations=60)
-
-    state = {"best_candidate": None, "best_bound": -math.inf, "order": None}
-
-    def check(result, level, label):
-        """Certify a relaxation pass; returns a CalibResult or None."""
-        state["order"] = level
-        if result is None or result.solver_status != "optimal":
-            status = "failed" if result is None else result.solver_status
-            warnings.append(f"{label} solve: {status}")
-            return None
+    bounds, best_candidate = [], None
+    for order, label, result in _pincushion_passes(pmi, cfg, opts, warnings):
+        if result.solver_status != "optimal":
+            warnings.append(f"{label} solve: {result.solver_status}")
+            continue
         bound = result.lower_bound * scale
-        state["best_bound"] = max(state["best_bound"], bound)
+        bounds.append(bound)
         k_div = np.array(result.extracted[:3])
         k = _full_k(kind, k_div)
         cand_cost = cost.objective(k)
         certified = result.certified
         if not certified and repair(k_div, opts):
-            state["best_candidate"] = (k, cand_cost)
+            best_candidate = (k, cand_cost)
             certified = abs(cand_cost - bound) <= \
                 relax.CANDIDATE_GAP_RTOL * (1.0 + abs(bound))
         if not certified:
-            return None
+            continue
         model = DistortionModel(kind, tuple(k))
         report = shape_check(model, "pincushion", cfg.rbar)
         if report.max_violation > 1e-6:
             # Candidate sits just outside the shape tolerance; keep looking.
-            state["best_candidate"] = state["best_candidate"] or (k, cand_cost)
-            return None
+            best_candidate = best_candidate or (k, cand_cost)
+            continue
         return CalibResult(model, cand_cost, report, "optimal",
-                           relaxation_order=level, certified=True,
+                           relaxation_order=order, certified=True,
                            lower_bound=bound, warnings=warnings)
 
-    done = check(relax.solve_order(pmi, 1, opts), 1, "order 1")
-    if done is not None:
-        return done
-
-    if cfg.delta_max >= 2:
-        # Structured pass: tightened coefficient moments at a fraction of
-        # the full second order; its bound certificate stands on its own.
-        done = check(_pincushion_structured(pmi, loose), 2, "structured")
-        if done is not None:
-            return done
-
-    for delta in range(2, cfg.delta_max + 1):
-        nmoments = math.comb(pmi.dim + 2 * delta, pmi.dim)
-        if nmoments > MAX_RELAXATION_VARIABLES:
-            warnings.append(
-                f"relaxation order {delta} skipped: {nmoments} moment "
-                f"variables exceed the dense-solver budget")
-            break
-        done = check(relax.solve_order(pmi, delta, loose), delta,
-                     f"order {delta}")
-        if done is not None:
-            return done
-
-    # Uncertified at the order cap: report the bound and the best feasible
-    # candidate when one exists.
-    best_bound = state["best_bound"] if state["best_bound"] > -math.inf \
-        else None
-    if state["best_candidate"] is not None:
-        k, cand_cost = state["best_candidate"]
+    # Uncertified at the order cap: report the best bound and the best
+    # feasible candidate when one exists.
+    model, cand_cost, report = None, math.nan, None
+    if best_candidate is not None:
+        k, cand_cost = best_candidate
         model = DistortionModel(kind, tuple(k))
         report = shape_check(model, "pincushion", cfg.rbar)
-        return CalibResult(model, cand_cost, report, "uncertified",
-                           relaxation_order=state["order"], certified=False,
-                           lower_bound=best_bound, warnings=warnings)
-    return CalibResult(None, math.nan, None, "uncertified",
-                       relaxation_order=state["order"], certified=False,
-                       lower_bound=best_bound, warnings=warnings)
+    return CalibResult(model, cand_cost, report, "uncertified",
+                       relaxation_order=order, certified=False,
+                       lower_bound=max(bounds, default=None),
+                       warnings=warnings)
 
 
 def solve_shape(cost, cfg, options=None):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -110,9 +111,20 @@ def _require_at_least(option, value, low):
         raise CalibDataError(f"bad {option} {value}, need at least {low}")
 
 
-def _require_positive(option, value):
-    if not value > 0:
-        raise CalibDataError(f"bad {option} {value}, need a positive value")
+def _require_positive(option, value, zero_ok=False):
+    """Refuse NaN, infinities, negatives, and zero unless ``zero_ok``."""
+    if not (0 <= value if zero_ok else 0 < value) or math.isinf(value):
+        sign = "non-negative" if zero_ok else "positive"
+        raise CalibDataError(f"bad {option} {value}, need a {sign} value "
+                             f"that is finite")
+
+
+def _load_model(path):
+    """A model file's model; a file that holds no model is a data error."""
+    try:
+        return load_model(path)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CalibDataError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _require_margin(value):
@@ -122,20 +134,25 @@ def _require_margin(value):
 
 def _parse_sigmas(text):
     try:
-        return tuple(float(s) for s in text.split(","))
+        sigmas = tuple(float(s) for s in text.split(","))
     except ValueError as exc:
         raise CalibDataError(f"bad --sigmas {text!r}, expected comma-"
                              f"separated numbers") from exc
+    for sigma in sigmas:
+        _require_positive("--sigmas", sigma, zero_ok=True)
+    return sigmas
 
 
 def cmd_synth(args):
     rows, cols = _parse_target(args.target)
     _require_at_least("--cameras", args.cameras, 1)
+    _require_at_least("--seed", args.seed, 0)
     _require_positive("--coverage", args.coverage)
+    _require_positive("--sigma", args.sigma, zero_ok=True)
     cfg = pipeline.SceneConfig(target_rows=rows, target_cols=cols,
                                cameras=args.cameras,
                                coverage=args.coverage)
-    model = (load_model(args.model) if args.model
+    model = (_load_model(args.model) if args.model
              else pipeline.DEFAULT_TRUE_MODELS[args.shape])
     scene = pipeline.generate_scene(cfg, model, args.seed)
     if args.sigma > 0:
@@ -210,7 +227,7 @@ def cmd_calibrate(args):
 
 def cmd_undistort(args):
     _require_positive("--search-max", args.search_max)
-    model = load_model(args.model)
+    model = _load_model(args.model)
     rows = []
     with open(args.points) as fh:
         header = fh.readline().strip()
@@ -249,6 +266,7 @@ def cmd_experiment(args):
     sigmas = _parse_sigmas(args.sigmas)
     _require_at_least("--trials", args.trials, 1)
     _require_at_least("--cameras", args.cameras, 1)
+    _require_at_least("--seed", args.seed, 0)
     _require_positive("--rbar", args.rbar)
     _require_margin(args.margin_p)
     cfg = pipeline.ExperimentConfig(
@@ -274,7 +292,8 @@ def cmd_experiment(args):
 
 def cmd_curve(args):
     _require_at_least("--samples", args.samples, 1)
-    model = load_model(args.model)
+    _require_positive("--rmax", args.rmax)
+    model = _load_model(args.model)
     rs = np.linspace(0.0, args.rmax, args.samples)
     lines = ["r,L,L1,L2"]
     for r in rs:

@@ -14,7 +14,9 @@ here.
 
 One assembler builds every moment program: ``structured_relaxation`` takes
 explicit row bases, and ``relax`` calls it with the full bases of its
-order.
+order.  Both return (LmiProgram, pos), where ``pos`` maps each moment
+exponent to its variable position in graded-lex order.  Order escalation
+is the caller's: ``solve_order`` relaxes, solves and extracts at one order.
 
 One candidate core serves every solved relaxation.  It reads the candidate
 minimizer off the first-order moments and certifies it by direct
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sdp
-from .poly import Basis, Polynomial, PolyMatrix, basis
+from .poly import Polynomial, PolyMatrix, basis
 
 
 @dataclass
@@ -66,22 +68,6 @@ class PmiProgram:
         return True
 
 
-def block_diag(mats):
-    """Merge polynomial matrices into one block-diagonal PolyMatrix."""
-    mats = list(mats)
-    if not mats:
-        raise ValueError("need at least one matrix")
-    dim = mats[0].dim
-    total = sum(m.size for m in mats)
-    zero = Polynomial.zero(dim)
-    entries = np.full((total, total), zero, dtype=object)
-    at = 0
-    for m in mats:
-        entries[at:at + m.size, at:at + m.size] = m.entries
-        at += m.size
-    return PolyMatrix(entries)
-
-
 def gamma_offset(G):
     """Degree allowance consumed by a constraint matrix."""
     deg = G.degree
@@ -97,23 +83,6 @@ def min_order(pmi):
     return need
 
 
-@dataclass
-class MomentIndexing:
-    """Position map for moment variables of one relaxation order."""
-
-    order: int
-    dim: int
-    row_basis: Basis      # psi_delta, indexes moment-matrix rows
-    moments: Basis        # all exponents up to degree 2*delta
-
-    def position(self, alpha):
-        return self.moments.position(alpha)
-
-    def values(self, y):
-        """Map a moment vector to {exponent: value}."""
-        return {a: y[i] for i, a in enumerate(self.moments.monomials)}
-
-
 def relax(pmi, delta):
     """Build the order-delta LMI relaxation of a PMI program.
 
@@ -123,9 +92,8 @@ def relax(pmi, delta):
     block-diagonal constraint.  Its variables are then all moments y_alpha
     with |alpha| <= 2*delta in graded-lex order, y_0 pinned to 1.  Each
     polynomial equality q enters as the shifted equalities l_y(x^beta q) = 0
-    for every |beta| <= 2*delta - deg q.  Returns (LmiProgram,
-    MomentIndexing); the program's variable positions are exactly
-    ``MomentIndexing.moments.index``.
+    for every |beta| <= 2*delta - deg q.  Returns ``structured_relaxation``'s
+    (LmiProgram, pos); ``pos`` equals ``basis(d, 2 * delta).index``.
     """
     need = min_order(pmi)
     if delta < need:
@@ -137,11 +105,10 @@ def relax(pmi, delta):
                               for alpha, c in q.terms.items()})
                for q in pmi.equalities
                for beta in basis(d, 2 * delta - q.degree).monomials]
-    rows = basis(d, delta)
-    program = structured_relaxation(
-        PmiProgram(d, pmi.cost, pmi.constraints, shifted), rows.monomials,
-        {ci: loc_rows for ci in range(len(pmi.constraints))})[0]
-    return program, MomentIndexing(delta, d, rows, basis(d, 2 * delta))
+    return structured_relaxation(
+        PmiProgram(d, pmi.cost, pmi.constraints, shifted),
+        basis(d, delta).monomials,
+        {ci: loc_rows for ci in range(len(pmi.constraints))})
 
 
 @dataclass
@@ -218,23 +185,24 @@ def _candidate(sol, pos, pmi, order, rank_rows=None):
     )
 
 
-def extract(sol, idx, pmi):
+def extract(sol, pos, pmi, order):
     """Candidate of a solved full-order relaxation, with the flat rank test.
 
-    One call of the candidate core over ``idx``'s moment positions; the rank
-    test compares the moment matrices of orders delta and delta - gamma.
-    Raises ``ValueError`` on a non-optimal solution.  Returns a
-    RelaxationResult; uncertified is a valid outcome carrying the bound.
+    One call of the candidate core over ``relax``'s moment positions
+    ``pos``; the rank test compares the moment matrices of orders ``order``
+    and order - gamma.  Raises ``ValueError`` on a non-optimal solution.
+    Returns a RelaxationResult; uncertified is a valid outcome carrying the
+    bound.
     """
     gam = max((gamma_offset(G) for G in pmi.constraints), default=1)
-    rank_rows = (idx.row_basis.monomials,
-                 basis(pmi.dim, idx.order - gam).monomials)
-    return _candidate(sol, idx.moments.index, pmi, idx.order, rank_rows)
+    rank_rows = (basis(pmi.dim, order).monomials,
+                 basis(pmi.dim, order - gam).monomials)
+    return _candidate(sol, pos, pmi, order, rank_rows)
 
 
 def solve_order(pmi, delta, options=None):
     """Relax at one order, solve, and extract; returns a RelaxationResult."""
-    program, idx = relax(pmi, delta)
+    program, pos = relax(pmi, delta)
     sol = sdp.solve(program, options)
     if sol.status != "optimal":
         return RelaxationResult(
@@ -245,7 +213,7 @@ def solve_order(pmi, delta, options=None):
             order=delta,
             solver_status=sol.status,
         )
-    return extract(sol, idx, pmi)
+    return extract(sol, pos, pmi, delta)
 
 
 def structured_relaxation(pmi, mm_rows, loc_rows):
@@ -261,8 +229,8 @@ def structured_relaxation(pmi, mm_rows, loc_rows):
     full bases of an order; other callers use it to tighten specific
     variable interactions without paying for a full order step.
 
-    Returns (LmiProgram, variables used in graded-lex order,
-    {exponent: variable position}).
+    Returns (LmiProgram, pos), where ``pos`` maps each exponent the program
+    uses to its variable position, in graded-lex order.
     """
     d = pmi.dim
     mm_rows = [tuple(r) for r in mm_rows]
@@ -288,9 +256,8 @@ def structured_relaxation(pmi, mm_rows, loc_rows):
                     for yv in range(G.size):
                         for beta in G.entries[x, yv].terms:
                             needed.add(_mono_sum(shift, beta))
-    variables = sorted(needed, key=lambda a: (sum(a), tuple(-v for v in a)))
-    pos = {a: i for i, a in enumerate(variables)}
-    nvars = len(variables)
+    pos = {a: i for i, a in enumerate(
+        sorted(needed, key=lambda a: (sum(a), tuple(-v for v in a))))}
 
     cost = sdp.AffineForm({pos[a]: c for a, c in pmi.cost.terms.items()}, 0.0)
 
@@ -318,31 +285,14 @@ def structured_relaxation(pmi, mm_rows, loc_rows):
         equalities.append(sdp.AffineForm(
             {pos[a]: c for a, c in q.terms.items()}, 0.0))
 
-    program = sdp.LmiProgram(nvars, cost, blocks, equalities)
-    return program, variables, pos
+    return sdp.LmiProgram(len(pos), cost, blocks, equalities), pos
 
 
-def structured_candidate(sol, variables, pos, pmi):
+def structured_candidate(sol, pos, pmi):
     """Candidate of a solved ``structured_relaxation``, reported at order 0.
 
     One call of the candidate core over the program's ``pos``; no rank test,
-    so only feasibility plus a cost match certifies.  ``variables`` is
-    unused; callers pass ``structured_relaxation``'s return as it comes.
-    Raises ``ValueError`` on a non-optimal solution.
+    so only feasibility plus a cost match certifies.  Raises ``ValueError``
+    on a non-optimal solution.
     """
     return _candidate(sol, pos, pmi, 0)
-
-
-def solve_hierarchy(pmi, delta_max=3, options=None):
-    """Escalate the relaxation order until certified or the cap is reached.
-
-    Returns (final RelaxationResult, list of per-order results).
-    """
-    history = []
-    result = None
-    for delta in range(min_order(pmi), delta_max + 1):
-        result = solve_order(pmi, delta, options)
-        history.append(result)
-        if result.certified:
-            break
-    return result, history

@@ -93,7 +93,10 @@ class AffineBlock:
 def _sym_check(m, size):
     if m.shape != (size, size):
         raise ValueError(f"matrix shape {m.shape} does not match block size {size}")
-    if not np.allclose(m, m.T, atol=1e-12 * (1.0 + np.abs(m).max())):
+    scale = np.abs(m).max()    # NaN or inf when any entry is
+    if not math.isfinite(scale):
+        raise ValueError("block data is not finite")
+    if not np.allclose(m, m.T, atol=1e-12 * (1.0 + scale)):
         raise ValueError("block matrices must be symmetric")
     return 0.5 * (m + m.T)
 
@@ -114,6 +117,11 @@ class LmiProgram:
             for i in eq.coefficients:
                 if not 0 <= i < self.nvars:
                     raise ValueError(f"equality references variable {i}")
+        for part, forms in (("cost", [self.cost]), ("equality", self.equalities)):
+            for form in forms:
+                if not all(map(math.isfinite, [form.constant,
+                                               *form.coefficients.values()])):
+                    raise ValueError(f"{part} data is not finite")
 
 
 STEP_FRACTION = 0.98          # of the way to the PSD boundary a step goes

@@ -1,15 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from shapecal import calib, sdp
 from shapecal.calib import (CalibConfig, Correspondence, assemble_cost,
-                            build_rows, read_correspondences, residual_rms,
+                            read_correspondences, residual_rms,
                             solve_barrel, solve_pincushion,
                             solve_unconstrained, solve_zero_crossing,
                             write_correspondences)
 from shapecal.distortion import DistortionModel, shape_check
 
-from util import common_root_mustache, pincushion_feasible, \
+from util import build_rows, common_root_mustache, pincushion_feasible, \
     synth_correspondences
 
 
@@ -314,6 +316,12 @@ def test_pincushion_uncertified_reported_distinctly():
     assert res.lower_bound is not None and res.lower_bound > 0
 
 
+@pytest.mark.parametrize("rbar", [0.0, -1.0, math.inf, math.nan])
+def test_config_rejects_rbar_not_positive_and_finite(rbar):
+    with pytest.raises(ValueError, match="rbar must be positive and finite"):
+        CalibConfig(rbar=rbar, shape="positivity")
+
+
 @pytest.mark.parametrize("delta_max", [0, -3])
 def test_config_rejects_relaxation_order_cap_below_one(delta_max):
     with pytest.raises(ValueError, match="delta_max"):
@@ -350,6 +358,34 @@ def test_pincushion_systems_built_once_per_fit(monkeypatch):
     assert res.solver_status == "uncertified"
     assert repair_rows
     assert calls == [1.0]
+
+
+def test_pincushion_failed_pass_warns_its_status_and_escalates(monkeypatch):
+    # The noisy order-1 candidate below does not certify, so the structured
+    # pass and full order 2 follow.  Both solves fail here; each failure is
+    # warned with the solver's status and the ladder goes on to the next
+    # pass, ending uncertified at order 2 with the order-1 bound.
+    order1_vars = math.comb(11 + 2, 11)
+    solve = sdp.solve
+
+    def failing(program, options=None):
+        if program.nvars > order1_vars:
+            return sdp.SdpSolution(np.zeros(program.nvars), math.nan,
+                                   math.nan, "numericalFailure", 0)
+        return solve(program, options)
+
+    monkeypatch.setattr(sdp, "solve", failing)
+    true = DistortionModel("division", (0, 0, 0, -0.08, 0.0, 0.0))
+    data = synth_correspondences(true, (0.02, 0.5), n=256, seed=5,
+                                 noise=2.0 / 540)
+    res = solve_pincushion(assemble_cost(data),
+                           CalibConfig(rbar=1.0, shape="pincushion",
+                                       delta_max=2))
+    assert res.warnings[-2:] == ["structured solve: numericalFailure",
+                                 "order 2 solve: numericalFailure"]
+    assert res.solver_status == "uncertified"
+    assert res.relaxation_order == 2
+    assert res.lower_bound is not None and res.lower_bound > 0
 
 
 def test_pincushion_repair_matches_direct_feasibility():

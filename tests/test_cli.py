@@ -280,6 +280,10 @@ def test_experiment_bad_sigmas_exits_3(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("option, value, message", [
     ("--trials", "0", "bad --trials 0, need at least 1"),
     ("--target", "1x1", "bad --target '1x1', need at least 2x2"),
+    ("--seed", "-1", "bad --seed -1, need at least 0"),
+    ("--sigmas", "-1", "bad --sigmas -1.0, need a non-negative value"),
+    ("--sigmas", "0,nan", "bad --sigmas nan, need a non-negative value"),
+    ("--sigmas", "inf,1", "bad --sigmas inf, need a non-negative value"),
 ])
 def test_experiment_out_of_range_exits_3(tmp_path, capsys, monkeypatch,
                                          option, value, message):
@@ -328,7 +332,7 @@ def _no_data_read(monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["calibrate", "experiment"])
-@pytest.mark.parametrize("value", ["-1", "0", "nan"])
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
 def test_nonpositive_rbar_exits_3(tmp_path, capsys, monkeypatch, command,
                                   value):
     _no_experiment(monkeypatch)
@@ -371,7 +375,7 @@ def test_calibrate_delta_max_below_one_exits_3(tmp_path, capsys, monkeypatch,
         capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "-2"])
+@pytest.mark.parametrize("value", ["0", "-2", "inf", "nan"])
 def test_undistort_nonpositive_search_max_exits_3(tmp_path, capsys, value):
     model_path = tmp_path / "model.json"
     save_model(DistortionModel.identity(), model_path)
@@ -386,12 +390,80 @@ def test_undistort_nonpositive_search_max_exits_3(tmp_path, capsys, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["0", "-0.5"])
+@pytest.mark.parametrize("value", ["0", "-0.5", "inf", "nan"])
 def test_synth_nonpositive_coverage_exits_3(tmp_path, capsys, value):
     out = tmp_path / "s.json"
     code = run_cli("synth", "--out", str(out), "--coverage", value)
     assert code == cli.EXIT_DATA
     assert f"bad --coverage {float(value)}, need a positive value" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_synth_bad_sigma_exits_3(tmp_path, capsys, value):
+    out = tmp_path / "s.json"
+    code = run_cli("synth", "--out", str(out), "--sigma", value)
+    assert code == cli.EXIT_DATA
+    assert f"bad --sigma {float(value)}, need a non-negative value" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_negative_seed_exits_3(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    code = run_cli("synth", "--out", str(out), "--seed", "-1")
+    assert code == cli.EXIT_DATA
+    assert "bad --seed -1, need at least 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _model_command(command, tmp_path, model_path):
+    out = tmp_path / "out.csv"
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x,y\n0.3,0.4\n")
+    return out, {
+        "synth": ["synth", "--out", str(out), "--model", str(model_path)],
+        "undistort": ["undistort", "--model", str(model_path), "--points",
+                      str(pts), "--out", str(out)],
+        "curve": ["curve", "--model", str(model_path), "--rmax", "1",
+                  "--out", str(out)],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["synth", "undistort", "curve"])
+@pytest.mark.parametrize("text, reason", [
+    ("not json", "JSONDecodeError"),
+    ('{"kind": "spline", "k": [0, 0, 0, 0, 0, 0]}', "unknown model kind"),
+    ('{"kind": "rational"}', "KeyError"),
+])
+def test_bad_model_file_exits_3(tmp_path, capsys, command, text, reason):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(text)
+    out, args = _model_command(command, tmp_path, model_path)
+    assert run_cli(*args) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {model_path}: ")
+    assert reason in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "undistort", "curve"])
+def test_missing_model_file_exits_io(tmp_path, command):
+    out, args = _model_command(command, tmp_path, tmp_path / "absent.json")
+    assert run_cli(*args) == cli.EXIT_IO
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+def test_curve_bad_rmax_exits_3(tmp_path, capsys, value):
+    model_path = tmp_path / "model.json"
+    save_model(DistortionModel.identity(), model_path)
+    out = tmp_path / "curve.csv"
+    code = run_cli("curve", "--model", str(model_path), "--rmax", value,
+                   "--out", str(out))
+    assert code == cli.EXIT_DATA
+    assert f"bad --rmax {float(value)}, need a positive value" in \
         capsys.readouterr().err
     assert not out.exists()
 

@@ -5,10 +5,8 @@ import pytest
 
 from shapecal import relax, sdp
 from shapecal.poly import Polynomial, PolyMatrix, basis
-from shapecal.relax import (MomentIndexing, PmiProgram, block_diag, extract,
-                            gamma_offset, min_order,
-                            relax as build_relaxation,
-                            solve_hierarchy, solve_order)
+from shapecal.relax import (PmiProgram, extract, gamma_offset, min_order,
+                            relax as build_relaxation, solve_order)
 from util import localizing_matrix, moment_matrix
 
 OPTS = sdp.SolverOptions(feas_tol=1e-9, gap_tol=1e-9,
@@ -17,37 +15,6 @@ OPTS = sdp.SolverOptions(feas_tol=1e-9, gap_tol=1e-9,
 X = Polynomial.variable(1, 0)
 BOX01 = PolyMatrix.from_scalar(X * (1 - X))          # x in [0, 1]
 BOX11 = PolyMatrix.from_scalar((1 - X) * (1 + X))    # x in [-1, 1]
-
-
-def test_block_diag_two_scalars():
-    a = PolyMatrix.from_scalar(X)
-    b = PolyMatrix.from_scalar(1 - X)
-    merged = block_diag([a, b])
-    assert merged.size == 2
-    assert merged.entries[0, 1].is_zero()
-    assert merged.entries[0, 0].almost_equal(X)
-
-
-def test_block_diag_single_is_identity_operation():
-    a = PolyMatrix.from_scalar(X * X)
-    merged = block_diag([a])
-    assert merged.size == 1
-    assert merged.entries[0, 0].almost_equal(X * X)
-
-
-def test_block_diag_eigenvalues_are_union():
-    rng = np.random.default_rng(0)
-    x0 = Polynomial.variable(2, 0)
-    x1 = Polynomial.variable(2, 1)
-    A = PolyMatrix(np.array([[x0 * x0, x1], [x1, x0 + 2]], dtype=object))
-    B = PolyMatrix.from_scalar(x1 * x0 - 1)
-    merged = block_diag([A, B])
-    for _ in range(5):
-        pt = rng.uniform(-1, 1, size=2)
-        w_merged = np.sort(np.linalg.eigvalsh(merged.eval(pt)))
-        w_union = np.sort(np.concatenate([
-            np.linalg.eigvalsh(A.eval(pt)), np.linalg.eigvalsh(B.eval(pt))]))
-        assert np.allclose(w_merged, w_union, atol=1e-10)
 
 
 def test_moment_matrix_textbook_form():
@@ -123,13 +90,12 @@ def test_relax_linear_on_unit_interval():
     # minimize -x with x(1-x) >= 0: bound -1 at the endpoint, with the
     # first and second moments pinned to 1 (grid oracle gives -1 at x = 1).
     pmi = PmiProgram(1, -X, [BOX01])
-    program, idx = build_relaxation(pmi, 1)
+    program, pos = build_relaxation(pmi, 1)
     sol = sdp.solve(program, OPTS)
     assert sol.status == "optimal"
     assert sol.primal_objective == pytest.approx(-1.0, abs=1e-6)
-    y = idx.values(sol.z)
-    assert y[(1,)] == pytest.approx(1.0, abs=1e-5)
-    assert y[(2,)] == pytest.approx(1.0, abs=1e-5)
+    assert sol.z[pos[(1,)]] == pytest.approx(1.0, abs=1e-5)
+    assert sol.z[pos[(2,)]] == pytest.approx(1.0, abs=1e-5)
 
 
 def test_relax_boundary_minimum():
@@ -218,9 +184,9 @@ def test_bounds_below_feasible_values():
 def test_point_mass_moments_feasible_for_relaxation():
     # Moments of a point mass at a feasible point satisfy every block.
     pmi = PmiProgram(1, -X, [BOX01])
-    program, idx = build_relaxation(pmi, 2)
+    program, pos = build_relaxation(pmi, 2)
     xhat = 0.37
-    y = np.array([xhat ** a[0] for a in idx.moments.monomials])
+    y = np.array([xhat ** a[0] for a in pos])
     for blk in program.blocks:
         w = np.linalg.eigvalsh(blk.value_at(y))
         assert w[0] >= -1e-8
@@ -232,7 +198,7 @@ def test_polynomial_equalities_enter_as_moment_equalities():
     # minimize -x on [0, 1] with x^2 = x restricts to {0, 1}; bound -1 with
     # a point-mass solution at 1.
     pmi = PmiProgram(1, -X, [BOX01], [X * X - X])
-    program, idx = build_relaxation(pmi, 2)
+    program, _ = build_relaxation(pmi, 2)
     q_budget = len(basis(1, 2 * 2 - 2).monomials)
     assert len(program.equalities) == 1 + q_budget
     res = solve_order(pmi, 2, OPTS)
@@ -255,7 +221,7 @@ def test_relax_blocks_match_textbook_forms():
     for pmi in cases:
         gam = max(gamma_offset(C) for C in pmi.constraints)
         for delta in (1, 2):
-            program, idx = build_relaxation(pmi, delta)
+            program, pos = build_relaxation(pmi, delta)
             assert len(program.blocks) == 1 + len(pmi.constraints)
             forms = [np.array([[{a: 1.0} for a in row]
                                for row in moment_matrix(delta, 2)])]
@@ -271,12 +237,35 @@ def test_relax_blocks_match_textbook_forms():
                     for j in range(blk.size):
                         got = {v: m[i, j] for v, m in blk.coeff.items()
                                if m[i, j] != 0.0}
-                        want = {idx.position(a): c
+                        want = {pos[a]: c
                                 for a, c in form[i, j].items()}
                         assert got == want
             rows = sum(len(basis(2, 2 * delta - q.degree))
                        for q in pmi.equalities)
             assert len(program.equalities) == 1 + rows
+
+
+def test_relax_positions_are_the_full_moment_basis():
+    # relax() returns structured_relaxation's pos as it comes; over full
+    # bases it must place every moment up to degree 2*delta at its
+    # graded-lex position.
+    x0 = Polynomial.variable(2, 0)
+    x1 = Polynomial.variable(2, 1)
+    one = Polynomial.constant(2, 1.0)
+    G = PolyMatrix(np.array([[x0 * x1, one], [one, x0 + 2]], dtype=object))
+    disc = PolyMatrix.from_scalar(4 - x0 * x0 - x1 * x1)
+    box = [PolyMatrix.from_scalar(4 - x0 * x0),
+           PolyMatrix.from_scalar(4 - x1 * x1)]
+    cases = [(PmiProgram(1, -X, [BOX01]), (1, 2, 3)),
+             (PmiProgram(1, X ** 4 - X ** 2, [BOX11]), (2, 3)),
+             (PmiProgram(1, -X, [BOX01], [X * X - X]), (2,)),
+             (PmiProgram(2, x0 + x1, [G, disc], [x0 * x1 - 0.5]), (1, 2)),
+             (PmiProgram(2, x0 * x0 * x1 * x1, box), (2, 3))]
+    for pmi, orders in cases:
+        for delta in orders:
+            program, pos = build_relaxation(pmi, delta)
+            assert pos == basis(pmi.dim, 2 * delta).index
+            assert program.nvars == len(pos)
 
 
 def test_cross_path_affine_pmi_equals_direct_lmi():
@@ -297,21 +286,13 @@ def test_cross_path_affine_pmi_equals_direct_lmi():
     assert res.certified
 
 
-def test_solve_hierarchy_stops_when_certified():
-    pmi = PmiProgram(1, X * X, [BOX11])
-    result, history = solve_hierarchy(pmi, 3, OPTS)
-    assert result.certified
-    assert len(history) == 1
-
-
 def test_structured_relaxation_sound_and_tight_on_toy():
     # Reduced basis on a quadratic problem: bound equals the full solution.
     pmi = PmiProgram(1, (X - 0.3) * (X - 0.3), [BOX01])
     rows = [(0,), (1,)]
-    program, variables, pos = relax.structured_relaxation(
-        pmi, rows, {0: [(0,), (1,)]})
+    program, pos = relax.structured_relaxation(pmi, rows, {0: [(0,), (1,)]})
     sol = sdp.solve(program, OPTS)
-    res = relax.structured_candidate(sol, variables, pos, pmi)
+    res = relax.structured_candidate(sol, pos, pmi)
     assert res.certified
     assert res.extracted[0] == pytest.approx(0.3, abs=1e-6)
 
@@ -383,11 +364,11 @@ def test_cross_path_barrel_pmi_matches_direct_lmi():
 
 def _hand_solution(pmi, delta, atoms, weights, objective, status="optimal"):
     """An SdpSolution holding the moments of a finite atomic measure."""
-    idx = build_relaxation(pmi, delta)[1]
+    pos = build_relaxation(pmi, delta)[1]
     z = np.array([sum(w * x ** a[0] for x, w in zip(atoms, weights))
-                  for a in idx.moments.monomials])
+                  for a in pos])
     sol = sdp.SdpSolution(z, objective, objective, status, 0)
-    return sol, idx
+    return sol, pos
 
 
 QUAD = PmiProgram(1, (X - 0.3) * (X - 0.3), [BOX01])
@@ -395,10 +376,9 @@ QUAD = PmiProgram(1, (X - 0.3) * (X - 0.3), [BOX01])
 
 def test_candidate_point_mass_certified_by_rank_one_flatness():
     # The bound is set off the true cost, so only the rank test certifies.
-    sol, idx = _hand_solution(QUAD, 2, [0.3], [1.0], -0.5)
-    full = extract(sol, idx, QUAD)
-    part = relax.structured_candidate(sol, idx.moments.monomials,
-                                      idx.moments.index, QUAD)
+    sol, pos = _hand_solution(QUAD, 2, [0.3], [1.0], -0.5)
+    full = extract(sol, pos, QUAD, 2)
+    part = relax.structured_candidate(sol, pos, QUAD)
     assert full.rank_flat and full.certified and full.order == 2
     assert not part.rank_flat and not part.certified and part.order == 0
     assert full.extracted[0] == part.extracted[0] == pytest.approx(0.3)
@@ -407,31 +387,28 @@ def test_candidate_point_mass_certified_by_rank_one_flatness():
 def test_candidate_two_atom_mixture_is_flat_but_uncertified():
     # Equal atoms at 0.2 and 0.8: the flat ranks are 2, the barycenter 0.5
     # is feasible, and its cost 0.04 misses the mixture's 0.13.
-    sol, idx = _hand_solution(QUAD, 2, [0.2, 0.8], [0.5, 0.5], 0.13)
-    full = extract(sol, idx, QUAD)
-    part = relax.structured_candidate(sol, idx.moments.monomials,
-                                      idx.moments.index, QUAD)
+    sol, pos = _hand_solution(QUAD, 2, [0.2, 0.8], [0.5, 0.5], 0.13)
+    full = extract(sol, pos, QUAD, 2)
+    part = relax.structured_candidate(sol, pos, QUAD)
     assert full.rank_flat
     assert not full.certified and not part.certified
     assert full.extracted[0] == pytest.approx(0.5)
 
 
 def test_candidate_refuses_non_optimal_solution():
-    sol, idx = _hand_solution(QUAD, 2, [0.3], [1.0], 0.0, "maxIterations")
+    sol, pos = _hand_solution(QUAD, 2, [0.3], [1.0], 0.0, "maxIterations")
     with pytest.raises(ValueError, match="maxIterations"):
-        extract(sol, idx, QUAD)
+        extract(sol, pos, QUAD, 2)
     with pytest.raises(ValueError, match="maxIterations"):
-        relax.structured_candidate(sol, idx.moments.monomials,
-                                   idx.moments.index, QUAD)
+        relax.structured_candidate(sol, pos, QUAD)
 
 
 def test_candidate_entry_points_agree_on_a_solved_relaxation():
     pmi = PmiProgram(1, (X - 0.4) * (X - 0.4) * (X + 1), [BOX01])
-    program, idx = build_relaxation(pmi, 2)
+    program, pos = build_relaxation(pmi, 2)
     sol = sdp.solve(program, OPTS)
-    full = extract(sol, idx, pmi)
-    part = relax.structured_candidate(sol, idx.moments.monomials,
-                                      idx.moments.index, pmi)
+    full = extract(sol, pos, pmi, 2)
+    part = relax.structured_candidate(sol, pos, pmi)
     assert np.array_equal(full.extracted, part.extracted)
     assert full.candidate_cost == part.candidate_cost
     assert full.lower_bound == part.lower_bound

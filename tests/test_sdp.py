@@ -292,6 +292,23 @@ def test_program_validation():
         solve(LmiProgram(1, AffineForm({0: 1.0}), []))
 
 
+def test_program_refuses_non_finite_data():
+    # Non-finite data used to reach the equality elimination (an infinity)
+    # or pass as asymmetry (a NaN); each part is refused where it is built.
+    blocks = [AffineBlock(2, np.eye(2), {i: np.diag([1.0, i - 1.0])
+                                         for i in range(3)})]
+    cost = AffineForm({0: 1.0, 1: 1.0, 2: 1.0})
+    with pytest.raises(ValueError, match="equality data is not finite"):
+        LmiProgram(3, cost, blocks, [AffineForm({0: 1.0, 2: math.inf}, -1.0)])
+    with pytest.raises(ValueError, match="cost data is not finite"):
+        LmiProgram(3, AffineForm({0: 1.0}, math.nan), blocks)
+    nan_coeff = np.array([[math.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="block data is not finite"):
+        AffineBlock(2, np.eye(2), {0: nan_coeff})
+    with pytest.raises(ValueError, match="block data is not finite"):
+        AffineBlock(2, np.full((2, 2), math.inf), {})
+
+
 def test_program_json_dump_roundtrips_shape():
     import json
     prog = hyperbola_program()

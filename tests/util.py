@@ -1,7 +1,10 @@
 """Shared test helpers: synthetic correspondence generators and oracles."""
 
+import math
+
 import numpy as np
 
+from shapecal.calib import Correspondence
 from shapecal.distortion import DistortionModel
 from shapecal.poly import LinearForm, basis
 
@@ -18,6 +21,29 @@ def synth_correspondences(model, radii, n=200, seed=0, noise=0.0):
     if noise > 0:
         data[:, 2:] += rng.normal(scale=noise, size=(n, 2))
     return data
+
+
+def build_rows(corr):
+    """Per-point data rows: A_i (2x6) and b_i (2,).
+
+    The per-point oracle for the vectorized ``calib.assemble_cost``.  The
+    radius comes from the ideal point.  Columns follow the rational
+    model layout: numerator coefficients negated on the ideal point,
+    denominator coefficients on the observed point.
+    """
+    if isinstance(corr, Correspondence):
+        x, y, xh, yh = corr.x, corr.y, corr.xhat, corr.yhat
+    else:
+        x, y, xh, yh = (float(v) for v in corr)
+    r = math.hypot(x, y)
+    powers = np.array([r, r ** 2, r ** 3])
+    A = np.zeros((2, 6))
+    A[0, :3] = -x * powers
+    A[0, 3:] = xh * powers
+    A[1, :3] = -y * powers
+    A[1, 3:] = yh * powers
+    b = np.array([x - xh, y - yh])
+    return A, b
 
 
 def poly_min_on_grid(coeffs_low_first, lo, hi, samples=1000):
