@@ -52,11 +52,15 @@ K_NAMES = ("k1", "k2", "k3", "k4", "k5", "k6")
 SHAPE_KINDS = {"none": "rational", "barrel": "polynomial",
                "pincushion": "division", "positivity": "rational"}
 
-# Solves behind the calibration API aim tighter than the solver defaults
-# (coefficient recovery needs the extra centering accuracy) but accept a
-# stalled best iterate at the standard tolerances.
+# Solver options of every calibration solve.  The solves that recover
+# coefficients run at TIGHT: tighter than the solver defaults (for centering
+# accuracy), but a stalled best iterate is accepted at standard tolerances.
+# The large pincushion passes (the structured pass and the full orders past
+# the first) run at LOOSE: certification compares costs at 1e-5 relative.
 TIGHT = sdp.SolverOptions(feas_tol=1e-9, gap_tol=1e-9,
                           accept_feas_tol=1e-8, accept_gap_tol=1e-7)
+LOOSE = sdp.SolverOptions(feas_tol=1e-8, gap_tol=1e-7, accept_feas_tol=1e-7,
+                          accept_gap_tol=1e-7, max_iterations=60)
 
 
 class CalibDataError(ValueError):
@@ -222,7 +226,7 @@ def _polish_inactive(cost, kind, k_ipm, feasible_fn):
     return k_ipm
 
 
-def solve_unconstrained(cost, kind=SHAPE_KINDS["none"], options=None):
+def solve_unconstrained(cost, kind=SHAPE_KINDS["none"]):
     """Least squares over the coefficients of one model kind, as an LMI.
 
     Minimizes the epigraph variable of the quadratic cost; agrees with the
@@ -231,7 +235,6 @@ def solve_unconstrained(cost, kind=SHAPE_KINDS["none"], options=None):
     radius make the raw columns badly scaled), which keeps the recovered
     minimizer accurate without touching the solution itself.
     """
-    opts = options or TIGHT
     Mr, mr, c, idx, _scale = _restricted(cost, kind)
     d = 1.0 / np.sqrt(np.maximum(np.diag(Mr), 1e-12))
     Ms = d[:, None] * Mr * d[None, :]
@@ -240,7 +243,7 @@ def solve_unconstrained(cost, kind=SHAPE_KINDS["none"], options=None):
     bld = sdp.LmiBuilder()
     bld.add_epigraph(Ms, ms, c, names, "gamma")
     bld.set_cost({"gamma": 1.0})
-    sol = sdp.solve(bld.build(), opts)
+    sol = sdp.solve(bld.build(), TIGHT)
     if sol.status != "optimal":
         raise CalibrationError(f"unconstrained solve failed: {sol.status}",
                                sol.status)
@@ -364,14 +367,14 @@ _AFFINE_SHAPES = {"barrel": ("barrel", 1e-10),
                   "positivity": ("zero-crossing", 0.0)}
 
 
-def _solve_affine(cost, shape, cfg, options, built=None):
+def _solve_affine(cost, shape, cfg, built=None):
     """Solve a ``shape_program`` build, polish an inactive optimum, report.
 
     ``built`` is that build when the caller already holds it."""
     label, polish_tol = _AFFINE_SHAPES[shape]
     kind = SHAPE_KINDS[shape]
     program, readout = built or shape_program(cost, shape, cfg)
-    sol = sdp.solve(program, options or TIGHT)
+    sol = sdp.solve(program, TIGHT)
     if sol.status != "optimal":
         raise CalibrationError(f"{label} solve failed: {sol.status}",
                                sol.status)
@@ -386,23 +389,23 @@ def _solve_affine(cost, shape, cfg, options, built=None):
                        report(k), sol.status, warnings=_data_warnings(cost))
 
 
-def solve_barrel(cost, cfg, options=None):
+def solve_barrel(cost, cfg):
     """Barrel-shaped polynomial model: L' <= 0 and L'' <= 0 on [0, rbar].
 
     A pure LMI: the model coefficients stay explicit decision variables tied
     to the certificate entries by the matching equalities.
     """
-    return _solve_affine(cost, "barrel", cfg, options)
+    return _solve_affine(cost, "barrel", cfg)
 
 
-def solve_zero_crossing(cost, cfg, options=None):
+def solve_zero_crossing(cost, cfg):
     """Rational model with g(r) >= p on [0, rbar]; removes pole spikes.
 
     k1..k3 remain free; k4..k6 are pinned to the certificate through the
     matching equalities (which also force the constant-coefficient relation
     t11 = (1 - p) / rbar).
     """
-    return _solve_affine(cost, "positivity", cfg, options)
+    return _solve_affine(cost, "positivity", cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +470,7 @@ def pincushion_pmi(cost, cfg):
     keeps the polynomial matrix degree at two and the variable count at
     eleven; escalation of the relaxation order stays tractable that way.
     Returns (PmiProgram, cost scale, repair); gamma is the last variable and
-    measures the residual divided by the scale.  ``repair(k_div, options)``
+    measures the residual divided by the scale.  ``repair(k_div)``
     tells whether certificate entries exist that make every constraint hold
     at the division coefficients ``k_div`` exactly, reusing the same
     symbolic system.
@@ -502,7 +505,7 @@ def pincushion_pmi(cost, cfg):
                     space, pmi_names)
         constraints.append(PolyMatrix(sub_entries))
 
-    def repair(k_div, options):
+    def repair(k_div):
         # Search certificate entries matching every system at k exactly,
         # maximizing the smallest Gram-block margin (bounded above by one so
         # the program stays bounded).
@@ -522,7 +525,7 @@ def pincushion_pmi(cost, cfg):
                     eq = eq.substitute(space.index[name], space.const(val))
                 bld.add_equality_poly(eq, space.names)
         bld.set_cost({"margin": -1.0})
-        sol = sdp.solve(bld.build(), options)
+        sol = sdp.solve(bld.build(), TIGHT)
         # Boundary optima land at numerically-zero margins; anything beyond
         # a small negative tolerance means no certificate exists at these k.
         return bool(sol.status == "optimal"
@@ -537,7 +540,7 @@ def pincushion_pmi(cost, cfg):
 MAX_RELAXATION_VARIABLES = 4000
 
 
-def _pincushion_structured(pmi, options):
+def _pincushion_structured(pmi):
     """Structured tightening between the first and second full orders.
 
     The only nonlinearity in the program is quadratic in the division
@@ -557,31 +560,26 @@ def _pincushion_structured(pmi, options):
     k_rows = [zero] + coords[:3]
     loc_rows = {ci: k_rows for ci in range(len(pmi.constraints))}
     program, pos = relax.structured_relaxation(pmi, mm_rows, loc_rows)
-    sol = sdp.solve(program, options)
+    sol = sdp.solve(program, LOOSE)
     if sol.status != "optimal":
         return relax.RelaxationResult(math.nan, np.asarray(sol.z), None,
                                       False, 0, solver_status=sol.status)
     return relax.structured_candidate(sol, pos, pmi)
 
 
-def _pincushion_passes(pmi, cfg, opts, warnings):
+def _pincushion_passes(pmi, cfg, warnings):
     """Relaxation passes in escalation order, as (order, label, result).
 
-    Order 1 runs at ``opts``.  The structured pass and the full higher
-    orders are large; certification compares costs at 1e-5 relative, so
-    those solves run at standard rather than recovery accuracy.  A full
-    order whose moment vector would outgrow the dense solver ends the
-    ladder with a warning.
+    Order 1 runs at ``TIGHT``; the structured pass and the full higher
+    orders are large and run at ``LOOSE``.  A full order whose moment vector
+    would outgrow the dense solver ends the ladder with a warning.
     """
-    loose = sdp.SolverOptions(feas_tol=1e-8, gap_tol=1e-7,
-                              accept_feas_tol=1e-7, accept_gap_tol=1e-7,
-                              max_iterations=60)
-    yield 1, "order 1", relax.solve_order(pmi, 1, opts)
+    yield 1, "order 1", relax.solve_order(pmi, 1, TIGHT)
     if cfg.delta_max < 2:
         return
     # Structured pass: tightened coefficient moments at a fraction of the
     # full second order; its bound certificate stands on its own.
-    yield 2, "structured", _pincushion_structured(pmi, loose)
+    yield 2, "structured", _pincushion_structured(pmi)
     for delta in range(2, cfg.delta_max + 1):
         nmoments = math.comb(pmi.dim + 2 * delta, pmi.dim)
         if nmoments > MAX_RELAXATION_VARIABLES:
@@ -589,10 +587,10 @@ def _pincushion_passes(pmi, cfg, opts, warnings):
                 f"relaxation order {delta} skipped: {nmoments} moment "
                 f"variables exceed the dense-solver budget")
             return
-        yield delta, f"order {delta}", relax.solve_order(pmi, delta, loose)
+        yield delta, f"order {delta}", relax.solve_order(pmi, delta, LOOSE)
 
 
-def solve_pincushion(cost, cfg, options=None):
+def solve_pincushion(cost, cfg):
     """Pincushion-shaped division model: L' >= 0 and L'' >= 0 on [0, rbar].
 
     The curvature condition makes the certificate coupling quadratic in the
@@ -604,12 +602,11 @@ def solve_pincushion(cost, cfg, options=None):
     candidate cost.  An uncertified outcome is reported distinctly with the
     best lower bound and feasible candidate, if any.
     """
-    opts = options or TIGHT
     kind = SHAPE_KINDS["pincushion"]
     pmi, scale, repair = pincushion_pmi(cost, cfg)
     warnings = _data_warnings(cost)
     bounds, best_candidate = [], None
-    for order, label, result in _pincushion_passes(pmi, cfg, opts, warnings):
+    for order, label, result in _pincushion_passes(pmi, cfg, warnings):
         if result.solver_status != "optimal":
             warnings.append(f"{label} solve: {result.solver_status}")
             continue
@@ -619,7 +616,7 @@ def solve_pincushion(cost, cfg, options=None):
         k = _full_k(kind, k_div)
         cand_cost = cost.objective(k)
         certified = result.certified
-        if not certified and repair(k_div, opts):
+        if not certified and repair(k_div):
             best_candidate = (k, cand_cost)
             certified = abs(cand_cost - bound) <= \
                 relax.CANDIDATE_GAP_RTOL * (1.0 + abs(bound))
@@ -648,16 +645,16 @@ def solve_pincushion(cost, cfg, options=None):
                        warnings=warnings)
 
 
-def solve_shape(cost, cfg, options=None):
+def solve_shape(cost, cfg):
     """Route to the solver selected by cfg.shape."""
     if cfg.shape == "none":
-        return solve_unconstrained(cost, SHAPE_KINDS["none"], options)
+        return solve_unconstrained(cost, SHAPE_KINDS["none"])
     if cfg.shape == "barrel":
-        return solve_barrel(cost, cfg, options)
+        return solve_barrel(cost, cfg)
     if cfg.shape == "pincushion":
-        return solve_pincushion(cost, cfg, options)
+        return solve_pincushion(cost, cfg)
     if cfg.shape == "positivity":
-        return solve_zero_crossing(cost, cfg, options)
+        return solve_zero_crossing(cost, cfg)
     raise ValueError(f"unknown shape {cfg.shape!r}")
 
 

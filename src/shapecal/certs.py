@@ -53,9 +53,9 @@ class GramMatrix:
     def size(self):
         return self.entries.shape[0]
 
-    def is_psd(self, rtol=PSD_RTOL):
+    def is_psd(self):
         w = np.linalg.eigvalsh(self.entries)
-        return w[0] >= -rtol * (1.0 + max(w[-1], 0.0))
+        return w[0] >= -PSD_RTOL * (1.0 + max(w[-1], 0.0))
 
 
 def gram_to_poly(Q):
@@ -93,8 +93,8 @@ class IntervalCertificate:
         else:
             raise ValueError(f"unknown parity {self.parity!r}")
 
-    def is_valid(self, rtol=PSD_RTOL):
-        return self.S.is_psd(rtol) and self.T.is_psd(rtol)
+    def is_valid(self):
+        return self.S.is_psd() and self.T.is_psd()
 
 
 def certificate_to_poly(cert):

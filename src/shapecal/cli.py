@@ -194,7 +194,7 @@ def cmd_calibrate(args):
             with open(args.dump_sdp, "w") as fh:
                 fh.write(sdp.program_to_json(built[0]))
                 fh.write("\n")
-            result = calib._solve_affine(cost, args.shape, cfg, None, built)
+            result = calib._solve_affine(cost, args.shape, cfg, built)
         else:
             result = calib.solve_shape(cost, cfg)
 
@@ -243,10 +243,14 @@ def cmd_undistort(args):
                 raise CalibDataError(
                     f"{args.points}:{lineno}: expected 2 fields")
             try:
-                rows.append([float(v) for v in parts])
+                row = [float(v) for v in parts]
             except ValueError as exc:
                 raise CalibDataError(
                     f"{args.points}:{lineno}: {exc}") from exc
+            if not all(map(math.isfinite, row)):
+                raise CalibDataError(
+                    f"{args.points}:{lineno}: non-finite coordinate")
+            rows.append(row)
     out_lines = ["x,y,error"]
     for row in rows:
         try:

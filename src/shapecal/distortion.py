@@ -19,11 +19,10 @@ confounded by finite-difference error.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .poly import Polynomial
 
 KINDS = ("polynomial", "division", "rational")
 SHAPES = ("barrel", "pincushion", "positivity")
@@ -54,6 +53,8 @@ class DistortionModel:
         k = tuple(float(v) for v in self.k)
         if len(k) != 6:
             raise ValueError("k must have 6 entries")
+        if not all(math.isfinite(v) for v in k):
+            raise ValueError("k must be finite")
         if self.kind == "polynomial" and any(abs(v) > 0 for v in k[3:]):
             raise ValueError("polynomial kind requires k4 = k5 = k6 = 0")
         if self.kind == "division" and any(abs(v) > 0 for v in k[:3]):
@@ -72,12 +73,6 @@ class DistortionModel:
     def g_coeffs(self):
         return np.array([1.0, self.k[3], self.k[4], self.k[5]])
 
-    def f_poly(self):
-        return Polynomial.from_univariate(self.f_coeffs)
-
-    def g_poly(self):
-        return Polynomial.from_univariate(self.g_coeffs)
-
     def L(self, r):
         """Distortion multiplier at radius r (scalar or array).
 
@@ -92,18 +87,14 @@ class DistortionModel:
         return fv / gv
 
     def L_derivatives(self, r):
-        """(L, L', L'') at radius r, by the quotient rule on f and g."""
+        """(L, L', L'') at radius r, by the quotient rule on f and g.
+
+        f and g are evaluated from every coefficient, however small, as in
+        ``L``, so the first entry equals ``L(r)`` bit for bit.
+        """
         r = np.asarray(r, dtype=float)
-        f = self.f_poly()
-        g = self.g_poly()
-        f1, f2 = f.derivative(), f.derivative().derivative()
-        g1, g2 = g.derivative(), g.derivative().derivative()
-        fv = _polyval(f.univariate_coeffs(4), r)
-        gv = _polyval(g.univariate_coeffs(4), r)
-        f1v = _polyval(f1.univariate_coeffs(3), r)
-        g1v = _polyval(g1.univariate_coeffs(3), r)
-        f2v = _polyval(f2.univariate_coeffs(2), r)
-        g2v = _polyval(g2.univariate_coeffs(2), r)
+        fv, f1v, f2v = _polyval_derivatives(self.f_coeffs, r)
+        gv, g1v, g2v = _polyval_derivatives(self.g_coeffs, r)
         bad = np.abs(gv) < POLE_EPS
         if np.any(bad):
             raise PoleError(r[bad].flat[0] if r.ndim else float(r))
@@ -116,6 +107,14 @@ class DistortionModel:
 
 def _polyval(coeffs_low_first, r):
     return np.polyval(coeffs_low_first[::-1], r)
+
+
+def _polyval_derivatives(coeffs_low_first, r):
+    """Value, first and second derivative at r of a dense polynomial."""
+    d1 = np.polynomial.polynomial.polyder(coeffs_low_first)
+    d2 = np.polynomial.polynomial.polyder(d1)
+    return (_polyval(coeffs_low_first, r), _polyval(d1, r),
+            _polyval(d2, r))
 
 
 def distort(model, point):
@@ -223,13 +222,9 @@ def undistort_radii(model, rhats, search_max):
         inside = (rhats >= 0) & (rhats <= qs[-1])
         r = np.interp(rhats[inside], qs, rp)
         fc, gc = model.f_coeffs, model.g_coeffs
-        f1 = np.polynomial.polynomial.polyder(fc)
-        g1 = np.polynomial.polynomial.polyder(gc)
         for _ in range(4):
-            fv = _polyval(fc, r)
-            gv = _polyval(gc, r)
-            f1v = np.polyval(f1[::-1], r)
-            g1v = np.polyval(g1[::-1], r)
+            fv, f1v, _ = _polyval_derivatives(fc, r)
+            gv, g1v, _ = _polyval_derivatives(gc, r)
             qv = r * fv / gv
             dq = (fv * gv + r * (f1v * gv - fv * g1v)) / gv ** 2
             step = np.where(np.abs(dq) > 1e-14, (qv - rhats[inside]) / dq, 0.0)
@@ -273,9 +268,6 @@ class ShapeReport:
     samples: int
     max_violation: float
     violating_radii: list
-
-    def ok(self, tol=1e-6):
-        return self.max_violation <= tol
 
 
 def shape_check(model, shape, rbar, samples=2048, margin=0.1, tol=1e-9):

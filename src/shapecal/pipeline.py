@@ -14,6 +14,8 @@ On top of the scene generator sit the pose estimation pieces:
   focal length) with the distortion model held fixed;
 * ``ba_full``: the classical joint bundle adjustment baseline with the
   distortion coefficients as free variables;
+* both refinements solve a ``_pose_problem``, which gives them one residual
+  and one block forward-difference Jacobian;
 * ``aso_loop``: alternation of the shape-constrained distortion solve with
   ``ba_refine``;
 * ``run_experiment``: the BA / SO / ASO comparison over noise levels, with
@@ -312,15 +314,16 @@ LM_DAMPING = 1e-3
 LM_DAMPING_MAX = 1e12
 
 
-def levenberg_marquardt(fun, x0, jacobian=None):
+def levenberg_marquardt(fun, x0, jacobian):
     """Damped least squares on the residual vector ``fun(x)``.
 
     ``jacobian(x, r)`` returns the Jacobian of ``fun`` at ``x``, given
-    ``r = fun(x)``; by default it is forward differences of ``fun``
-    (``_num_jacobian``).  Only improving steps are accepted, so the cost
-    trace is non-increasing; stops on relative improvement below
-    ``LM_REL_TOL``, after ``LM_MAX_ITERATIONS`` iterations, or with the
-    damping exceeding ``LM_DAMPING_MAX`` (reported as diverged).
+    ``r = fun(x)``; the pose refinements pass their problem's block
+    forward differences (``_pose_problem``).  Only improving steps are
+    accepted, so the cost trace is non-increasing; stops on relative
+    improvement below ``LM_REL_TOL``, after ``LM_MAX_ITERATIONS``
+    iterations, or with the damping exceeding ``LM_DAMPING_MAX`` (reported
+    as diverged).
     """
     x = np.asarray(x0, dtype=float).copy()
     r = fun(x)
@@ -329,8 +332,7 @@ def levenberg_marquardt(fun, x0, jacobian=None):
     damping = LM_DAMPING
     status = "maxIterations"
     for _ in range(LM_MAX_ITERATIONS):
-        J = (jacobian(x, r) if jacobian is not None
-             else _num_jacobian(fun, x, r))
+        J = jacobian(x, r)
         g = J.T @ r
         H = J.T @ J
         accepted = False
@@ -358,8 +360,6 @@ def levenberg_marquardt(fun, x0, jacobian=None):
                 trace[-2] - trace[-1] <= LM_REL_TOL * (1.0 + trace[-2]):
             status = "converged"
             break
-    else:
-        status = "maxIterations"
     return x, trace, status
 
 
@@ -394,106 +394,99 @@ def ba_refine(scene, cameras, model, focal_prior_weight=0.0):
     """Pose refinement with the distortion model frozen.
 
     Cameras decouple given a fixed model and fixed target, so each runs its
-    own Levenberg-Marquardt over (axis-angle rotation, translation, focal).
-    ``focal_prior_weight`` optionally adds a log-focal residual against the
-    starting value to pin the focal-depth gauge of near-frontal planar
-    views; a camera whose focal escapes a factor of four regardless is
-    reverted to its starting pose and reported as such.  Returns (refined
-    cameras, pixel RMS, per-camera LM statuses).
+    own Levenberg-Marquardt over (axis-angle rotation, translation, focal)
+    on its one-camera ``_pose_problem`` with no free coefficients.
+    ``focal_prior_weight`` optionally weights the log-focal residual against
+    the starting value, which pins the focal-depth gauge of near-frontal
+    planar views; a camera whose focal escapes a factor of four regardless
+    is reverted to its starting pose and reported as such.  Returns
+    (refined cameras, pixel RMS, per-camera LM statuses).
     """
     refined = []
     statuses = []
     for cam, pix, idx in zip(cameras, scene.pixels, scene.point_indices):
-        pts = scene.target[idx]
-        f0 = cam.focal
-
-        def resid(p, cam=cam, pts=pts, pix=pix, f0=f0):
-            if p[6] <= 0:
-                return np.full(pix.size + 1, 1e8)
-            try:
-                trial = cam.with_params(p[:3], p[3:6], p[6])
-                err = (project(trial, pts, model) - pix).ravel()
-            except (ValueError, ArithmeticError):
-                return np.full(pix.size + 1, 1e8)
-            prior = focal_prior_weight * math.log(p[6] / f0)
-            return np.concatenate([err, [prior]])
-
-        p_opt, trace, status = levenberg_marquardt(resid, _cam_params(cam))
-        if not (f0 / 4.0 <= p_opt[6] <= f0 * 4.0):
+        view = replace(scene, pixels=[pix], point_indices=[idx])
+        x0, resid, jacobian, unpack = _pose_problem(view, [cam], model, (),
+                                                    focal_prior_weight)
+        p_opt, trace, status = levenberg_marquardt(resid, x0, jacobian)
+        if not (cam.focal / 4.0 <= p_opt[6] <= cam.focal * 4.0):
             refined.append(cam)
             statuses.append("reverted")
             continue
-        refined.append(cam.with_params(p_opt[:3], p_opt[3:6], p_opt[6]))
+        refined.append(unpack(p_opt)[0][0])
         statuses.append(status)
     return refined, reprojection_rms(scene, refined, model), statuses
 
 
-def ba_full(scene, cameras, kind, focal_prior_weight=0.0):
+def ba_full(scene, cameras, kind):
     """Classical joint bundle adjustment with free distortion coefficients.
 
     One Levenberg-Marquardt over all camera parameters plus the active
-    coefficients of the model kind, with the same optional per-camera
-    log-focal prior as ``ba_refine``.  Its forward-difference Jacobian is
-    built block by block (``_ba_full_problem``): a camera's columns
-    re-project only that camera, bit for bit what differencing the whole
-    residual gives.  Returns (cameras, model, pixel RMS).
+    coefficients of the model kind, on the same ``_pose_problem`` as
+    ``ba_refine``; its log-focal prior rows carry weight zero.  Returns
+    (cameras, model, pixel RMS).
     """
-    x0, resid, jacobian, unpack = _ba_full_problem(scene, cameras, kind,
-                                                   focal_prior_weight)
+    x0, resid, jacobian, unpack = _pose_problem(
+        scene, cameras, DistortionModel.identity(kind),
+        calib.KIND_INDICES[kind], 0.0)
     p_opt = levenberg_marquardt(resid, x0, jacobian)[0]
     cams, model = unpack(p_opt)
     return cams, model, reprojection_rms(scene, cams, model)
 
 
-def _ba_full_problem(scene, cameras, kind, focal_prior_weight):
-    """Start point, residual, Jacobian and unpacking of ``ba_full``.
+def _pose_problem(scene, cameras, model, free, focal_prior_weight):
+    """Start point, residual, Jacobian and unpacking of a pose refinement.
 
-    The parameters are 7 per camera (axis-angle, translation, focal), then
-    the active coefficients of ``kind``.  The residual stacks each camera's
-    pixel errors, then one log-focal prior row per camera; any failure
-    gives the sentinel vector of 1e8.  ``jacobian(x, r0)`` equals
+    The cameras pair with the scene's observation lists in order.  The
+    parameters are 7 per camera (axis-angle, translation, focal), then the
+    coefficients of ``model`` indexed by ``free``; the others stay fixed.
+    The residual stacks each camera's pixel errors, then one log-focal
+    prior row per camera, ``focal_prior_weight * log(focal / start)``; any
+    failure gives the sentinel vector of 1e8.  ``jacobian(x, r0)`` equals
     ``_num_jacobian(resid, x, r0)`` bit for bit: a camera's parameters move
     only its pixel rows and its prior row, and every other row of the
     difference is ``(a - a) / h = +0.0``.  The coefficient columns, and
     every column at a sentinel or non-finite ``r0``, difference the whole
     residual.  Returns ``(x0, resid, jacobian, unpack)``.
     """
-    active = list(calib.KIND_INDICES[kind])
+    free = list(free)
     ncam = len(cameras)
     f0s = np.array([c.focal for c in cameras])
     x0 = np.concatenate([_cam_params(c) for c in cameras]
-                        + [np.zeros(len(active))])
+                        + [np.array(model.k)[free]])
     pts = [scene.target[idx] for idx in scene.point_indices]
     bounds = np.cumsum([0] + [p.size for p in scene.pixels])
     pixel_rows = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
     nres = int(bounds[-1]) + ncam
-    prior_rows = slice(nres - ncam, nres)
 
     def camera(p, i):
         return cameras[i].with_params(p[7 * i:7 * i + 3],
                                       p[7 * i + 3:7 * i + 6], p[7 * i + 6])
 
-    def pixel_errors(cam, i, model):
-        return (project(cam, pts[i], model) - scene.pixels[i]).ravel()
+    def pixel_errors(cam, i, coeffs):
+        return (project(cam, pts[i], coeffs) - scene.pixels[i]).ravel()
 
-    def prior(focals):
-        return focal_prior_weight * np.log(focals / f0s)
+    def prior(p, i):
+        return focal_prior_weight * math.log(p[7 * i + 6] / f0s[i])
+
+    def model_at(p):
+        if not free:
+            return model
+        k = np.array(model.k)
+        k[free] = p[7 * ncam:]
+        return DistortionModel(model.kind, tuple(k))
 
     def unpack(p):
-        cams = [camera(p, i) for i in range(ncam)]
-        k = np.zeros(6)
-        k[active] = p[7 * ncam:]
-        return cams, DistortionModel(kind, tuple(k))
+        return [camera(p, i) for i in range(ncam)], model_at(p)
 
     def resid(p):
-        focals = p[6:7 * ncam:7]
-        if np.any(focals <= 0):
+        if (p[6:7 * ncam:7] <= 0).any():
             return np.full(nres, 1e8)
         try:
-            cams, model = unpack(p)
-            parts = [pixel_errors(cam, i, model) for i, cam in enumerate(cams)]
-            parts.append(prior(focals))
-            return np.concatenate(parts)
+            cams, coeffs = unpack(p)
+            return np.concatenate(
+                [pixel_errors(cam, i, coeffs) for i, cam in enumerate(cams)]
+                + [[prior(p, i) for i in range(ncam)]])
         except (ValueError, ArithmeticError):
             return np.full(nres, 1e8)
 
@@ -501,20 +494,20 @@ def _ba_full_problem(scene, cameras, kind, focal_prior_weight):
         if not np.isfinite(r0).all() or np.all(r0 == 1e8):
             return _num_jacobian(resid, x, r0)
         J = np.zeros((nres, len(x)))
-        model = unpack(x)[1]
+        coeffs = model_at(x)
         for i, rows in enumerate(pixel_rows):
+            prior_row = nres - ncam + i
             for j in range(7 * i, 7 * i + 7):
                 xp, h = _forward_step(x, j)
-                focals = xp[6:7 * ncam:7]
                 try:
-                    if focals[i] <= 0:
+                    if xp[7 * i + 6] <= 0:
                         raise ValueError("non-positive focal")
-                    err = pixel_errors(camera(xp, i), i, model)
+                    err = pixel_errors(camera(xp, i), i, coeffs)
                 except (ValueError, ArithmeticError):
                     J[:, j] = (1e8 - r0) / h
                     continue
                 J[rows, j] = (err - r0[rows]) / h
-                J[prior_rows, j] = (prior(focals) - r0[prior_rows]) / h
+                J[prior_row, j] = (prior(xp, i) - r0[prior_row]) / h
         for j in range(7 * ncam, len(x)):
             xp, h = _forward_step(x, j)
             J[:, j] = (resid(xp) - r0) / h

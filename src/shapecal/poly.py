@@ -242,9 +242,6 @@ class Basis:
     def __len__(self):
         return len(self.monomials)
 
-    def position(self, alpha):
-        return self.index[tuple(alpha)]
-
     def eval_vector(self, x):
         """Numeric basis vector (1, x1, x2, ..., x_d^order) at a point."""
         x = np.asarray(x, dtype=float)

@@ -57,13 +57,13 @@ class PmiProgram:
             if q.dim != self.dim:
                 raise ValueError("equality dimension mismatch")
 
-    def feasible(self, x, tol=1e-6):
-        """Check a point against all constraints and equalities."""
+    def feasible(self, x):
+        """Whether x meets every constraint within CANDIDATE_FEAS_TOL."""
         for G in self.constraints:
-            if np.linalg.eigvalsh(G.eval(x))[0] < -tol:
+            if np.linalg.eigvalsh(G.eval(x))[0] < -CANDIDATE_FEAS_TOL:
                 return False
         for q in self.equalities:
-            if abs(q.eval(x)) > tol:
+            if abs(q.eval(x)) > CANDIDATE_FEAS_TOL:
                 return False
         return True
 
@@ -169,7 +169,7 @@ def _candidate(sol, pos, pmi, order, rank_rows=None):
         # barycenter need not be optimal, so they stay uncertified here.
         rank_one = rank_flat and rank_hi == 1
 
-    feasible = pmi.feasible(x_star, CANDIDATE_FEAS_TOL)
+    feasible = pmi.feasible(x_star)
     cand_cost = pmi.cost.eval(x_star)
     bound = sol.primal_objective
     cost_ok = abs(cand_cost - bound) <= CANDIDATE_GAP_RTOL * (1.0 + abs(bound))

@@ -128,6 +128,7 @@ STEP_FRACTION = 0.98          # of the way to the PSD boundary a step goes
 UNBOUNDED_THRESHOLD = 1e12    # objective magnitude that means divergence
 CENTERING_STEPS = 2           # pure centering steps after convergence
 STALL_ITERATIONS = 10         # iterations without progress before stopping
+FACTOR_PSD_RTOL = 1e-10       # relative eigenvalue floor of ``factor_psd``
 
 
 @dataclass
@@ -176,17 +177,17 @@ class SdpSolution:
 # PSD factorization and the quadratic epigraph block
 # ---------------------------------------------------------------------------
 
-def factor_psd(M, rtol=1e-10):
+def factor_psd(M):
     """Factor a PSD matrix as M = L' L with rows of zero eigenvalue dropped.
 
-    Eigenvalues more negative than -rtol * (1 + lambda_max) raise; small
+    Eigenvalues below -FACTOR_PSD_RTOL * (1 + lambda_max) raise; small
     negative dust is clamped to zero.  L may be rectangular.
     """
     M = np.asarray(M, dtype=float)
     M = 0.5 * (M + M.T)
     w, V = np.linalg.eigh(M)
     scale = 1.0 + max(w[-1], 0.0)
-    if w[0] < -rtol * scale:
+    if w[0] < -FACTOR_PSD_RTOL * scale:
         raise IndefiniteMatrixError(
             f"matrix has eigenvalue {w[0]:.3e}, beyond PSD tolerance")
     w = np.clip(w, 0.0, None)

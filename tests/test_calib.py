@@ -395,10 +395,10 @@ def test_pincushion_repair_matches_direct_feasibility():
         assemble_cost(data), CalibConfig(rbar=1.0, shape="pincushion"))
     for k_div in ([-0.08, 0.0, 0.0], [-0.2, 0.01, 0.0], [0.0, 0.0, 0.0]):
         assert pincushion_feasible(*k_div, rbar=1.0)
-        assert repair(np.array(k_div), calib.TIGHT)
+        assert repair(np.array(k_div))
     for k_div in ([0.05, 0.0, 0.0], [0.3, -0.1, 0.0]):
         assert not pincushion_feasible(*k_div, rbar=1.0)
-        assert not repair(np.array(k_div), calib.TIGHT)
+        assert not repair(np.array(k_div))
 
 
 def test_pincushion_pmi_epigraph_is_the_sdp_epigraph_block():

@@ -265,6 +265,21 @@ def test_undistort_non_numeric_field_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("row", ["nan,0.1", "inf,0", "0.2,-inf"])
+def test_undistort_non_finite_field_exits_3(tmp_path, capsys, row):
+    model_path = tmp_path / "model.json"
+    save_model(DistortionModel.identity(), model_path)
+    pts = tmp_path / "pts.csv"
+    pts.write_text(f"x,y\n0.3,0.4\n{row}\n")
+    out = tmp_path / "out.csv"
+    code = run_cli("undistort", "--model", str(model_path),
+                   "--points", str(pts), "--out", str(out))
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {pts}:3: non-finite coordinate")
+    assert not out.exists()
+
+
 def test_experiment_bad_sigmas_exits_3(tmp_path, capsys, monkeypatch):
     def no_run(cfg):
         raise AssertionError("experiment ran despite the data error")
@@ -436,6 +451,10 @@ def _model_command(command, tmp_path, model_path):
     ("not json", "JSONDecodeError"),
     ('{"kind": "spline", "k": [0, 0, 0, 0, 0, 0]}', "unknown model kind"),
     ('{"kind": "rational"}', "KeyError"),
+    ('{"kind": "rational", "k": [0, 0, 0, "nan", 0, 0]}',
+     "ValueError: k must be finite"),
+    ('{"kind": "rational", "k": [0, Infinity, 0, 0, 0, 0]}',
+     "ValueError: k must be finite"),
 ])
 def test_bad_model_file_exits_3(tmp_path, capsys, command, text, reason):
     model_path = tmp_path / "model.json"

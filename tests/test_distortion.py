@@ -177,3 +177,23 @@ def test_derivatives_match_finite_differences():
     fd2 = (Lp - 2 * model.L(rs) + Lm) / h ** 2
     assert np.abs(L1 - fd1).max() <= 1e-6 * (1 + np.abs(fd1).max())
     assert np.abs(L2 - fd2).max() <= 1e-3 * (1 + np.abs(fd2).max())
+
+
+def test_L_derivatives_value_is_L_with_a_tiny_coefficient():
+    # A coefficient below 1e-14 still enters L; the derivative path must
+    # evaluate the same polynomials, not drop it.
+    model = DistortionModel("rational", (1e-15, 0.0, 0.0, -0.1, 0.0, 1e-15))
+    rs = np.linspace(0.0, 1.5, 31)
+    L, _, _ = model.L_derivatives(rs)
+    assert np.array_equal(L, model.L(rs))
+    assert not np.array_equal(
+        L, DistortionModel("rational", (0, 0, 0, -0.1, 0, 0)).L(rs))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_non_finite_coefficient_rejected(value):
+    k = [0.0] * 6
+    k[3] = value
+    with pytest.raises(ValueError, match="k must be finite"):
+        DistortionModel("rational", tuple(k))

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -135,7 +138,8 @@ def test_levenberg_marquardt_monotone_trace():
     def fun(x):
         return A @ x - b + 0.1 * np.sin(x).sum()
 
-    x, trace, status = levenberg_marquardt(fun, np.zeros(3))
+    x, trace, status = levenberg_marquardt(
+        fun, np.zeros(3), lambda x, r: pipeline._num_jacobian(fun, x, r))
     assert all(t2 <= t1 + 1e-12 for t1, t2 in zip(trace, trace[1:]))
 
 
@@ -180,6 +184,11 @@ def _ba_start(seed=5, cameras=4):
     return scene, cams_init
 
 
+def _ba_full_problem(scene, cams, kind, weight):
+    return pipeline._pose_problem(scene, cams, DistortionModel.identity(kind),
+                                  calib.KIND_INDICES[kind], weight)
+
+
 def _assert_block_jacobian_exact(problem, x):
     _, resid, jacobian, _ = problem
     r0 = resid(x)
@@ -191,13 +200,13 @@ def _assert_block_jacobian_exact(problem, x):
                                           ("division", 1.0)])
 def test_ba_full_block_jacobian_at_start_point(kind, weight):
     scene, cams = _ba_start()
-    problem = pipeline._ba_full_problem(scene, cams, kind, weight)
+    problem = _ba_full_problem(scene, cams, kind, weight)
     _assert_block_jacobian_exact(problem, problem[0])
 
 
 def test_ba_full_block_jacobian_when_a_camera_column_raises():
     scene, cams = _ba_start()
-    problem = pipeline._ba_full_problem(scene, cams, "polynomial", 1.0)
+    problem = _ba_full_problem(scene, cams, "polynomial", 1.0)
     x0, resid = problem[:2]
     # Camera 1 faces the target plane from 1e-9 away: every point is in
     # front, but tilting it by one difference step puts some behind it.
@@ -211,7 +220,7 @@ def test_ba_full_block_jacobian_when_a_camera_column_raises():
 
 def test_ba_full_block_jacobian_when_a_focal_crosses_zero():
     scene, cams = _ba_start()
-    problem = pipeline._ba_full_problem(scene, cams, "polynomial", 1.0)
+    problem = _ba_full_problem(scene, cams, "polynomial", 1.0)
     x0, resid = problem[:2]
     x = x0.copy()
     x[6] = -0.5e-7
@@ -223,7 +232,7 @@ def test_ba_full_block_jacobian_when_a_focal_crosses_zero():
 
 def test_ba_full_block_jacobian_at_sentinel_residual():
     scene, cams = _ba_start()
-    problem = pipeline._ba_full_problem(scene, cams, "division", 0.0)
+    problem = _ba_full_problem(scene, cams, "division", 0.0)
     x = problem[0].copy()
     x[7 * 2 + 5] = -100.0  # camera 2 behind the target plane
     assert np.all(problem[1](x) == 1e8)
@@ -232,11 +241,12 @@ def test_ba_full_block_jacobian_at_sentinel_residual():
 
 def test_ba_full_block_jacobian_gives_the_dense_iterates():
     scene, cams = _ba_start()
-    x0, resid, jacobian, unpack = pipeline._ba_full_problem(
+    x0, resid, jacobian, unpack = _ba_full_problem(
         scene, cams, "polynomial", 0.0)
     x_block, trace_block, status_block = levenberg_marquardt(resid, x0,
                                                              jacobian)
-    x_dense, trace_dense, status_dense = levenberg_marquardt(resid, x0)
+    x_dense, trace_dense, status_dense = levenberg_marquardt(
+        resid, x0, lambda x, r: pipeline._num_jacobian(resid, x, r))
     assert np.array_equal(x_block, x_dense)
     assert trace_block == trace_dense and status_block == status_dense
     cams_dense, model_dense = unpack(x_dense)
@@ -244,6 +254,79 @@ def test_ba_full_block_jacobian_gives_the_dense_iterates():
     assert model_ba.k == model_dense.k
     assert rms_ba == reprojection_rms(scene, cams_dense, model_dense)
     for a, b in zip(cams_ba, cams_dense):
+        assert np.array_equal(a.R, b.R) and np.array_equal(a.t, b.t) \
+            and np.array_equal(a.K, b.K)
+
+
+def _one_camera_problem(weight, i=1):
+    scene, cams = _ba_start()
+    view = replace(scene, pixels=[scene.pixels[i]],
+                   point_indices=[scene.point_indices[i]])
+    return pipeline._pose_problem(view, [cams[i]], BARREL, (), weight)
+
+
+@pytest.mark.parametrize("weight", [0.0, 1.0])
+@pytest.mark.parametrize("case", ["start", "column_raises",
+                                  "focal_crosses_zero", "sentinel"])
+def test_one_camera_block_jacobian(case, weight):
+    # ba_refine's problem: one camera, the model fixed, no coefficient
+    # columns.  The block Jacobian must be _num_jacobian bit for bit.
+    problem = _one_camera_problem(weight)
+    x0, resid = problem[:2]
+    x = x0.copy()
+    if case == "column_raises":
+        x[:6] = [0.0, 0.0, 0.0, 0.0, 0.0, 1e-9]
+        assert not np.all(resid(x) == 1e8)
+        assert np.all(resid(pipeline._forward_step(x, 0)[0]) == 1e8)
+    elif case == "focal_crosses_zero":
+        x[6] = -0.5e-7
+        assert np.all(resid(x) == 1e8)
+        xp, _ = pipeline._forward_step(x, 6)
+        assert xp[6] > 0 and not np.all(resid(xp) == 1e8)
+    elif case == "sentinel":
+        x[5] = -100.0  # the camera behind the target plane
+        assert np.all(resid(x) == 1e8)
+    _assert_block_jacobian_exact(problem, x)
+
+
+def _refine_oracle(scene, cameras, model, weight):
+    """ba_refine as a per-camera residual closure and a dense LM."""
+    refined, statuses = [], []
+    for cam, pix, idx in zip(cameras, scene.pixels, scene.point_indices):
+        pts = scene.target[idx]
+
+        def resid(p, cam=cam, pts=pts, pix=pix):
+            if p[6] <= 0:
+                return np.full(pix.size + 1, 1e8)
+            try:
+                trial = cam.with_params(p[:3], p[3:6], p[6])
+                err = (project(trial, pts, model) - pix).ravel()
+            except (ValueError, ArithmeticError):
+                return np.full(pix.size + 1, 1e8)
+            return np.concatenate([err, [weight * math.log(p[6] / cam.focal)]])
+
+        p, _, status = levenberg_marquardt(
+            resid, pipeline._cam_params(cam),
+            lambda x, r, resid=resid: pipeline._num_jacobian(resid, x, r))
+        if not cam.focal / 4.0 <= p[6] <= cam.focal * 4.0:
+            refined.append(cam)
+            statuses.append("reverted")
+            continue
+        refined.append(cam.with_params(p[:3], p[3:6], p[6]))
+        statuses.append(status)
+    return refined, reprojection_rms(scene, refined, model), statuses
+
+
+@pytest.mark.parametrize("model, weight", [
+    (BARREL, 0.0), (DistortionModel.identity(), 1.0)])
+def test_ba_refine_matches_the_dense_oracle(model, weight):
+    scene = add_noise(small_scene(seed=5, cameras=4), 0.5)
+    cams0 = perturb_cameras(scene.cameras, 5)
+    cams, rms, statuses = ba_refine(scene, cams0, model, weight)
+    cams_ref, rms_ref, statuses_ref = _refine_oracle(scene, cams0, model,
+                                                     weight)
+    assert rms == rms_ref and statuses == statuses_ref
+    for a, b in zip(cams, cams_ref):
         assert np.array_equal(a.R, b.R) and np.array_equal(a.t, b.t) \
             and np.array_equal(a.K, b.K)
 

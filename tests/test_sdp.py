@@ -452,8 +452,8 @@ def test_schur_rule_sends_only_full_order2_blocks_to_the_sparse_path(
                                "numericalFailure", 0)
 
     monkeypatch.setattr(sdp, "solve", record)
-    calib._pincushion_structured(pmi, calib.TIGHT)
-    repair(np.zeros(3), calib.TIGHT)
+    calib._pincushion_structured(pmi)
+    repair(np.zeros(3))
     assert len(programs) == 5
     for program in programs:
         assert kinds(program) == {sdp._DenseCoeffs}
