@@ -103,7 +103,7 @@ class CostData:
 class CalibConfig:
     rbar: float
     margin_p: float = 0.1
-    delta_max: int = 3
+    delta_max: int = 2
     shape: str = "none"
 
     def __post_init__(self):
@@ -562,8 +562,8 @@ def _pincushion_structured(pmi):
     program, pos = relax.structured_relaxation(pmi, mm_rows, loc_rows)
     sol = sdp.solve(program, LOOSE)
     if sol.status != "optimal":
-        return relax.RelaxationResult(math.nan, np.asarray(sol.z), None,
-                                      False, 0, solver_status=sol.status)
+        return relax.RelaxationResult(math.nan, None, False, 0,
+                                      solver_status=sol.status)
     return relax.structured_candidate(sol, pos, pmi)
 
 

@@ -58,17 +58,33 @@ class GramMatrix:
         return w[0] >= -PSD_RTOL * (1.0 + max(w[-1], 0.0))
 
 
-def gram_to_poly(Q):
-    """Expand psi_n' Q psi_n into a univariate polynomial.
+def _gram_form(entries, r):
+    """psi(r)' G psi(r) for a square array of numbers or Polynomials.
 
-    The coefficient of x^k is the sum of Q[i, j] over all i + j = k.
+    The coefficient of r^k is the sum of G[i, j] over all i + j = k, added
+    in row-major order.
     """
-    n = Q.size
-    coeffs = np.zeros(2 * (n - 1) + 1)
+    n = len(entries)
+    out = Polynomial.constant(r.dim, 0.0)
+    powers = [Polynomial.constant(r.dim, 1.0)]
+    for _ in range(2 * (n - 1)):
+        powers.append(powers[-1] * r)
     for i in range(n):
         for j in range(n):
-            coeffs[i + j] += Q.entries[i, j]
-    return Polynomial.from_univariate(coeffs)
+            out = out + entries[i, j] * powers[i + j]
+    return out
+
+
+def _interval_combination(s, t, r, alpha, beta, even):
+    """The Markov-Lukacs combination of s and t on [alpha, beta]."""
+    if even:
+        return s + (r - alpha) * (beta - r) * t
+    return (r - alpha) * s + (beta - r) * t
+
+
+def gram_to_poly(Q):
+    """Expand psi_n' Q psi_n into a univariate polynomial."""
+    return _gram_form(Q.entries, Polynomial.variable(1, 0))
 
 
 @dataclass(frozen=True)
@@ -103,13 +119,9 @@ def certificate_to_poly(cert):
     This is deterministic algebra; whether (S, T) are actually PSD is the
     caller's claim and can be checked with ``cert.is_valid()``.
     """
-    x = Polynomial.variable(1, 0)
-    s = gram_to_poly(cert.S)
-    t = gram_to_poly(cert.T)
-    if cert.parity == "even":
-        weight = (x - cert.alpha) * (cert.beta - x)
-        return s + weight * t
-    return (x - cert.alpha) * s + (cert.beta - x) * t
+    return _interval_combination(gram_to_poly(cert.S), gram_to_poly(cert.T),
+                                 Polynomial.variable(1, 0), cert.alpha,
+                                 cert.beta, cert.parity == "even")
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +190,7 @@ class SymbolicGram:
 
     def to_poly_in(self, r_var):
         """Quadratic form psi(r)' G psi(r) as a polynomial over the space."""
-        n = self.size
-        out = self.space.const(0.0)
-        powers = [self.space.const(1.0)]
-        for _ in range(2 * (n - 1)):
-            powers.append(powers[-1] * r_var)
-        for i in range(n):
-            for j in range(n):
-                out = out + self.entries[i, j] * powers[i + j]
-        return out
+        return _gram_form(self.entries, r_var)
 
 
 def certificate_names(s_prefix, t_prefix, degree):
@@ -222,12 +226,8 @@ def symbolic_certificate(space, r_name, alpha, beta, degree,
     S = SymbolicGram.create(space, s_prefix, ns)
     T = SymbolicGram.create(space, t_prefix, nt)
     r = space.var(r_name)
-    s_poly = S.to_poly_in(r)
-    t_poly = T.to_poly_in(r)
-    if degree % 2 == 0:
-        cert = s_poly + (r - alpha) * (beta - r) * t_poly
-    else:
-        cert = (r - alpha) * s_poly + (beta - r) * t_poly
+    cert = _interval_combination(S.to_poly_in(r), T.to_poly_in(r), r, alpha,
+                                 beta, degree % 2 == 0)
     return S, T, cert
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -810,17 +810,7 @@ def scene_to_json(scene):
             {"indices": idx.tolist(), "pixels": pix.tolist()}
             for idx, pix in zip(scene.point_indices, scene.pixels)
         ],
-        "config": {
-            "target_rows": scene.config.target_rows,
-            "target_cols": scene.config.target_cols,
-            "spacing": scene.config.spacing,
-            "cameras": scene.config.cameras,
-            "image_width": scene.config.image_width,
-            "image_height": scene.config.image_height,
-            "focal": scene.config.focal,
-            "coverage": scene.config.coverage,
-            "polar_max_deg": scene.config.polar_max_deg,
-        },
+        "config": asdict(scene.config),
     }
     return json.dumps(doc, indent=1, sort_keys=True)
 

@@ -114,7 +114,6 @@ def relax(pmi, delta):
 @dataclass
 class RelaxationResult:
     lower_bound: float
-    moment_vector: np.ndarray
     extracted: np.ndarray | None
     certified: bool
     order: int
@@ -175,7 +174,6 @@ def _candidate(sol, pos, pmi, order, rank_rows=None):
     cost_ok = abs(cand_cost - bound) <= CANDIDATE_GAP_RTOL * (1.0 + abs(bound))
     return RelaxationResult(
         lower_bound=bound,
-        moment_vector=z,
         extracted=x_star,
         certified=bool(feasible and (cost_ok or rank_one)),
         order=order,
@@ -207,7 +205,6 @@ def solve_order(pmi, delta, options=None):
     if sol.status != "optimal":
         return RelaxationResult(
             lower_bound=math.nan,
-            moment_vector=np.asarray(sol.z),
             extracted=None,
             certified=False,
             order=delta,

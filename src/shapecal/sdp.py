@@ -83,12 +83,6 @@ class AffineBlock:
             out += z[i] * m
         return out
 
-    def tensor(self, nvars):
-        A = np.zeros((nvars, self.size, self.size))
-        for i, m in self.coeff.items():
-            A[i] = m
-        return A
-
 
 def _sym_check(m, size):
     if m.shape != (size, size):
@@ -252,6 +246,24 @@ class LmiBuilder:
     def add_block(self, block):
         self._blocks.append(block)
 
+    def _affine_terms(self, p, var_names, what):
+        """(constant, {variable index: coefficient}) of a degree <= 1
+        Polynomial; raises naming ``what`` on a higher degree.
+
+        Variables are registered in term order, so their indices follow it.
+        """
+        constant, coeffs = 0.0, {}
+        for alpha, cval in p.terms.items():
+            deg = sum(alpha)
+            if deg == 0:
+                constant += cval
+            elif deg == 1:
+                vi = self.variable(var_names[alpha.index(1)])
+                coeffs[vi] = coeffs.get(vi, 0.0) + cval
+            else:
+                raise ValueError(f"{what} is not affine")
+        return constant, coeffs
+
     def add_affine_matrix(self, entries, var_names):
         """Block from a square object array of degree <= 1 Polynomials.
 
@@ -263,30 +275,15 @@ class LmiBuilder:
         coeff = {}
         for i in range(n):
             for j in range(n):
-                for alpha, cval in entries[i, j].terms.items():
-                    deg = sum(alpha)
-                    if deg == 0:
-                        constant[i, j] += cval
-                    elif deg == 1:
-                        vi = self.variable(var_names[alpha.index(1)])
-                        coeff.setdefault(vi, np.zeros((n, n)))[i, j] += cval
-                    else:
-                        raise ValueError("block entry is not affine")
+                constant[i, j], terms = self._affine_terms(
+                    entries[i, j], var_names, "block entry")
+                for vi, cval in terms.items():
+                    coeff.setdefault(vi, np.zeros((n, n)))[i, j] = cval
         self._blocks.append(AffineBlock(n, constant, coeff))
 
     def add_equality_poly(self, p, var_names):
         """Equality (affine Polynomial == 0) over mapped variable names."""
-        coeffs = {}
-        constant = 0.0
-        for alpha, cval in p.terms.items():
-            deg = sum(alpha)
-            if deg == 0:
-                constant += cval
-            elif deg == 1:
-                vi = self.variable(var_names[alpha.index(1)])
-                coeffs[vi] = coeffs.get(vi, 0.0) + cval
-            else:
-                raise ValueError("equality is not affine")
+        constant, coeffs = self._affine_terms(p, var_names, "equality")
         self._equalities.append(AffineForm(coeffs, constant))
 
     def add_equality(self, coefficients, constant=0.0):
@@ -336,16 +333,15 @@ def _max_step(chol_factor, direction):
 def _eliminate_equalities(program):
     """Restrict to the equality-feasible affine subspace.
 
-    Returns (z0, N, status) with z = z0 + N w; status is 'ok' or
-    'infeasible'.  N is either a dense null-space basis or, when every
-    equality pins a single variable (the common case for moment programs),
-    ("select", free_indices), which lets the caller take the reduced block
-    coefficients straight from each block's coefficient map.
+    Returns (z0, N) with z = z0 + N w, or N None when the equalities are
+    inconsistent.  When every equality pins a single variable (the common
+    case for moment programs) N is the 0/1 matrix selecting the free
+    variables; otherwise it is an orthonormal null-space basis.
     """
     n = program.nvars
     eqs = program.equalities
     if not eqs:
-        return np.zeros(n), ("select", np.arange(n)), "ok"
+        return np.zeros(n), np.eye(n)
     E = np.zeros((len(eqs), n))
     f = np.zeros(len(eqs))
     for r, eq in enumerate(eqs):
@@ -363,13 +359,13 @@ def _eliminate_equalities(program):
             nz = np.nonzero(np.abs(E[r]) > 1e-14)[0]
             if len(nz) == 0:
                 if abs(f[r]) > 1e-10:
-                    return z0, None, "infeasible"
+                    return z0, None
                 active[r] = False
             elif len(nz) == 1:
                 i = nz[0]
                 val = -f[r] / E[r, i]
                 if pinned[i] and abs(z0[i] - val) > 1e-8 * (1 + abs(val)):
-                    return z0, None, "infeasible"
+                    return z0, None
                 z0[i] = val
                 pinned[i] = True
                 active[r] = False
@@ -379,14 +375,16 @@ def _eliminate_equalities(program):
 
     free = np.nonzero(~pinned)[0]
     if not active.any():
-        return z0, ("select", free), "ok"
+        N = np.zeros((n, free.size))
+        N[free, np.arange(free.size)] = 1.0
+        return z0, N
 
     # Round 2: general elimination of the residual system over free vars.
     Ef = E[np.ix_(active, free)]
     ff = f[active]
     w0, *_ = np.linalg.lstsq(Ef, -ff, rcond=None)
     if np.abs(Ef @ w0 + ff).max() > 1e-8 * (1.0 + np.abs(ff).max()):
-        return z0, None, "infeasible"
+        return z0, None
     _, sv, Vt = np.linalg.svd(Ef)
     tol = max(Ef.shape) * (sv[0] if sv.size else 0.0) * np.finfo(float).eps
     rank = int((sv > tol).sum())
@@ -394,7 +392,7 @@ def _eliminate_equalities(program):
     z0[free] += w0
     N = np.zeros((n, Nf.shape[1]))
     N[free] = Nf
-    return z0, ("dense", N), "ok"
+    return z0, N
 
 
 # A block takes the sparse Schur-complement formula when its reduced
@@ -502,21 +500,17 @@ def _reduce(program):
     Cs[b] - sum_j w_j A_{b,j} PSD, where ``coeffs[b]`` holds the A_{b,j}
     (the standard conic pair's A_i are minus the reduced block
     coefficients).  N and the rest are None when the equalities are
-    inconsistent.  A block takes the sparse storage when its dense tensor
-    would reach ``SPARSE_SCHUR_MIN_ENTRIES``.
+    inconsistent.  Each block's negated coefficients are read once into an
+    (nvars, m^2) sparse matrix B from their nonzeros, and the reduced ones
+    are N' B: dense below ``SPARSE_SCHUR_MIN_ENTRIES`` entries of q m^2,
+    sparse at or above it.  With a selection N the product copies entries
+    exactly.
     """
-    n = program.nvars
-    z0, basis, eq_status = _eliminate_equalities(program)
-    if eq_status == "infeasible":
+    z0, N = _eliminate_equalities(program)
+    if N is None:
         return z0, None, None, None
-    kind, data = basis
-    if kind == "select":
-        N = np.zeros((n, len(data)))
-        N[data, np.arange(len(data))] = 1.0
-        pos = {v: j for j, v in enumerate(data)}
-    else:
-        N = data
-    q = N.shape[1]
+    n, q = N.shape
+    Nt = sparse.csr_matrix(N.T)
     Cs, coeffs = [], []
     for blk in program.blocks:
         C = blk.constant.copy()
@@ -525,28 +519,21 @@ def _reduce(program):
                 C += z0[i] * mat
         Cs.append(C)
         m = blk.size
-        sparse_path = q * m * m >= SPARSE_SCHUR_MIN_ENTRIES
-        if kind == "dense":
-            A = -np.tensordot(N, blk.tensor(n), axes=(0, 0))
-            coeffs.append(_SparseCoeffs(sparse.csr_matrix(A.reshape(q, -1)), m)
-                          if sparse_path else _DenseCoeffs(A))
-        elif sparse_path:
-            var, idx, val = [], [np.zeros(0, np.intp)], [np.zeros(0)]
-            for i, mat in blk.coeff.items():
-                if i in pos:
-                    idx.append(np.flatnonzero(mat))
-                    var += [pos[i]] * idx[-1].size
-                    val.append(-mat.ravel()[idx[-1]])
-            coeffs.append(_SparseCoeffs(sparse.csr_matrix(
-                (np.concatenate(val), (var, np.concatenate(idx))),
-                shape=(q, m * m)), m))
+        var, idx, val = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], \
+            [np.zeros(0)]
+        for i, mat in blk.coeff.items():
+            idx.append(np.flatnonzero(mat))
+            var.append(np.full(idx[-1].size, i))
+            val.append(-mat.ravel()[idx[-1]])
+        B = sparse.csr_matrix((np.concatenate(val), (np.concatenate(var),
+                                                     np.concatenate(idx))),
+                              shape=(n, m * m))
+        if q * m * m < SPARSE_SCHUR_MIN_ENTRIES:
+            coeffs.append(_DenseCoeffs((N.T @ B.toarray()).reshape(q, m, m)))
         else:
-            A = np.zeros((q, m, m))
-            for i, mat in blk.coeff.items():
-                if i in pos:
-                    A[pos[i]] = mat
-            np.negative(A, out=A)
-            coeffs.append(_DenseCoeffs(A))
+            A = Nt @ B
+            A.sort_indices()
+            coeffs.append(_SparseCoeffs(A, m))
     return z0, N, Cs, coeffs
 
 

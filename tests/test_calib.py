@@ -360,11 +360,8 @@ def test_pincushion_systems_built_once_per_fit(monkeypatch):
     assert calls == [1.0]
 
 
-def test_pincushion_failed_pass_warns_its_status_and_escalates(monkeypatch):
-    # The noisy order-1 candidate below does not certify, so the structured
-    # pass and full order 2 follow.  Both solves fail here; each failure is
-    # warned with the solver's status and the ladder goes on to the next
-    # pass, ending uncertified at order 2 with the order-1 bound.
+def _pincushion_fit_failing_above_order1(monkeypatch, cfg):
+    """Noisy pincushion fit whose solves above order 1 all fail."""
     order1_vars = math.comb(11 + 2, 11)
     solve = sdp.solve
 
@@ -378,14 +375,32 @@ def test_pincushion_failed_pass_warns_its_status_and_escalates(monkeypatch):
     true = DistortionModel("division", (0, 0, 0, -0.08, 0.0, 0.0))
     data = synth_correspondences(true, (0.02, 0.5), n=256, seed=5,
                                  noise=2.0 / 540)
-    res = solve_pincushion(assemble_cost(data),
-                           CalibConfig(rbar=1.0, shape="pincushion",
-                                       delta_max=2))
+    return solve_pincushion(assemble_cost(data), cfg)
+
+
+def test_pincushion_failed_pass_warns_its_status_and_escalates(monkeypatch):
+    # The noisy order-1 candidate below does not certify, so the structured
+    # pass and full order 2 follow.  Both solves fail here; each failure is
+    # warned with the solver's status and the ladder goes on to the next
+    # pass, ending uncertified at order 2 with the order-1 bound.
+    res = _pincushion_fit_failing_above_order1(
+        monkeypatch, CalibConfig(rbar=1.0, shape="pincushion", delta_max=2))
     assert res.warnings[-2:] == ["structured solve: numericalFailure",
                                  "order 2 solve: numericalFailure"]
     assert res.solver_status == "uncertified"
     assert res.relaxation_order == 2
     assert res.lower_bound is not None and res.lower_bound > 0
+
+
+def test_default_order_cap_skips_no_relaxation_order(monkeypatch):
+    # The PMI has 11 variables, so order 3 would need 12,376 moments, above
+    # MAX_RELAXATION_VARIABLES; the default cap stops the ladder at order 2
+    # instead of ending it with a skip warning.
+    res = _pincushion_fit_failing_above_order1(
+        monkeypatch, CalibConfig(rbar=1.0, shape="pincushion"))
+    assert not [w for w in res.warnings if "skipped" in w]
+    assert res.warnings[-1] == "order 2 solve: numericalFailure"
+    assert res.relaxation_order == 2
 
 
 def test_pincushion_repair_matches_direct_feasibility():

@@ -459,6 +459,24 @@ def test_schur_rule_sends_only_full_order2_blocks_to_the_sparse_path(
         assert kinds(program) == {sdp._DenseCoeffs}
 
 
+@pytest.mark.parametrize("path", FORCE)
+def test_pinning_equalities_reduce_to_an_exact_selection(path):
+    # The relaxation's only equality pins y_0 = 1, so N selects the free
+    # moments and every reduced coefficient is the negated block
+    # coefficient of its free variable, bit for bit, on both storages.
+    program = _small_order2_program()
+    N = sdp._eliminate_equalities(program)[1]
+    assert np.isin(N, (0.0, 1.0)).all() and (N.sum(axis=0) == 1).all()
+    free = N.argmax(axis=0)
+    assert free.size == program.nvars - 1
+    for blk, A in zip(program.blocks, _coeffs(program, path)):
+        m = blk.size
+        for j, i in enumerate(free):
+            got = A.A[j] if path == "dense" \
+                else A.csr[j].toarray().reshape(m, m)
+            assert np.array_equal(got, -blk.coeff.get(i, np.zeros((m, m))))
+
+
 @pytest.fixture(scope="module")
 def order2_on_both_paths():
     program = _small_order2_program()
