@@ -13,7 +13,7 @@ from shapecal.certs import (GramMatrix, IntervalCertificate, VarSpace,
                             certificate_names, certificate_to_poly,
                             eliminate, match_coefficients,
                             symbolic_certificate)
-from shapecal.poly import Polynomial, basis, riesz
+from shapecal.poly import Polynomial, basis
 
 # --- basic polynomial algebra ---------------------------------------------
 
@@ -25,8 +25,10 @@ print("  p'(x) coefficients:", p.derivative(0).univariate_coeffs())
 
 b = basis(2, 2)
 print("\ncanonical basis of 2 variables up to degree 2:", b.monomials)
-print("Riesz image of x0*x1 + 2:", riesz(Polynomial(2, {(1, 1): 1.0,
-                                                        (0, 0): 2.0})))
+# The Riesz functional replaces each monomial x^alpha by a moment y_alpha.
+q = Polynomial(2, {(1, 1): 1.0, (0, 0): 2.0})
+print("Riesz image of x0*x1 + 2:",
+      " + ".join(f"{c:g} y{alpha}" for alpha, c in q.terms.items()))
 
 # --- a certificate from random PSD matrices -------------------------------
 

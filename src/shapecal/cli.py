@@ -256,7 +256,7 @@ def cmd_undistort(args):
         try:
             pt = undistort(model, np.array(row), args.search_max)
             out_lines.append(f"{_fmt(pt[0])},{_fmt(pt[1])},")
-        except (PoleError, NoRootError) as exc:
+        except NoRootError as exc:
             out_lines.append(f",,{type(exc).__name__}")
     with open(args.out, "w") as fh:
         fh.write("\n".join(out_lines) + "\n")

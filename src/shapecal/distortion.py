@@ -13,7 +13,9 @@ six coefficients.
 
 Derivatives for the shape checks are computed analytically with the
 quotient rule on the polynomial halves; shape certification must not be
-confounded by finite-difference error.
+confounded by finite-difference error.  The inverse map has one path,
+``undistort_radii``: the smallest root of r L(r) = rhat, bracketed by the
+exact real roots of g and of the numerator of (r L(r))'.
 """
 
 from __future__ import annotations
@@ -109,12 +111,15 @@ def _polyval(coeffs_low_first, r):
     return np.polyval(coeffs_low_first[::-1], r)
 
 
+def _der(coeffs_low_first):
+    return coeffs_low_first[1:] * np.arange(1, len(coeffs_low_first))
+
+
 def _polyval_derivatives(coeffs_low_first, r):
     """Value, first and second derivative at r of a dense polynomial."""
-    d1 = np.polynomial.polynomial.polyder(coeffs_low_first)
-    d2 = np.polynomial.polynomial.polyder(d1)
+    d1 = _der(coeffs_low_first)
     return (_polyval(coeffs_low_first, r), _polyval(d1, r),
-            _polyval(d2, r))
+            _polyval(_der(d1), r))
 
 
 def distort(model, point):
@@ -125,122 +130,98 @@ def distort(model, point):
     return p * np.expand_dims(scale, -1) if p.ndim > 1 else p * scale
 
 
-def _forward_radius(model, r):
-    return r * model.L(r)
-
-
 def undistort(model, point, search_max):
-    """Invert the radial map for one point.
+    """Invert the radial map for one point: a one-point ``undistort_radii``.
 
-    Finds the smallest r in [0, search_max] with r * L(r) = |point| by a
-    bracketed bisection refined with Newton steps, then rescales the
-    direction.  Raises NoRootError when the target radius is outside the
-    image of the bracket and propagates PoleError from the search.
+    Returns the point rescaled to the smallest root r of r * L(r) = |point|;
+    raises NoRootError when ``undistort_radii`` finds none.
     """
-    if search_max <= 0:
-        raise ValueError("search_max must be positive")
     p = np.asarray(point, dtype=float)
-    rhat = float(np.sqrt(p @ p))
-    if rhat == 0.0:
-        return p.copy()
-    r = _solve_radius(model, rhat, search_max)
-    return p * (r / rhat)
+    rhat = float(np.hypot(p[0], p[1]))
+    r, ok = undistort_radii(model, [rhat], search_max)
+    if not ok[0]:
+        raise NoRootError(f"no radius in [0, {search_max:g}] before the "
+                          f"first pole maps to {rhat:g}")
+    return p * (r[0] / rhat) if rhat > 0 else p.copy()
 
 
-# Intervals of the uniform scan over [0, search_max]: the scalar search
-# only brackets its root before bisecting, while the vectorized inversion
-# interpolates the curve and polishes with just four Newton steps.
-SCALAR_SCAN_INTERVALS = 512
+# Intervals of the uniform table over [0, search_max] whose interpolation
+# seeds Newton's method inside each monotone piece of the forward curve.
 CURVE_SCAN_INTERVALS = 4096
+# A root r of r L(r) = rhat counts when |r L(r) - rhat| <= this * (1 + rhat).
+RESIDUAL_RTOL = 1e-9
+# Imaginary parts up to this fraction of 1 + |real part| count as real: a
+# double root comes out of np.roots as a pair about sqrt(eps) off the axis.
+ROOT_IMAG_RTOL = 1e-6
 
 
-def _solve_radius(model, rhat, search_max):
-    rs = np.linspace(0.0, search_max, SCALAR_SCAN_INTERVALS + 1)
-    try:
-        h = rs * model.L(rs) - rhat
-    except PoleError:
-        # Fall back to a scan that stops at the first pole.
-        h = np.empty_like(rs)
-        for i, r in enumerate(rs):
-            try:
-                h[i] = r * float(model.L(r)) - rhat
-            except PoleError:
-                rs = rs[:i]
-                h = h[:i]
-                break
-        if len(rs) < 2:
-            raise
-    if h[0] > 0:
-        raise NoRootError("target radius below the image of the bracket")
-    cross = np.nonzero((h[:-1] <= 0) & (h[1:] >= 0))[0]
-    if len(cross) == 0:
-        raise NoRootError(
-            f"no radius in [0, {search_max:g}] maps to {rhat:g}")
-    lo, hi = rs[cross[0]], rs[cross[0] + 1]
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _forward_radius(model, mid) - rhat <= 0:
-            lo = mid
-        else:
-            hi = mid
-    r = 0.5 * (lo + hi)
-    for _ in range(4):
-        fr = _forward_radius(model, r) - rhat
-        eps = 1e-7 * (1.0 + r)
-        d = (_forward_radius(model, r + eps) - _forward_radius(model, r - eps)) \
-            / (2 * eps)
-        if abs(d) < 1e-14:
-            break
-        step = fr / d
-        r_new = r - step
-        if not (lo - 1e-9 <= r_new <= hi + 1e-9):
-            break
-        r = r_new
-    return r
+def _positive_real_roots(coeffs_low_first):
+    z = np.roots(coeffs_low_first[::-1])
+    x = z.real[np.abs(z.imag) <= ROOT_IMAG_RTOL * (1.0 + np.abs(z.real))]
+    return np.sort(x[x > 0])
 
 
 def undistort_radii(model, rhats, search_max):
-    """Vectorized smallest-root inversion of r * L(r) over many radii.
+    """Smallest root r of q(r) = r * L(r) = rhat for a 1-D array of rhats.
 
-    Radii are inverted on the first strictly increasing branch of the
-    forward curve by interpolation plus Newton polishing; targets that fall
-    outside that branch fall back to the scalar search.  Returns (r, ok).
+    The bracket ends at g's first positive root or at search_max, whichever
+    comes first.  q is monotone between the real roots of the numerator of
+    q', (f + r f') g - r f g', and a target's smallest root lies in the first
+    increasing piece whose q-range, widened by the residual gate, holds it.
+    A uniform table of q with the piece ends as extra nodes seeds it by
+    interpolation, and four Newton steps on r f - rhat g, clipped to the
+    piece, polish it.  It counts when its residual is within RESIDUAL_RTOL
+    (1 + rhat) and |g| >= POLE_EPS; failures carry NaN.  Returns (r, ok).
     """
-    rhats = np.asarray(rhats, dtype=float)
-    r_out = np.full(rhats.shape, np.nan)
-    ok = np.zeros(rhats.shape, dtype=bool)
-    try:
+    if search_max <= 0:
+        raise ValueError("search_max must be positive")
+    t = np.asarray(rhats, dtype=float)
+    fc, gc = model.f_coeffs, model.g_coeffs
+    f1c, g1c = _der(fc), _der(gc)
+    poles = _positive_real_roots(gc)
+    at_pole = len(poles) > 0 and poles[0] <= search_max
+    end = poles[0] if at_pole else search_max
+    fwd = np.concatenate([[0.0], fc])
+    turns = _positive_real_roots(np.convolve(_der(fwd), gc)
+                                 - np.convolve(fwd, g1c))
+    ends = np.concatenate([[0.0], turns[turns < end], [end]])
+    r_out = np.full(t.shape, np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q_ends = ends * (_polyval(fc, ends) / _polyval(gc, ends))
+        if at_pole:
+            # One-sided limit: g > 0 below its first root, so q tends to
+            # infinity with f's sign, unless f vanishes there too and the
+            # common root cancels (l'Hopital).
+            fb = _polyval(fc, end)
+            q_ends[-1] = (math.copysign(math.inf, fb) if abs(fb) >= POLE_EPS
+                          else end * _polyval(f1c, end) / _polyval(g1c, end))
+        tc = t[:, None]
+        holds = ((tc >= np.maximum(q_ends[:-1], 0.0))
+                 & (tc <= q_ends[1:] + RESIDUAL_RTOL * (1.0 + tc)))
+        idx = np.nonzero(holds.any(axis=1))[0]
+        target = t[idx]
+        piece = np.argmax(holds[idx], axis=1)
         rs = np.linspace(0.0, search_max, CURVE_SCAN_INTERVALS + 1)
-        q = rs * model.L(rs)
-    except PoleError:
-        rs = None
-    if rs is not None:
-        # Monotone prefix: the curve leaves the origin with unit slope.
-        increasing = np.nonzero(np.diff(q) <= 0)[0]
-        stop = increasing[0] + 1 if len(increasing) else len(q)
-        qs, rp = q[:stop], rs[:stop]
-        inside = (rhats >= 0) & (rhats <= qs[-1])
-        r = np.interp(rhats[inside], qs, rp)
-        fc, gc = model.f_coeffs, model.g_coeffs
+        q_rs = rs * (_polyval(fc, rs) / _polyval(gc, rs))
+        r = np.empty(target.shape)
+        for j in range(len(ends) - 1):
+            inner = (rs > ends[j]) & (rs < ends[j + 1])
+            qn = np.r_[q_ends[j], q_rs[inner], q_ends[j + 1]]
+            nodes = np.r_[ends[j], rs[inner], ends[j + 1]]
+            r[piece == j] = np.interp(target[piece == j], qn, nodes)
         for _ in range(4):
-            fv, f1v, _ = _polyval_derivatives(fc, r)
-            gv, g1v, _ = _polyval_derivatives(gc, r)
-            qv = r * fv / gv
-            dq = (fv * gv + r * (f1v * gv - fv * g1v)) / gv ** 2
-            step = np.where(np.abs(dq) > 1e-14, (qv - rhats[inside]) / dq, 0.0)
-            r = np.clip(r - step, 0.0, search_max)
-        resid = np.abs(r * _polyval(fc, r) / _polyval(gc, r) - rhats[inside])
-        good = resid <= 1e-9 * (1.0 + np.abs(rhats[inside]))
-        idx = np.nonzero(inside)[0]
-        r_out[idx[good]] = r[good]
-        ok[idx[good]] = True
-    for i in np.nonzero(~ok)[0]:
-        try:
-            r_out[i] = _solve_radius(model, float(rhats[i]), search_max)
-            ok[i] = True
-        except (PoleError, NoRootError):
-            pass
-    return r_out, ok
+            fv, f1v = _polyval(fc, r), _polyval(f1c, r)
+            gv, g1v = _polyval(gc, r), _polyval(g1c, r)
+            # Newton on r f - rhat g: q's roots in the piece, and no pole.
+            dh = fv + r * f1v - target * g1v
+            step = np.where(np.abs(dh) > 1e-14,
+                            (r * fv - target * gv) / dh, 0.0)
+            r = np.clip(r - step, ends[piece], ends[piece + 1])
+        gv = _polyval(gc, r)
+        resid = np.abs(r * _polyval(fc, r) / gv - target)
+    good = (resid <= RESIDUAL_RTOL * (1.0 + target)) & (np.abs(gv) >= POLE_EPS)
+    r_out[idx[good]] = r[good]
+    return r_out, ~np.isnan(r_out)
 
 
 def undistort_points(model, points, search_max):
@@ -252,13 +233,7 @@ def undistort_points(model, points, search_max):
     pts = np.asarray(points, dtype=float)
     rhats = np.hypot(pts[:, 0], pts[:, 1])
     r, ok = undistort_radii(model, rhats, search_max)
-    scale = np.where((rhats > 0) & ok, r / np.where(rhats > 0, rhats, 1.0),
-                     np.where(ok, 1.0, np.nan))
-    out = pts * scale[:, None]
-    out[rhats == 0] = 0.0
-    ok = ok | (rhats == 0)
-    out[~ok] = np.nan
-    return out, ok
+    return pts * (r / np.where(rhats > 0, rhats, 1.0))[:, None], ok
 
 
 @dataclass

@@ -778,16 +778,9 @@ def run_experiment(cfg):
         "validation_grid": cfg.validation_grid,
         "true_model": {"kind": cfg.resolved_model().kind,
                        "k": list(cfg.resolved_model().k)},
-        "scene": {
-            "target_rows": cfg.scene.target_rows,
-            "target_cols": cfg.scene.target_cols,
-            "cameras": cfg.scene.cameras,
-            "image_width": cfg.scene.image_width,
-            "image_height": cfg.scene.image_height,
-            "focal": cfg.scene.focal,
-            "coverage": cfg.scene.coverage,
-            "polar_max_deg": cfg.scene.polar_max_deg,
-        },
+        # Reports written so far carry no target spacing; keep their bytes.
+        "scene": {k: v for k, v in asdict(cfg.scene).items()
+                  if k != "spacing"},
         "errors": errors,
     }
     return ExperimentReport(config_doc, records)

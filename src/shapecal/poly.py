@@ -2,7 +2,7 @@
 
 Polynomials are stored sparsely as a map from exponent tuples to real
 coefficients.  A single representation serves both the univariate case
-(where helpers convert to and from dense coefficient vectors) and the
+(where a helper converts to a dense coefficient vector) and the
 multivariate case used by the moment machinery.  All values are immutable
 after construction and every operation returns a fresh object, so the whole
 module is safe to share across threads.
@@ -75,11 +75,6 @@ class Polynomial:
             raise ValueError(f"variable index {index} out of range for dim {dim}")
         alpha = tuple(1 if i == index else 0 for i in range(dim))
         return cls(dim, {alpha: 1.0})
-
-    @classmethod
-    def from_univariate(cls, coeffs):
-        """Dense univariate coefficient vector (low degree first) to Polynomial."""
-        return cls(1, {(i,): c for i, c in enumerate(coeffs)})
 
     # -- queries -----------------------------------------------------------
 
@@ -242,18 +237,6 @@ class Basis:
     def __len__(self):
         return len(self.monomials)
 
-    def eval_vector(self, x):
-        """Numeric basis vector (1, x1, x2, ..., x_d^order) at a point."""
-        x = np.asarray(x, dtype=float)
-        out = np.empty(len(self.monomials))
-        for i, alpha in enumerate(self.monomials):
-            v = 1.0
-            for xi, ai in zip(x, alpha):
-                if ai:
-                    v *= xi ** ai
-            out[i] = v
-        return out
-
 
 def _exponents_of_degree(d, n):
     if d == 1:
@@ -280,42 +263,6 @@ def basis(d, n):
     monos = tuple(monos)
     assert len(monos) == math.comb(d + n, d)
     return Basis(d, n, monos, {m: i for i, m in enumerate(monos)})
-
-
-@dataclass
-class LinearForm:
-    """Linear expression over moment variables: sum of c_alpha * y_alpha + const."""
-
-    coefficients: dict
-    constant: float = 0.0
-
-    def __add__(self, other):
-        if np.isscalar(other):
-            return LinearForm(dict(self.coefficients), self.constant + other)
-        coeffs = dict(self.coefficients)
-        for a, c in other.coefficients.items():
-            coeffs[a] = coeffs.get(a, 0.0) + c
-        return LinearForm(coeffs, self.constant + other.constant)
-
-    def __mul__(self, scalar):
-        return LinearForm({a: c * scalar for a, c in self.coefficients.items()},
-                          self.constant * scalar)
-
-    __rmul__ = __mul__
-
-    def eval(self, values):
-        """Evaluate given a map from exponent tuple to moment value."""
-        return self.constant + sum(c * values[a]
-                                   for a, c in self.coefficients.items())
-
-
-def riesz(p):
-    """Linearize a polynomial: each monomial x^alpha becomes the variable y_alpha.
-
-    The constant monomial maps to y_0 (pinned to 1 by the relaxation), so the
-    returned form has zero constant part.
-    """
-    return LinearForm({alpha: c for alpha, c in p.terms.items()}, 0.0)
 
 
 class PolyMatrix:

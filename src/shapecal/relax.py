@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sdp
-from .poly import Polynomial, PolyMatrix, basis
+from .poly import Polynomial, PolyMatrix, basis, grlex_key
 
 
 @dataclass
@@ -101,7 +101,7 @@ def relax(pmi, delta):
     d = pmi.dim
     gam = max((gamma_offset(G) for G in pmi.constraints), default=1)
     loc_rows = basis(d, delta - gam).monomials
-    shifted = [Polynomial(d, {tuple(b + a for b, a in zip(beta, alpha)): c
+    shifted = [Polynomial(d, {_mono_sum(beta, alpha): c
                               for alpha, c in q.terms.items()})
                for q in pmi.equalities
                for beta in basis(d, 2 * delta - q.degree).monomials]
@@ -253,8 +253,7 @@ def structured_relaxation(pmi, mm_rows, loc_rows):
                     for yv in range(G.size):
                         for beta in G.entries[x, yv].terms:
                             needed.add(_mono_sum(shift, beta))
-    pos = {a: i for i, a in enumerate(
-        sorted(needed, key=lambda a: (sum(a), tuple(-v for v in a))))}
+    pos = {a: i for i, a in enumerate(sorted(needed, key=grlex_key))}
 
     cost = sdp.AffineForm({pos[a]: c for a, c in pmi.cost.terms.items()}, 0.0)
 

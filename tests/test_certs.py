@@ -7,16 +7,17 @@ from shapecal.certs import (GramMatrix, IntervalCertificate, SymbolicGram,
                             gram_to_poly, match_coefficients,
                             symbolic_certificate)
 from shapecal.poly import Polynomial
+from util import from_univariate
 
 
 def test_gram_to_poly_single_entry():
     Q = GramMatrix(np.array([[0.0, 0.0], [0.0, 1.0]]), 1)
-    assert gram_to_poly(Q).almost_equal(Polynomial.from_univariate([0, 0, 1]))
+    assert gram_to_poly(Q).almost_equal(from_univariate([0, 0, 1]))
 
 
 def test_gram_to_poly_identity():
     Q = GramMatrix(np.eye(2), 1)
-    assert gram_to_poly(Q).almost_equal(Polynomial.from_univariate([1, 0, 1]))
+    assert gram_to_poly(Q).almost_equal(from_univariate([1, 0, 1]))
 
 
 def test_gram_to_poly_matches_quadratic_form():
@@ -205,7 +206,7 @@ def test_matching_implies_equality_of_polynomials():
                                    GramMatrix(s_mat, 1),
                                    GramMatrix(np.array([[t_val]]), 0))
         assembled = certificate_to_poly(cert)
-        target = Polynomial.from_univariate(
+        target = from_univariate(
             [-k["k1"], -2 * k["k2"], -3 * k["k3"]])
         assert target.almost_equal(assembled, tol=1e-9)
 

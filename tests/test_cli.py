@@ -250,6 +250,24 @@ def test_undistort_marks_pole_rows(tmp_path):
     assert lines[1].endswith("Error")    # second is beyond the pole
 
 
+def test_undistort_two_crossings_in_one_scan_interval(tmp_path):
+    # r L(r) meets the target radius at r = 0.5 and r = 0.5005, within one
+    # interval of a 512-interval scan of [0, 1].
+    model = DistortionModel("polynomial", (-1.0794786710910327,
+                                           -7.99584216207129e-05,
+                                           0.15991684324151442, 0, 0, 0))
+    model_path = tmp_path / "model.json"
+    save_model(model, model_path)
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x,y\n0.2401151401271339,0\n")
+    out = tmp_path / "out.csv"
+    assert run_cli("undistort", "--model", str(model_path), "--points",
+                   str(pts), "--out", str(out), "--search-max", "1") == 0
+    x, y, error = out.read_text().splitlines()[1].split(",")
+    assert error == ""
+    assert abs(float(x) - 0.5) <= 1e-12 and float(y) == 0.0
+
+
 def test_undistort_non_numeric_field_exits_3(tmp_path, capsys):
     model_path = tmp_path / "model.json"
     save_model(DistortionModel.identity(), model_path)

@@ -5,7 +5,9 @@ import pytest
 
 from shapecal.distortion import (DistortionModel, NoRootError, PoleError,
                                  distort, load_model, save_model,
-                                 shape_check, undistort, undistort_points)
+                                 shape_check, undistort, undistort_points,
+                                 undistort_radii)
+from shapecal.pipeline import DEFAULT_TRUE_MODELS
 
 
 IDENTITY = DistortionModel.identity()
@@ -83,14 +85,88 @@ def test_undistort_roundtrip_monotone_barrel():
         assert np.abs(back - p).max() <= 1e-10
 
 
-def test_undistort_points_vectorized_matches_scalar():
-    model = DistortionModel("polynomial", (-0.15, -0.05, 0, 0, 0, 0))
+# The default true models, and curves that fold (r L(r) turns back) or
+# have a pole within [0, 2].
+HARD_CURVES = dict(DEFAULT_TRUE_MODELS, **{
+    "fold": DistortionModel("polynomial", (-0.6, 0.1, 0, 0, 0, 0)),
+    "division-pole": DistortionModel("division", (0, 0, 0, -1.0, 0, 0)),
+    "rational-pole": DistortionModel("rational",
+                                     (-0.35, 0.15, 0, -0.9, 0.05, 0)),
+    "common-root": DistortionModel("rational", (-2.0, 0, 0, -2.0, 0, 0)),
+})
+
+
+def _positive_real_roots(p):
+    return sorted(z.real for z in p.roots()
+                  if abs(z.imag) < 1e-9 and z.real > 0)
+
+
+def _bracket_and_turns(model, search_max):
+    """End of the inversion bracket and the turning points of r L(r)."""
+    P = np.polynomial.Polynomial
+    rf, g = P(np.r_[0.0, model.f_coeffs]), P(model.g_coeffs)
+    end = min(_positive_real_roots(g) + [search_max])
+    turns = _positive_real_roots(rf.deriv() * g - rf * g.deriv())
+    return end, [t for t in turns if t < end - 1e-6]
+
+
+@pytest.mark.parametrize("name", sorted(HARD_CURVES))
+def test_undistort_points_vectorized_matches_scalar(name):
+    model, search_max = HARD_CURVES[name], 2.0
+    end, turns = _bracket_and_turns(model, search_max)
+    # Tangent targets at the turning points, and one whose root lies just
+    # below the pole when the bracket ends at one.
+    special = [t * model.L(t) for t in turns]
+    if end < search_max:
+        special.append((end - 1e-6) * model.L(end - 1e-6))
     rng = np.random.default_rng(4)
-    pts = rng.uniform(-0.6, 0.6, size=(50, 2))
-    dpts = distort(model, pts)
-    out, ok = undistort_points(model, dpts, 2.0)
-    assert ok.all()
-    assert np.abs(out - pts).max() <= 1e-9
+    rhats = np.r_[0.0, rng.uniform(0.0, 1.5, 60), special]
+    theta = rng.uniform(0.0, 2.0 * np.pi, len(rhats))
+    dpts = rhats[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    out, ok = undistort_points(model, dpts, search_max)
+    for p, row, row_ok in zip(dpts, out, ok):
+        try:
+            back = undistort(model, p, search_max)
+        except NoRootError:
+            assert not row_ok and np.isnan(row).all()
+        else:
+            assert row_ok and np.array_equal(back, row)
+    assert ok[0] and ok[-len(special):].all()
+    # Inverted rows map forward onto their targets, and the curve stays
+    # below each target short of its root; the other targets lie above the
+    # curve's maximum over the bracket.
+    fwd = np.hypot(*distort(model, out[ok]).T)
+    assert np.all(np.abs(fwd - rhats[ok]) <= 1e-9 * (1.0 + rhats[ok]))
+    rs = np.linspace(0.0, end, 100001)[:-1]
+    running_max = np.maximum.accumulate(rs * model.L(rs))
+    below = np.searchsorted(rs, np.hypot(*out[ok].T) - 1e-6) - 1
+    assert np.all(running_max[np.maximum(below, 0)] <= rhats[ok])
+    assert np.all(rhats[~ok] > running_max[-1])
+
+
+# r L(r) meets TWO_CROSSINGS_RHAT at r = 0.5 and r = 0.5005, which fall in
+# one interval of a 512-interval scan of [0, 1], and next at r = 2.
+TWO_CROSSINGS = DistortionModel("polynomial", (
+    -1.0794786710910327, -7.99584216207129e-05, 0.15991684324151442, 0, 0, 0))
+TWO_CROSSINGS_RHAT = 0.2401151401271339
+
+
+def test_undistort_two_crossings_in_one_scan_interval():
+    point = undistort(TWO_CROSSINGS, np.array([TWO_CROSSINGS_RHAT, 0.0]), 1.0)
+    assert abs(point[0] - 0.5) <= 1e-12 and point[1] == 0.0
+    r, ok = undistort_radii(TWO_CROSSINGS, [TWO_CROSSINGS_RHAT], 1.0)
+    assert ok[0] and abs(r[0] - 0.5) <= 1e-12
+
+
+def test_undistort_tangent_target_takes_the_first_fold():
+    # The target equals r L(r) at its local maximum; a later, transversal
+    # crossing lies inside the bracket too, but the tangent point is the
+    # smallest root.
+    model = HARD_CURVES["fold"]
+    _, turns = _bracket_and_turns(model, 4.0)
+    target = turns[0] * model.L(turns[0])
+    r = undistort(model, np.array([target, 0.0]), 4.0)[0]
+    assert r == pytest.approx(turns[0], abs=1e-6)
 
 
 def test_undistort_smallest_root_convention():

@@ -7,7 +7,7 @@ from shapecal import relax, sdp
 from shapecal.poly import Polynomial, PolyMatrix, basis
 from shapecal.relax import (PmiProgram, extract, gamma_offset, min_order,
                             relax as build_relaxation, solve_order)
-from util import localizing_matrix, moment_matrix
+from util import basis_vector, localizing_matrix, moment_matrix
 
 OPTS = sdp.SolverOptions(feas_tol=1e-9, gap_tol=1e-9,
                          accept_feas_tol=1e-8, accept_gap_tol=1e-7)
@@ -67,7 +67,7 @@ def test_localizing_point_mass_oracle():
          for a in basis(2, 4).monomials}
     numeric = np.array([[loc[i, j].eval(y) for j in range(loc.shape[1])]
                         for i in range(loc.shape[0])])
-    psi = basis(2, 1).eval_vector(xhat)
+    psi = basis_vector(basis(2, 1), xhat)
     expected = np.kron(np.outer(psi, psi), G.eval(xhat))
     assert np.abs(numeric - expected).max() <= 1e-10
 

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 
+from dataclasses import dataclass
+
 from shapecal.calib import Correspondence
 from shapecal.distortion import DistortionModel
-from shapecal.poly import LinearForm, basis
+from shapecal.poly import Polynomial, basis
 
 
 def synth_correspondences(model, radii, n=200, seed=0, noise=0.0):
@@ -75,6 +77,54 @@ def common_root_mustache(rho=2.0, a=-0.16, b=0.02, c=-0.25, d=0.03):
     k1, k2, k3 = a + s, b + s * a, s * b
     k4, k5, k6 = c + s, d + s * c, s * d
     return DistortionModel("rational", (k1, k2, k3, k4, k5, k6))
+
+
+def from_univariate(coeffs):
+    """Dense univariate coefficient vector (low degree first) to Polynomial."""
+    return Polynomial(1, {(i,): c for i, c in enumerate(coeffs)})
+
+
+def basis_vector(b, x):
+    """Numeric vector of the basis monomials (1, x1, ..., x_d^order) at x."""
+    x = np.asarray(x, dtype=float)
+    return np.array([np.prod([xi ** ai for xi, ai in zip(x, alpha) if ai])
+                     for alpha in b.monomials])
+
+
+@dataclass
+class LinearForm:
+    """Linear expression over moment variables: sum of c_alpha * y_alpha + const."""
+
+    coefficients: dict
+    constant: float = 0.0
+
+    def __add__(self, other):
+        if np.isscalar(other):
+            return LinearForm(dict(self.coefficients), self.constant + other)
+        coeffs = dict(self.coefficients)
+        for a, c in other.coefficients.items():
+            coeffs[a] = coeffs.get(a, 0.0) + c
+        return LinearForm(coeffs, self.constant + other.constant)
+
+    def __mul__(self, scalar):
+        return LinearForm({a: c * scalar for a, c in self.coefficients.items()},
+                          self.constant * scalar)
+
+    __rmul__ = __mul__
+
+    def eval(self, values):
+        """Evaluate given a map from exponent tuple to moment value."""
+        return self.constant + sum(c * values[a]
+                                   for a, c in self.coefficients.items())
+
+
+def riesz(p):
+    """Linearize a polynomial: each monomial x^alpha becomes the variable y_alpha.
+
+    The constant monomial maps to y_0 (pinned to 1 by the relaxation), so the
+    returned form has zero constant part.
+    """
+    return LinearForm({alpha: c for alpha, c in p.terms.items()}, 0.0)
 
 
 def moment_matrix(delta, d):
