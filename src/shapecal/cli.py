@@ -17,8 +17,8 @@ import numpy as np
 
 from . import calib, pipeline, sdp
 from .calib import CalibDataError, CalibrationError
-from .distortion import (NoRootError, PoleError, load_model, save_model,
-                         undistort)
+from .distortion import (POLE_EPS, NoRootError, load_model, save_model,
+                         undistort_points)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -251,17 +251,14 @@ def cmd_undistort(args):
                 raise CalibDataError(
                     f"{args.points}:{lineno}: non-finite coordinate")
             rows.append(row)
-    out_lines = ["x,y,error"]
-    for row in rows:
-        try:
-            pt = undistort(model, np.array(row), args.search_max)
-            out_lines.append(f"{_fmt(pt[0])},{_fmt(pt[1])},")
-        except NoRootError as exc:
-            out_lines.append(f",,{type(exc).__name__}")
+    pts, ok = undistort_points(model, np.reshape(rows, (-1, 2)),
+                               args.search_max)
+    out_lines = ["x,y,error"] + [
+        f"{_fmt(x)},{_fmt(y)}," if good else f",,{NoRootError.__name__}"
+        for (x, y), good in zip(pts, ok)]
     with open(args.out, "w") as fh:
         fh.write("\n".join(out_lines) + "\n")
-    failed = sum(1 for ln in out_lines[1:] if ln.endswith("Error"))
-    print(f"wrote {args.out} ({len(rows)} rows, {failed} failed)")
+    print(f"wrote {args.out} ({len(rows)} rows, {int((~ok).sum())} failed)")
     return EXIT_OK
 
 
@@ -299,14 +296,13 @@ def cmd_curve(args):
     _require_positive("--rmax", args.rmax)
     model = _load_model(args.model)
     rs = np.linspace(0.0, args.rmax, args.samples)
-    lines = ["r,L,L1,L2"]
-    for r in rs:
-        try:
-            L, L1, L2 = model.L_derivatives(np.array([r]))
-            lines.append(",".join([_fmt(r), _fmt(L[0]), _fmt(L1[0]),
-                                   _fmt(L2[0])]))
-        except PoleError:
-            lines.append(f"{_fmt(r)},pole,pole,pole")
+    pole = np.abs(np.polyval(model.g_coeffs[::-1], rs)) < POLE_EPS
+    values = np.zeros((rs.size, 3))
+    values[~pole] = np.column_stack(model.L_derivatives(rs[~pole]))
+    lines = ["r,L,L1,L2"] + [
+        f"{_fmt(r)},pole,pole,pole" if at_pole
+        else ",".join(map(_fmt, (r, *v)))
+        for r, at_pole, v in zip(rs, pole, values)]
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {args.out} ({args.samples} samples)")

@@ -36,7 +36,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import calib
-from .distortion import DistortionModel, shape_check, undistort_points
+from .distortion import (POLE_EPS, DistortionModel, shape_check,
+                         undistort_points)
 
 
 @dataclass
@@ -372,8 +373,13 @@ def _num_jacobian(fun, x, r0):
     return J
 
 
+def _step_size(v):
+    """Forward-difference step for parameters of value v."""
+    return 1e-7 * (1.0 + np.abs(v))
+
+
 def _forward_step(x, j):
-    h = 1e-7 * (1.0 + abs(x[j]))
+    h = _step_size(x[j])
     xp = x.copy()
     xp[j] += h
     return xp, h
@@ -442,12 +448,20 @@ def _pose_problem(scene, cameras, model, free, focal_prior_weight):
     coefficients of ``model`` indexed by ``free``; the others stay fixed.
     The residual stacks each camera's pixel errors, then one log-focal
     prior row per camera, ``focal_prior_weight * log(focal / start)``; any
-    failure gives the sentinel vector of 1e8.  ``jacobian(x, r0)`` equals
-    ``_num_jacobian(resid, x, r0)`` bit for bit: a camera's parameters move
-    only its pixel rows and its prior row, and every other row of the
-    difference is ``(a - a) / h = +0.0``.  The coefficient columns, and
-    every column at a sentinel or non-finite ``r0``, difference the whole
-    residual.  Returns ``(x0, resid, jacobian, unpack)``.
+    failure gives the sentinel vector of 1e8.  ``jacobian(x, r0)`` with
+    ``r0 = resid(x)`` equals ``_num_jacobian(resid, x, r0)`` bit for bit: a
+    camera's parameters move only its pixel rows and its prior row, and
+    every other row of the difference is ``(a - a) / h = +0.0``.  A
+    camera's 7 columns come from one stacked (7, N, 3) projection: the
+    base rotation product X R0' is formed once and serves the three
+    translation columns and the focal column, and each rotation column
+    keeps its own 2-D product X R' + t, since a 3-D stacked matmul may sum
+    in another order and change bits.  A column whose step fails as
+    ``resid`` would (a non-finite or non-positive parameter, a point at
+    non-positive depth, |g| < POLE_EPS) gets the sentinel difference.  The
+    coefficient columns, and every column at a sentinel or non-finite
+    ``r0``, difference the whole residual.  Returns
+    ``(x0, resid, jacobian, unpack)``.
     """
     free = list(free)
     ncam = len(cameras)
@@ -455,6 +469,7 @@ def _pose_problem(scene, cameras, model, free, focal_prior_weight):
     x0 = np.concatenate([_cam_params(c) for c in cameras]
                         + [np.array(model.k)[free]])
     pts = [scene.target[idx] for idx in scene.point_indices]
+    principals = [c.principal for c in cameras]
     bounds = np.cumsum([0] + [p.size for p in scene.pixels])
     pixel_rows = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
     nres = int(bounds[-1]) + ncam
@@ -466,8 +481,8 @@ def _pose_problem(scene, cameras, model, free, focal_prior_weight):
     def pixel_errors(cam, i, coeffs):
         return (project(cam, pts[i], coeffs) - scene.pixels[i]).ravel()
 
-    def prior(p, i):
-        return focal_prior_weight * math.log(p[7 * i + 6] / f0s[i])
+    def prior(focal, i):
+        return focal_prior_weight * math.log(focal / f0s[i])
 
     def model_at(p):
         if not free:
@@ -486,28 +501,64 @@ def _pose_problem(scene, cameras, model, free, focal_prior_weight):
             cams, coeffs = unpack(p)
             return np.concatenate(
                 [pixel_errors(cam, i, coeffs) for i, cam in enumerate(cams)]
-                + [[prior(p, i) for i in range(ncam)]])
+                + [[prior(p[7 * i + 6], i) for i in range(ncam)]])
         except (ValueError, ArithmeticError):
             return np.full(nres, 1e8)
+
+    def camera_columns(J, x, r0, i, fc, gc):
+        """Fill camera i's 7 columns of J from one stacked projection.
+
+        Column k steps parameter 7 i + k as ``_forward_step`` does; layer k
+        of ``pc`` holds its camera-frame points, and every later operation
+        is the elementwise one ``project`` makes on them.
+        """
+        cols = slice(7 * i, 7 * i + 7)
+        xi = x[cols]
+        hs = _step_size(xi)
+        stepped = xi + hs
+        failed = ~np.isfinite(stepped)
+        failed[6] |= stepped[6] <= 0
+        X, t = pts[i], xi[3:6]
+        ts = np.tile(t, (7, 1))
+        ts[[3, 4, 5], [0, 1, 2]] = stepped[3:6]
+        pc = X @ rodrigues(xi[:3]).T + ts[:, None, :]
+        for k in range(3):
+            rv = xi[:3].copy()
+            rv[k] = stepped[k]
+            try:
+                R = rodrigues(rv)
+                failed[k] |= not np.isfinite(R).all()
+                pc[k] = X @ R.T + t
+            except (ValueError, ArithmeticError):
+                failed[k] = True
+        focals = np.full(7, xi[6])
+        focals[6] = stepped[6]
+        xy = pc[..., :2] / pc[..., 2:3]
+        r = np.hypot(xy[..., 0], xy[..., 1])
+        fv, gv = np.polyval(fc, r), np.polyval(gc, r)
+        failed |= (pc[..., 2] <= 0).any(axis=1)
+        failed |= (np.abs(gv) < POLE_EPS).any(axis=1)
+        err = (xy * (fv / gv)[..., None] * focals[:, None, None]
+               + principals[i] - scene.pixels[i]).reshape(7, -1)
+        rows = pixel_rows[i]
+        J[rows, cols] = ((err - r0[rows]) / hs[:, None]).T
+        prior_row = nres - ncam + i
+        priors = np.full(7, prior(xi[6], i))
+        if not failed[6]:
+            priors[6] = prior(stepped[6], i)
+        J[prior_row, cols] = (priors - r0[prior_row]) / hs
+        bad = np.flatnonzero(failed)
+        J[:, 7 * i + bad] = (1e8 - r0)[:, None] / hs[bad]
 
     def jacobian(x, r0):
         if not np.isfinite(r0).all() or np.all(r0 == 1e8):
             return _num_jacobian(resid, x, r0)
         J = np.zeros((nres, len(x)))
         coeffs = model_at(x)
-        for i, rows in enumerate(pixel_rows):
-            prior_row = nres - ncam + i
-            for j in range(7 * i, 7 * i + 7):
-                xp, h = _forward_step(x, j)
-                try:
-                    if xp[7 * i + 6] <= 0:
-                        raise ValueError("non-positive focal")
-                    err = pixel_errors(camera(xp, i), i, coeffs)
-                except (ValueError, ArithmeticError):
-                    J[:, j] = (1e8 - r0) / h
-                    continue
-                J[rows, j] = (err - r0[rows]) / h
-                J[prior_row, j] = (prior(xp, i) - r0[prior_row]) / h
+        fc, gc = coeffs.f_coeffs[::-1], coeffs.g_coeffs[::-1]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for i in range(ncam):
+                camera_columns(J, x, r0, i, fc, gc)
         for j in range(7 * ncam, len(x)):
             xp, h = _forward_step(x, j)
             J[:, j] = (resid(xp) - r0) / h

@@ -23,6 +23,12 @@ while the blocks of large moment relaxations, whose coefficients are about
 0.1% dense, keep (variable, row, column, value) triplets and use the
 sparse formula of Fujisawa, Kojima and Nakata (1997).
 
+The blocks of the package's programs are tiny (often 1x1 to 4x4), so the
+per-block kernels call LAPACK directly (``dtrtrs`` for step lengths,
+``dpotrs`` for the Schur solve) with the arguments scipy's wrappers would
+pass, and keep their checks: non-finite input raises ValueError and a
+singular triangular factor raises LinAlgError.
+
 The solver is reentrant and keeps no global state; a single call is
 single-threaded.
 """
@@ -35,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrs, dtrtrs
 
 
 class SdpError(Exception):
@@ -319,10 +325,33 @@ def _chol_with_jitter(M, scale):
     raise np.linalg.LinAlgError("Cholesky failed after regularization")
 
 
+def _finite(*arrays):
+    """Raise ValueError on a non-finite entry, as scipy's check_finite does."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+
+
+def _lower_solve(L, B):
+    """L^-1 B for a numpy (C-ordered) lower Cholesky factor L.
+
+    LAPACK reads L' in column order as an upper factor solved transposed,
+    which is the call scipy's triangular solve makes for such an L.
+    """
+    _finite(L, B)
+    X, info = dtrtrs(L.T, B, lower=0, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dtrtrs")
+    return X
+
+
 def _max_step(chol_factor, direction):
     """Largest a with  M + a * direction  PSD, given M = LL'."""
-    K = solve_triangular(chol_factor, direction, lower=True)
-    K = solve_triangular(chol_factor, K.T, lower=True).T
+    K = _lower_solve(chol_factor, direction)
+    K = _lower_solve(chol_factor, K.T).T
     K = 0.5 * (K + K.T)
     lam = np.linalg.eigvalsh(K)[0]
     if lam >= -1e-14:
@@ -425,7 +454,7 @@ class _DenseCoeffs:
 
     def combine(self, y):
         """sum_i y_i A_i."""
-        return np.tensordot(y, self.A, axes=(0, 0))
+        return (y @ self.flat).reshape(self.A.shape[1:])
 
     def add_schur(self, M, W):
         """M_ij += <A_i, W A_j W>; the congruences run as two large GEMMs."""
@@ -500,17 +529,17 @@ def _reduce(program):
     Cs[b] - sum_j w_j A_{b,j} PSD, where ``coeffs[b]`` holds the A_{b,j}
     (the standard conic pair's A_i are minus the reduced block
     coefficients).  N and the rest are None when the equalities are
-    inconsistent.  Each block's negated coefficients are read once into an
-    (nvars, m^2) sparse matrix B from their nonzeros, and the reduced ones
-    are N' B: dense below ``SPARSE_SCHUR_MIN_ENTRIES`` entries of q m^2,
-    sparse at or above it.  With a selection N the product copies entries
-    exactly.
+    inconsistent.  Each block's negated coefficients are read once from
+    their nonzeros into an (nvars, m^2) matrix B, and the reduced ones are
+    N' B: below ``SPARSE_SCHUR_MIN_ENTRIES`` entries of q m^2 B is a dense
+    array and the product one GEMM; at or above it B and N' are CSR
+    matrices.  With a selection N the product copies entries exactly.
     """
     z0, N = _eliminate_equalities(program)
     if N is None:
         return z0, None, None, None
     n, q = N.shape
-    Nt = sparse.csr_matrix(N.T)
+    Nt = None
     Cs, coeffs = [], []
     for blk in program.blocks:
         C = blk.constant.copy()
@@ -525,15 +554,18 @@ def _reduce(program):
             idx.append(np.flatnonzero(mat))
             var.append(np.full(idx[-1].size, i))
             val.append(-mat.ravel()[idx[-1]])
-        B = sparse.csr_matrix((np.concatenate(val), (np.concatenate(var),
-                                                     np.concatenate(idx))),
-                              shape=(n, m * m))
+        var, idx, val = map(np.concatenate, (var, idx, val))
         if q * m * m < SPARSE_SCHUR_MIN_ENTRIES:
-            coeffs.append(_DenseCoeffs((N.T @ B.toarray()).reshape(q, m, m)))
-        else:
-            A = Nt @ B
-            A.sort_indices()
-            coeffs.append(_SparseCoeffs(A, m))
+            B = np.zeros((n, m * m))
+            B[var, idx] = val
+            coeffs.append(_DenseCoeffs((N.T @ B).reshape(q, m, m)))
+            continue
+        B = sparse.csr_matrix((val, (var, idx)), shape=(n, m * m))
+        if Nt is None:
+            Nt = sparse.csr_matrix(N.T)
+        A = Nt @ B
+        A.sort_indices()
+        coeffs.append(_SparseCoeffs(A, m))
     return z0, N, Cs, coeffs
 
 
@@ -598,9 +630,10 @@ def solve(program, options=None):
         Xs.append(b_scale * np.eye(C.shape[0]))
 
     def metrics(y, Xs, Ss):
-        gap = sum(float(np.tensordot(X, S)) for X, S in zip(Xs, Ss))
+        gap = sum(float(X.ravel() @ S.ravel()) for X, S in zip(Xs, Ss))
         pobj = float(c_red @ y) + offset
-        dobj = -sum(float(np.tensordot(C, X)) for C, X in zip(Cs, Xs)) + offset
+        dobj = -sum(float(C.ravel() @ X.ravel())
+                    for C, X in zip(Cs, Xs)) + offset
         rp = b - sum(A.inner(X) for A, X in zip(coeffs, Xs))
         Rds = [C - S - A.combine(y) for C, S, A in zip(Cs, Ss, coeffs)]
         relgap = gap / (1.0 + max(abs(pobj), abs(dobj)))
@@ -637,7 +670,10 @@ def solve(program, options=None):
 
         def kkt_solve(Rcs):
             rhs = base_rhs - sum(A.inner(Rc) for A, Rc in zip(coeffs, Rcs))
-            dy = cho_solve((Mchol, True), rhs)
+            _finite(Mchol, rhs)
+            dy, info = dpotrs(Mchol, rhs, lower=1)
+            if info:
+                raise ValueError(f"illegal value in argument {-info} of dpotrs")
             dSs = [Rd - A.combine(dy) for Rd, A in zip(Rds, coeffs)]
             dXs = [0.5 * ((Rc - W @ dS @ W) + (Rc - W @ dS @ W).T)
                    for Rc, W, dS in zip(Rcs, Ws, dSs)]
@@ -658,7 +694,7 @@ def solve(program, options=None):
                      min(_max_step(L, d) for L, d in zip(Lxs, dX_a)))
             ad = min(1.0, STEP_FRACTION *
                      min(_max_step(L, d) for L, d in zip(Lss, dS_a)))
-            mu_aff = sum(float(np.tensordot(X + ap * dX, S + ad * dS))
+            mu_aff = sum(float((X + ap * dX).ravel() @ (S + ad * dS).ravel())
                          for X, dX, S, dS in zip(Xs, dX_a, Ss, dS_a)) / m_total
             sigma = min(1.0, max(0.0, (max(mu_aff, 0.0) / mu)) ** 3)
 

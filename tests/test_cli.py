@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from shapecal import calib, cli, pipeline, sdp
-from shapecal.distortion import DistortionModel, distort, save_model
+from shapecal.distortion import (DistortionModel, NoRootError, PoleError,
+                                 distort, save_model, undistort)
 
 from util import common_root_mustache, synth_correspondences
 
@@ -554,6 +555,78 @@ def test_curve_marks_pole_rows(tmp_path):
                    "--samples", "3", "--out", str(out)) == 0
     lines = out.read_text().splitlines()
     assert lines[2].endswith("pole,pole,pole")
+
+
+def _undistort_row_by_row(model, rows, search_max):
+    """The undistort file as written one ``undistort`` call per row."""
+    lines = ["x,y,error"]
+    for row in rows:
+        try:
+            pt = undistort(model, np.array(row), search_max)
+            lines.append(f"{cli._fmt(pt[0])},{cli._fmt(pt[1])},")
+        except NoRootError as exc:
+            lines.append(f",,{type(exc).__name__}")
+    return "\n".join(lines) + "\n"
+
+
+def test_undistort_in_one_call_writes_the_row_by_row_file(tmp_path, capsys):
+    # The barrel true model: r L(r) folds back at r = 1.37, where it reaches
+    # 0.79, so the rows beyond that radius fail and the others invert.
+    model = pipeline.DEFAULT_TRUE_MODELS["barrel"]
+    model_path = tmp_path / "model.json"
+    save_model(model, model_path)
+    rows = np.random.default_rng(5).uniform(-1.0, 1.0, size=(300, 2))
+    rows[:3] = [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0]]
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x,y\n" + "".join("%r,%r\n" % (float(u), float(v))
+                                      for u, v in rows))
+    out = tmp_path / "out.csv"
+    assert run_cli("undistort", "--model", str(model_path), "--points",
+                   str(pts), "--out", str(out), "--search-max", "3") == 0
+    text = out.read_text()
+    assert text == _undistort_row_by_row(model, rows, 3.0)
+    lines = text.splitlines()
+    assert lines[1:4] == ["0,0,", "-0,0,", "0,-0,"]
+    failed = sum(ln == ",,NoRootError" for ln in lines)
+    assert 0 < failed < len(rows) - 3
+    assert f"({len(rows)} rows, {failed} failed)" in capsys.readouterr().out
+
+
+def test_undistort_with_no_rows_writes_the_header(tmp_path):
+    model_path = tmp_path / "model.json"
+    save_model(pipeline.DEFAULT_TRUE_MODELS["barrel"], model_path)
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x,y\n")
+    out = tmp_path / "out.csv"
+    assert run_cli("undistort", "--model", str(model_path), "--points",
+                   str(pts), "--out", str(out)) == 0
+    assert out.read_text() == "x,y,error\n"
+
+
+def _curve_row_by_row(model, rmax, samples):
+    """The curve file as written one ``L_derivatives`` call per sample."""
+    lines = ["r,L,L1,L2"]
+    for r in np.linspace(0.0, rmax, samples):
+        try:
+            L, L1, L2 = model.L_derivatives(np.array([r]))
+            lines.append(",".join([cli._fmt(r), cli._fmt(L[0]),
+                                   cli._fmt(L1[0]), cli._fmt(L2[0])]))
+        except PoleError:
+            lines.append(f"{cli._fmt(r)},pole,pole,pole")
+    return "\n".join(lines) + "\n"
+
+
+def test_curve_in_one_call_writes_the_row_by_row_file(tmp_path):
+    # g(r) = 1 - 2 r vanishes at the sample r = 0.5 inside [0, 1].
+    model = DistortionModel("division", (0, 0, 0, -2.0, 0, 0))
+    model_path = tmp_path / "model.json"
+    save_model(model, model_path)
+    out = tmp_path / "curve.csv"
+    assert run_cli("curve", "--model", str(model_path), "--rmax", "1.0",
+                   "--samples", "41", "--out", str(out)) == 0
+    text = out.read_text()
+    assert text == _curve_row_by_row(model, 1.0, 41)
+    assert "0.5,pole,pole,pole" in text.splitlines()
 
 
 def test_usage_error_exit_code():

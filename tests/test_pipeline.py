@@ -289,6 +289,37 @@ def test_one_camera_block_jacobian(case, weight):
     _assert_block_jacobian_exact(problem, x)
 
 
+def _pole_column_problem(column, weight, i=1):
+    """The one-camera problem on a division model whose pole is the radius
+    of the camera's first point under ``column``'s forward step."""
+    scene, cams = _ba_start()
+    view = replace(scene, pixels=[scene.pixels[i]],
+                   point_indices=[scene.point_indices[i]])
+    xp, _ = pipeline._forward_step(pipeline._cam_params(cams[i]), column)
+    stepped = cams[i].with_params(xp[:3], xp[3:6], xp[6])
+    xy = ideal_normalized(stepped, scene.target[scene.point_indices[i][:1]])
+    r_pole = np.hypot(xy[0, 0], xy[0, 1])
+    model = DistortionModel("division", (0, 0, 0, -1.0 / r_pole, 0, 0))
+    return pipeline._pose_problem(view, [cams[i]], model, (), weight)
+
+
+@pytest.mark.parametrize("weight", [0.0, 1.0])
+@pytest.mark.parametrize("column", [1, 3], ids=["rotation", "translation"])
+def test_one_camera_block_jacobian_when_one_column_crosses_a_pole(column,
+                                                                  weight):
+    # Only the stepped column raises PoleError; the stacked projection
+    # must mask exactly that column.  A translation step cannot put a point
+    # behind the camera (tx, ty keep depths, tz grows them), so the
+    # translation column fails through the pole.
+    problem = _pole_column_problem(column, weight)
+    x0, resid = problem[:2]
+    assert not np.all(resid(x0) == 1e8)
+    crossed = [j for j in range(7)
+               if np.all(resid(pipeline._forward_step(x0, j)[0]) == 1e8)]
+    assert crossed == [column]
+    _assert_block_jacobian_exact(problem, x0)
+
+
 def _refine_oracle(scene, cameras, model, weight):
     """ba_refine as a per-camera residual closure and a dense LM."""
     refined, statuses = [], []

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
+from scipy.linalg import solve_triangular
 
 from shapecal import calib, pipeline, relax, sdp
 from shapecal.calib import CalibConfig, assemble_cost
@@ -501,3 +503,100 @@ def test_order2_exits_for_the_same_reason_on_both_schur_paths(
     dense, sparse = (order2_on_both_paths[p] for p in ("dense", "sparse"))
     assert dense.exit_reason == sparse.exit_reason != ""
     assert dense.centered == sparse.centered
+
+
+# ---------------------------------------------------------------------------
+# Direct LAPACK kernels and the small-program reduction
+# ---------------------------------------------------------------------------
+
+def _max_step_by_solve_triangular(L, D):
+    """``_max_step`` stated with scipy's checked triangular solve."""
+    K = solve_triangular(L, D, lower=True)
+    K = solve_triangular(L, K.T, lower=True).T
+    K = 0.5 * (K + K.T)
+    lam = np.linalg.eigvalsh(K)[0]
+    return np.inf if lam >= -1e-14 else -1.0 / lam
+
+
+def _factor_and_direction(rng, n):
+    G = rng.normal(size=(n, n))
+    D = rng.normal(size=(n, n))
+    return np.linalg.cholesky(G @ G.T + 0.1 * np.eye(n)), D + D.T
+
+
+def test_max_step_matches_the_solve_triangular_formulation():
+    rng = np.random.default_rng(12)
+    for n in range(1, 13):
+        for _ in range(40):
+            L, D = _factor_and_direction(rng, n)
+            assert float(sdp._max_step(L, D)).hex() == \
+                float(_max_step_by_solve_triangular(L, D)).hex()
+
+
+def test_max_step_keeps_the_finite_and_singular_checks():
+    L, D = _factor_and_direction(np.random.default_rng(2), 4)
+    nan_direction = D.copy()
+    nan_direction[1, 2] = nan_direction[2, 1] = np.nan
+    with pytest.raises(ValueError) as exc:
+        sdp._max_step(L, nan_direction)
+    assert not isinstance(exc.value, np.linalg.LinAlgError)
+    singular = L.copy()
+    singular[2, 2] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        sdp._max_step(singular, D)
+
+
+def _dense_reduction_through_coo(program):
+    """Dense reduced coefficients with B built by scipy's COO -> CSR."""
+    z0, N = sdp._eliminate_equalities(program)
+    n, q = N.shape
+    Cs, As = [], []
+    for blk in program.blocks:
+        C = blk.constant.copy()
+        for i, mat in blk.coeff.items():
+            if z0[i]:
+                C += z0[i] * mat
+        Cs.append(C)
+        m = blk.size
+        var, idx, val = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], \
+            [np.zeros(0)]
+        for i, mat in blk.coeff.items():
+            idx.append(np.flatnonzero(mat))
+            var.append(np.full(idx[-1].size, i))
+            val.append(-mat.ravel()[idx[-1]])
+        B = scipy.sparse.csr_matrix(
+            (np.concatenate(val), (np.concatenate(var), np.concatenate(idx))),
+            shape=(n, m * m))
+        As.append((N.T @ B.toarray()).reshape(q, m, m))
+    return z0, N, Cs, As
+
+
+def _small_programs():
+    barrel = synth_correspondences(pipeline.DEFAULT_TRUE_MODELS["barrel"],
+                                   (0.02, 0.9), n=200, seed=7)
+    division = synth_correspondences(
+        pipeline.DEFAULT_TRUE_MODELS["pincushion"], (0.02, 0.9), n=200,
+        seed=8)
+    pmi = calib.pincushion_pmi(assemble_cost(division),
+                               CalibConfig(rbar=1.0, shape="pincushion"))[0]
+    return {
+        "barrel": calib.shape_program(assemble_cost(barrel), "barrel",
+                                      CalibConfig(rbar=1.0,
+                                                  shape="barrel"))[0],
+        "positivity": calib.shape_program(
+            assemble_cost(barrel), "positivity",
+            CalibConfig(rbar=1.0, margin_p=0.1, shape="positivity"))[0],
+        "order1": relax.relax(pmi, 1)[0]}
+
+
+@pytest.mark.parametrize("name", ["barrel", "positivity", "order1"])
+def test_dense_reduction_scatters_the_coo_products_bit_for_bit(name):
+    program = _small_programs()[name]
+    z0, N, Cs, coeffs = sdp._reduce(program)
+    z0_ref, N_ref, Cs_ref, As_ref = _dense_reduction_through_coo(program)
+    assert np.array_equal(z0, z0_ref) and np.array_equal(N, N_ref)
+    assert len(coeffs) == len(As_ref) == len(program.blocks)
+    for C, C_ref, A, A_ref in zip(Cs, Cs_ref, coeffs, As_ref):
+        assert isinstance(A, sdp._DenseCoeffs)
+        assert C.tobytes() == C_ref.tobytes()
+        assert A.A.tobytes() == A_ref.tobytes()
