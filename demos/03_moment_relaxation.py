@@ -20,10 +20,11 @@ box = PolyMatrix.from_scalar((1 - x) * (1 + x))     # x in [-1, 1]
 program, pos = relax.relax(PmiProgram(1, x * x, [box]), 1)
 exponents = list(pos)     # pos maps each exponent to its variable position
 M = program.blocks[0]
+var, row, col, _ = M.coeff    # the nonzero entries of each variable's matrix
 print("moment matrix of order 1 (one variable), entry exponents:")
 for i in range(M.size):
     print("  ", [exponents[v] for j in range(M.size)
-                 for v, c in M.coeff.items() if c[i, j]])
+                 for v in var[(row == i) & (col == j)]])
 
 # A convex warm-up: minimize x^2 on [-1, 1].
 res = solve_order(PmiProgram(1, x * x, [box]), 1)

@@ -487,11 +487,13 @@ def pincushion_pmi(cost, cfg):
     # Epigraph of the restricted quadratic cost, as a polynomial matrix.
     Mr, mr, c, _, scale = _restricted(cost, SHAPE_KINDS["pincushion"])
     epi = sdp.epigraph_block(Mr, mr, c, [0, 1, 2], dim - 1)
-    units = {vi: tuple(int(j == vi) for j in range(dim)) for vi in epi.coeff}
+    var, row, col, val = epi.coeff
     entries = np.empty((epi.size, epi.size), dtype=object)
     for i in range(epi.size):
         for j in range(epi.size):
-            terms = {units[vi]: m[i, j] for vi, m in epi.coeff.items()}
+            at = (row == i) & (col == j)
+            terms = {tuple(int(d == vi) for d in range(dim)): v
+                     for vi, v in zip(var[at], val[at])}
             terms[(0,) * dim] = epi.constant[i, j]
             entries[i, j] = Polynomial(dim, terms)
     constraints = [PolyMatrix(entries)]

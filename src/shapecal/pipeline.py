@@ -458,9 +458,13 @@ def _pose_problem(scene, cameras, model, free, focal_prior_weight):
     keeps its own 2-D product X R' + t, since a 3-D stacked matmul may sum
     in another order and change bits.  A column whose step fails as
     ``resid`` would (a non-finite or non-positive parameter, a point at
-    non-positive depth, |g| < POLE_EPS) gets the sentinel difference.  The
-    coefficient columns, and every column at a sentinel or non-finite
-    ``r0``, difference the whole residual.  Returns
+    non-positive depth, |g| < POLE_EPS) gets the sentinel difference.  A
+    coefficient column moves only L(r), at radii the base projection
+    already gives: its pixel rows re-evaluate f and g there with the
+    stepped coefficient, in ``project``'s arithmetic, and it gets the
+    sentinel difference where ``resid`` would fail (a model that raises,
+    |g| < POLE_EPS at any radius).  Every column at a sentinel or
+    non-finite ``r0`` differences the whole residual.  Returns
     ``(x0, resid, jacobian, unpack)``.
     """
     free = list(free)
@@ -510,7 +514,9 @@ def _pose_problem(scene, cameras, model, free, focal_prior_weight):
 
         Column k steps parameter 7 i + k as ``_forward_step`` does; layer k
         of ``pc`` holds its camera-frame points, and every later operation
-        is the elementwise one ``project`` makes on them.
+        is the elementwise one ``project`` makes on them.  Returns the base
+        normalized points and radii, layer 6's, whose step moves only the
+        focal.
         """
         cols = slice(7 * i, 7 * i + 7)
         xi = x[cols]
@@ -549,6 +555,24 @@ def _pose_problem(scene, cameras, model, free, focal_prior_weight):
         J[prior_row, cols] = (priors - r0[prior_row]) / hs
         bad = np.flatnonzero(failed)
         J[:, 7 * i + bad] = (1e8 - r0)[:, None] / hs[bad]
+        return xy[6], r[6]
+
+    def coefficient_column(x, r0, j, frames):
+        """Coefficient column j of the difference, from the base ``frames``."""
+        xp, h = _forward_step(x, j)
+        try:
+            coeffs = model_at(xp)
+        except (ValueError, ArithmeticError):
+            return (1e8 - r0) / h
+        fc, gc = coeffs.f_coeffs[::-1], coeffs.g_coeffs[::-1]
+        rp = r0.copy()
+        for i, (xy, r) in enumerate(frames):
+            fv, gv = np.polyval(fc, r), np.polyval(gc, r)
+            if (np.abs(gv) < POLE_EPS).any():
+                return (1e8 - r0) / h
+            rp[pixel_rows[i]] = (xy * (fv / gv)[:, None] * x[7 * i + 6]
+                                 + principals[i] - scene.pixels[i]).ravel()
+        return (rp - r0) / h
 
     def jacobian(x, r0):
         if not np.isfinite(r0).all() or np.all(r0 == 1e8):
@@ -557,11 +581,10 @@ def _pose_problem(scene, cameras, model, free, focal_prior_weight):
         coeffs = model_at(x)
         fc, gc = coeffs.f_coeffs[::-1], coeffs.g_coeffs[::-1]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for i in range(ncam):
-                camera_columns(J, x, r0, i, fc, gc)
-        for j in range(7 * ncam, len(x)):
-            xp, h = _forward_step(x, j)
-            J[:, j] = (resid(xp) - r0) / h
+            frames = [camera_columns(J, x, r0, i, fc, gc)
+                      for i in range(ncam)]
+            for j in range(7 * ncam, len(x)):
+                J[:, j] = coefficient_column(x, r0, j, frames)
         return J
 
     return x0, resid, jacobian, unpack

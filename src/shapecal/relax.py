@@ -261,18 +261,17 @@ def structured_relaxation(pmi, mm_rows, loc_rows):
     for G, rows in localized:
         nb = len(rows)
         msize = nb * G.size
-        constant = np.zeros((msize, msize))
-        lcoeff = {}
+        coeff = []
         for i in range(nb):
             for j in range(nb):
                 shift = _mono_sum(rows[i], rows[j])
                 for x in range(G.size):
                     for yv in range(G.size):
                         for beta, cval in G.entries[x, yv].terms.items():
-                            vi = pos[_mono_sum(shift, beta)]
-                            lcoeff.setdefault(vi, np.zeros((msize, msize)))[
-                                i * G.size + x, j * G.size + yv] += cval
-        blocks.append(sdp.AffineBlock(msize, constant, lcoeff))
+                            coeff.append((pos[_mono_sum(shift, beta)],
+                                          i * G.size + x, j * G.size + yv,
+                                          cval))
+        blocks.append(sdp.AffineBlock(msize, np.zeros((msize, msize)), coeff))
 
     equalities = [sdp.AffineForm({pos[zero]: 1.0}, -1.0)]
     for q in pmi.equalities:

@@ -8,15 +8,19 @@ A program is
     subject to  A0_b + sum_i z_i A_{b,i}  PSD   for every block b,
                 e_j' z + f_j = 0               for every equality j.
 
-Equalities are removed up front by restricting z to an affine subspace
-(particular solution plus orthonormal null-space basis, both from one SVD);
-an inconsistent system is reported as infeasible without running the
-interior-point loop.  The reduced problem is the dual side of a standard
-conic pair, and is solved by an infeasible-start path-following method with
-Nesterov-Todd scaling and a Mehrotra predictor-corrector step.  The Schur
-complement M_ij = sum_b <A_i, W_b A_j W_b> is formed explicitly and
-factored densely; the intended problem sizes are blocks up to roughly 100
-and up to a few thousand variables.  Each block's share of M comes from one
+Each block stores its constant A0_b dense and its coefficients A_{b,i}
+only as (variable, row, column, value) triplets of their nonzero entries;
+no per-variable dense matrix exists between the program builders and the
+solver.  Equalities are removed up front by restricting z to an affine
+subspace: when every equality pins one variable the basis is a sparse 0/1
+selection, otherwise a particular solution plus an orthonormal null-space
+basis from one SVD; an inconsistent system is reported as infeasible
+without running the interior-point loop.  The reduced problem is the
+dual side of a standard conic pair, and is solved by an infeasible-start
+path-following method with Nesterov-Todd scaling and a Mehrotra
+predictor-corrector step.  The Schur complement M_ij = sum_b <A_i, W_b A_j
+W_b> is formed explicitly and factored densely; the intended problem sizes
+are blocks up to roughly 100 and up to a few thousand variables.  Each block's share of M comes from one
 of two formulas, chosen by one size rule (``SPARSE_SCHUR_MIN_ENTRIES``):
 small blocks keep their coefficients as a dense tensor and use two GEMMs,
 while the blocks of large moment relaxations, whose coefficients are about
@@ -71,22 +75,42 @@ class AffineForm:
 
 @dataclass
 class AffineBlock:
-    """Matrix-valued affine map: constant + sum_i z_i coeff[i], all symmetric."""
+    """Matrix-valued affine map: constant + sum_i z_i A_i, all symmetric.
+
+    ``constant`` is a dense (size, size) array.  ``coeff`` is given either as
+    a sequence of (var, row, col, value) entries of the A_i or as {var:
+    (size, size) matrix}, which is read as the entries of its nonzeros.
+    Either passes once through ``_triplets`` and is stored as its result:
+    the tuple of arrays (var, row, col, value) holding every nonzero entry
+    of the symmetrized A_i, both triangles, grouped by variable in order of
+    first appearance and sorted by row and column within a variable.  No
+    dense A_i is kept.
+    """
 
     size: int
     constant: np.ndarray
-    coeff: dict  # var index -> (size, size) symmetric ndarray
+    coeff: object
 
     def __post_init__(self):
         self.constant = _sym_check(np.asarray(self.constant, dtype=float),
                                    self.size)
-        self.coeff = {int(i): _sym_check(np.asarray(m, dtype=float), self.size)
-                      for i, m in self.coeff.items()}
+        entries = self.coeff
+        if isinstance(entries, dict):
+            mats = [np.asarray(m, dtype=float) for m in entries.values()]
+            for m in mats:
+                if m.shape != (self.size, self.size):
+                    raise ValueError(f"matrix shape {m.shape} does not match "
+                                     f"block size {self.size}")
+            mats = np.reshape(mats, (-1, self.size, self.size))
+            k, row, col = np.nonzero(mats)
+            entries = np.column_stack((np.array(list(entries))[k], row, col,
+                                       mats[k, row, col]))
+        self.coeff = _triplets(self.size, entries)
 
     def value_at(self, z):
+        var, row, col, val = self.coeff
         out = self.constant.copy()
-        for i, m in self.coeff.items():
-            out += z[i] * m
+        np.add.at(out, (row, col), np.asarray(z)[var] * val)
         return out
 
 
@@ -96,9 +120,63 @@ def _sym_check(m, size):
     scale = np.abs(m).max()    # NaN or inf when any entry is
     if not math.isfinite(scale):
         raise ValueError("block data is not finite")
-    if not np.allclose(m, m.T, atol=1e-12 * (1.0 + scale)):
-        raise ValueError("block matrices must be symmetric")
+    _check_symmetric(m, m.T, scale)
     return 0.5 * (m + m.T)
+
+
+def _check_symmetric(a, b, scale):
+    """Raise unless np.allclose(a, b, atol=1e-12 * (1 + scale)) holds for
+    the finite entries a of a matrix and b of its transpose."""
+    if not (np.abs(a - b) <= 1e-12 * (1.0 + scale) + 1e-5 * np.abs(b)).all():
+        raise ValueError("block matrices must be symmetric")
+
+
+def _triplets(size, entries):
+    """Validated, symmetrized coefficient triplets of one block.
+
+    ``entries`` holds (var, row, col, value) rows.  Each A_i is what a dense
+    (size, size) accumulator would hold: entries given more than once add
+    up one after another in the given order, starting from 0.0.  Each A_i
+    then passes ``_sym_check``'s tests with its own scale, the largest
+    |entry|, and becomes 0.5 (A_i + A_i') with an absent mirror entry read
+    as 0.0; exact zeros are dropped.  Returns the arrays (var, row, col,
+    value) in the order ``AffineBlock`` stores.
+    """
+    entries = np.reshape(np.asarray(entries, dtype=float), (-1, 4))
+    index = entries[:, :3]
+    if not (np.isfinite(index) & (index == np.trunc(index))).all():
+        raise ValueError("coefficient indices must be integers")
+    if ((index[:, 1:] < 0) | (index[:, 1:] >= size)).any():
+        raise ValueError(f"coefficient entry outside block size {size}")
+    var, row, col = index.T.astype(np.intp)
+    val = entries[:, 3]
+    # Key each entry by (variable rank in order of first appearance, row,
+    # column); np.add.at sums a key's duplicates in the order given.
+    var = var.tolist()
+    first = {v: k for k, v in enumerate(dict.fromkeys(var))}
+    rank = np.array([first[v] for v in var], dtype=np.intp)
+    variables = np.array(list(first), dtype=np.intp)
+    sq = size * size
+    keys, at = np.unique((rank * size + row) * size + col, return_inverse=True)
+    summed = np.zeros(keys.size)
+    np.add.at(summed, at, val)
+    if not np.isfinite(summed).all():
+        raise ValueError("block data is not finite")
+    scale = np.zeros(variables.size)
+    np.maximum.at(scale, keys // sq, np.abs(summed))
+    # Every position holding an entry on either side, with a = A and b = A'.
+    r, c = np.divmod(keys % sq, size)
+    where, at = np.unique(np.concatenate((keys, keys + (c - r) * (size - 1))),
+                          return_inverse=True)
+    a, b = np.zeros(where.size), np.zeros(where.size)
+    a[at[:keys.size]] = summed
+    b[at[keys.size:]] = summed
+    owner = where // sq
+    _check_symmetric(a, b, scale[owner])
+    sym = 0.5 * (a + b)
+    keep = sym != 0.0
+    r, c = np.divmod(where[keep] % sq, size)
+    return variables[owner[keep]], r, c, sym[keep]
 
 
 @dataclass
@@ -110,9 +188,11 @@ class LmiProgram:
 
     def __post_init__(self):
         for blk in self.blocks:
-            for i in blk.coeff:
-                if not 0 <= i < self.nvars:
-                    raise ValueError(f"block references variable {i} >= {self.nvars}")
+            var = blk.coeff[0]
+            bad = var[(var < 0) | (var >= self.nvars)]
+            if bad.size:
+                raise ValueError(
+                    f"block references variable {bad[0]} >= {self.nvars}")
         for eq in self.equalities:
             for i in eq.coefficients:
                 if not 0 <= i < self.nvars:
@@ -278,13 +358,12 @@ class LmiBuilder:
         entries = np.asarray(entries, dtype=object)
         n = entries.shape[0]
         constant = np.zeros((n, n))
-        coeff = {}
+        coeff = []
         for i in range(n):
             for j in range(n):
                 constant[i, j], terms = self._affine_terms(
                     entries[i, j], var_names, "block entry")
-                for vi, cval in terms.items():
-                    coeff.setdefault(vi, np.zeros((n, n)))[i, j] = cval
+                coeff.extend((vi, i, j, cval) for vi, cval in terms.items())
         self._blocks.append(AffineBlock(n, constant, coeff))
 
     def add_equality_poly(self, p, var_names):
@@ -316,10 +395,24 @@ class LmiBuilder:
 # Interior-point solver
 # ---------------------------------------------------------------------------
 
-def _chol_with_jitter(M, scale):
-    for jitter in (0.0, 1e-14, 1e-12, 1e-10, 1e-8):
+def _chol_with_jitter(M, scale=None):
+    """Lower Cholesky factor of M, or of one copy of M with jitter * scale
+    added to its diagonal when M itself does not factor.
+
+    ``scale`` defaults to 1 + max |M_ij| and is computed only then.
+    """
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        pass
+    if scale is None:
+        scale = 1.0 + np.abs(M).max()
+    diagonal = M.diagonal().copy()
+    M = M.copy()
+    for jitter in (1e-14, 1e-12, 1e-10, 1e-8):
+        np.fill_diagonal(M, diagonal + jitter * scale)
         try:
-            return np.linalg.cholesky(M + jitter * scale * np.eye(M.shape[0]))
+            return np.linalg.cholesky(M)
         except np.linalg.LinAlgError:
             continue
     raise np.linalg.LinAlgError("Cholesky failed after regularization")
@@ -364,13 +457,12 @@ def _eliminate_equalities(program):
 
     Returns (z0, N) with z = z0 + N w, or N None when the equalities are
     inconsistent.  When every equality pins a single variable (the common
-    case for moment programs) N is the 0/1 matrix selecting the free
-    variables; otherwise it is an orthonormal null-space basis.
+    case for moment programs, and the case of no equalities) N is the 0/1
+    CSR matrix selecting the free variables; otherwise it is a dense
+    orthonormal null-space basis.
     """
     n = program.nvars
     eqs = program.equalities
-    if not eqs:
-        return np.zeros(n), np.eye(n)
     E = np.zeros((len(eqs), n))
     f = np.zeros(len(eqs))
     for r, eq in enumerate(eqs):
@@ -404,9 +496,9 @@ def _eliminate_equalities(program):
 
     free = np.nonzero(~pinned)[0]
     if not active.any():
-        N = np.zeros((n, free.size))
-        N[free, np.arange(free.size)] = 1.0
-        return z0, N
+        return z0, sparse.csr_matrix(
+            (np.ones(free.size), (free, np.arange(free.size))),
+            shape=(n, free.size))
 
     # Round 2: general elimination of the residual system over free vars.
     Ef = E[np.ix_(active, free)]
@@ -529,11 +621,12 @@ def _reduce(program):
     Cs[b] - sum_j w_j A_{b,j} PSD, where ``coeffs[b]`` holds the A_{b,j}
     (the standard conic pair's A_i are minus the reduced block
     coefficients).  N and the rest are None when the equalities are
-    inconsistent.  Each block's negated coefficients are read once from
-    their nonzeros into an (nvars, m^2) matrix B, and the reduced ones are
-    N' B: below ``SPARSE_SCHUR_MIN_ENTRIES`` entries of q m^2 B is a dense
-    array and the product one GEMM; at or above it B and N' are CSR
-    matrices.  With a selection N the product copies entries exactly.
+    inconsistent.  Each block's negated coefficient triplets go straight
+    into an (nvars, m^2) matrix B, and the reduced coefficients are N' B:
+    below ``SPARSE_SCHUR_MIN_ENTRIES`` entries of q m^2 B is a dense array,
+    at or above it B and N' are CSR matrices.  With a selection N the
+    product copies entries exactly.  The constant shifts by z0_i A_i in the
+    blocks' variable order, one entry at a time.
     """
     z0, N = _eliminate_equalities(program)
     if N is None:
@@ -542,25 +635,19 @@ def _reduce(program):
     Nt = None
     Cs, coeffs = [], []
     for blk in program.blocks:
+        var, row, col, val = blk.coeff
         C = blk.constant.copy()
-        for i, mat in blk.coeff.items():
-            if z0[i]:
-                C += z0[i] * mat
+        shift = z0[var] != 0.0
+        np.add.at(C, (row[shift], col[shift]), z0[var[shift]] * val[shift])
         Cs.append(C)
         m = blk.size
-        var, idx, val = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], \
-            [np.zeros(0)]
-        for i, mat in blk.coeff.items():
-            idx.append(np.flatnonzero(mat))
-            var.append(np.full(idx[-1].size, i))
-            val.append(-mat.ravel()[idx[-1]])
-        var, idx, val = map(np.concatenate, (var, idx, val))
+        idx = row * m + col
         if q * m * m < SPARSE_SCHUR_MIN_ENTRIES:
             B = np.zeros((n, m * m))
-            B[var, idx] = val
+            B[var, idx] = -val
             coeffs.append(_DenseCoeffs((N.T @ B).reshape(q, m, m)))
             continue
-        B = sparse.csr_matrix((val, (var, idx)), shape=(n, m * m))
+        B = sparse.csr_matrix((-val, (var, idx)), shape=(n, m * m))
         if Nt is None:
             Nt = sparse.csr_matrix(N.T)
         A = Nt @ B
@@ -644,8 +731,8 @@ def solve(program, options=None):
 
     def take_step(y, Xs, Ss, rp, Rds, mu, mode):
         """One interior-point step; mode is 'mehrotra' or 'center'."""
-        Lxs = [_chol_with_jitter(X, 1.0 + np.abs(X).max()) for X in Xs]
-        Lss = [_chol_with_jitter(S, 1.0 + np.abs(S).max()) for S in Ss]
+        Lxs = [_chol_with_jitter(X) for X in Xs]
+        Lss = [_chol_with_jitter(S) for S in Ss]
         Gs, Ginvs, Ws, sigs = [], [], [], []
         for Lx, Ls in zip(Lxs, Lss):
             _, sig, Vt = np.linalg.svd(Ls.T @ Lx)
@@ -662,8 +749,10 @@ def solve(program, options=None):
         M = np.zeros((q, q))
         for A, W in zip(coeffs, Ws):
             A.add_schur(M, W)
-        M = 0.5 * (M + M.T)
+        M += M.T
+        M *= 0.5
         Mchol = _chol_with_jitter(M, max(np.trace(M) / q, 1e-30))
+        del M
 
         base_rhs = rp + sum(A.inner(W @ Rd @ W)
                             for A, W, Rd in zip(coeffs, Ws, Rds))
@@ -825,6 +914,14 @@ def solve(program, options=None):
 # Debug dump
 # ---------------------------------------------------------------------------
 
+def _dense_coefficients(blk):
+    """{str(var): row-major dense A_var as a list} of one block."""
+    mats = {}
+    for i, r, c, v in zip(*blk.coeff):
+        mats.setdefault(str(i), np.zeros((blk.size, blk.size)))[r, c] = v
+    return {i: m.ravel().tolist() for i, m in mats.items()}
+
+
 def program_to_json(program):
     """JSON document with cost, dense row-major blocks, and equalities."""
     doc = {
@@ -838,8 +935,7 @@ def program_to_json(program):
             {
                 "size": blk.size,
                 "constant": blk.constant.ravel().tolist(),
-                "coefficients": {str(i): blk.coeff[i].ravel().tolist()
-                                 for i in sorted(blk.coeff)},
+                "coefficients": _dense_coefficients(blk),
             }
             for blk in program.blocks
         ],

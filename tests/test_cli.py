@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -114,6 +115,16 @@ def test_calibrate_missing_file_exits_io(tmp_path):
     assert code == cli.EXIT_IO
 
 
+# The two dumps below, as written when each block stored one dense matrix
+# per variable; the triplet storage must write the same bytes.
+DUMP_SHA256 = {
+    "barrel":
+        "5ddb8ae0d1c4822ecda16d81cf2dc14a9901d0e9e1706d755a24a3103cbda443",
+    "positivity":
+        "1cfae94bc7c6a9ade950aa1c0eeb7b4b325afb867c3bb3386e80e1d2baa750c2",
+}
+
+
 def test_calibrate_dump_sdp(tmp_path):
     data = synth_correspondences(
         DistortionModel("polynomial", (-0.1, -0.02, 0, 0, 0, 0)),
@@ -125,6 +136,8 @@ def test_calibrate_dump_sdp(tmp_path):
                    str(path), "--dump-sdp", str(dump))
     assert code == 0
     doc = json.loads(dump.read_text())
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == DUMP_SHA256[
+        "barrel"]
     assert doc["nvars"] == 10
     assert len(doc["blocks"]) == 5
     assert len(doc["equalities"]) == 5
@@ -141,6 +154,8 @@ def test_calibrate_dump_sdp_positivity(tmp_path):
                    str(path), "--dump-sdp", str(dump))
     assert code == 0
     doc = json.loads(dump.read_text())
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == DUMP_SHA256[
+        "positivity"]
     assert doc["nvars"] == 13
     assert len(doc["blocks"]) == 3
     assert len(doc["equalities"]) == 4

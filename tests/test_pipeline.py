@@ -239,6 +239,29 @@ def test_ba_full_block_jacobian_at_sentinel_residual():
     _assert_block_jacobian_exact(problem, x)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("case", ["pole", "model_raises"])
+def test_ba_full_block_jacobian_when_a_coefficient_column_fails(case):
+    # Stepping k4 either puts a pole of g on a point's radius (|g| below
+    # POLE_EPS) or overflows k4 so the model refuses it; the base residual
+    # is finite either way, and the column gets the sentinel difference.
+    scene, cams = _ba_start()
+    problem = _ba_full_problem(scene, cams, "division", 0.0)
+    x0, resid = problem[:2]
+    x = x0.copy()
+    if case == "pole":
+        xy = pipeline.ideal_normalized(cams[0], scene.target[
+            scene.point_indices[0][:1]])
+        r = float(np.hypot(*xy[0]))
+        x[7 * len(cams)] = (-1.0 / r - 1e-7) / (1.0 - 1e-7)
+    else:
+        x[7 * len(cams)] = np.finfo(float).max
+    assert np.isfinite(resid(x)).all() and not np.all(resid(x) == 1e8)
+    xp, _ = pipeline._forward_step(x, 7 * len(cams))
+    assert np.all(resid(xp) == 1e8)
+    _assert_block_jacobian_exact(problem, x)
+
+
 def test_ba_full_block_jacobian_gives_the_dense_iterates():
     scene, cams = _ba_start()
     x0, resid, jacobian, unpack = _ba_full_problem(

@@ -233,10 +233,11 @@ def test_relax_blocks_match_textbook_forms():
             for blk, form in zip(program.blocks, forms):
                 assert blk.size == form.shape[0]
                 assert not blk.constant.any()
+                var, row, col, val = blk.coeff
                 for i in range(blk.size):
                     for j in range(blk.size):
-                        got = {v: m[i, j] for v, m in blk.coeff.items()
-                               if m[i, j] != 0.0}
+                        at = (row == i) & (col == j)
+                        got = dict(zip(var[at].tolist(), val[at].tolist()))
                         want = {pos[a]: c
                                 for a, c in form[i, j].items()}
                         assert got == want

@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +13,15 @@ from shapecal.calib import CalibConfig, assemble_cost
 from shapecal.poly import Polynomial, PolyMatrix
 from shapecal.sdp import (AffineBlock, AffineForm, LmiBuilder, LmiProgram,
                           SolverOptions, epigraph_block, factor_psd, solve)
-from util import synth_correspondences
+from util import (dense_blocks, dense_program_json, dense_reduce,
+                  dense_relaxation_blocks, synth_correspondences)
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# Bound on tracemalloc's peak while the order-2 pincushion relaxation builds:
+# twice the 2.2 MB measured with triplet storage (134 MB with one dense
+# matrix per variable and block).
+ORDER2_BUILD_PEAK_BYTES = 4_400_000
 
 TIGHT = SolverOptions(feas_tol=1e-9, gap_tol=1e-9,
                       accept_feas_tol=1e-8, accept_gap_tol=1e-7)
@@ -251,8 +259,9 @@ def test_permutation_invariance():
     perm = [2, 0, 1]
     blocks = []
     for blk in prog.blocks:
-        coeff = {perm[i]: m for i, m in blk.coeff.items()}
-        blocks.append(AffineBlock(blk.size, blk.constant, coeff))
+        var, row, col, val = blk.coeff
+        blocks.append(AffineBlock(blk.size, blk.constant, np.column_stack(
+            (np.take(perm, var), row, col, val))))
     cost = AffineForm({perm[i]: v for i, v in prog.cost.coefficients.items()})
     sol_p = solve(LmiProgram(3, cost, blocks), TIGHT)
     assert sol_p.status == "optimal"
@@ -467,16 +476,16 @@ def test_pinning_equalities_reduce_to_an_exact_selection(path):
     # moments and every reduced coefficient is the negated block
     # coefficient of its free variable, bit for bit, on both storages.
     program = _small_order2_program()
-    N = sdp._eliminate_equalities(program)[1]
+    N = sdp._eliminate_equalities(program)[1].toarray()
     assert np.isin(N, (0.0, 1.0)).all() and (N.sum(axis=0) == 1).all()
     free = N.argmax(axis=0)
     assert free.size == program.nvars - 1
-    for blk, A in zip(program.blocks, _coeffs(program, path)):
-        m = blk.size
+    for (C, coeff), A in zip(dense_blocks(program), _coeffs(program, path)):
+        m = C.shape[0]
         for j, i in enumerate(free):
             got = A.A[j] if path == "dense" \
                 else A.csr[j].toarray().reshape(m, m)
-            assert np.array_equal(got, -blk.coeff.get(i, np.zeros((m, m))))
+            assert np.array_equal(got, -coeff.get(i, np.zeros((m, m))))
 
 
 @pytest.fixture(scope="module")
@@ -549,18 +558,19 @@ def test_max_step_keeps_the_finite_and_singular_checks():
 def _dense_reduction_through_coo(program):
     """Dense reduced coefficients with B built by scipy's COO -> CSR."""
     z0, N = sdp._eliminate_equalities(program)
+    N = N.toarray() if scipy.sparse.issparse(N) else N
     n, q = N.shape
     Cs, As = [], []
-    for blk in program.blocks:
-        C = blk.constant.copy()
-        for i, mat in blk.coeff.items():
+    for C, coeff in dense_blocks(program):
+        C = C.copy()
+        for i, mat in coeff.items():
             if z0[i]:
                 C += z0[i] * mat
         Cs.append(C)
-        m = blk.size
+        m = C.shape[0]
         var, idx, val = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], \
             [np.zeros(0)]
-        for i, mat in blk.coeff.items():
+        for i, mat in coeff.items():
             idx.append(np.flatnonzero(mat))
             var.append(np.full(idx[-1].size, i))
             val.append(-mat.ravel()[idx[-1]])
@@ -571,14 +581,17 @@ def _dense_reduction_through_coo(program):
     return z0, N, Cs, As
 
 
+@functools.cache
+def _division_pmi():
+    data = synth_correspondences(pipeline.DEFAULT_TRUE_MODELS["pincushion"],
+                                 (0.02, 0.9), n=200, seed=8)
+    return calib.pincushion_pmi(assemble_cost(data),
+                                CalibConfig(rbar=1.0, shape="pincushion"))[0]
+
+
 def _small_programs():
     barrel = synth_correspondences(pipeline.DEFAULT_TRUE_MODELS["barrel"],
                                    (0.02, 0.9), n=200, seed=7)
-    division = synth_correspondences(
-        pipeline.DEFAULT_TRUE_MODELS["pincushion"], (0.02, 0.9), n=200,
-        seed=8)
-    pmi = calib.pincushion_pmi(assemble_cost(division),
-                               CalibConfig(rbar=1.0, shape="pincushion"))[0]
     return {
         "barrel": calib.shape_program(assemble_cost(barrel), "barrel",
                                       CalibConfig(rbar=1.0,
@@ -586,7 +599,7 @@ def _small_programs():
         "positivity": calib.shape_program(
             assemble_cost(barrel), "positivity",
             CalibConfig(rbar=1.0, margin_p=0.1, shape="positivity"))[0],
-        "order1": relax.relax(pmi, 1)[0]}
+        "order1": relax.relax(_division_pmi(), 1)[0]}
 
 
 @pytest.mark.parametrize("name", ["barrel", "positivity", "order1"])
@@ -594,9 +607,158 @@ def test_dense_reduction_scatters_the_coo_products_bit_for_bit(name):
     program = _small_programs()[name]
     z0, N, Cs, coeffs = sdp._reduce(program)
     z0_ref, N_ref, Cs_ref, As_ref = _dense_reduction_through_coo(program)
+    N = N.toarray() if scipy.sparse.issparse(N) else N
     assert np.array_equal(z0, z0_ref) and np.array_equal(N, N_ref)
     assert len(coeffs) == len(As_ref) == len(program.blocks)
     for C, C_ref, A, A_ref in zip(Cs, Cs_ref, coeffs, As_ref):
         assert isinstance(A, sdp._DenseCoeffs)
         assert C.tobytes() == C_ref.tobytes()
         assert A.A.tobytes() == A_ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Coefficient triplets against the dense assembler
+# ---------------------------------------------------------------------------
+
+def _equality_pmi():
+    x0 = Polynomial.variable(2, 0)
+    x1 = Polynomial.variable(2, 1)
+    one = Polynomial.constant(2, 1.0)
+    G = PolyMatrix(np.array([[x0 * x1, one], [one, x0 + 2]], dtype=object))
+    disc = PolyMatrix.from_scalar(4 - x0 * x0 - x1 * x1)
+    return relax.PmiProgram(2, x0 + x1, [G, disc], [x0 * x1 - 0.5])
+
+
+def _failed_solve(program, options=None):
+    return sdp.SdpSolution(np.zeros(program.nvars), math.nan, math.nan,
+                           "numericalFailure", 0)
+
+
+RELAXATIONS = {
+    "pincushion-order1": lambda: relax.relax(_division_pmi(), 1),
+    "pincushion-order2": lambda: relax.relax(_division_pmi(), 2),
+    "pincushion-structured": lambda: calib._pincushion_structured(
+        _division_pmi()),
+    "equalities-order2": lambda: relax.relax(_equality_pmi(), 2),
+    "equalities-order3": lambda: relax.relax(_equality_pmi(), 3),
+}
+
+
+@pytest.mark.parametrize("name", RELAXATIONS)
+def test_relaxations_match_the_dense_assembler_bit_for_bit(name,
+                                                           monkeypatch):
+    # The program each call assembles from triplets must dump, and reduce
+    # to the solver's data, byte for byte as the dense per-variable
+    # matrices of the same loop did.
+    calls = []
+    assemble = relax.structured_relaxation
+
+    def recording(pmi, mm_rows, loc_rows):
+        calls.append((pmi, mm_rows, loc_rows) + assemble(pmi, mm_rows,
+                                                         loc_rows))
+        return calls[-1][3:]
+
+    monkeypatch.setattr(relax, "structured_relaxation", recording)
+    monkeypatch.setattr(sdp, "solve", _failed_solve)
+    RELAXATIONS[name]()
+    (pmi, mm_rows, loc_rows, program, pos), = calls
+    blocks = dense_relaxation_blocks(pmi, mm_rows, loc_rows, pos)
+    assert sdp.program_to_json(program) == dense_program_json(program, blocks)
+
+    z0, N, Cs, coeffs = sdp._reduce(program)
+    pins = {i: -eq.constant / c for eq in program.equalities
+            for i, c in eq.coefficients.items()
+            if len(eq.coefficients) == 1}
+    if len(pins) == len(program.equalities):
+        assert scipy.sparse.issparse(N)
+        z0_ref = np.zeros(program.nvars)
+        z0_ref[list(pins)] = list(pins.values())
+        assert z0.tobytes() == z0_ref.tobytes()
+        N = N.toarray()
+        assert N.tobytes() == np.delete(np.eye(program.nvars), list(pins),
+                                        axis=1).tobytes()
+    else:
+        assert isinstance(N, np.ndarray)
+    Cs_ref, As_ref = dense_reduce(blocks, z0, N)
+    assert len(Cs) == len(Cs_ref) == len(coeffs) == len(As_ref)
+    for C, C_ref, A, A_ref in zip(Cs, Cs_ref, coeffs, As_ref):
+        assert C.tobytes() == C_ref.tobytes()
+        if isinstance(A, sdp._DenseCoeffs):
+            assert A.A.tobytes() == A_ref.tobytes()
+        else:
+            for part in ("indptr", "indices", "data"):
+                assert getattr(A.csr, part).tobytes() == \
+                    getattr(A_ref, part).tobytes()
+    if name == "pincushion-order2":
+        assert {type(A) for A in coeffs} == {sdp._SparseCoeffs}
+
+
+def test_order2_relaxation_builds_without_dense_coefficients():
+    # The full order-2 pincushion program has 1365 moments and 18,180
+    # nonzero coefficients.
+    pmi = _division_pmi()
+    tracemalloc.start()
+    try:
+        relax.relax(pmi, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ORDER2_BUILD_PEAK_BYTES
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_triplet_blocks_refuse_bad_data():
+    zeros = np.zeros((2, 2))
+    with pytest.raises(ValueError, match="block data is not finite"):
+        AffineBlock(2, zeros, [(0, 0, 0, 1.0), (0, 1, 1, math.nan)])
+    with pytest.raises(ValueError, match="block data is not finite"):
+        AffineBlock(2, zeros, [(0, 0, 0, math.inf), (0, 0, 0, -math.inf)])
+    with pytest.raises(ValueError, match="block matrices must be symmetric"):
+        AffineBlock(2, zeros, [(0, 0, 1, 1.0), (0, 1, 0, 1.1)])
+    with pytest.raises(ValueError, match="block matrices must be symmetric"):
+        AffineBlock(2, zeros, [(0, 0, 1, 1.0)])
+    with pytest.raises(ValueError, match="outside block size"):
+        AffineBlock(2, zeros, [(0, 2, 0, 1.0)])
+    for entry in ((0, 0.5, 0.5, 1.0), (0, math.nan, 0, 1.0),
+                  (math.inf, 0, 0, 1.0)):
+        with pytest.raises(ValueError, match="indices must be integers"):
+            AffineBlock(2, zeros, [entry])
+    with pytest.raises(ValueError, match="indices must be integers"):
+        AffineBlock(2, zeros, {0.5: np.eye(2)})
+    for var in (3, -1):
+        with pytest.raises(ValueError, match=f"references variable {var}"):
+            LmiProgram(1, AffineForm({0: 1.0}), [AffineBlock(
+                2, zeros, [(0, 0, 0, 1.0), (var, 1, 1, 1.0)])])
+
+
+def test_triplet_symmetry_tolerance_is_the_dense_one():
+    # Both inputs run the check np.allclose(A, A') with atol 1e-12 (1 +
+    # max |A|): a pair accepted or refused by it is accepted or refused
+    # as triplets, and accepted pairs are averaged.
+    for a in (1.0, 1e4, 1e-3):
+        for gap in (0.0, 1e-13, 1e-12, 3e-12, 1e-5 * a, 1.01e-5 * a, 0.1):
+            mat = np.array([[0.0, a], [a + gap, 5.0]])
+            dense_ok = np.allclose(mat, mat.T,
+                                   atol=1e-12 * (1.0 + np.abs(mat).max()))
+            for coeff in ({0: mat}, [(0, 0, 1, a), (0, 1, 0, a + gap),
+                                     (0, 1, 1, 5.0)]):
+                if dense_ok:
+                    var, row, col, val = AffineBlock(2, np.eye(2),
+                                                     coeff).coeff
+                    assert val.tobytes() == np.array(
+                        [0.5 * (a + (a + gap)), 0.5 * (a + gap + a),
+                         5.0]).tobytes()
+                else:
+                    with pytest.raises(ValueError, match="symmetric"):
+                        AffineBlock(2, np.eye(2), coeff)
+
+
+def test_triplet_duplicates_add_in_the_given_order():
+    # 0.0 + 1e16 + 1 - 1e16 + 1 is 1.0 summed left to right and 0.0
+    # pairwise; a variable whose entries cancel leaves no triplet.
+    blk = AffineBlock(1, np.zeros((1, 1)), [
+        (4, 0, 0, v) for v in (1e16, 1.0, -1e16, 1.0)] + [
+        (2, 0, 0, 0.5), (2, 0, 0, -0.5)])
+    var, row, col, val = blk.coeff
+    assert var.tolist() == [4] and val.tolist() == [1.0]
+    assert blk.value_at(np.arange(5.0)).tolist() == [[4.0]]

@@ -1,14 +1,17 @@
 """Shared test helpers: synthetic correspondence generators and oracles."""
 
+import json
 import math
 
 import numpy as np
+import scipy.sparse
 
 from dataclasses import dataclass
 
+from shapecal import sdp
 from shapecal.calib import Correspondence
 from shapecal.distortion import DistortionModel
-from shapecal.poly import Polynomial, basis
+from shapecal.poly import Polynomial, PolyMatrix, basis
 
 
 def synth_correspondences(model, radii, n=200, seed=0, noise=0.0):
@@ -163,3 +166,106 @@ def localizing_matrix(G, delta):
                         coeffs[key] = coeffs.get(key, 0.0) + cval
                     out[i * g + a, j * g + b] = LinearForm(coeffs)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Dense program oracle: the relaxation assembler, the dump and the reduction
+# with one dense (m, m) matrix per variable and block
+# ---------------------------------------------------------------------------
+
+def dense_relaxation_blocks(pmi, mm_rows, loc_rows, pos):
+    """The blocks of ``structured_relaxation(pmi, mm_rows, loc_rows)``,
+    assembled densely, as (constant, {variable: matrix}) pairs.
+
+    Each variable's matrix starts at 0.0 and takes += per entry in loop
+    order; it is then symmetrized as 0.5 (A + A').  ``pos`` maps each
+    exponent to its variable position, as the program's own map does.
+    """
+    zero = (0,) * pmi.dim
+    one = PolyMatrix.from_scalar(Polynomial.constant(pmi.dim, 1.0))
+    localized = [(one, [tuple(r) for r in mm_rows])] + [
+        (G, [tuple(r) for r in loc_rows.get(ci, [zero])])
+        for ci, G in enumerate(pmi.constraints)]
+    blocks = []
+    for G, rows in localized:
+        g = G.size
+        msize = len(rows) * g
+        coeff = {}
+        for i, a in enumerate(rows):
+            for j, b in enumerate(rows):
+                shift = tuple(u + v for u, v in zip(a, b))
+                for x in range(g):
+                    for y in range(g):
+                        for beta, c in G.entries[x, y].terms.items():
+                            vi = pos[tuple(u + v for u, v in zip(shift, beta))]
+                            coeff.setdefault(vi, np.zeros((msize, msize)))[
+                                i * g + x, j * g + y] += c
+        blocks.append((np.zeros((msize, msize)),
+                       {vi: 0.5 * (m + m.T) for vi, m in coeff.items()}))
+    return blocks
+
+
+def dense_blocks(program):
+    """(constant, {variable: matrix}) of each block, rebuilt from its
+    stored triplets in their variable order."""
+    out = []
+    for blk in program.blocks:
+        var, row, col, val = blk.coeff
+        coeff = {}
+        for v, r, c, a in zip(var.tolist(), row, col, val):
+            coeff.setdefault(v, np.zeros((blk.size, blk.size)))[r, c] = a
+        out.append((blk.constant, coeff))
+    return out
+
+
+def dense_program_json(program, blocks):
+    """``sdp.program_to_json`` of ``program`` with the block coefficients
+    written from the dense ``blocks``."""
+    def form(f):
+        return {"coefficients": {str(i): c for i, c in
+                                 sorted(f.coefficients.items())},
+                "constant": f.constant}
+    doc = {
+        "nvars": program.nvars,
+        "cost": form(program.cost),
+        "blocks": [{"size": C.shape[0], "constant": C.ravel().tolist(),
+                    "coefficients": {str(i): coeff[i].ravel().tolist()
+                                     for i in sorted(coeff)}}
+                   for C, coeff in blocks],
+        "equalities": [form(eq) for eq in program.equalities],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def dense_reduce(blocks, z0, N):
+    """Reduced constants and coefficients of dense ``blocks`` over a dense
+    N, as (Cs, As): each constant shifted by z0_i A_i in dict order, each
+    B read by a flatnonzero scan, and A a dense (q, m, m) array N' B below
+    ``sdp.SPARSE_SCHUR_MIN_ENTRIES`` entries and a sorted CSR N' B at or
+    above it."""
+    n, q = N.shape
+    Cs, As = [], []
+    for C0, coeff in blocks:
+        C = C0.copy()
+        for i, mat in coeff.items():
+            if z0[i]:
+                C += z0[i] * mat
+        Cs.append(C)
+        m = C.shape[0]
+        var, idx, val = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], \
+            [np.zeros(0)]
+        for i, mat in coeff.items():
+            idx.append(np.flatnonzero(mat))
+            var.append(np.full(idx[-1].size, i))
+            val.append(-mat.ravel()[idx[-1]])
+        var, idx, val = map(np.concatenate, (var, idx, val))
+        if q * m * m < sdp.SPARSE_SCHUR_MIN_ENTRIES:
+            B = np.zeros((n, m * m))
+            B[var, idx] = val
+            As.append((N.T @ B).reshape(q, m, m))
+            continue
+        B = scipy.sparse.csr_matrix((val, (var, idx)), shape=(n, m * m))
+        A = scipy.sparse.csr_matrix(N.T) @ B
+        A.sort_indices()
+        As.append(A)
+    return Cs, As
