@@ -25,7 +25,10 @@ of two formulas, chosen by one size rule (``SPARSE_SCHUR_MIN_ENTRIES``):
 small blocks keep their coefficients as a dense tensor and use two GEMMs,
 while the blocks of large moment relaxations, whose coefficients are about
 0.1% dense, keep (variable, row, column, value) triplets and use the
-sparse formula of Fujisawa, Kojima and Nakata (1997).
+sparse formula of Fujisawa, Kojima and Nakata (1997).  A sparse block's
+share touches only the rows and columns of M of the variables it holds;
+the entries it skips would only have received signed zeros, which leave
+M bit for bit unchanged because M never holds -0.0.
 
 The blocks of the package's programs are tiny (often 1x1 to 4x4), so the
 per-block kernels call LAPACK directly (``dtrtrs`` for step lengths,
@@ -114,6 +117,10 @@ class AffineBlock:
         return out
 
 
+def _symmetrized(a):
+    return 0.5 * (a + a.T)
+
+
 def _sym_check(m, size):
     if m.shape != (size, size):
         raise ValueError(f"matrix shape {m.shape} does not match block size {size}")
@@ -121,7 +128,7 @@ def _sym_check(m, size):
     if not math.isfinite(scale):
         raise ValueError("block data is not finite")
     _check_symmetric(m, m.T, scale)
-    return 0.5 * (m + m.T)
+    return _symmetrized(m)
 
 
 def _check_symmetric(a, b, scale):
@@ -263,8 +270,7 @@ def factor_psd(M):
     Eigenvalues below -FACTOR_PSD_RTOL * (1 + lambda_max) raise; small
     negative dust is clamped to zero.  L may be rectangular.
     """
-    M = np.asarray(M, dtype=float)
-    M = 0.5 * (M + M.T)
+    M = _symmetrized(np.asarray(M, dtype=float))
     w, V = np.linalg.eigh(M)
     scale = 1.0 + max(w[-1], 0.0)
     if w[0] < -FACTOR_PSD_RTOL * scale:
@@ -444,8 +450,7 @@ def _lower_solve(L, B):
 def _max_step(chol_factor, direction):
     """Largest a with  M + a * direction  PSD, given M = LL'."""
     K = _lower_solve(chol_factor, direction)
-    K = _lower_solve(chol_factor, K.T).T
-    K = 0.5 * (K + K.T)
+    K = _symmetrized(_lower_solve(chol_factor, K.T).T)
     lam = np.linalg.eigvalsh(K)[0]
     if lam >= -1e-14:
         return np.inf
@@ -565,26 +570,35 @@ class _SparseCoeffs:
     upper-triangle nonzeros (a_s, b_s) of A_j, diagonal values halved, so
     M_ij = 2 <A_i, X_j>.  The X_j come from batched thin matmuls over each
     variable's few nonzeros, padded to the largest count.
+
+    A block's share of M is nonzero only at live x live, where ``live``
+    lists the variables whose A_i has an entry in this block (their rows
+    of ``csr`` are ``live_csr``); only those X_j are formed and only those
+    entries of M are added to.  That is exact: every other entry would
+    receive a sum of +-0.0 products, and M, which starts at +0.0 and is
+    only added to, never holds -0.0, so adding a signed zero leaves it
+    unchanged to the bit.
     """
 
     def __init__(self, csr, m):
         self.csr = csr
         self.m = m
-        q = csr.shape[0]
-        coo = csr.tocoo()     # sorted by variable
+        self.live = np.flatnonzero(np.diff(csr.indptr))
+        self.live_csr = csr[self.live]
+        coo = self.live_csr.tocoo()     # sorted by variable
         row, col = np.divmod(coo.col, m)
         upper = row <= col
         var, row, col = coo.row[upper], row[upper], col[upper]
         # The factor 2 of M_ij folds into the values: off-diagonal entries
         # carry 2 v, diagonal ones v.
         val = np.where(row == col, 1.0, 2.0) * coo.data[upper]
-        counts = np.bincount(var, minlength=q)
+        counts = np.bincount(var, minlength=self.live.size)
         slot = np.arange(var.size) - np.repeat(np.cumsum(counts) - counts,
                                                counts)
         width = max(int(counts.max(initial=0)), 1)
-        self.rows = np.zeros((q, width), dtype=np.intp)
-        self.cols = np.zeros((q, width), dtype=np.intp)
-        self.vals = np.zeros((q, width))
+        self.rows = np.zeros((self.live.size, width), dtype=np.intp)
+        self.cols = np.zeros((self.live.size, width), dtype=np.intp)
+        self.vals = np.zeros((self.live.size, width))
         self.rows[var, slot] = row
         self.cols[var, slot] = col
         self.vals[var, slot] = val
@@ -602,16 +616,23 @@ class _SparseCoeffs:
         return (self.csr.T @ y).reshape(self.m, self.m)
 
     def add_schur(self, M, W):
-        # The X_j go in runs of variables that fit SCHUR_CHUNK_ENTRIES, so
-        # no q x m x m array is ever held.
-        q, m = self.csr.shape[0], self.m
+        # The X_j go in runs of live variables that fit SCHUR_CHUNK_ENTRIES,
+        # so no q x m x m array is ever held.  When every variable is live
+        # the run's columns of M are updated in place, which spares a
+        # q x q fancy-index scatter.
+        live, m = self.live, self.m
+        every = live.size == self.csr.shape[0]
         step = max(1, SCHUR_CHUNK_ENTRIES // (m * m))
-        for j in range(0, q, step):
+        for j in range(0, live.size, step):
             run = slice(j, j + step)
             left = W[:, self.rows[run]].transpose(1, 0, 2) \
                 * self.vals[run, None, :]
             X = left @ W[self.cols[run]]
-            M[:, run] += self.csr @ X.reshape(len(X), -1).T
+            share = self.live_csr @ X.reshape(len(X), -1).T
+            if every:
+                M[:, run] += share
+            else:
+                M[np.ix_(live, live[run])] += share
 
 
 def _reduce(program):
@@ -764,9 +785,9 @@ def solve(program, options=None):
             if info:
                 raise ValueError(f"illegal value in argument {-info} of dpotrs")
             dSs = [Rd - A.combine(dy) for Rd, A in zip(Rds, coeffs)]
-            dXs = [0.5 * ((Rc - W @ dS @ W) + (Rc - W @ dS @ W).T)
+            dXs = [_symmetrized(Rc - W @ dS @ W)
                    for Rc, W, dS in zip(Rcs, Ws, dSs)]
-            dSs = [0.5 * (d + d.T) for d in dSs]
+            dSs = [_symmetrized(d) for d in dSs]
             return dy, dXs, dSs
 
         if mode == "center":

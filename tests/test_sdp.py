@@ -2,6 +2,7 @@ import functools
 import math
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from shapecal.poly import Polynomial, PolyMatrix
 from shapecal.sdp import (AffineBlock, AffineForm, LmiBuilder, LmiProgram,
                           SolverOptions, epigraph_block, factor_psd, solve)
 from util import (dense_blocks, dense_program_json, dense_reduce,
-                  dense_relaxation_blocks, synth_correspondences)
+                  dense_relaxation_blocks, full_range_add_schur,
+                  synth_correspondences)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -391,25 +393,44 @@ def _small_order2_program():
     return relax.relax(pmi, 2)[0]
 
 
+def _random_coefficient(rng, m):
+    mat = np.zeros((m, m))
+    for _ in range(rng.integers(1, 4)):
+        a, b = rng.integers(0, m, size=2)
+        mat[a, b] = mat[b, a] = rng.normal()
+    return mat
+
+
 def _random_sparse_program(rng, dense_equality):
     m, q = 9, 40
-    coeff = {}
-    for i in range(q):
-        mat = np.zeros((m, m))
-        for _ in range(rng.integers(1, 4)):
-            a, b = rng.integers(0, m, size=2)
-            mat[a, b] = mat[b, a] = rng.normal()
-        coeff[i] = mat
+    coeff = {i: _random_coefficient(rng, m) for i in range(q)}
     eqs = [AffineForm({0: 1.0, 1: 1.0}, -1.0)] if dense_equality else []
     return LmiProgram(q, AffineForm({0: 1.0}),
                       [AffineBlock(m, np.eye(m), coeff)], eqs)
 
 
+def _partly_held_program(rng):
+    # Three random 9x9 blocks that each hold about 40% of the 40 variables,
+    # and a diagonal box |z_i| <= 1 that holds them all.
+    m, q = 9, 40
+    coeffs = [{}, {}, {}]
+    for i in range(q):
+        for b in np.flatnonzero(rng.random(3) < 0.4):
+            coeffs[b][i] = _random_coefficient(rng, m)
+    box = [(i, 2 * i + k, 2 * i + k, 1.0 - 2.0 * k)
+           for i in range(q) for k in (0, 1)]
+    blocks = [AffineBlock(m, np.eye(m), coeff) for coeff in coeffs]
+    blocks.append(AffineBlock(2 * q, np.eye(2 * q), box))
+    return LmiProgram(q, AffineForm(dict(enumerate(rng.normal(size=q)))),
+                      blocks)
+
+
 @pytest.mark.parametrize("program", [
     _small_order2_program(),
     _random_sparse_program(np.random.default_rng(3), False),
-    _random_sparse_program(np.random.default_rng(4), True)],
-    ids=["order2", "random", "random-dense-basis"])
+    _random_sparse_program(np.random.default_rng(4), True),
+    _partly_held_program(np.random.default_rng(6))],
+    ids=["order2", "random", "random-dense-basis", "partly-held"])
 def test_sparse_and_dense_block_products_agree(program, monkeypatch):
     rng = np.random.default_rng(11)
     dense = _coeffs(program, "dense")
@@ -434,20 +455,29 @@ def test_sparse_and_dense_block_products_agree(program, monkeypatch):
         assert np.array_equal(S.magnitude() > 1e-13, D.magnitude() > 1e-13)
 
 
-def test_schur_rule_sends_only_full_order2_blocks_to_the_sparse_path(
-        monkeypatch):
-    # The benchmark's seed-1 pincushion set that escalates to order 2.
-    monkeypatch.syspath_prepend(str(ROOT / "bench"))
-    import workloads
-    data = workloads.pincushion_candidate(workloads.Size().scene, 1, 7)
+@pytest.fixture(scope="module")
+def bench_escalating_set():
+    """The benchmark's seed-1 pincushion set that escalates to order 2:
+    its cost, PMI, repair and order-2 relaxation."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(ROOT / "bench"))
+        import workloads
+        data = workloads.pincushion_candidate(workloads.Size().scene, 1, 7)
     cost = assemble_cost(data)
     pmi, _, repair = calib.pincushion_pmi(
         cost, CalibConfig(rbar=1.0, shape="pincushion"))
+    return SimpleNamespace(cost=cost, pmi=pmi, repair=repair,
+                           order2=relax.relax(pmi, 2)[0])
+
+
+def test_schur_rule_sends_only_full_order2_blocks_to_the_sparse_path(
+        bench_escalating_set, monkeypatch):
+    cost, pmi = bench_escalating_set.cost, bench_escalating_set.pmi
 
     def kinds(program):
         return {type(A) for A in sdp._reduce(program)[3]}
 
-    assert kinds(relax.relax(pmi, 2)[0]) == {sdp._SparseCoeffs}
+    assert kinds(bench_escalating_set.order2) == {sdp._SparseCoeffs}
 
     programs = [
         relax.relax(pmi, 1)[0],
@@ -464,10 +494,44 @@ def test_schur_rule_sends_only_full_order2_blocks_to_the_sparse_path(
 
     monkeypatch.setattr(sdp, "solve", record)
     calib._pincushion_structured(pmi)
-    repair(np.zeros(3))
+    bench_escalating_set.repair(np.zeros(3))
     assert len(programs) == 5
     for program in programs:
         assert kinds(program) == {sdp._DenseCoeffs}
+
+
+def _oracle_add_schur(self, M, W):
+    full_range_add_schur(self.csr, self.m, M, W)
+
+
+@pytest.mark.parametrize("name", ["bench-order2", "order2", "partly-held"])
+def test_live_schur_shares_match_the_full_range_oracle_bit_for_bit(
+        name, request, monkeypatch):
+    # Blocks add up into one M in program order, as in the solver; each
+    # block forms X_j and adds to M only over the variables it holds.
+    program = {
+        "bench-order2": lambda: request.getfixturevalue(
+            "bench_escalating_set").order2,
+        "order2": _small_order2_program,
+        "partly-held": lambda: _partly_held_program(
+            np.random.default_rng(6))}[name]()
+    coeffs = _coeffs(program, "sparse")
+    q = coeffs[0].csr.shape[0]
+    if name != "order2":
+        assert any(A.live.size < q for A in coeffs)
+    rng = np.random.default_rng(5)
+    Ws = []
+    for A in coeffs:
+        G = rng.normal(size=(A.m, A.m))
+        Ws.append(G @ G.T)
+    for whole in (True, False):
+        M, M_ref = np.zeros((q, q)), np.zeros((q, q))
+        for A, W in zip(coeffs, Ws):
+            if not whole:
+                monkeypatch.setattr(sdp, "SCHUR_CHUNK_ENTRIES", 3 * A.m ** 2)
+            A.add_schur(M, W)
+            _oracle_add_schur(A, M_ref, W)
+            assert M.tobytes() == M_ref.tobytes()
 
 
 @pytest.mark.parametrize("path", FORCE)
@@ -497,6 +561,51 @@ def order2_on_both_paths():
             mp.setattr(sdp, "SPARSE_SCHUR_MIN_ENTRIES", cut)
             sols[path] = solve(program, TIGHT)
     return sols
+
+
+@pytest.mark.parametrize("name", ["order2", "partly-held"])
+def test_sparse_solves_match_the_full_range_oracle_bit_for_bit(
+        name, order2_on_both_paths, monkeypatch):
+    monkeypatch.setattr(sdp, "SPARSE_SCHUR_MIN_ENTRIES", 0)
+    if name == "order2":
+        program, got = _small_order2_program(), order2_on_both_paths["sparse"]
+    else:
+        program = _partly_held_program(np.random.default_rng(6))
+        got = solve(program, TIGHT)
+        assert got.status == "optimal"
+    monkeypatch.setattr(sdp._SparseCoeffs, "add_schur", _oracle_add_schur)
+    ref = solve(program, TIGHT)
+    assert got.z.tobytes() == ref.z.tobytes()
+    assert (got.iterations, got.exit_reason, got.centered) == \
+        (ref.iterations, ref.exit_reason, ref.centered)
+
+
+def test_blocks_holding_no_live_variable_add_nothing(monkeypatch):
+    # Block 1 holds only z0 and z1, which equalities pin; block 2 holds
+    # only z3, whose coefficient is below the inert threshold, so the
+    # solver drops z3 and block 2 is left with no variable.
+    diag = np.diag([1.0, -1.0])
+    program = LmiProgram(4, AffineForm({2: 1.0}), [
+        AffineBlock(2, np.eye(2), {2: diag}),
+        AffineBlock(2, np.eye(2), {0: diag, 1: np.eye(2)}),
+        AffineBlock(2, np.eye(2), {3: 1e-15 * np.eye(2)})],
+        [AffineForm({0: 1.0}, -0.5), AffineForm({1: 1.0}, 0.25)])
+    coeffs = _coeffs(program, "sparse")
+    inert = coeffs[2].restrict(np.array([True, False]))
+    W = np.array([[2.0, 0.5], [0.5, 1.0]])
+    for A in (coeffs[1], inert):
+        assert A.live.size == 0
+        M = np.zeros((A.csr.shape[0], A.csr.shape[0]))
+        A.add_schur(M, W)
+        assert not M.any()
+    sols = {}
+    for path, cut in FORCE.items():
+        monkeypatch.setattr(sdp, "SPARSE_SCHUR_MIN_ENTRIES", cut)
+        sols[path] = solve(program, TIGHT)
+    assert sols["sparse"].status == sols["dense"].status == "optimal"
+    assert sols["sparse"].z == pytest.approx(sols["dense"].z, abs=1e-7)
+    assert sols["sparse"].z[:3] == pytest.approx([0.5, -0.25, -1.0],
+                                                 abs=1e-7)
 
 
 def test_order2_solves_alike_on_both_schur_paths(order2_on_both_paths):

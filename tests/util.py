@@ -269,3 +269,34 @@ def dense_reduce(blocks, z0, N):
         A.sort_indices()
         As.append(A)
     return Cs, As
+
+
+def full_range_add_schur(csr, m, M, W):
+    """M_ij += <A_i, W A_j W> for the block whose vec(A_i) are the rows of
+    ``csr``, by the sparse formula over every variable of the block.
+
+    The oracle for ``sdp._SparseCoeffs.add_schur``: X_j is formed for
+    every j, each variable's upper-triangle nonzeros padded to the largest
+    count, and every column of M in a run of j is added to.
+    """
+    q = csr.shape[0]
+    coo = csr.tocoo()
+    row, col = np.divmod(coo.col, m)
+    upper = row <= col
+    var, row, col = coo.row[upper], row[upper], col[upper]
+    val = np.where(row == col, 1.0, 2.0) * coo.data[upper]
+    counts = np.bincount(var, minlength=q)
+    slot = np.arange(var.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    width = max(int(counts.max(initial=0)), 1)
+    rows = np.zeros((q, width), dtype=np.intp)
+    cols = np.zeros((q, width), dtype=np.intp)
+    vals = np.zeros((q, width))
+    rows[var, slot] = row
+    cols[var, slot] = col
+    vals[var, slot] = val
+    step = max(1, sdp.SCHUR_CHUNK_ENTRIES // (m * m))
+    for j in range(0, q, step):
+        run = slice(j, j + step)
+        left = W[:, rows[run]].transpose(1, 0, 2) * vals[run, None, :]
+        X = left @ W[cols[run]]
+        M[:, run] += csr @ X.reshape(len(X), -1).T
