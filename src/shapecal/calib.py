@@ -487,25 +487,17 @@ def pincushion_pmi(cost, cfg):
     # Epigraph of the restricted quadratic cost, as a polynomial matrix.
     Mr, mr, c, _, scale = _restricted(cost, SHAPE_KINDS["pincushion"])
     epi = sdp.epigraph_block(Mr, mr, c, [0, 1, 2], dim - 1)
-    var, row, col, val = epi.coeff
-    entries = np.empty((epi.size, epi.size), dtype=object)
-    for i in range(epi.size):
-        for j in range(epi.size):
-            at = (row == i) & (col == j)
-            terms = {tuple(int(d == vi) for d in range(dim)): v
-                     for vi, v in zip(var[at], val[at])}
-            terms[(0,) * dim] = epi.constant[i, j]
-            entries[i, j] = Polynomial(dim, terms)
-    constraints = [PolyMatrix(entries)]
+    entries = np.full(epi.constant.shape, Polynomial.zero(dim), dtype=object)
+    for v, i, j, a in zip(*epi.coeff):
+        entries[i, j] = entries[i, j] + Polynomial.variable(dim, v) * a
+    constraints = [PolyMatrix(entries + epi.constant)]
 
-    for G in grams:
-        sub_entries = np.empty((G.size, G.size), dtype=object)
-        for i in range(G.size):
-            for j in range(G.size):
-                sub_entries[i, j] = _embed(
-                    certs.substitute_all(G.entries[i, j], substitution, space),
-                    space, pmi_names)
-        constraints.append(PolyMatrix(sub_entries))
+    def lift(p):
+        return _embed(certs.substitute_all(p, substitution, space), space,
+                      pmi_names)
+
+    constraints += [PolyMatrix([[lift(p) for p in row] for row in G.entries])
+                    for G in grams]
 
     def repair(k_div):
         # Search certificate entries matching every system at k exactly,
@@ -675,25 +667,34 @@ def write_correspondences(path, data):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def read_correspondences(path):
+def read_rows(path, headers, width):
+    """The (n, width) rows of a CSV file of finite numbers whose header is
+    one of ``headers``; blank lines are skipped.  ``CalibDataError`` names
+    the file and line of a bad header, field count or number."""
     rows = []
     with open(path) as fh:
         header = fh.readline().strip()
-        if header != CSV_HEADER:
+        if header not in headers:
             raise CalibDataError(
-                f"{path}:1: expected header {CSV_HEADER!r}, got {header!r}")
+                f"{path}:1: expected header {headers[0]!r}, got {header!r}")
         for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
+            parts = line.strip().split(",")
+            if parts == [""]:
                 continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise CalibDataError(
-                    f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
+            if len(parts) != width:
+                raise CalibDataError(f"{path}:{lineno}: expected {width} "
+                                     f"fields, got {len(parts)}")
             try:
                 rows.append([float(v) for v in parts])
             except ValueError as exc:
                 raise CalibDataError(f"{path}:{lineno}: {exc}") from exc
-    if not rows:
+            if not np.isfinite(rows[-1]).all():
+                raise CalibDataError(f"{path}:{lineno}: non-finite coordinate")
+    return np.reshape(rows, (-1, width))
+
+
+def read_correspondences(path):
+    arr = read_rows(path, (CSV_HEADER,), 4)
+    if not len(arr):
         raise CalibDataError(f"{path}: no correspondence rows")
-    return np.asarray(rows)
+    return arr

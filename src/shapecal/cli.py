@@ -228,37 +228,15 @@ def cmd_calibrate(args):
 def cmd_undistort(args):
     _require_positive("--search-max", args.search_max)
     model = _load_model(args.model)
-    rows = []
-    with open(args.points) as fh:
-        header = fh.readline().strip()
-        if header not in ("x,y", "xhat,yhat"):
-            raise CalibDataError(
-                f"{args.points}:1: expected header 'x,y', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise CalibDataError(
-                    f"{args.points}:{lineno}: expected 2 fields")
-            try:
-                row = [float(v) for v in parts]
-            except ValueError as exc:
-                raise CalibDataError(
-                    f"{args.points}:{lineno}: {exc}") from exc
-            if not all(map(math.isfinite, row)):
-                raise CalibDataError(
-                    f"{args.points}:{lineno}: non-finite coordinate")
-            rows.append(row)
-    pts, ok = undistort_points(model, np.reshape(rows, (-1, 2)),
-                               args.search_max)
+    pts, ok = undistort_points(
+        model, calib.read_rows(args.points, ("x,y", "xhat,yhat"), 2),
+        args.search_max)
     out_lines = ["x,y,error"] + [
         f"{_fmt(x)},{_fmt(y)}," if good else f",,{NoRootError.__name__}"
         for (x, y), good in zip(pts, ok)]
     with open(args.out, "w") as fh:
         fh.write("\n".join(out_lines) + "\n")
-    print(f"wrote {args.out} ({len(rows)} rows, {int((~ok).sum())} failed)")
+    print(f"wrote {args.out} ({len(pts)} rows, {int((~ok).sum())} failed)")
     return EXIT_OK
 
 

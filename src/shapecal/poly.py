@@ -266,7 +266,16 @@ def basis(d, n):
 
 
 class PolyMatrix:
-    """Symmetric matrix with Polynomial entries over a shared variable space."""
+    """Symmetric matrix of polynomials over a shared variable space.
+
+    Built from a square object array of Polynomials, it keeps only
+    ``terms``, a map from each exponent beta to the (size, size) matrix
+    C_beta of its nonzero coefficients: the matrix is sum C_beta x^beta.
+    The keys come in order of first appearance over a row-major scan of the
+    entries and each entry's terms; the moment assembler relies on it to
+    store each block's variables as an entry scan meets them.  Each C_beta
+    equals its transpose within 1e-12.
+    """
 
     def __init__(self, entries):
         entries = np.asarray(entries, dtype=object)
@@ -276,23 +285,29 @@ class PolyMatrix:
         dims = {p.dim for p in entries.flat}
         if len(dims) != 1:
             raise ValueError("entries must share one variable space")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not entries[i, j].almost_equal(entries[j, i]):
-                    raise ValueError(f"entry ({i},{j}) is not symmetric")
-        self.entries = entries
         self.size = n
         self.dim = dims.pop()
+        self.terms = {}
+        for (i, j), p in np.ndenumerate(entries):
+            for beta, c in p.terms.items():
+                self.terms.setdefault(beta, np.zeros((n, n)))[i, j] = c
+        for C in self.terms.values():
+            bad = np.argwhere(np.abs(C - C.T) > 1e-12)
+            if bad.size:
+                i, j = bad[0]
+                raise ValueError(f"entry ({i},{j}) is not symmetric")
 
     @property
     def degree(self):
-        return max(p.degree for p in self.entries.flat)
+        return max(map(sum, self.terms), default=0)
 
     def eval(self, x):
-        out = np.empty((self.size, self.size))
-        for i in range(self.size):
-            for j in range(i, self.size):
-                out[i, j] = out[j, i] = self.entries[i, j].eval(x)
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ValueError(f"point has shape {x.shape}, expected ({self.dim},)")
+        out = np.zeros((self.size, self.size))
+        for beta, C in self.terms.items():
+            out += C * np.prod(x ** np.array(beta))
         return out
 
     @classmethod

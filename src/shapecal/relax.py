@@ -15,16 +15,19 @@ here.
 One assembler builds every moment program: ``structured_relaxation`` takes
 explicit row bases, and ``relax`` calls it with the full bases of its
 order.  Both return (LmiProgram, pos), where ``pos`` maps each moment
-exponent to its variable position in graded-lex order.  Order escalation
-is the caller's: ``solve_order`` relaxes, solves and extracts at one order.
+exponent to its variable position in graded-lex order.  A localizing block
+is a sum of shifted moment patterns times the constraint's coefficient
+matrices C_beta (Henrion and Lasserre 2006), so its triplets come from one
+broadcast.  Order escalation is the caller's: ``solve_order`` relaxes,
+solves and extracts at one order.
 
 One candidate core serves every solved relaxation.  It reads the candidate
 minimizer off the first-order moments and certifies it by direct
 feasibility plus matching of the candidate cost against the relaxation
-bound; for a full order it also compares the ranks of the moment matrices
-of consecutive orders (flat extension).  ``extract`` and
-``structured_candidate`` are its two entry points.  An uncertified bound is
-a valid, honestly reported outcome.
+bound, the solver's dual objective; for a full order it also compares the
+ranks of the moment matrices of consecutive orders (flat extension).
+``extract`` and ``structured_candidate`` are its two entry points.  An
+uncertified bound is a valid, honestly reported outcome.
 """
 
 from __future__ import annotations
@@ -142,11 +145,12 @@ def _candidate(sol, pos, pmi, order, rank_rows=None):
     """The candidate core behind ``extract`` and ``structured_candidate``.
 
     ``pos`` maps a moment exponent to its position in ``sol.z``.  The
-    candidate is the vector of first-order moments.  It is certified when it
-    is feasible for the PMI within ``CANDIDATE_FEAS_TOL`` and either its
-    cost matches the bound within ``CANDIDATE_GAP_RTOL`` or, when
-    ``rank_rows`` gives the row exponents of M_delta and M_(delta-gamma),
-    both moment matrices have rank one.
+    candidate is the vector of first-order moments; the bound is the dual
+    objective, below the relaxation's value as the primal one is above it.
+    The candidate is certified when it is feasible for the PMI within
+    ``CANDIDATE_FEAS_TOL`` and either its cost matches the bound within
+    ``CANDIDATE_GAP_RTOL`` or, when ``rank_rows`` gives the row exponents
+    of M_delta and M_(delta-gamma), both moment matrices have rank one.
     """
     if sol.status != "optimal":
         raise ValueError(f"candidate needs an optimal solution, got "
@@ -170,7 +174,7 @@ def _candidate(sol, pos, pmi, order, rank_rows=None):
 
     feasible = pmi.feasible(x_star)
     cand_cost = pmi.cost.eval(x_star)
-    bound = sol.primal_objective
+    bound = sol.dual_objective
     cost_ok = abs(cand_cost - bound) <= CANDIDATE_GAP_RTOL * (1.0 + abs(bound))
     return RelaxationResult(
         lower_bound=bound,
@@ -226,8 +230,10 @@ def structured_relaxation(pmi, mm_rows, loc_rows):
     full bases of an order; other callers use it to tighten specific
     variable interactions without paying for a full order step.
 
-    Returns (LmiProgram, pos), where ``pos`` maps each exponent the program
-    uses to its variable position, in graded-lex order.
+    Each block's triplets come from one broadcast over its rows, its rows
+    and the constraint's terms, in the order an entry by entry scan would
+    meet them.  Returns (LmiProgram, pos), where ``pos`` maps each exponent
+    the program uses to its variable position, in graded-lex order.
     """
     d = pmi.dim
     mm_rows = [tuple(r) for r in mm_rows]
@@ -239,39 +245,38 @@ def structured_relaxation(pmi, mm_rows, loc_rows):
         if e_i not in mm_rows:
             raise ValueError("moment rows must contain every coordinate")
 
-    # The moment matrix is the localizing matrix of the constant 1.
+    # The moment matrix is the localizing matrix of the constant 1.  Block
+    # moments rows[i] + rows[j] + beta_t are listed in (i, j, t) order.
     one = PolyMatrix.from_scalar(Polynomial.constant(d, 1.0))
-    localized = [(one, mm_rows)] + [
-        (G, [tuple(r) for r in loc_rows.get(ci, [zero])])
-        for ci, G in enumerate(pmi.constraints)]
-    needed = set(pmi.cost.terms)
-    for G, rows in localized:
-        for i, a in enumerate(rows):
-            for b_ in rows[i:]:
-                shift = _mono_sum(a, b_)
-                for x in range(G.size):
-                    for yv in range(G.size):
-                        for beta in G.entries[x, yv].terms:
-                            needed.add(_mono_sum(shift, beta))
+    localized = []
+    for G, rows in [(one, mm_rows)] + [
+            (G, loc_rows.get(ci, [zero]))
+            for ci, G in enumerate(pmi.constraints)]:
+        rows = np.array(rows, dtype=np.intp).reshape(-1, d)
+        betas = np.array(list(G.terms), dtype=np.intp).reshape(-1, d)
+        moments = rows[:, None, None] + rows[None, :, None] + betas
+        localized.append((G, len(rows),
+                          list(map(tuple, moments.reshape(-1, d).tolist()))))
+    needed = set(pmi.cost.terms).union(*(m for _, _, m in localized))
     pos = {a: i for i, a in enumerate(sorted(needed, key=grlex_key))}
 
     cost = sdp.AffineForm({pos[a]: c for a, c in pmi.cost.terms.items()}, 0.0)
 
+    # Triplets in (i, j, t, x, y) order: as G.terms is in entry-scan order,
+    # each moment first appears where an (i, j, x, y, term) scan meets it.
     blocks = []
-    for G, rows in localized:
-        nb = len(rows)
-        msize = nb * G.size
-        coeff = []
-        for i in range(nb):
-            for j in range(nb):
-                shift = _mono_sum(rows[i], rows[j])
-                for x in range(G.size):
-                    for yv in range(G.size):
-                        for beta, cval in G.entries[x, yv].terms.items():
-                            coeff.append((pos[_mono_sum(shift, beta)],
-                                          i * G.size + x, j * G.size + yv,
-                                          cval))
-        blocks.append(sdp.AffineBlock(msize, np.zeros((msize, msize)), coeff))
+    for G, nb, moments in localized:
+        g, msize = G.size, nb * G.size
+        var = np.array([pos[a] for a in moments],
+                       dtype=np.intp).reshape(nb, nb, -1)
+        C = np.array(list(G.terms.values())).reshape(-1, g, g)
+        t, x, y = np.nonzero(C)
+        at = np.arange(nb) * g
+        coeff = np.stack(np.broadcast_arrays(
+            var[:, :, t], at[:, None, None] + x, at[:, None] + y,
+            C[t, x, y]), axis=-1)
+        blocks.append(sdp.AffineBlock(msize, np.zeros((msize, msize)),
+                                      coeff))
 
     equalities = [sdp.AffineForm({pos[zero]: 1.0}, -1.0)]
     for q in pmi.equalities:

@@ -234,6 +234,7 @@ def test_criterion_5_shape_guarantees():
                 certified += 1
                 assert res.shape_report.max_violation <= 1e-6, \
                     f"trial {trial}"
+                assert res.lower_bound <= res.objective, f"trial {trial}"
         assert certified >= 5, f"only {certified}/9 pincushion runs certified"
 
 

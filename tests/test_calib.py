@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from shapecal import calib, sdp
+from shapecal import calib, pipeline, sdp
 from shapecal.calib import (CalibConfig, Correspondence, assemble_cost,
                             read_correspondences, residual_rms,
                             solve_barrel, solve_pincushion,
@@ -157,8 +157,21 @@ def test_pincushion_noiseless_recovery():
     res = solve_pincushion(cost, CalibConfig(rbar=1.0, shape="pincushion"))
     assert res.solver_status == "optimal"
     assert res.certified
+    assert res.lower_bound <= res.objective
     assert abs(res.model.k[3] + 0.08) <= 1e-3
     assert res.shape_report.max_violation <= 1e-6
+
+
+def test_certified_pincushion_bound_is_below_its_objective():
+    # The relaxation's dual objective bounds it from below; its primal
+    # objective (0.00033173218 here) lies above the fitted cost.
+    data = synth_correspondences(pipeline.DEFAULT_TRUE_MODELS["pincushion"],
+                                 (0.02, 0.9), n=200, seed=9, noise=1e-3)
+    res = solve_pincushion(assemble_cost(data),
+                           CalibConfig(rbar=1.0, shape="pincushion"))
+    assert res.certified and res.relaxation_order == 1
+    assert res.lower_bound <= res.objective
+    assert res.objective - res.lower_bound <= 1e-4 * res.objective
 
 
 def test_pincushion_identity_data():
@@ -167,6 +180,7 @@ def test_pincushion_identity_data():
     res = solve_pincushion(assemble_cost(data),
                            CalibConfig(rbar=1.0, shape="pincushion"))
     assert res.certified
+    assert res.lower_bound <= res.objective
     # Every constraint is active at the optimum, so the cost valley is flat
     # around k = 0 and the extracted coefficients carry matching slop.
     assert np.abs(res.model.k).max() <= 1e-3
@@ -183,6 +197,7 @@ def test_pincushion_on_barrel_data():
     res = solve_pincushion(cost, CalibConfig(rbar=1.0, shape="pincushion"))
     unc = solve_unconstrained(cost, "division")
     assert res.certified
+    assert res.lower_bound <= res.objective
     assert res.objective > unc.objective + 1e-6
     assert res.shape_report.max_violation <= 1e-6
     assert pincushion_feasible(*res.model.k[3:], rbar=1.0, tol=1e-6)

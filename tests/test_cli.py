@@ -109,6 +109,15 @@ def test_calibrate_malformed_csv_exits_3(tmp_path, capsys):
     assert ":2:" in capsys.readouterr().err
 
 
+def test_calibrate_non_finite_field_exits_3(tmp_path, capsys):
+    path = tmp_path / "nan.csv"
+    path.write_text("x,y,xhat,yhat\n0.1,0.2,0.1,0.2\n0.3,nan,0.3,0.4\n")
+    code = run_cli("calibrate", "--shape", "none", str(path))
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith(
+        f"data error: {path}:3: non-finite coordinate")
+
+
 def test_calibrate_missing_file_exits_io(tmp_path):
     code = run_cli("calibrate", "--shape", "none",
                    str(tmp_path / "missing.csv"))

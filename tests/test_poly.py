@@ -207,3 +207,27 @@ def test_dimension_mismatch_raises():
         p * q
     with pytest.raises(ValueError):
         p.eval([1.0, 2.0])
+
+
+def test_polymatrix_terms_degree_and_eval():
+    x0 = Polynomial.variable(2, 0)
+    x1 = Polynomial.variable(2, 1)
+    entries = np.array([[x1 + x0 * x0, 2 * x0 - 1],
+                        [2 * x0 - 1, x0 * x0 * x1 + 3 * x1]], dtype=object)
+    G = PolyMatrix(entries)
+    assert not hasattr(G, "entries")
+    assert G.degree == 3
+    # First appearance over a row-major scan of the entries and their terms.
+    assert list(G.terms) == [(0, 1), (2, 0), (1, 0), (0, 0), (2, 1)]
+    expected = {(0, 1): [[1, 0], [0, 3]], (2, 0): [[1, 0], [0, 0]],
+                (1, 0): [[0, 2], [2, 0]], (0, 0): [[0, -1], [-1, 0]],
+                (2, 1): [[0, 0], [0, 1]]}
+    for beta, C in G.terms.items():
+        assert C.tobytes() == np.array(expected[beta], dtype=float).tobytes()
+    rng = np.random.default_rng(3)
+    for x in rng.normal(scale=2.0, size=(20, 2)):
+        ref = np.array([[p.eval(x) for p in row] for row in entries])
+        assert np.allclose(G.eval(x), ref, rtol=1e-12, atol=0.0)
+    zero = PolyMatrix.from_scalar(Polynomial.zero(2))
+    assert zero.terms == {} and zero.degree == 0
+    assert zero.eval([1.0, 2.0]).tobytes() == np.zeros((1, 1)).tobytes()

@@ -738,6 +738,25 @@ def _equality_pmi():
     return relax.PmiProgram(2, x0 + x1, [G, disc], [x0 * x1 - 0.5])
 
 
+def _term_order_pmi():
+    # Entry (1, 1) lists its terms in another order than entry (0, 0), so
+    # the exponent map's order differs from that entry's own.
+    x0 = Polynomial.variable(2, 0)
+    x1 = Polynomial.variable(2, 1)
+    G = PolyMatrix(np.array([[x1 + x0 * x0, x0 - 1],
+                             [x0 - 1, x0 * x0 + x1 + 2]], dtype=object))
+    disc = PolyMatrix.from_scalar(4 - x0 * x0 - x1 * x1)
+    return relax.PmiProgram(2, x0 + x1, [disc, G])
+
+
+def _zero_constraint_pmi():
+    x0 = Polynomial.variable(2, 0)
+    x1 = Polynomial.variable(2, 1)
+    disc = PolyMatrix.from_scalar(4 - x0 * x0 - x1 * x1)
+    zero = PolyMatrix.from_scalar(Polynomial.zero(2))
+    return relax.PmiProgram(2, x0 + x1, [zero, disc])
+
+
 def _failed_solve(program, options=None):
     return sdp.SdpSolution(np.zeros(program.nvars), math.nan, math.nan,
                            "numericalFailure", 0)
@@ -750,6 +769,8 @@ RELAXATIONS = {
         _division_pmi()),
     "equalities-order2": lambda: relax.relax(_equality_pmi(), 2),
     "equalities-order3": lambda: relax.relax(_equality_pmi(), 3),
+    "term-order-order2": lambda: relax.relax(_term_order_pmi(), 2),
+    "zero-constraint-order2": lambda: relax.relax(_zero_constraint_pmi(), 2),
 }
 
 
@@ -773,6 +794,9 @@ def test_relaxations_match_the_dense_assembler_bit_for_bit(name,
     (pmi, mm_rows, loc_rows, program, pos), = calls
     blocks = dense_relaxation_blocks(pmi, mm_rows, loc_rows, pos)
     assert sdp.program_to_json(program) == dense_program_json(program, blocks)
+    # Each block stores its variables in the order the entry scan meets them.
+    for blk, (_, coeff) in zip(program.blocks, blocks):
+        assert list(dict.fromkeys(blk.coeff[0].tolist())) == list(coeff)
 
     z0, N, Cs, coeffs = sdp._reduce(program)
     pins = {i: -eq.constant / c for eq in program.equalities

@@ -145,6 +145,11 @@ def moment_matrix(delta, d):
     return out
 
 
+def entry_terms(G, x, y):
+    """(exponent, coefficient) pairs of entry (x, y) of a PolyMatrix."""
+    return [(beta, C[x, y]) for beta, C in G.terms.items() if C[x, y] != 0.0]
+
+
 def localizing_matrix(G, delta):
     """Textbook localizing matrix: the Riesz image of (psi psi') (x) G.
 
@@ -161,7 +166,7 @@ def localizing_matrix(G, delta):
             for a in range(g):
                 for b in range(g):
                     coeffs = {}
-                    for beta, cval in G.entries[a, b].terms.items():
+                    for beta, cval in entry_terms(G, a, b):
                         key = tuple(s + e for s, e in zip(shift, beta))
                         coeffs[key] = coeffs.get(key, 0.0) + cval
                     out[i * g + a, j * g + b] = LinearForm(coeffs)
@@ -196,7 +201,7 @@ def dense_relaxation_blocks(pmi, mm_rows, loc_rows, pos):
                 shift = tuple(u + v for u, v in zip(a, b))
                 for x in range(g):
                     for y in range(g):
-                        for beta, c in G.entries[x, y].terms.items():
+                        for beta, c in entry_terms(G, x, y):
                             vi = pos[tuple(u + v for u, v in zip(shift, beta))]
                             coeff.setdefault(vi, np.zeros((msize, msize)))[
                                 i * g + x, j * g + y] += c
