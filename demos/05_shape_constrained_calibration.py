@@ -58,6 +58,7 @@ cfg = CalibConfig(rbar=1.0, shape="pincushion", delta_max=2)
 pin = calib.solve_pincushion(cost, cfg)
 print("\npincushion fit:", pin.solver_status,
       "| escalation level:", pin.relaxation_order,
+      f"({pin.relaxation_pass})",
       "| certified:", pin.certified)
 print("  k4..k6:", np.round(pin.model.k[3:], 5))
 print("  lower bound vs objective:", pin.lower_bound, pin.objective)

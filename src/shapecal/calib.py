@@ -21,8 +21,9 @@ zero-crossing LMIs are both built by ``shape_program`` and solved by one
 affine path; the CLI's program dump hands its build to that path.  Each
 pincushion fit builds its symbolic system once; the PMI and the
 certificate-repair LMI both come from it.  The fit walks one ladder of
-relaxation passes (order 1, the structured pass, then the full orders) in
-one loop, and a pass whose solve fails is warned with the solver's status.
+relaxation passes (order 1, the structured pass, then the full order 2) in
+one loop, cut at the order cfg.delta_max; a pass whose solve fails is
+warned with the solver's status, and the result names the pass it ends on.
 
 All certificate equality systems are derived programmatically from the
 interval decomposition by one builder, ``_certified_systems``; the
@@ -111,8 +112,8 @@ class CalibConfig:
             raise ValueError("rbar must be positive and finite")
         if not 0.0 < self.margin_p < 1.0:
             raise ValueError("margin_p must lie strictly between 0 and 1")
-        if self.delta_max < 1:
-            raise ValueError("delta_max must be at least 1")
+        if self.delta_max not in (1, 2):
+            raise ValueError("delta_max must be 1 or 2")
 
 
 @dataclass
@@ -122,6 +123,7 @@ class CalibResult:
     shape_report: object
     solver_status: str
     relaxation_order: int | None = None
+    relaxation_pass: str | None = None
     certified: bool | None = None
     lower_bound: float | None = None
     warnings: list = field(default_factory=list)
@@ -529,11 +531,6 @@ def pincushion_pmi(cost, cfg):
     return relax.PmiProgram(dim, gamma, constraints), scale, repair
 
 
-# Escalating the relaxation order is pointless once the moment vector would
-# outgrow the dense solver; the order is skipped and reported as such.
-MAX_RELAXATION_VARIABLES = 4000
-
-
 def _pincushion_structured(pmi):
     """Structured tightening between the first and second full orders.
 
@@ -561,46 +558,40 @@ def _pincushion_structured(pmi):
     return relax.structured_candidate(sol, pos, pmi)
 
 
-def _pincushion_passes(pmi, cfg, warnings):
-    """Relaxation passes in escalation order, as (order, label, result).
-
-    Order 1 runs at ``TIGHT``; the structured pass and the full higher
-    orders are large and run at ``LOOSE``.  A full order whose moment vector
-    would outgrow the dense solver ends the ladder with a warning.
-    """
-    yield 1, "order 1", relax.solve_order(pmi, 1, TIGHT)
-    if cfg.delta_max < 2:
-        return
-    # Structured pass: tightened coefficient moments at a fraction of the
-    # full second order; its bound certificate stands on its own.
-    yield 2, "structured", _pincushion_structured(pmi)
-    for delta in range(2, cfg.delta_max + 1):
-        nmoments = math.comb(pmi.dim + 2 * delta, pmi.dim)
-        if nmoments > MAX_RELAXATION_VARIABLES:
-            warnings.append(
-                f"relaxation order {delta} skipped: {nmoments} moment "
-                f"variables exceed the dense-solver budget")
-            return
-        yield delta, f"order {delta}", relax.solve_order(pmi, delta, LOOSE)
+# The pincushion ladder, as (label, relaxation order, run) in escalation
+# order; cfg.delta_max cuts it to the passes of order at most that cap.
+# Order 1 runs at TIGHT; the structured pass, a tightening between the
+# first and second full orders whose bound certificate stands on its own,
+# and the full order 2 are large and run at LOOSE.  Each run looks the
+# relax and sdp solvers up when called, so a stand-in set on those modules
+# is the one that runs.
+PINCUSHION_PASSES = (
+    ("order 1", 1, lambda pmi: relax.solve_order(pmi, 1, TIGHT)),
+    ("structured", 2, _pincushion_structured),
+    ("order 2", 2, lambda pmi: relax.solve_order(pmi, 2, LOOSE)),
+)
 
 
 def solve_pincushion(cost, cfg):
     """Pincushion-shaped division model: L' >= 0 and L'' >= 0 on [0, rbar].
 
     The curvature condition makes the certificate coupling quadratic in the
-    coefficients, so the fit runs through the moment relaxation, escalating
-    the order until the extracted candidate certifies or cfg.delta_max is
-    reached.  A candidate that fails the moment-side certificate is re-tried
-    by solving the certificate feasibility program at the candidate
-    coefficients; global optimality then follows from the bound matching the
-    candidate cost.  An uncertified outcome is reported distinctly with the
-    best lower bound and feasible candidate, if any.
+    coefficients, so the fit runs through the moment relaxation, walking
+    ``PINCUSHION_PASSES`` up to order cfg.delta_max until the extracted
+    candidate certifies.  A candidate that fails the moment-side certificate
+    is re-tried by solving the certificate feasibility program at the
+    candidate coefficients; global optimality then follows from the bound
+    matching the candidate cost.  An uncertified outcome is reported
+    distinctly with the best lower bound and feasible candidate, if any.
+    The result names the pass that certified, or the last pass run.
     """
     kind = SHAPE_KINDS["pincushion"]
     pmi, scale, repair = pincushion_pmi(cost, cfg)
     warnings = _data_warnings(cost)
     bounds, best_candidate = [], None
-    for order, label, result in _pincushion_passes(pmi, cfg, warnings):
+    passes = [p for p in PINCUSHION_PASSES if p[1] <= cfg.delta_max]
+    for label, order, run in passes:
+        result = run(pmi)
         if result.solver_status != "optimal":
             warnings.append(f"{label} solve: {result.solver_status}")
             continue
@@ -623,8 +614,9 @@ def solve_pincushion(cost, cfg):
             best_candidate = best_candidate or (k, cand_cost)
             continue
         return CalibResult(model, cand_cost, report, "optimal",
-                           relaxation_order=order, certified=True,
-                           lower_bound=bound, warnings=warnings)
+                           relaxation_order=order, relaxation_pass=label,
+                           certified=True, lower_bound=bound,
+                           warnings=warnings)
 
     # Uncertified at the order cap: report the best bound and the best
     # feasible candidate when one exists.
@@ -634,8 +626,8 @@ def solve_pincushion(cost, cfg):
         model = DistortionModel(kind, tuple(k))
         report = shape_check(model, "pincushion", cfg.rbar)
     return CalibResult(model, cand_cost, report, "uncertified",
-                       relaxation_order=order, certified=False,
-                       lower_bound=max(bounds, default=None),
+                       relaxation_order=order, relaxation_pass=label,
+                       certified=False, lower_bound=max(bounds, default=None),
                        warnings=warnings)
 
 

@@ -181,7 +181,8 @@ def cmd_calibrate(args):
     if args.rbar is not None:
         _require_positive("--rbar", args.rbar)
     _require_margin(args.margin_p)
-    _require_at_least("--delta-max", args.delta_max, 1)
+    if args.delta_max not in (1, 2):
+        raise CalibDataError(f"bad --delta-max {args.delta_max}, need 1 or 2")
     data = calib.read_correspondences(args.data)
     cost = calib.assemble_cost(data)
     if args.shape == "none":
@@ -209,6 +210,7 @@ def cmd_calibrate(args):
         print("shape_max_violation:", _fmt(result.shape_report.max_violation))
     if result.relaxation_order is not None:
         print("relaxation_order:", result.relaxation_order)
+        print("relaxation_pass:", result.relaxation_pass)
         print("certified:", result.certified)
     if result.lower_bound is not None:
         print("lower_bound:", _fmt(result.lower_bound))

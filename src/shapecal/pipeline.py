@@ -727,7 +727,6 @@ class ExperimentConfig:
     true_model: DistortionModel | None = None
     rbar: float = 1.0
     margin_p: float = 0.1
-    delta_max: int = 2
     aso_iterations: int = 10
     validation_grid: int = 41
 
@@ -788,7 +787,7 @@ def _one_trial(cfg, sigma, trial):
     noisy = add_noise(scene, sigma)
     kind = calib.SHAPE_KINDS[cfg.shape]
     ccfg = calib.CalibConfig(rbar=cfg.rbar, margin_p=cfg.margin_p,
-                             delta_max=cfg.delta_max, shape=cfg.shape)
+                             shape=cfg.shape)
     val_points = validation_points(scene, cfg.validation_grid)
 
     cams_init = bootstrap_poses(noisy, seed)
@@ -847,7 +846,7 @@ def run_experiment(cfg):
         "seed": cfg.seed,
         "rbar": cfg.rbar,
         "margin_p": cfg.margin_p,
-        "delta_max": cfg.delta_max,
+        "delta_max": calib.CalibConfig.delta_max,
         "aso_iterations": cfg.aso_iterations,
         "validation_grid": cfg.validation_grid,
         "true_model": {"kind": cfg.resolved_model().kind,

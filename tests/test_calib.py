@@ -170,6 +170,7 @@ def test_certified_pincushion_bound_is_below_its_objective():
     res = solve_pincushion(assemble_cost(data),
                            CalibConfig(rbar=1.0, shape="pincushion"))
     assert res.certified and res.relaxation_order == 1
+    assert res.relaxation_pass == "order 1"
     assert res.lower_bound <= res.objective
     assert res.objective - res.lower_bound <= 1e-4 * res.objective
 
@@ -180,6 +181,7 @@ def test_pincushion_identity_data():
     res = solve_pincushion(assemble_cost(data),
                            CalibConfig(rbar=1.0, shape="pincushion"))
     assert res.certified
+    assert (res.relaxation_pass, res.relaxation_order) == ("structured", 2)
     assert res.lower_bound <= res.objective
     # Every constraint is active at the optimum, so the cost valley is flat
     # around k = 0 and the extracted coefficients carry matching slop.
@@ -337,9 +339,9 @@ def test_config_rejects_rbar_not_positive_and_finite(rbar):
         CalibConfig(rbar=rbar, shape="positivity")
 
 
-@pytest.mark.parametrize("delta_max", [0, -3])
+@pytest.mark.parametrize("delta_max", [0, -3, 3, 7])
 def test_config_rejects_relaxation_order_cap_below_one(delta_max):
-    with pytest.raises(ValueError, match="delta_max"):
+    with pytest.raises(ValueError, match="delta_max must be 1 or 2"):
         CalibConfig(rbar=1.0, shape="pincushion", delta_max=delta_max)
 
 
@@ -393,29 +395,21 @@ def _pincushion_fit_failing_above_order1(monkeypatch, cfg):
     return solve_pincushion(assemble_cost(data), cfg)
 
 
-def test_pincushion_failed_pass_warns_its_status_and_escalates(monkeypatch):
+@pytest.mark.parametrize("cfg", [
+    CalibConfig(rbar=1.0, shape="pincushion", delta_max=2),
+    CalibConfig(rbar=1.0, shape="pincushion")], ids=["cap2", "default"])
+def test_pincushion_failed_pass_warns_its_status_and_escalates(monkeypatch,
+                                                               cfg):
     # The noisy order-1 candidate below does not certify, so the structured
     # pass and full order 2 follow.  Both solves fail here; each failure is
     # warned with the solver's status and the ladder goes on to the next
     # pass, ending uncertified at order 2 with the order-1 bound.
-    res = _pincushion_fit_failing_above_order1(
-        monkeypatch, CalibConfig(rbar=1.0, shape="pincushion", delta_max=2))
+    res = _pincushion_fit_failing_above_order1(monkeypatch, cfg)
     assert res.warnings[-2:] == ["structured solve: numericalFailure",
                                  "order 2 solve: numericalFailure"]
     assert res.solver_status == "uncertified"
-    assert res.relaxation_order == 2
+    assert (res.relaxation_pass, res.relaxation_order) == ("order 2", 2)
     assert res.lower_bound is not None and res.lower_bound > 0
-
-
-def test_default_order_cap_skips_no_relaxation_order(monkeypatch):
-    # The PMI has 11 variables, so order 3 would need 12,376 moments, above
-    # MAX_RELAXATION_VARIABLES; the default cap stops the ladder at order 2
-    # instead of ending it with a skip warning.
-    res = _pincushion_fit_failing_above_order1(
-        monkeypatch, CalibConfig(rbar=1.0, shape="pincushion"))
-    assert not [w for w in res.warnings if "skipped" in w]
-    assert res.warnings[-1] == "order 2 solve: numericalFailure"
-    assert res.relaxation_order == 2
 
 
 def test_pincushion_repair_matches_direct_feasibility():

@@ -422,14 +422,14 @@ def test_margin_outside_unit_interval_exits_3(tmp_path, capsys, monkeypatch,
         capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("value", ["0", "-1", "3", "7"])
 def test_calibrate_delta_max_below_one_exits_3(tmp_path, capsys, monkeypatch,
                                               value):
     _no_data_read(monkeypatch)
     args = ["calibrate", "--shape", "pincushion", "--rbar", "1",
             str(tmp_path / "d.csv")]
     assert run_cli(*args, "--delta-max", value) == cli.EXIT_DATA
-    assert f"bad --delta-max {value}, need at least 1" in \
+    assert f"bad --delta-max {value}, need 1 or 2" in \
         capsys.readouterr().err
 
 
@@ -659,14 +659,32 @@ def test_usage_error_exit_code():
     assert exc.value.code == cli.EXIT_USAGE
 
 
-def test_calibrate_uncertified_exits_solver_code(tmp_path, capsys):
+def _noisy_pincushion_csv(tmp_path):
+    """A noisy set whose order-1 candidate does not certify."""
     true = DistortionModel("division", (0, 0, 0, -0.08, 0.0, 0.0))
     data = synth_correspondences(true, (0.02, 0.5), n=256, seed=5,
                                  noise=2.0 / 540)
     path = tmp_path / "d.csv"
     calib.write_correspondences(path, data)
+    return path
+
+
+def test_calibrate_uncertified_exits_solver_code(tmp_path, capsys):
+    path = _noisy_pincushion_csv(tmp_path)
     code = run_cli("calibrate", "--shape", "pincushion", "--rbar", "1.0",
                    "--delta-max", "1", str(path))
     assert code == cli.EXIT_SOLVER
     captured = capsys.readouterr()
     assert "uncertified" in captured.err
+
+
+def test_calibrate_prints_the_certifying_pass(tmp_path, capsys):
+    # At the default --delta-max the same set certifies at the structured
+    # pass, between order 1 and the full order 2.
+    path = _noisy_pincushion_csv(tmp_path)
+    code = run_cli("calibrate", "--shape", "pincushion", "--rbar", "1.0",
+                   str(path))
+    assert code == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "relaxation_order: 2\nrelaxation_pass: structured\n" in out
+    assert "certified: True" in out
