@@ -681,23 +681,27 @@ def bootstrap_poses(scene, seed):
     return cams
 
 
-def aso_loop(scene, cameras, cfg, iterations=10):
+def aso_loop(scene, cameras, cfg, iterations=10, first=None):
     """Alternate the shape-constrained fit with frozen-model pose refinement.
 
     Each pass fits the distortion on correspondences induced by the current
-    poses, then re-refines the poses with the new model fixed.  Returns the
-    final fit, the final cameras, and the pixel-RMS trace (one entry per
-    completed pass).
+    poses, then re-refines the poses with the new model fixed.  ``first``,
+    when given, is the fit of the correspondences at ``cameras`` (an
+    experiment trial's SO fit), and the first pass takes it rather than
+    solving the same program again.  Returns the final fit, the final
+    cameras, and the pixel-RMS trace (one entry per completed pass).
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")
     result = None
     trace = []
     cams = list(cameras)
-    for _ in range(iterations):
-        data = correspondences(scene, cams)
-        cost = calib.assemble_cost(data)
-        result = calib.solve_shape(cost, cfg)
+    for i in range(iterations):
+        if i == 0 and first is not None:
+            result = first
+        else:
+            cost = calib.assemble_cost(correspondences(scene, cams))
+            result = calib.solve_shape(cost, cfg)
         if result.model is None:
             break
         cams, rms, _ = ba_refine(scene, cams, result.model)
@@ -814,7 +818,8 @@ def _one_trial(cfg, sigma, trial):
     if so.model is not None:
         record("SO", cams_ba, so.model)
 
-    aso, cams_aso, _ = aso_loop(noisy, cams_ba, ccfg, cfg.aso_iterations)
+    aso, cams_aso, _ = aso_loop(noisy, cams_ba, ccfg, cfg.aso_iterations,
+                                first=so)
     if aso is not None and aso.model is not None:
         record("ASO", cams_aso, aso.model)
     return records

@@ -31,10 +31,17 @@ the entries it skips would only have received signed zeros, which leave
 M bit for bit unchanged because M never holds -0.0.
 
 The blocks of the package's programs are tiny (often 1x1 to 4x4), so the
-per-block kernels call LAPACK directly (``dtrtrs`` for step lengths,
-``dpotrs`` for the Schur solve) with the arguments scipy's wrappers would
-pass, and keep their checks: non-finite input raises ValueError and a
-singular triangular factor raises LinAlgError.
+kernels call LAPACK directly (``dtrtrs`` for step lengths, with the
+arguments scipy's triangular solve would pass, and ``dpotrs`` for the
+Schur solve) and keep scipy's checks: non-finite input raises ValueError
+and a singular triangular factor raises LinAlgError; each factor is
+checked once, where a step forms it.  The order-2 Schur complement (1364
+variables, 15 MB) is never copied in transposed order: its upper triangle
+is symmetrized in tiles of rows, numpy factors M' through its column
+order, and ``dpotrs`` takes the F-ordered transpose of the factor.  Every
+iterate keeps the bits of a full ``(M + M') / 2``, numpy's Cholesky of M
+and a solve with the C-ordered factor, which the tests hold as the
+reference.
 
 The solver is reentrant and keeps no global state; a single call is
 single-threaded.
@@ -403,7 +410,8 @@ class LmiBuilder:
 
 def _chol_with_jitter(M, scale=None):
     """Lower Cholesky factor of M, or of one copy of M with jitter * scale
-    added to its diagonal when M itself does not factor.
+    added to its diagonal when M itself does not factor.  Both
+    factorizations read only the lower triangle of M.
 
     ``scale`` defaults to 1 + max |M_ij| and is computed only then.
     """
@@ -432,12 +440,13 @@ def _finite(*arrays):
 
 
 def _lower_solve(L, B):
-    """L^-1 B for a numpy (C-ordered) lower Cholesky factor L.
+    """L^-1 B for a finite numpy (C-ordered) lower Cholesky factor L.
 
     LAPACK reads L' in column order as an upper factor solved transposed,
-    which is the call scipy's triangular solve makes for such an L.
+    which is the call scipy's triangular solve makes for such an L.  The
+    caller checks L once when it forms it; B is checked here.
     """
-    _finite(L, B)
+    _finite(B)
     X, info = dtrtrs(L.T, B, lower=0, trans=1)
     if info > 0:
         raise np.linalg.LinAlgError(
@@ -448,13 +457,57 @@ def _lower_solve(L, B):
 
 
 def _max_step(chol_factor, direction):
-    """Largest a with  M + a * direction  PSD, given M = LL'."""
+    """Largest a with  M + a * direction  PSD, given M = LL' with L finite."""
     K = _lower_solve(chol_factor, direction)
     K = _symmetrized(_lower_solve(chol_factor, K.T).T)
     lam = np.linalg.eigvalsh(K)[0]
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
+
+
+# Rows of the Schur complement symmetrized at a time, so the transposed
+# operand of a tile is read 1 KB (128 doubles) per row.
+SYMMETRIZE_ROWS = 128
+
+
+def _symmetrize_upper(M):
+    """Write (M_ij + M_ji) * 0.5 over the upper triangle of M, in place.
+
+    That is the upper triangle of ``M += M.T; M *= 0.5``, bit for bit, in
+    tiles of SYMMETRIZE_ROWS rows; below the diagonal tiles M keeps its
+    values.
+    """
+    for i in range(0, M.shape[0], SYMMETRIZE_ROWS):
+        rows = slice(i, i + SYMMETRIZE_ROWS)
+        upper = M[rows, i:]
+        upper += M[i:, rows].T
+        upper *= 0.5
+
+
+def _schur_factor(M):
+    """Upper Cholesky factor U, F-ordered, with U' U = (M + M') / 2.
+
+    Overwrites the upper triangle of M.  numpy factors M' (the lower
+    triangle it reads is the upper one of M) in its own column order, so
+    it copies without transposing, and returns a C-ordered lower factor
+    whose transpose U ``dpotrs`` takes without a copy.  Jitter as in
+    ``_chol_with_jitter``; a non-finite factor raises ValueError.
+    """
+    _symmetrize_upper(M)
+    L = _chol_with_jitter(M.T, max(np.trace(M) / M.shape[0], 1e-30))
+    _finite(L)
+    return L.T
+
+
+def _schur_solve(U, rhs):
+    """M^-1 rhs for the factor U of ``_schur_factor``; a non-finite rhs
+    raises ValueError, as scipy's check_finite does."""
+    _finite(rhs)
+    x, info = dpotrs(U, rhs, lower=0)
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
 
 
 def _eliminate_equalities(program):
@@ -754,6 +807,7 @@ def solve(program, options=None):
         """One interior-point step; mode is 'mehrotra' or 'center'."""
         Lxs = [_chol_with_jitter(X) for X in Xs]
         Lss = [_chol_with_jitter(S) for S in Ss]
+        _finite(*Lxs, *Lss)
         Gs, Ginvs, Ws, sigs = [], [], [], []
         for Lx, Ls in zip(Lxs, Lss):
             _, sig, Vt = np.linalg.svd(Ls.T @ Lx)
@@ -770,9 +824,7 @@ def solve(program, options=None):
         M = np.zeros((q, q))
         for A, W in zip(coeffs, Ws):
             A.add_schur(M, W)
-        M += M.T
-        M *= 0.5
-        Mchol = _chol_with_jitter(M, max(np.trace(M) / q, 1e-30))
+        Mfactor = _schur_factor(M)
         del M
 
         base_rhs = rp + sum(A.inner(W @ Rd @ W)
@@ -780,10 +832,7 @@ def solve(program, options=None):
 
         def kkt_solve(Rcs):
             rhs = base_rhs - sum(A.inner(Rc) for A, Rc in zip(coeffs, Rcs))
-            _finite(Mchol, rhs)
-            dy, info = dpotrs(Mchol, rhs, lower=1)
-            if info:
-                raise ValueError(f"illegal value in argument {-info} of dpotrs")
+            dy = _schur_solve(Mfactor, rhs)
             dSs = [Rd - A.combine(dy) for Rd, A in zip(Rds, coeffs)]
             dXs = [_symmetrized(Rc - W @ dS @ W)
                    for Rc, W, dS in zip(Rcs, Ws, dSs)]

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -508,6 +509,37 @@ def test_run_experiment_records_a_failed_trial(monkeypatch):
             for sigma, trial in [(0.0, 1), (0.5, 0), (0.5, 1)]
             for method in ("BA", "SO", "ASO")]
     assert run_experiment(cfg).to_json() == report.to_json()
+
+
+def test_trial_hands_its_so_fit_to_the_first_aso_pass(monkeypatch):
+    cfg = ExperimentConfig(shape="barrel", sigmas=(0.5,), trials=1, seed=4,
+                           aso_iterations=3,
+                           scene=SceneConfig(target_rows=6, target_cols=6,
+                                             cameras=3))
+    fits, passes = [], []
+    solve_shape, loop = calib.solve_shape, pipeline.aso_loop
+
+    def counted(cost, ccfg):
+        fits.append(cost)
+        return solve_shape(cost, ccfg)
+
+    def traced(*args, **kwargs):
+        out = loop(*args, **kwargs)
+        passes.append(len(out[2]))
+        return out
+
+    monkeypatch.setattr(calib, "solve_shape", counted)
+    monkeypatch.setattr(pipeline, "aso_loop", traced)
+    records = pipeline._one_trial(cfg, 0.5, 0)
+    assert passes == [3] and len(fits) == 3
+    # Refitting the first pass, as the loop does without ``first``, gives
+    # the same records byte for byte.
+    monkeypatch.setattr(pipeline, "aso_loop",
+                        lambda *args, first=None, **kwargs: loop(*args,
+                                                                 **kwargs))
+    fits.clear()
+    assert json.dumps(pipeline._one_trial(cfg, 0.5, 0)) == json.dumps(records)
+    assert len(fits) == 4
 
 
 def test_scene_json_roundtrip():

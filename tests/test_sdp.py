@@ -16,7 +16,8 @@ from shapecal.sdp import (AffineBlock, AffineForm, LmiBuilder, LmiProgram,
                           SolverOptions, epigraph_block, factor_psd, solve)
 from util import (dense_blocks, dense_program_json, dense_reduce,
                   dense_relaxation_blocks, full_range_add_schur,
-                  synth_correspondences)
+                  synth_correspondences, transposing_schur_factor,
+                  transposing_schur_solve)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -723,6 +724,116 @@ def test_dense_reduction_scatters_the_coo_products_bit_for_bit(name):
         assert isinstance(A, sdp._DenseCoeffs)
         assert C.tobytes() == C_ref.tobytes()
         assert A.A.tobytes() == A_ref.tobytes()
+
+
+def _asymmetric_schur(rng, q):
+    # Positive definite, with a relative asymmetry like a formed M's.
+    G = rng.normal(size=(q, q))
+    return G @ G.T + q * np.eye(q) + 1e-9 * rng.normal(size=(q, q))
+
+
+@pytest.mark.parametrize("q", [1, 127, 128, 129, 300])
+def test_tiled_schur_factor_and_solve_match_the_transposing_oracle(q):
+    rng = np.random.default_rng(q)
+    M = _asymmetric_schur(rng, q)
+    tiled, full = M.copy(), M.copy()
+    sdp._symmetrize_upper(tiled)
+    full += full.T
+    full *= 0.5
+    assert np.triu(tiled).tobytes() == np.triu(full).tobytes()
+    U = sdp._schur_factor(M.copy())
+    L = transposing_schur_factor(M.copy())
+    assert U.flags.f_contiguous and U.T.tobytes() == L.tobytes()
+    rhs = rng.normal(size=q)
+    assert sdp._schur_solve(U, rhs).tobytes() == \
+        transposing_schur_solve(L, rhs).tobytes()
+
+
+def _solve_outcome(program, options):
+    sol = solve(program, options)
+    return (sol.z.tobytes(), sol.iterations, sol.status, sol.exit_reason,
+            sol.centered, float(sol.dual_objective).hex())
+
+
+def _with_transposing_oracle(monkeypatch):
+    monkeypatch.setattr(sdp, "_schur_factor", transposing_schur_factor)
+    monkeypatch.setattr(sdp, "_schur_solve", transposing_schur_solve)
+
+
+@pytest.mark.parametrize("name", ["order2", "partly-held", "barrel",
+                                  "bench-order2"])
+def test_solves_match_the_transposing_schur_oracle_bit_for_bit(
+        name, request, monkeypatch):
+    program, options = {
+        "order2": lambda: (_small_order2_program(), TIGHT),
+        "partly-held": lambda: (
+            _partly_held_program(np.random.default_rng(6)), TIGHT),
+        "barrel": lambda: (_small_programs()["barrel"], calib.TIGHT),
+        "bench-order2": lambda: (request.getfixturevalue(
+            "bench_escalating_set").order2, calib.LOOSE)}[name]()
+    got = _solve_outcome(program, options)
+    assert got[2] == "optimal"
+    _with_transposing_oracle(monkeypatch)
+    assert got == _solve_outcome(program, options)
+
+
+def test_schur_solve_hands_dpotrs_a_column_ordered_factor(monkeypatch):
+    # A C-ordered factor would make f2py copy all q^2 entries per call.
+    seen = []
+    real = sdp.dpotrs
+
+    def spy(c, b, **kwargs):
+        seen.append((c.shape, c.flags.f_contiguous))
+        return real(c, b, **kwargs)
+
+    monkeypatch.setattr(sdp, "dpotrs", spy)
+    assert solve(_small_order2_program(), TIGHT).status == "optimal"
+    assert seen and all(shape == (14, 14) and f for shape, f in seen)
+
+
+def test_schur_factor_and_solve_refuse_non_finite_values():
+    U = sdp._schur_factor(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError) as exc:
+            sdp._schur_solve(U, np.array([1.0, bad]))
+        assert not isinstance(exc.value, np.linalg.LinAlgError)
+    # diag(1, inf) factors to diag(1, inf) without a LAPACK error.
+    with pytest.raises(ValueError) as exc:
+        sdp._schur_factor(np.diag([1.0, np.inf]))
+    assert not isinstance(exc.value, np.linalg.LinAlgError)
+
+
+def test_refused_schur_factorization_jitters_to_the_oracles_exit(
+        monkeypatch):
+    # The stand-in refuses the fifth factorization of the 14 x 14 Schur
+    # complement, so the jitter branch factors a copy; it must read the
+    # triangle the tiled symmetrization wrote.  Tiles of four rows leave
+    # unsymmetrized entries below the diagonal tiles, and the complement
+    # of the first iteration, symmetric to the bit, could not tell.
+    monkeypatch.setattr(sdp, "SYMMETRIZE_ROWS", 4)
+    program = _small_order2_program()
+    real = np.linalg.cholesky
+
+    def run():
+        schur = []
+
+        def cholesky(a, *args, **kwargs):
+            if a.shape == (14, 14):
+                schur.append(a)
+                if len(schur) == 5:
+                    raise np.linalg.LinAlgError("refused")
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        outcome = _solve_outcome(program, TIGHT)
+        assert len(schur) > 6
+        return outcome
+
+    got = run()
+    assert got[2] == "optimal"
+    assert got != _solve_outcome(program, TIGHT)
+    _with_transposing_oracle(monkeypatch)
+    assert got == run()
 
 
 # ---------------------------------------------------------------------------

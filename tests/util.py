@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import scipy.sparse
+from scipy.linalg.lapack import dpotrs
 
 from dataclasses import dataclass
 
@@ -305,3 +306,23 @@ def full_range_add_schur(csr, m, M, W):
         left = W[:, rows[run]].transpose(1, 0, 2) * vals[run, None, :]
         X = left @ W[cols[run]]
         M[:, run] += csr @ X.reshape(len(X), -1).T
+
+
+def transposing_schur_factor(M):
+    """The oracle for ``sdp._schur_factor``: ``M += M.T; M *= 0.5`` over
+    the whole matrix, then numpy's Cholesky (with its jitter) of the
+    C-ordered M, which numpy copies into column order.  Returns the
+    C-ordered lower factor."""
+    M += M.T
+    M *= 0.5
+    return sdp._chol_with_jitter(M, max(np.trace(M) / M.shape[0], 1e-30))
+
+
+def transposing_schur_solve(L, rhs):
+    """The oracle for ``sdp._schur_solve`` on the lower factor of
+    ``transposing_schur_factor``, which f2py copies into column order."""
+    sdp._finite(L, rhs)
+    x, info = dpotrs(L, rhs, lower=1)
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
