@@ -15,7 +15,8 @@ On top of the scene generator sit the pose estimation pieces:
 * ``ba_full``: the classical joint bundle adjustment baseline with the
   distortion coefficients as free variables;
 * both refinements solve a ``_pose_problem``, which gives them one residual
-  and one block forward-difference Jacobian;
+  and one block forward-difference Jacobian, both from one pixel-error
+  function;
 * ``aso_loop``: alternation of the shape-constrained distortion solve with
   ``ba_refine``;
 * ``run_experiment``: the BA / SO / ASO comparison over noise levels, with
@@ -76,9 +77,15 @@ class Camera:
             raise ValueError("R is not orthonormal")
         if np.linalg.det(self.R) < 0:
             raise ValueError("R must be a proper rotation")
+        if not (np.isfinite(self.t).all() and np.isfinite(self.K).all()):
+            raise ValueError("t and K must be finite")
         if abs(self.K[2, 2] - 1.0) > 1e-12 or abs(self.K[1, 0]) > 1e-12 \
                 or abs(self.K[2, 0]) > 1e-12 or abs(self.K[2, 1]) > 1e-12:
             raise ValueError("K must be upper triangular with K[2,2] = 1")
+        # ``project`` scales both axes by K[0,0].
+        if abs(self.K[1, 1] - self.K[0, 0]) > 1e-12 \
+                or abs(self.K[0, 1]) > 1e-12:
+            raise ValueError("K must have equal focal lengths and no skew")
 
     @property
     def focal(self):
@@ -87,25 +94,6 @@ class Camera:
     @property
     def principal(self):
         return np.array([self.K[0, 2], self.K[1, 2]])
-
-    def with_params(self, rvec, t, focal):
-        """This camera with a new pose and focal, built without the checks.
-
-        ``rodrigues`` of a finite vector is a proper rotation by construction
-        and ``K`` is a copy with only the focal changed, so the constructor's
-        orthonormality, determinant and ``K`` checks are skipped; a
-        non-finite rotation, ``t`` or focal still raises ``ValueError``.
-        """
-        R = rodrigues(rvec)
-        t = np.asarray(t, dtype=float)
-        if not (np.isfinite(R).all() and np.isfinite(t).all()
-                and math.isfinite(focal)):
-            raise ValueError("non-finite camera parameters")
-        K = self.K.copy()
-        K[0, 0] = K[1, 1] = focal
-        cam = object.__new__(Camera)
-        cam.R, cam.t, cam.K = R, t, K
-        return cam
 
 
 @dataclass
@@ -448,23 +436,15 @@ def _pose_problem(scene, cameras, model, free, focal_prior_weight):
     coefficients of ``model`` indexed by ``free``; the others stay fixed.
     The residual stacks each camera's pixel errors, then one log-focal
     prior row per camera, ``focal_prior_weight * log(focal / start)``; any
-    failure gives the sentinel vector of 1e8.  ``jacobian(x, r0)`` with
-    ``r0 = resid(x)`` equals ``_num_jacobian(resid, x, r0)`` bit for bit: a
-    camera's parameters move only its pixel rows and its prior row, and
-    every other row of the difference is ``(a - a) / h = +0.0``.  A
-    camera's 7 columns come from one stacked (7, N, 3) projection: the
-    base rotation product X R0' is formed once and serves the three
-    translation columns and the focal column, and each rotation column
-    keeps its own 2-D product X R' + t, since a 3-D stacked matmul may sum
-    in another order and change bits.  A column whose step fails as
-    ``resid`` would (a non-finite or non-positive parameter, a point at
-    non-positive depth, |g| < POLE_EPS) gets the sentinel difference.  A
-    coefficient column moves only L(r), at radii the base projection
-    already gives: its pixel rows re-evaluate f and g there with the
-    stepped coefficient, in ``project``'s arithmetic, and it gets the
-    sentinel difference where ``resid`` would fail (a model that raises,
-    |g| < POLE_EPS at any radius).  Every column at a sentinel or
-    non-finite ``r0`` differences the whole residual.  Returns
+    failure gives the sentinel vector of 1e8.  One function, ``errors``,
+    gives the pixel errors for the residual and for both kinds of Jacobian
+    column, in ``project``'s arithmetic.  ``jacobian(x, r0)`` with
+    ``r0 = resid(x)`` equals ``_num_jacobian(resid, x, r0)`` bit for bit:
+    a camera's 7 columns come from one stacked (7, N, 3) array of stepped
+    camera-frame points, a coefficient column re-evaluates the base points
+    with the stepped coefficient, and a column whose step fails as
+    ``resid`` would gets the sentinel difference.  Every column at a
+    sentinel or non-finite ``r0`` differences the whole residual.  Returns
     ``(x0, resid, jacobian, unpack)``.
     """
     free = list(free)
@@ -478,12 +458,20 @@ def _pose_problem(scene, cameras, model, free, focal_prior_weight):
     pixel_rows = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
     nres = int(bounds[-1]) + ncam
 
-    def camera(p, i):
-        return cameras[i].with_params(p[7 * i:7 * i + 3],
-                                      p[7 * i + 3:7 * i + 6], p[7 * i + 6])
+    def errors(i, pc, focal, coeffs):
+        """Camera i's pixel errors at camera-frame points pc (..., N, 3).
 
-    def pixel_errors(cam, i, coeffs):
-        return (project(cam, pts[i], coeffs) - scene.pixels[i]).ravel()
+        Also returns, per leading layer, whether ``resid`` fails there: a
+        point at depth <= 0 or |g| < POLE_EPS.
+        """
+        xy = pc[..., :2] / pc[..., 2:3]
+        r = np.hypot(xy[..., 0], xy[..., 1])
+        fv = np.polyval(coeffs.f_coeffs[::-1], r)
+        gv = np.polyval(coeffs.g_coeffs[::-1], r)
+        failed = ((pc[..., 2] <= 0).any(axis=-1)
+                  | (np.abs(gv) < POLE_EPS).any(axis=-1))
+        return (xy * (fv / gv)[..., None] * focal + principals[i]
+                - scene.pixels[i]), failed
 
     def prior(focal, i):
         return focal_prior_weight * math.log(focal / f0s[i])
@@ -496,26 +484,43 @@ def _pose_problem(scene, cameras, model, free, focal_prior_weight):
         return DistortionModel(model.kind, tuple(k))
 
     def unpack(p):
-        return [camera(p, i) for i in range(ncam)], model_at(p)
+        cams = []
+        for i, cam in enumerate(cameras):
+            K = cam.K.copy()
+            K[0, 0] = K[1, 1] = p[7 * i + 6]
+            cams.append(Camera(rodrigues(p[7 * i:7 * i + 3]),
+                               p[7 * i + 3:7 * i + 6], K))
+        return cams, model_at(p)
 
     def resid(p):
-        if (p[6:7 * ncam:7] <= 0).any():
+        if not np.isfinite(p).all() or (p[6:7 * ncam:7] <= 0).any():
             return np.full(nres, 1e8)
-        try:
-            cams, coeffs = unpack(p)
-            return np.concatenate(
-                [pixel_errors(cam, i, coeffs) for i, cam in enumerate(cams)]
-                + [[prior(p[7 * i + 6], i) for i in range(ncam)]])
-        except (ValueError, ArithmeticError):
-            return np.full(nres, 1e8)
+        rows = []
+        # ``errors`` divides before it tests for failure.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            try:
+                coeffs = model_at(p)
+                for i in range(ncam):
+                    c = p[7 * i:7 * i + 7]
+                    err, failed = errors(i, pts[i] @ rodrigues(c[:3]).T
+                                         + c[3:6], c[6], coeffs)
+                    if failed:
+                        return np.full(nres, 1e8)
+                    rows.append(err.ravel())
+                rows.append([prior(p[7 * i + 6], i) for i in range(ncam)])
+            except (ValueError, ArithmeticError):
+                return np.full(nres, 1e8)
+        return np.concatenate(rows)
 
-    def camera_columns(J, x, r0, i, fc, gc):
+    def camera_columns(J, x, r0, i, coeffs):
         """Fill camera i's 7 columns of J from one stacked projection.
 
-        Column k steps parameter 7 i + k as ``_forward_step`` does; layer k
-        of ``pc`` holds its camera-frame points, and every later operation
-        is the elementwise one ``project`` makes on them.  Returns the base
-        normalized points and radii, layer 6's, whose step moves only the
+        Column k steps parameter 7 i + k as ``_forward_step`` does, and
+        layer k of ``pc`` holds its camera-frame points.  The base rotation
+        product X R0' serves the three translation columns and the focal
+        column; each rotation column keeps its own 2-D product X R' + t,
+        since a 3-D stacked matmul may sum in another order and change
+        bits.  Returns layer 6, the base points, whose step moves only the
         focal.
         """
         cols = slice(7 * i, 7 * i + 7)
@@ -532,22 +537,15 @@ def _pose_problem(scene, cameras, model, free, focal_prior_weight):
             rv = xi[:3].copy()
             rv[k] = stepped[k]
             try:
-                R = rodrigues(rv)
-                failed[k] |= not np.isfinite(R).all()
-                pc[k] = X @ R.T + t
+                pc[k] = X @ rodrigues(rv).T + t
             except (ValueError, ArithmeticError):
                 failed[k] = True
         focals = np.full(7, xi[6])
         focals[6] = stepped[6]
-        xy = pc[..., :2] / pc[..., 2:3]
-        r = np.hypot(xy[..., 0], xy[..., 1])
-        fv, gv = np.polyval(fc, r), np.polyval(gc, r)
-        failed |= (pc[..., 2] <= 0).any(axis=1)
-        failed |= (np.abs(gv) < POLE_EPS).any(axis=1)
-        err = (xy * (fv / gv)[..., None] * focals[:, None, None]
-               + principals[i] - scene.pixels[i]).reshape(7, -1)
+        err, layer_failed = errors(i, pc, focals[:, None, None], coeffs)
+        failed |= layer_failed
         rows = pixel_rows[i]
-        J[rows, cols] = ((err - r0[rows]) / hs[:, None]).T
+        J[rows, cols] = ((err.reshape(7, -1) - r0[rows]) / hs[:, None]).T
         prior_row = nres - ncam + i
         priors = np.full(7, prior(xi[6], i))
         if not failed[6]:
@@ -555,23 +553,21 @@ def _pose_problem(scene, cameras, model, free, focal_prior_weight):
         J[prior_row, cols] = (priors - r0[prior_row]) / hs
         bad = np.flatnonzero(failed)
         J[:, 7 * i + bad] = (1e8 - r0)[:, None] / hs[bad]
-        return xy[6], r[6]
+        return pc[6]
 
     def coefficient_column(x, r0, j, frames):
-        """Coefficient column j of the difference, from the base ``frames``."""
+        """Coefficient column j of the difference, at the base ``frames``."""
         xp, h = _forward_step(x, j)
         try:
             coeffs = model_at(xp)
         except (ValueError, ArithmeticError):
             return (1e8 - r0) / h
-        fc, gc = coeffs.f_coeffs[::-1], coeffs.g_coeffs[::-1]
         rp = r0.copy()
-        for i, (xy, r) in enumerate(frames):
-            fv, gv = np.polyval(fc, r), np.polyval(gc, r)
-            if (np.abs(gv) < POLE_EPS).any():
+        for i, pc in enumerate(frames):
+            err, failed = errors(i, pc, x[7 * i + 6], coeffs)
+            if failed:
                 return (1e8 - r0) / h
-            rp[pixel_rows[i]] = (xy * (fv / gv)[:, None] * x[7 * i + 6]
-                                 + principals[i] - scene.pixels[i]).ravel()
+            rp[pixel_rows[i]] = err.ravel()
         return (rp - r0) / h
 
     def jacobian(x, r0):
@@ -579,9 +575,8 @@ def _pose_problem(scene, cameras, model, free, focal_prior_weight):
             return _num_jacobian(resid, x, r0)
         J = np.zeros((nres, len(x)))
         coeffs = model_at(x)
-        fc, gc = coeffs.f_coeffs[::-1], coeffs.g_coeffs[::-1]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            frames = [camera_columns(J, x, r0, i, fc, gc)
+            frames = [camera_columns(J, x, r0, i, coeffs)
                       for i in range(ncam)]
             for j in range(7 * ncam, len(x)):
                 J[:, j] = coefficient_column(x, r0, j, frames)
@@ -627,7 +622,11 @@ def correspondences(scene, cameras):
 # Validation grid
 # ---------------------------------------------------------------------------
 
-def validation_points(scene, grid=41):
+# Side of the per-camera validation lattice, in points.
+VALIDATION_GRID = 41
+
+
+def validation_points(scene, grid=VALIDATION_GRID):
     """Ground-truth 3D points whose true projections tile the full image.
 
     Per camera: a ``grid`` x ``grid`` pixel lattice including the corners is
@@ -681,25 +680,22 @@ def bootstrap_poses(scene, seed):
     return cams
 
 
-def aso_loop(scene, cameras, cfg, iterations=10, first=None):
+def aso_loop(scene, cameras, cfg, first, iterations=10):
     """Alternate the shape-constrained fit with frozen-model pose refinement.
 
     Each pass fits the distortion on correspondences induced by the current
-    poses, then re-refines the poses with the new model fixed.  ``first``,
-    when given, is the fit of the correspondences at ``cameras`` (an
-    experiment trial's SO fit), and the first pass takes it rather than
-    solving the same program again.  Returns the final fit, the final
+    poses, then re-refines the poses with the new model fixed.  ``first``
+    is the fit of the correspondences at ``cameras`` (an experiment trial's
+    SO fit), which the first pass takes.  Returns the final fit, the final
     cameras, and the pixel-RMS trace (one entry per completed pass).
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")
-    result = None
+    result = first
     trace = []
     cams = list(cameras)
     for i in range(iterations):
-        if i == 0 and first is not None:
-            result = first
-        else:
+        if i > 0:
             cost = calib.assemble_cost(correspondences(scene, cams))
             result = calib.solve_shape(cost, cfg)
         if result.model is None:
@@ -732,7 +728,6 @@ class ExperimentConfig:
     rbar: float = 1.0
     margin_p: float = 0.1
     aso_iterations: int = 10
-    validation_grid: int = 41
 
     def resolved_model(self):
         return self.true_model or DEFAULT_TRUE_MODELS[self.shape]
@@ -792,7 +787,7 @@ def _one_trial(cfg, sigma, trial):
     kind = calib.SHAPE_KINDS[cfg.shape]
     ccfg = calib.CalibConfig(rbar=cfg.rbar, margin_p=cfg.margin_p,
                              shape=cfg.shape)
-    val_points = validation_points(scene, cfg.validation_grid)
+    val_points = validation_points(scene)
 
     cams_init = bootstrap_poses(noisy, seed)
 
@@ -818,9 +813,8 @@ def _one_trial(cfg, sigma, trial):
     if so.model is not None:
         record("SO", cams_ba, so.model)
 
-    aso, cams_aso, _ = aso_loop(noisy, cams_ba, ccfg, cfg.aso_iterations,
-                                first=so)
-    if aso is not None and aso.model is not None:
+    aso, cams_aso, _ = aso_loop(noisy, cams_ba, ccfg, so, cfg.aso_iterations)
+    if aso.model is not None:
         record("ASO", cams_aso, aso.model)
     return records
 
@@ -853,7 +847,7 @@ def run_experiment(cfg):
         "margin_p": cfg.margin_p,
         "delta_max": calib.CalibConfig.delta_max,
         "aso_iterations": cfg.aso_iterations,
-        "validation_grid": cfg.validation_grid,
+        "validation_grid": VALIDATION_GRID,
         "true_model": {"kind": cfg.resolved_model().kind,
                        "k": list(cfg.resolved_model().k)},
         # Reports written so far carry no target spacing; keep their bytes.

@@ -175,6 +175,23 @@ def test_certified_pincushion_bound_is_below_its_objective():
     assert res.objective - res.lower_bound <= 1e-4 * res.objective
 
 
+def test_uncertified_pincushion_keeps_its_repaired_candidate(monkeypatch):
+    # With no gap allowed, the order-1 candidate of the set above passes
+    # the repair but not the cost test, so the fit ends uncertified and
+    # reports that candidate.
+    monkeypatch.setattr(calib.relax, "CANDIDATE_GAP_RTOL", 0.0)
+    data = synth_correspondences(pipeline.DEFAULT_TRUE_MODELS["pincushion"],
+                                 (0.02, 0.9), n=200, seed=9, noise=1e-3)
+    cost = assemble_cost(data)
+    res = solve_pincushion(cost, CalibConfig(rbar=1.0, shape="pincushion",
+                                             delta_max=1))
+    assert res.solver_status == "uncertified" and not res.certified
+    assert res.model is not None
+    assert res.objective == cost.objective(np.array(res.model.k))
+    assert res.shape_report.max_violation == 0.0
+    assert res.lower_bound <= res.objective
+
+
 def test_pincushion_identity_data():
     data = synth_correspondences(DistortionModel.identity(), (0.02, 0.5),
                                  n=100, seed=7)

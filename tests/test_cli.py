@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -223,6 +224,34 @@ def test_calibrate_dump_sdp_other_shapes_exit_2(tmp_path, capsys,
     assert code == cli.EXIT_USAGE
     assert "--dump-sdp" in capsys.readouterr().err
     assert not dump.exists()
+
+
+def test_calibrate_solver_failure_exits_solver_code(tmp_path, capsys,
+                                                    monkeypatch):
+    def failed(program, options=None):
+        return sdp.SdpSolution(np.zeros(program.nvars), math.nan, math.nan,
+                               "numericalFailure", 0)
+
+    monkeypatch.setattr(sdp, "solve", failed)
+    path = tmp_path / "d.csv"
+    calib.write_correspondences(path, synth_correspondences(
+        DistortionModel("polynomial", (-0.15, -0.05, 0, 0, 0, 0)),
+        (0.02, 0.6), n=50, seed=1))
+    code = run_cli("calibrate", "--shape", "barrel", "--rbar", "1", str(path))
+    assert code == cli.EXIT_SOLVER
+    assert capsys.readouterr().err == (
+        "solver error: barrel solve failed: numericalFailure\n"
+        '{"reason": "numericalFailure"}\n')
+
+
+def test_calibrate_prints_data_warnings(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    calib.write_correspondences(path, np.zeros((2, 4)))
+    assert run_cli("calibrate", "--shape", "none", str(path)) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "warning: degenerate data: only 2 correspondence(s)\n" in out
+    assert "warning: all points at zero radius: model is unconstrained " \
+        "by data\n" in out
 
 
 def test_undistort_identity(tmp_path):
@@ -542,6 +571,25 @@ def test_experiment_small_and_deterministic(tmp_path):
     lines = csv1.decode().splitlines()
     assert lines[0] == "method,sigma,trial,calib_rms,valid_rms,shape_violations"
     assert len(lines) == 1 + 3  # three methods, one sigma, one trial
+
+
+def test_experiment_lists_failed_trials(tmp_path, capsys, monkeypatch):
+    original = pipeline._one_trial
+
+    def one_trial(cfg, sigma, trial):
+        if trial == 0:
+            raise RuntimeError("injected failure")
+        return original(cfg, sigma, trial)
+
+    monkeypatch.setattr(pipeline, "_one_trial", one_trial)
+    out = tmp_path / "rep"
+    code = run_cli("experiment", "--trials", "2", "--sigmas", "0",
+                   "--cameras", "2", "--target", "4x4", "--out", str(out))
+    assert code == cli.EXIT_OK
+    assert capsys.readouterr().err == (
+        "1 trial(s) failed:\n"
+        '{"sigma": 0.0, "trial": 0, "error": '
+        '"RuntimeError: injected failure"}\n')
 
 
 def test_curve_identity_constant(tmp_path):

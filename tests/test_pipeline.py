@@ -190,6 +190,13 @@ def _ba_full_problem(scene, cams, kind, weight):
                                   calib.KIND_INDICES[kind], weight)
 
 
+def _camera_at(cam, p):
+    """``cam`` moved to the pose and focal of the 7 parameters ``p``."""
+    K = cam.K.copy()
+    K[0, 0] = K[1, 1] = p[6]
+    return Camera(rodrigues(p[:3]), p[3:6], K)
+
+
 def _assert_block_jacobian_exact(problem, x):
     _, resid, jacobian, _ = problem
     r0 = resid(x)
@@ -229,6 +236,17 @@ def test_ba_full_block_jacobian_when_a_focal_crosses_zero():
     xp, _ = pipeline._forward_step(x, 6)
     assert xp[6] > 0 and not np.all(resid(xp) == 1e8)
     _assert_block_jacobian_exact(problem, x)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("j", [0, 4, 6, 28],
+                         ids=["rotation", "translation", "focal", "k1"])
+def test_pose_residual_is_the_sentinel_at_a_non_finite_parameter(j, value):
+    scene, cams = _ba_start()
+    x0, resid = _ba_full_problem(scene, cams, "polynomial", 1.0)[:2]
+    x = x0.copy()
+    x[j] = value
+    assert np.all(resid(x) == 1e8)
 
 
 def test_ba_full_block_jacobian_at_sentinel_residual():
@@ -320,7 +338,7 @@ def _pole_column_problem(column, weight, i=1):
     view = replace(scene, pixels=[scene.pixels[i]],
                    point_indices=[scene.point_indices[i]])
     xp, _ = pipeline._forward_step(pipeline._cam_params(cams[i]), column)
-    stepped = cams[i].with_params(xp[:3], xp[3:6], xp[6])
+    stepped = _camera_at(cams[i], xp)
     xy = ideal_normalized(stepped, scene.target[scene.point_indices[i][:1]])
     r_pole = np.hypot(xy[0, 0], xy[0, 1])
     model = DistortionModel("division", (0, 0, 0, -1.0 / r_pole, 0, 0))
@@ -354,7 +372,7 @@ def _refine_oracle(scene, cameras, model, weight):
             if p[6] <= 0:
                 return np.full(pix.size + 1, 1e8)
             try:
-                trial = cam.with_params(p[:3], p[3:6], p[6])
+                trial = _camera_at(cam, p)
                 err = (project(trial, pts, model) - pix).ravel()
             except (ValueError, ArithmeticError):
                 return np.full(pix.size + 1, 1e8)
@@ -367,7 +385,7 @@ def _refine_oracle(scene, cameras, model, weight):
             refined.append(cam)
             statuses.append("reverted")
             continue
-        refined.append(cam.with_params(p[:3], p[3:6], p[6]))
+        refined.append(_camera_at(cam, p))
         statuses.append(status)
     return refined, reprojection_rms(scene, refined, model), statuses
 
@@ -386,21 +404,29 @@ def test_ba_refine_matches_the_dense_oracle(model, weight):
             and np.array_equal(a.K, b.K)
 
 
-def test_with_params_matches_the_validated_camera():
-    cam = small_scene().cameras[0]
-    rvec = np.array([0.1, -0.2, 0.3])
-    t = np.array([0.5, -0.1, 12.0])
-    K = cam.K.copy()
-    K[0, 0] = K[1, 1] = 512.5
-    fast = cam.with_params(rvec, t, 512.5)
-    ref = Camera(rodrigues(rvec), t, K)
-    assert type(fast) is Camera
-    for name in ("R", "t", "K"):
-        assert np.array_equal(getattr(fast, name), getattr(ref, name))
-    for bad in (([np.nan, 0.0, 0.0], t, 512.5), ([np.inf, 0.0, 0.0], t, 512.5),
-                (rvec, [0.0, np.inf, 1.0], 512.5), (rvec, t, np.nan)):
-        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
-            cam.with_params(*bad)
+def test_camera_rejects_what_the_projection_cannot_use():
+    R, t = rodrigues([0.1, -0.2, 0.3]), np.array([0.5, -0.1, 12.0])
+    K = np.array([[512.5, 0.0, 320.0], [0.0, 512.5, 240.0], [0.0, 0.0, 1.0]])
+    Camera(R, t, K)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="orthonormal"):
+            Camera(rodrigues([np.nan, 0.0, 0.0]), t, K)
+        with pytest.raises(ValueError):
+            rodrigues([np.inf, 0.0, 0.0])
+    for bad_t in ([0.0, np.inf, 1.0], [np.nan, 0.0, 5.0]):
+        with pytest.raises(ValueError, match="finite"):
+            Camera(R, bad_t, K)
+    for (row, col), value, reason in (((0, 0), np.nan, "finite"),
+                                      ((1, 1), np.inf, "finite"),
+                                      ((0, 1), 0.5, "no skew")):
+        bad = K.copy()
+        bad[row, col] = value
+        with pytest.raises(ValueError, match=reason):
+            Camera(R, t, bad)
+    # An fy that differs from fx would be ignored by ``project``.
+    with pytest.raises(ValueError, match="equal focal lengths"):
+        Camera(np.eye(3), [0, 0, 5], [[500, 0, 320], [0, 1000, 240],
+                                      [0, 0, 1]])
     with pytest.raises(ValueError, match="proper rotation"):
         Camera(np.diag([1.0, 1.0, -1.0]), t, K)
     with pytest.raises(ValueError, match="orthonormal"):
@@ -426,12 +452,19 @@ def test_validation_rms_zero_at_truth():
         assert len(X) >= 0.9 * 15 * 15
 
 
+def _so_fit(scene, cameras, cfg):
+    """The shape-constrained fit of the correspondences at ``cameras``."""
+    return calib.solve_shape(
+        calib.assemble_cost(correspondences(scene, cameras)), cfg)
+
+
 def test_aso_loop_noiseless_trace_non_increasing():
     scene = small_scene(seed=9)
     cams0 = perturb_cameras(scene.cameras, 9)
     cams_init, _, _ = ba_refine(scene, cams0, DistortionModel.identity())
     cfg = calib.CalibConfig(rbar=1.0, shape="barrel")
-    result, cams, trace = aso_loop(scene, cams_init, cfg, iterations=4)
+    result, cams, trace = aso_loop(scene, cams_init, cfg,
+                                   _so_fit(scene, cams_init, cfg), 4)
     assert result.solver_status == "optimal"
     for a, b in zip(trace, trace[1:]):
         assert b <= a + 1e-9
@@ -443,20 +476,26 @@ def test_aso_after_full_ba_reaches_truth_on_noiseless_data():
     cams_init, _, _ = ba_refine(scene, cams0, DistortionModel.identity())
     cams_ba, _, _ = ba_full(scene, cams_init, "polynomial")
     cfg = calib.CalibConfig(rbar=1.0, shape="barrel")
-    result, cams, trace = aso_loop(scene, cams_ba, cfg, iterations=3)
+    result, cams, trace = aso_loop(scene, cams_ba, cfg,
+                                   _so_fit(scene, cams_ba, cfg), 3)
     assert trace[-1] <= 1e-4
     assert np.abs(np.array(result.model.k) - BARREL.k).max() <= 1e-3
 
 
 def test_aso_single_iteration_is_so_composition():
+    # One pass returns the fit it was handed and refines the cameras with
+    # its model.
     scene = small_scene(seed=10)
     cams0 = perturb_cameras(scene.cameras, 10)
     cfg = calib.CalibConfig(rbar=1.0, shape="barrel")
-    result, cams, trace = aso_loop(scene, cams0, cfg, iterations=1)
-    cost = calib.assemble_cost(correspondences(scene, cams0))
-    direct = calib.solve_shape(cost, cfg)
-    assert np.allclose(result.model.k, direct.model.k, atol=1e-12)
-    assert len(trace) == 1
+    first = _so_fit(scene, cams0, cfg)
+    result, cams, trace = aso_loop(scene, cams0, cfg, first, 1)
+    assert result is first
+    cams_ref, rms_ref, _ = ba_refine(scene, cams0, first.model)
+    assert trace == [rms_ref]
+    for a, b in zip(cams, cams_ref):
+        assert np.array_equal(a.R, b.R) and np.array_equal(a.t, b.t) \
+            and np.array_equal(a.K, b.K)
 
 
 def test_run_experiment_noiseless_consistency():
@@ -532,11 +571,12 @@ def test_trial_hands_its_so_fit_to_the_first_aso_pass(monkeypatch):
     monkeypatch.setattr(pipeline, "aso_loop", traced)
     records = pipeline._one_trial(cfg, 0.5, 0)
     assert passes == [3] and len(fits) == 3
-    # Refitting the first pass, as the loop does without ``first``, gives
-    # the same records byte for byte.
+    # Handing the loop a freshly solved first fit in place of the SO fit
+    # gives the same records byte for byte.
     monkeypatch.setattr(pipeline, "aso_loop",
-                        lambda *args, first=None, **kwargs: loop(*args,
-                                                                 **kwargs))
+                        lambda scene, cams, ccfg, first, iterations: loop(
+                            scene, cams, ccfg, _so_fit(scene, cams, ccfg),
+                            iterations))
     fits.clear()
     assert json.dumps(pipeline._one_trial(cfg, 0.5, 0)) == json.dumps(records)
     assert len(fits) == 4
@@ -560,7 +600,8 @@ def test_positivity_aso_keeps_denominator_clear():
     cams0 = perturb_cameras(scene.cameras, 13)
     cams_init, _, _ = ba_refine(noisy, cams0, DistortionModel.identity())
     ccfg = calib.CalibConfig(rbar=1.0, margin_p=0.1, shape="positivity")
-    result, cams, trace = aso_loop(noisy, cams_init, ccfg, iterations=3)
+    result, cams, trace = aso_loop(noisy, cams_init, ccfg,
+                                   _so_fit(noisy, cams_init, ccfg), 3)
     rs = np.linspace(0, 1.0, 2001)
     g = np.polyval(np.array(result.model.g_coeffs)[::-1], rs)
     assert g.min() >= 0.1 - 1e-6
