@@ -4,10 +4,11 @@ Given ideal/observed correspondences in normalized image coordinates, each
 point contributes two rows of a linear system A k = b in the six model
 coefficients, obtained by clearing the denominator of the rational model.
 The squared residual is the quadratic k' M k + m' k + c with M PSD by
-construction, turned into a linear objective through a Schur-complement
-epigraph block.  Four solvers share this cost:
+construction.  Four solvers share this cost.  Three fits go through the
+SDP, which turns the cost into a linear objective through a Schur-complement
+epigraph block; the unconstrained one is the closed-form least-squares point:
 
-* unconstrained - the epigraph program alone (plain least squares);
+* unconstrained - plain least squares, ``_least_squares``;
 * barrel        - polynomial kind, first and second derivative nonpositive
                   on [0, rbar], certificates keep the program affine;
 * pincushion    - division kind; the curvature condition couples the
@@ -207,21 +208,42 @@ def _data_warnings(cost):
     return notes
 
 
+def _least_squares(cost, kind):
+    """The six coefficients minimizing the cost over the active ones of a kind.
+
+    Solves the normal equations of the restricted cost after Jacobi
+    equilibration (powers of the radius make the raw columns badly scaled),
+    through the epigraph block's own factorization Ms = L'L, and refines
+    the solution once with the same two solves (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 12).  Directions the data leave
+    unresolved get the minimum-norm zero.
+    """
+    idx = list(KIND_INDICES[kind])
+    Mr = cost.M[np.ix_(idx, idx)]
+    d = 1.0 / np.sqrt(np.maximum(np.diag(Mr), 1e-12))
+    Ms = d[:, None] * Mr * d[None, :]
+    b = -0.5 * d * cost.m[idx]
+    L = sdp.factor_psd(Ms)
+
+    def solve(rhs):
+        w = np.linalg.lstsq(L.T, rhs, rcond=None)[0]
+        return np.linalg.lstsq(L, w, rcond=None)[0]
+
+    u = solve(b)
+    u = u + solve(b - Ms @ u)
+    return _full_k(kind, d * u)
+
+
 def _polish_inactive(cost, kind, k_ipm, feasible_fn):
     """Snap to the plain least-squares optimum when no constraint binds.
 
     Interior-point iterates carry a barrier bias of order mu times the cost
     conditioning; when the shape constraints are inactive the constrained
-    optimum coincides with the unconstrained one, so the minimum-norm
-    normal-equation point is exact there.  It is adopted only when it
-    passes the caller's feasibility check and does not raise the objective.
+    optimum coincides with the unconstrained one, ``_least_squares``, which
+    is exact there.  It is adopted only when it passes the caller's
+    feasibility check and does not raise the objective.
     """
-    idx = list(KIND_INDICES[kind])
-    Mr = cost.M[np.ix_(idx, idx)]
-    # Keep every numerically-resolved direction; a blown-up candidate fails
-    # the objective guard below and the interior-point answer is kept.
-    k_red = np.linalg.pinv(Mr, rcond=1e-15) @ (-0.5 * cost.m[idx])
-    k_ls = _full_k(kind, k_red)
+    k_ls = _least_squares(cost, kind)
     if cost.objective(k_ls) <= cost.objective(k_ipm) + 1e-10 * (
             1.0 + abs(cost.objective(k_ipm))) and feasible_fn(k_ls):
         return k_ls
@@ -229,44 +251,14 @@ def _polish_inactive(cost, kind, k_ipm, feasible_fn):
 
 
 def solve_unconstrained(cost, kind=SHAPE_KINDS["none"]):
-    """Least squares over the coefficients of one model kind, as an LMI.
+    """Least squares over the coefficients of one model kind.
 
-    Minimizes the epigraph variable of the quadratic cost; agrees with the
-    normal-equation solution whenever the restricted M is nonsingular.  The
-    coefficients are Jacobi-equilibrated inside the program (powers of the
-    radius make the raw columns badly scaled), which keeps the recovered
-    minimizer accurate without touching the solution itself.
+    No shape condition applies, so no program is solved: the result is the
+    closed-form point of ``_least_squares``, always "optimal".
     """
-    Mr, mr, c, idx, _scale = _restricted(cost, kind)
-    d = 1.0 / np.sqrt(np.maximum(np.diag(Mr), 1e-12))
-    Ms = d[:, None] * Mr * d[None, :]
-    ms = d * mr
-    names = [K_NAMES[i] for i in idx]
-    bld = sdp.LmiBuilder()
-    bld.add_epigraph(Ms, ms, c, names, "gamma")
-    bld.set_cost({"gamma": 1.0})
-    sol = sdp.solve(bld.build(), TIGHT)
-    if sol.status != "optimal":
-        raise CalibrationError(f"unconstrained solve failed: {sol.status}",
-                               sol.status)
-    k_red = np.array([bld.value(sol, n) for n in names])
-    # Complementarity sharpening: the epigraph block's conic matrix is
-    # rank-one at the optimum with range spanned by (-L k*, 1), so its last
-    # column reproduces L k* to the accuracy of the converged pair.  Keep
-    # whichever candidate evaluates lower.
-    if sol.block_duals:
-        X = sol.block_duals[0]
-        if abs(X[-1, -1]) > 1e-12:
-            L = sdp.factor_psd(Ms)
-            u = -X[:-1, -1] / X[-1, -1]
-            k_sharp, *_ = np.linalg.lstsq(L, u, rcond=None)
-            if cost.objective(_full_k(kind, d * k_sharp)) <= \
-                    cost.objective(_full_k(kind, d * k_red)):
-                k_red = k_sharp
-    k = _full_k(kind, d * k_red)
-    model = DistortionModel(kind, tuple(k))
-    return CalibResult(model, cost.objective(k), None, sol.status,
-                       warnings=_data_warnings(cost))
+    k = _least_squares(cost, kind)
+    return CalibResult(DistortionModel(kind, tuple(k)), cost.objective(k),
+                       None, "optimal", warnings=_data_warnings(cost))
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +626,7 @@ def solve_pincushion(cost, cfg):
 def solve_shape(cost, cfg):
     """Route to the solver selected by cfg.shape."""
     if cfg.shape == "none":
-        return solve_unconstrained(cost, SHAPE_KINDS["none"])
+        return solve_unconstrained(cost)
     if cfg.shape == "barrel":
         return solve_barrel(cost, cfg)
     if cfg.shape == "pincushion":

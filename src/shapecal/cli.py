@@ -186,7 +186,7 @@ def cmd_calibrate(args):
     data = calib.read_correspondences(args.data)
     cost = calib.assemble_cost(data)
     if args.shape == "none":
-        result = calib.solve_unconstrained(cost, "rational")
+        result = calib.solve_unconstrained(cost)
     else:
         cfg = calib.CalibConfig(rbar=args.rbar, margin_p=args.margin_p,
                                 delta_max=args.delta_max, shape=args.shape)

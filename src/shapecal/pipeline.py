@@ -61,6 +61,9 @@ class SceneConfig:
             raise ValueError("target must be at least 2x2")
         if self.cameras < 1:
             raise ValueError("need at least one camera")
+        for name in ("spacing", "focal", "coverage"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass
@@ -73,7 +76,9 @@ class Camera:
         self.R = np.asarray(self.R, dtype=float)
         self.t = np.asarray(self.t, dtype=float)
         self.K = np.asarray(self.K, dtype=float)
-        if not np.allclose(self.R @ self.R.T, np.eye(3), atol=1e-10):
+        # np.allclose(R R', I, atol=1e-10) written out; False for NaN too.
+        eye = np.eye(3)
+        if not (np.abs(self.R @ self.R.T - eye) <= 1e-10 + 1e-5 * eye).all():
             raise ValueError("R is not orthonormal")
         if np.linalg.det(self.R) < 0:
             raise ValueError("R must be a proper rotation")
@@ -128,23 +133,20 @@ def rodrigues_inverse(R):
     """Rotation matrix to axis-angle vector."""
     cos_theta = max(-1.0, min(1.0, (np.trace(R) - 1.0) / 2.0))
     theta = math.acos(cos_theta)
+    skew = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
     if theta < 1e-12:
-        return np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0],
-                         R[1, 0] - R[0, 1]]) / 2.0
+        return skew / 2.0
     if abs(theta - math.pi) < 1e-6:
-        # Near pi the off-diagonal formula degrades; use the symmetric part.
-        A = (R + np.eye(3)) / 2.0
-        axis = np.sqrt(np.maximum(np.diag(A), 0.0))
-        axis /= max(np.linalg.norm(axis), 1e-12)
-        # Fix signs from the off-diagonal entries.
-        if A[0, 1] < 0:
-            axis[1] = -axis[1]
-        if A[0, 2] < 0:
-            axis[2] = -axis[2]
+        # Near pi the skew part 2 sin(theta) a vanishes.  The symmetric part
+        # B = (1 - cos theta) a a' gives the axis up to sign from its row of
+        # largest diagonal; the skew part still carries the overall sign.
+        B = (R + R.T) / 2.0 - cos_theta * np.eye(3)
+        axis = B[int(np.argmax(np.diag(B)))]
+        axis = axis / np.linalg.norm(axis)
+        if axis @ skew < 0:
+            axis = -axis
         return axis * theta
-    axis = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0],
-                     R[1, 0] - R[0, 1]]) / (2.0 * math.sin(theta))
-    return axis * theta
+    return skew / (2.0 * math.sin(theta)) * theta
 
 
 def _hat(v):

@@ -249,10 +249,6 @@ class SdpSolution:
     dual_objective: float
     status: str  # optimal | infeasible | unbounded | maxIterations | numericalFailure
     iterations: int
-    # Conic-side matrices of the standard-form pair, one per block, on
-    # optimal exits; complementary to the block slacks, they carry the
-    # active-face geometry (rank-one for an epigraph block at its optimum).
-    block_duals: list = None
     # Why the iteration stopped: targets_met, stalled (no progress for
     # STALL_ITERATIONS; ``status`` says whether the best iterate was
     # accepted), iteration_cap, step_failure, unbounded, infeasible or
@@ -967,17 +963,14 @@ def solve(program, options=None):
 
     if status == "optimal":
         y_best, pobj, dobj = best[0], best[3], best[4]
-        duals = best[1]
     else:
         pobj = float(c_red @ y) + offset
         y_best, dobj = y, math.nan
-        duals = None
         if status == "unbounded":
             pobj = -math.inf
 
     z = z0 + N @ y_best
-    return SdpSolution(z, pobj, dobj, status, iterations, duals, reason,
-                       centered)
+    return SdpSolution(z, pobj, dobj, status, iterations, reason, centered)
 
 
 # ---------------------------------------------------------------------------

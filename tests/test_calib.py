@@ -121,6 +121,40 @@ def test_unconstrained_rank_deficient_matches_pseudoinverse():
     assert res.objective == pytest.approx(obj_pinv, abs=1e-6)
 
 
+def test_unconstrained_fit_runs_no_sdp(monkeypatch):
+    # The plain least-squares point has a closed form; no program is solved.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the unconstrained fit ran the SDP solver")
+
+    monkeypatch.setattr(sdp, "solve", no_solve)
+    data = synth_correspondences(TRUE_RATIONAL, (0.05, 0.9), n=150, seed=1,
+                                 noise=2.0 / 540)
+    cost = assemble_cost(data)
+    for kind in ("rational", "polynomial", "division"):
+        res = solve_unconstrained(cost, kind)
+        assert res.solver_status == "optimal"
+        assert res.model.kind == kind
+        if kind == "rational":
+            # The pseudoinverse closed form is itself unreliable for the
+            # ill-conditioned rational columns; it is not compared here.
+            continue
+        idx = list(calib.KIND_INDICES[kind])
+        Mr, mr = cost.M[np.ix_(idx, idx)], cost.m[idx]
+        closed = cost.c - 0.25 * mr @ np.linalg.pinv(Mr) @ mr
+        assert abs(res.objective - closed) <= 1e-12 * (1.0 + abs(closed))
+
+
+def test_affine_polish_takes_the_unconstrained_point():
+    # With its constraints inactive, the barrel fit snaps to the very point
+    # the unconstrained fit returns: one least-squares computation serves
+    # both.
+    true = DistortionModel("polynomial", (-0.1, -0.05, 0, 0, 0, 0))
+    data = synth_correspondences(true, (0.02, 0.5), n=500, seed=4)
+    cost = assemble_cost(data)
+    res = solve_barrel(cost, CalibConfig(rbar=1.0, shape="barrel"))
+    assert res.model.k == solve_unconstrained(cost, "polynomial").model.k
+
+
 def test_barrel_noiseless_recovery():
     true = DistortionModel("polynomial", (-0.1, -0.05, 0, 0, 0, 0))
     data = synth_correspondences(true, (0.02, 0.5), n=500, seed=4)

@@ -35,6 +35,24 @@ def test_rodrigues_roundtrip():
         assert np.allclose(rodrigues_inverse(R), v, atol=1e-9)
 
 
+@pytest.mark.parametrize("axis", [(1, 0, 0), (0, 1, 1), (0, 1, -1),
+                                  (0, 1e-9, 1), (1, 1, 1), (1, -2, 3)])
+def test_rodrigues_roundtrip_near_pi(axis):
+    # Within 1e-6 of pi the axis comes from the symmetric part of R; an axis
+    # perpendicular to x must not take its signs from rounding noise.
+    axis = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    for eps in (0.0, 1e-9, 1e-7, 5e-7, 9.9e-7):
+        R = rodrigues((math.pi - eps) * axis)
+        assert np.abs(rodrigues(rodrigues_inverse(R)) - R).max() < 1e-7
+
+
+@pytest.mark.parametrize("field", ["spacing", "focal", "coverage"])
+@pytest.mark.parametrize("value", [0.0, -0.5, np.inf, np.nan])
+def test_scene_config_rejects_what_generate_scene_cannot_use(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive"):
+        SceneConfig(**{field: value})
+
+
 def test_generate_scene_default_protocol():
     cfg = SceneConfig()
     scene = generate_scene(cfg, BARREL, 0)
@@ -431,6 +449,10 @@ def test_camera_rejects_what_the_projection_cannot_use():
         Camera(np.diag([1.0, 1.0, -1.0]), t, K)
     with pytest.raises(ValueError, match="orthonormal"):
         Camera(1.01 * np.eye(3), t, K)
+    with pytest.raises(ValueError, match="orthonormal"):
+        Camera(np.full((3, 3), np.nan), t, K)
+    # np.allclose's relative tolerance of 1e-5 holds on the diagonal.
+    Camera(np.diag([1 + 4e-6] * 3), t, K)
 
 
 def test_correspondences_shapes_and_units():
