@@ -4,7 +4,7 @@ Given ideal/observed correspondences in normalized image coordinates, each
 point contributes two rows of a linear system A k = b in the six model
 coefficients, obtained by clearing the denominator of the rational model.
 The squared residual is the quadratic k' M k + m' k + c with M PSD by
-construction.  Four solvers share this cost.  Three fits go through the
+construction.  Four solvers share this cost.  The shape fits go through the
 SDP, which turns the cost into a linear objective through a Schur-complement
 epigraph block; the unconstrained one is the closed-form least-squares point:
 
@@ -18,8 +18,10 @@ epigraph block; the unconstrained one is the closed-form least-squares point:
                   p on [0, rbar], which removes common-root poles.
 
 ``SHAPE_KINDS`` names the model kind each shape fits.  The barrel and
-zero-crossing LMIs are both built by ``shape_program`` and solved by one
-affine path; the CLI's program dump hands its build to that path.  Each
+zero-crossing fits share one affine path: the cost is convex, so when the
+least-squares point already has the shape it is the constrained optimum and
+no program is solved; otherwise the LMI built by ``shape_program`` is.  The
+CLI's program dump hands its build to that path.  Each
 pincushion fit builds its symbolic system once; the PMI and the
 certificate-repair LMI both come from it.  The fit walks one ladder of
 relaxation passes (order 1, the structured pass, then the full order 2) in
@@ -115,6 +117,8 @@ class CalibConfig:
             raise ValueError("margin_p must lie strictly between 0 and 1")
         if self.delta_max not in (1, 2):
             raise ValueError("delta_max must be 1 or 2")
+        if self.shape not in SHAPE_KINDS:
+            raise ValueError(f"unknown shape {self.shape!r}")
 
 
 @dataclass
@@ -234,22 +238,6 @@ def _least_squares(cost, kind):
     return _full_k(kind, d * u)
 
 
-def _polish_inactive(cost, kind, k_ipm, feasible_fn):
-    """Snap to the plain least-squares optimum when no constraint binds.
-
-    Interior-point iterates carry a barrier bias of order mu times the cost
-    conditioning; when the shape constraints are inactive the constrained
-    optimum coincides with the unconstrained one, ``_least_squares``, which
-    is exact there.  It is adopted only when it passes the caller's
-    feasibility check and does not raise the objective.
-    """
-    k_ls = _least_squares(cost, kind)
-    if cost.objective(k_ls) <= cost.objective(k_ipm) + 1e-10 * (
-            1.0 + abs(cost.objective(k_ipm))) and feasible_fn(k_ls):
-        return k_ls
-    return k_ipm
-
-
 def solve_unconstrained(cost, kind=SHAPE_KINDS["none"]):
     """Least squares over the coefficients of one model kind.
 
@@ -356,31 +344,36 @@ def shape_program(cost, shape, cfg):
 
 
 # Per affine shape: the name a failed solve reports, and the largest shape
-# violation at which the plain least-squares point replaces the solver's.
+# violation at which the plain least-squares point is the constrained optimum.
 _AFFINE_SHAPES = {"barrel": ("barrel", 1e-10),
                   "positivity": ("zero-crossing", 0.0)}
 
 
 def _solve_affine(cost, shape, cfg, built=None):
-    """Solve a ``shape_program`` build, polish an inactive optimum, report.
+    """Fit an affine shape: least squares when that point has the shape, else
+    the ``shape_program`` build (``built``, when the caller holds it) solved.
 
-    ``built`` is that build when the caller already holds it."""
-    label, polish_tol = _AFFINE_SHAPES[shape]
+    The cost is convex, so a least-squares point within the shape's
+    tolerance is the constrained optimum and no program is solved."""
+    label, tol = _AFFINE_SHAPES[shape]
     kind = SHAPE_KINDS[shape]
+
+    def result(k, status):
+        model = DistortionModel(kind, tuple(k))
+        return CalibResult(model, cost.objective(k),
+                           shape_check(model, shape, cfg.rbar,
+                                       margin=cfg.margin_p),
+                           status, warnings=_data_warnings(cost))
+
+    fit = result(_least_squares(cost, kind), "optimal")
+    if fit.shape_report.max_violation <= tol:
+        return fit
     program, readout = built or shape_program(cost, shape, cfg)
     sol = sdp.solve(program, TIGHT)
     if sol.status != "optimal":
         raise CalibrationError(f"{label} solve failed: {sol.status}",
                                sol.status)
-
-    def report(k):
-        return shape_check(DistortionModel(kind, tuple(k)), shape, cfg.rbar,
-                           margin=cfg.margin_p)
-
-    k = _polish_inactive(cost, kind, readout(sol),
-                         lambda kk: report(kk).max_violation <= polish_tol)
-    return CalibResult(DistortionModel(kind, tuple(k)), cost.objective(k),
-                       report(k), sol.status, warnings=_data_warnings(cost))
+    return result(readout(sol), sol.status)
 
 
 def solve_barrel(cost, cfg):

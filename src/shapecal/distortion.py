@@ -259,8 +259,10 @@ def shape_check(model, shape, rbar, samples=2048, margin=0.1, tol=1e-9):
     """
     if shape not in SHAPES:
         raise ValueError(f"unknown shape {shape!r}")
-    if rbar <= 0:
-        raise ValueError("rbar must be positive")
+    if not 0 < rbar < math.inf:
+        raise ValueError("rbar must be positive and finite")
+    if samples < 2:
+        raise ValueError("samples must be at least 2 to hold both endpoints")
     rs = np.linspace(0.0, rbar, samples)
     gv = _polyval(model.g_coeffs, rs)
 
@@ -279,7 +281,7 @@ def shape_check(model, shape, rbar, samples=2048, margin=0.1, tol=1e-9):
                 v = np.maximum(v, np.maximum(-gv[safe], 0.0))
             viol[safe] = v
 
-    max_violation = float(viol.max()) if len(viol) else 0.0
+    max_violation = float(viol.max())
     violating = rs[viol > tol].tolist()
     return ShapeReport(shape, float(rbar), int(samples), max_violation,
                        violating)

@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import calib
-from .distortion import (POLE_EPS, DistortionModel, shape_check,
+from .distortion import (POLE_EPS, SHAPES, DistortionModel, shape_check,
                          undistort_points)
 
 
@@ -256,8 +256,8 @@ def add_noise(scene, sigma):
     sigma = 0 returns an identical copy; the noise stream depends on the
     scene seed and sigma only, so repeated calls agree bit for bit.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0 <= sigma < math.inf:
+        raise ValueError("sigma must be nonnegative and finite")
     if sigma == 0:
         return replace(scene, pixels=[p.copy() for p in scene.pixels])
     rng = _rng(scene.seed, 1, int(round(sigma * 1e9)))
@@ -730,6 +730,12 @@ class ExperimentConfig:
     rbar: float = 1.0
     margin_p: float = 0.1
     aso_iterations: int = 10
+
+    def __post_init__(self):
+        if self.shape not in SHAPES:
+            raise ValueError(f"unknown shape {self.shape!r}")
+        if not all(0 <= s < math.inf for s in self.sigmas):
+            raise ValueError("sigmas must be nonnegative and finite")
 
     def resolved_model(self):
         return self.true_model or DEFAULT_TRUE_MODELS[self.shape]

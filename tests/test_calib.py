@@ -144,15 +144,60 @@ def test_unconstrained_fit_runs_no_sdp(monkeypatch):
         assert abs(res.objective - closed) <= 1e-12 * (1.0 + abs(closed))
 
 
-def test_affine_polish_takes_the_unconstrained_point():
-    # With its constraints inactive, the barrel fit snaps to the very point
-    # the unconstrained fit returns: one least-squares computation serves
-    # both.
+def test_affine_polish_takes_the_unconstrained_point(monkeypatch):
+    # When the least-squares point already has the shape it is the
+    # constrained optimum: the affine fits return the very point the
+    # unconstrained fit returns, and solve no program.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a fit with an inactive shape ran the solver")
+
+    monkeypatch.setattr(sdp, "solve", no_solve)
     true = DistortionModel("polynomial", (-0.1, -0.05, 0, 0, 0, 0))
     data = synth_correspondences(true, (0.02, 0.5), n=500, seed=4)
     cost = assemble_cost(data)
     res = solve_barrel(cost, CalibConfig(rbar=1.0, shape="barrel"))
+    assert res.solver_status == "optimal"
     assert res.model.k == solve_unconstrained(cost, "polynomial").model.k
+
+    data = synth_correspondences(TRUE_RATIONAL, (0.05, 0.9), n=150, seed=1)
+    cost = assemble_cost(data)
+    res = solve_zero_crossing(cost, CalibConfig(rbar=1.0, shape="positivity"))
+    assert res.solver_status == "optimal"
+    assert res.shape_report.max_violation == 0.0
+    assert res.model.k == solve_unconstrained(cost, "rational").model.k
+
+
+def test_affine_fit_with_a_binding_shape_solves_once(monkeypatch):
+    # A least-squares point that lacks the shape sends the fit to exactly
+    # one program solve, whose answer is the result.
+    calls = []
+    real_solve = sdp.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(sdp, "solve", counting_solve)
+    true = DistortionModel("polynomial", (0.1, 0.05, 0, 0, 0, 0))
+    cases = [
+        (solve_barrel, "barrel",
+         synth_correspondences(true, (0.02, 0.5), n=200, seed=5)),
+        (solve_zero_crossing, "positivity",
+         synth_correspondences(TRUE_RATIONAL, (0.05, 0.9), n=150, seed=1,
+                               noise=2.0 / 540)),
+    ]
+    for solve, shape, data in cases:
+        cost = assemble_cost(data)
+        cfg = CalibConfig(rbar=1.0, shape=shape)
+        kind = calib.SHAPE_KINDS[shape]
+        k_ls = solve_unconstrained(cost, kind).model
+        assert shape_check(k_ls, shape, cfg.rbar,
+                           margin=cfg.margin_p).max_violation > 1e-3
+        calls.clear()
+        res = solve(cost, cfg)
+        assert len(calls) == 1
+        assert res.solver_status == "optimal"
+        assert res.shape_report.max_violation <= 1e-6
 
 
 def test_barrel_noiseless_recovery():
@@ -394,6 +439,12 @@ def test_config_rejects_rbar_not_positive_and_finite(rbar):
 def test_config_rejects_relaxation_order_cap_below_one(delta_max):
     with pytest.raises(ValueError, match="delta_max must be 1 or 2"):
         CalibConfig(rbar=1.0, shape="pincushion", delta_max=delta_max)
+
+
+@pytest.mark.parametrize("shape", ["bogus", "", "Barrel"])
+def test_config_rejects_an_unknown_shape(shape):
+    with pytest.raises(ValueError, match="unknown shape"):
+        CalibConfig(rbar=1.0, shape=shape)
 
 
 def test_pincushion_systems_built_once_per_fit(monkeypatch):

@@ -208,6 +208,34 @@ def test_calibrate_dump_sdp_builds_the_program_once(tmp_path, capsys,
     assert capsys.readouterr().out == plain
 
 
+def test_calibrate_dump_sdp_solves_the_dumped_program(tmp_path, capsys,
+                                                      monkeypatch):
+    # Barrel on pincushion data: the least-squares point lacks the shape, so
+    # the fit solves, and it solves the dumped build rather than a new one.
+    data = synth_correspondences(
+        DistortionModel("polynomial", (0.1, 0.05, 0, 0, 0, 0)),
+        (0.02, 0.5), n=200, seed=5)
+    path = tmp_path / "d.csv"
+    calib.write_correspondences(path, data)
+    args = ["calibrate", "--shape", "barrel", "--rbar", "1.0", str(path)]
+    assert run_cli(*args) == 0
+    plain = capsys.readouterr().out
+
+    builds, solved = [], []
+    build, solve = calib.barrel_systems, sdp.solve
+    monkeypatch.setattr(calib, "barrel_systems",
+                        lambda *a: builds.append(a) or build(*a))
+    monkeypatch.setattr(sdp, "solve",
+                        lambda program, *a: solved.append(program)
+                        or solve(program, *a))
+    dump = tmp_path / "prog.json"
+    assert run_cli(*args, "--dump-sdp", str(dump)) == 0
+    assert len(builds) == 1
+    assert len(solved) == 1
+    assert dump.read_text() == sdp.program_to_json(solved[0]) + "\n"
+    assert capsys.readouterr().out == plain
+
+
 @pytest.mark.parametrize("shape", ["none", "pincushion"])
 def test_calibrate_dump_sdp_other_shapes_exit_2(tmp_path, capsys,
                                                  monkeypatch, shape):
@@ -234,8 +262,10 @@ def test_calibrate_solver_failure_exits_solver_code(tmp_path, capsys,
 
     monkeypatch.setattr(sdp, "solve", failed)
     path = tmp_path / "d.csv"
+    # The generator's k3 leaves the least-squares point without the barrel
+    # shape, so the fit reaches the solver.
     calib.write_correspondences(path, synth_correspondences(
-        DistortionModel("polynomial", (-0.15, -0.05, 0, 0, 0, 0)),
+        DistortionModel("polynomial", (-0.15, -0.05, 0.1, 0, 0, 0)),
         (0.02, 0.6), n=50, seed=1))
     code = run_cli("calibrate", "--shape", "barrel", "--rbar", "1", str(path))
     assert code == cli.EXIT_SOLVER

@@ -232,6 +232,23 @@ def test_shape_check_sample_count_and_endpoints():
     assert report.rbar == 2.0
 
 
+@pytest.mark.parametrize("samples", [1, 0, -4])
+def test_shape_check_rejects_a_grid_without_both_endpoints(samples):
+    # One sample would be r = 0 alone: a model with k3 = 0.5, whose L''
+    # reaches 3 at rbar = 1, would pass as barrel.
+    model = DistortionModel("polynomial", (0, 0, 0.5, 0, 0, 0))
+    with pytest.raises(ValueError, match="samples must be at least 2"):
+        shape_check(model, "barrel", 1.0, samples=samples)
+    assert shape_check(model, "barrel", 1.0, samples=2).max_violation \
+        == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("rbar", [0.0, -1.0, np.inf, -np.inf, np.nan])
+def test_shape_check_rejects_rbar_not_positive_and_finite(rbar):
+    with pytest.raises(ValueError, match="rbar must be positive and finite"):
+        shape_check(IDENTITY, "barrel", rbar)
+
+
 def test_model_json_roundtrip(tmp_path):
     model = DistortionModel("rational", (-0.1, 0.02, 0.003, -0.2, 0.01, 0.0))
     path = tmp_path / "model.json"

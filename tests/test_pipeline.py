@@ -129,6 +129,13 @@ def test_add_noise_zero_sigma_identity():
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("sigma", [-0.5, np.inf, np.nan])
+def test_add_noise_rejects_a_sigma_not_nonnegative_and_finite(sigma):
+    with pytest.raises(ValueError,
+                       match="sigma must be nonnegative and finite"):
+        add_noise(small_scene(), sigma)
+
+
 def test_add_noise_statistics():
     cfg = SceneConfig(target_rows=24, target_cols=24, cameras=9)
     scene = generate_scene(cfg, DistortionModel.identity(), 11)
@@ -546,6 +553,18 @@ def test_experiment_report_roundtrip_and_csv():
     assert csv.splitlines()[0] == \
         "method,sigma,trial,calib_rms,valid_rms,shape_violations"
     assert len(csv.splitlines()) == len(report.records) + 1
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"shape": "none"}, "unknown shape 'none'"),
+    ({"shape": "bogus"}, "unknown shape 'bogus'"),
+    ({"sigmas": (0.5, -1.0)}, "sigmas must be nonnegative and finite"),
+    ({"sigmas": (np.inf,)}, "sigmas must be nonnegative and finite"),
+    ({"sigmas": (0.0, np.nan)}, "sigmas must be nonnegative and finite"),
+])
+def test_experiment_config_rejects_what_it_cannot_run(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**kwargs)
 
 
 def test_run_experiment_records_a_failed_trial(monkeypatch):
