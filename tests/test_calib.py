@@ -479,6 +479,36 @@ def test_pincushion_systems_built_once_per_fit(monkeypatch):
     assert calls == [1.0]
 
 
+@pytest.mark.parametrize("shape, systems, certificates, args", [
+    ("barrel", "barrel_systems", "_barrel_certificates", (1.0,)),
+    ("positivity", "zero_crossing_systems", "_zero_crossing_certificates",
+     (1.0, 0.1)),
+])
+def test_affine_shape_certificates_are_derived_once_per_process(
+        shape, systems, certificates, args):
+    # The certificates depend only on their arguments: a second call shares
+    # the first call's space and Gram tuples and matches equal equalities,
+    # and a fit on the shared certificates keeps its bits.
+    build, derive = getattr(calib, systems), getattr(calib, certificates)
+    data = synth_correspondences(
+        DistortionModel("polynomial", (0.1, 0.05, 0, 0, 0, 0)), (0.02, 0.5),
+        n=200, seed=5)
+    cost = assemble_cost(data)
+    cfg = CalibConfig(rbar=1.0, shape=shape)
+    derive.cache_clear()
+    fresh = sdp.program_to_json(calib.shape_program(cost, shape, cfg)[0])
+    first = calib.solve_shape(cost, cfg)
+    space, grams, eqs = build(*args)
+    again = build(*args)
+    assert again[0] is space and again[1] is grams
+    assert isinstance(grams, tuple) and isinstance(eqs, tuple)
+    assert [e.terms for e in again[2]] == [e.terms for e in eqs]
+    assert derive.cache_info().currsize == 1
+    assert sdp.program_to_json(
+        calib.shape_program(cost, shape, cfg)[0]) == fresh
+    assert calib.solve_shape(cost, cfg).model.k == first.model.k
+
+
 def _pincushion_fit_failing_above_order1(monkeypatch, cfg):
     """Noisy pincushion fit whose solves above order 1 all fail."""
     order1_vars = math.comb(11 + 2, 11)

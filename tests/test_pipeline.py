@@ -15,6 +15,7 @@ from shapecal.pipeline import (Camera, ExperimentConfig, ExperimentReport,
                                rodrigues, rodrigues_inverse, run_experiment,
                                scene_from_json, scene_to_json,
                                validation_points, validation_rms)
+from util import pose_block_jacobian
 
 BARREL = pipeline.DEFAULT_TRUE_MODELS["barrel"]
 
@@ -44,6 +45,18 @@ def test_rodrigues_roundtrip_near_pi(axis):
     for eps in (0.0, 1e-9, 1e-7, 5e-7, 9.9e-7):
         R = rodrigues((math.pi - eps) * axis)
         assert np.abs(rodrigues(rodrigues_inverse(R)) - R).max() < 1e-7
+
+
+@pytest.mark.parametrize("axis", [(1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                  (0, 1, -1), (0, 1e-9, 1), (1, 1, 1),
+                                  (1, -2, 3), (-3, 0.5, 0.25)])
+def test_rodrigues_roundtrip_within_1e_3_of_pi(axis):
+    # Just outside the old near-pi window (1e-6) the angle from acos and the
+    # division by sin(theta) lost about 1e-4 of the rotation.
+    axis = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    for eps in np.concatenate([[0.0], np.geomspace(1e-12, 1e-3, 28)]):
+        R = rodrigues((math.pi - eps) * axis)
+        assert np.abs(rodrigues(rodrigues_inverse(R)) - R).max() <= 1e-9
 
 
 @pytest.mark.parametrize("field", ["spacing", "focal", "coverage"])
@@ -210,36 +223,71 @@ def _ba_start(seed=5, cameras=4):
     return scene, cams_init
 
 
-def _ba_full_problem(scene, cams, kind, weight):
-    return pipeline._pose_problem(scene, cams, DistortionModel.identity(kind),
-                                  calib.KIND_INDICES[kind], weight)
+# Start models of the joint problems: every free coefficient nonzero, so
+# that both halves of the quotient rule carry weight.
+START_MODELS = {
+    "polynomial": DistortionModel("polynomial", (-0.2, -0.08, 0.01, 0, 0, 0)),
+    "division": DistortionModel("division", (0, 0, 0, 0.15, 0.02, -0.01)),
+    "rational": DistortionModel("rational",
+                                (-0.3, 0.1, 0.01, -0.15, 0.04, 0.01)),
+}
 
 
-def _camera_at(cam, p):
-    """``cam`` moved to the pose and focal of the 7 parameters ``p``."""
-    K = cam.K.copy()
-    K[0, 0] = K[1, 1] = p[6]
-    return Camera(rodrigues(p[:3]), p[3:6], K)
+def _ba_full_problem(scene, cams, kind, weight, model=None):
+    """The joint problem's arguments and the problem itself."""
+    args = (scene, cams, model or DistortionModel.identity(kind),
+            calib.KIND_INDICES[kind], weight)
+    return args, pipeline._pose_problem(*args)
 
 
-def _assert_block_jacobian_exact(problem, x):
+def _assert_oracle_is_the_dense_difference(args, problem, x):
+    # The block oracle is the forward difference of the whole residual,
+    # sentinel columns included.
+    resid = problem[1]
+    assert np.array_equal(pose_block_jacobian(*args, x),
+                          pipeline._num_jacobian(resid, x, resid(x)))
+
+
+def _assert_jacobian_matches_oracle(args, problem, x):
+    """Closed form against forward differences, within 1e-5 of each
+    column's largest entry."""
+    _, resid, jacobian, _ = problem
+    _assert_oracle_is_the_dense_difference(args, problem, x)
+    oracle = pose_block_jacobian(*args, x)
+    J = jacobian(x, resid(x))
+    assert (np.abs(J - oracle) <= 1e-5 * np.abs(oracle).max(axis=0)).all()
+
+
+def _assert_sentinel_fallback(problem, x):
+    # At a sentinel residual every column differences the whole residual.
     _, resid, jacobian, _ = problem
     r0 = resid(x)
-    assert np.array_equal(jacobian(x, r0),
-                          pipeline._num_jacobian(resid, x, r0))
+    assert np.all(r0 == 1e8)
+    assert np.array_equal(jacobian(x, r0), pipeline._num_jacobian(resid, x,
+                                                                  r0))
+
+
+def _assert_finite_where_a_step_fails(problem, x):
+    # The forward difference needs a sentinel column here; the closed form
+    # needs no step.
+    _, resid, jacobian, _ = problem
+    assert np.isfinite(jacobian(x, resid(x))).all()
 
 
 @pytest.mark.parametrize("kind, weight", [("polynomial", 0.0),
-                                          ("division", 1.0)])
+                                          ("division", 1.0),
+                                          ("rational", 0.0),
+                                          ("rational", 1.0)])
 def test_ba_full_block_jacobian_at_start_point(kind, weight):
     scene, cams = _ba_start()
-    problem = _ba_full_problem(scene, cams, kind, weight)
-    _assert_block_jacobian_exact(problem, problem[0])
+    args, problem = _ba_full_problem(scene, cams, kind, weight,
+                                     START_MODELS[kind])
+    _assert_jacobian_matches_oracle(args, problem, problem[0])
 
 
 def test_ba_full_block_jacobian_when_a_camera_column_raises():
     scene, cams = _ba_start()
-    problem = _ba_full_problem(scene, cams, "polynomial", 1.0)
+    args, problem = _ba_full_problem(scene, cams, "polynomial", 1.0)
     x0, resid = problem[:2]
     # Camera 1 faces the target plane from 1e-9 away: every point is in
     # front, but tilting it by one difference step puts some behind it.
@@ -248,19 +296,19 @@ def test_ba_full_block_jacobian_when_a_camera_column_raises():
     assert not np.all(resid(x) == 1e8)
     xp, _ = pipeline._forward_step(x, 7)
     assert np.all(resid(xp) == 1e8)
-    _assert_block_jacobian_exact(problem, x)
+    _assert_oracle_is_the_dense_difference(args, problem, x)
+    _assert_finite_where_a_step_fails(problem, x)
 
 
 def test_ba_full_block_jacobian_when_a_focal_crosses_zero():
     scene, cams = _ba_start()
-    problem = _ba_full_problem(scene, cams, "polynomial", 1.0)
+    args, problem = _ba_full_problem(scene, cams, "polynomial", 1.0)
     x0, resid = problem[:2]
     x = x0.copy()
     x[6] = -0.5e-7
-    assert np.all(resid(x) == 1e8)
     xp, _ = pipeline._forward_step(x, 6)
     assert xp[6] > 0 and not np.all(resid(xp) == 1e8)
-    _assert_block_jacobian_exact(problem, x)
+    _assert_sentinel_fallback(problem, x)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -268,7 +316,7 @@ def test_ba_full_block_jacobian_when_a_focal_crosses_zero():
                          ids=["rotation", "translation", "focal", "k1"])
 def test_pose_residual_is_the_sentinel_at_a_non_finite_parameter(j, value):
     scene, cams = _ba_start()
-    x0, resid = _ba_full_problem(scene, cams, "polynomial", 1.0)[:2]
+    x0, resid = _ba_full_problem(scene, cams, "polynomial", 1.0)[1][:2]
     x = x0.copy()
     x[j] = value
     assert np.all(resid(x) == 1e8)
@@ -276,11 +324,10 @@ def test_pose_residual_is_the_sentinel_at_a_non_finite_parameter(j, value):
 
 def test_ba_full_block_jacobian_at_sentinel_residual():
     scene, cams = _ba_start()
-    problem = _ba_full_problem(scene, cams, "division", 0.0)
+    problem = _ba_full_problem(scene, cams, "division", 0.0)[1]
     x = problem[0].copy()
     x[7 * 2 + 5] = -100.0  # camera 2 behind the target plane
-    assert np.all(problem[1](x) == 1e8)
-    _assert_block_jacobian_exact(problem, x)
+    _assert_sentinel_fallback(problem, x)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -288,9 +335,10 @@ def test_ba_full_block_jacobian_at_sentinel_residual():
 def test_ba_full_block_jacobian_when_a_coefficient_column_fails(case):
     # Stepping k4 either puts a pole of g on a point's radius (|g| below
     # POLE_EPS) or overflows k4 so the model refuses it; the base residual
-    # is finite either way, and the column gets the sentinel difference.
+    # is finite either way, and the oracle's column is the sentinel
+    # difference.
     scene, cams = _ba_start()
-    problem = _ba_full_problem(scene, cams, "division", 0.0)
+    args, problem = _ba_full_problem(scene, cams, "division", 0.0)
     x0, resid = problem[:2]
     x = x0.copy()
     if case == "pole":
@@ -303,57 +351,86 @@ def test_ba_full_block_jacobian_when_a_coefficient_column_fails(case):
     assert np.isfinite(resid(x)).all() and not np.all(resid(x) == 1e8)
     xp, _ = pipeline._forward_step(x, 7 * len(cams))
     assert np.all(resid(xp) == 1e8)
-    _assert_block_jacobian_exact(problem, x)
+    _assert_oracle_is_the_dense_difference(args, problem, x)
+    if case == "pole":
+        _assert_finite_where_a_step_fails(problem, x)
 
 
 def test_ba_full_block_jacobian_gives_the_dense_iterates():
+    # The closed form and the forward differences lead the LM to the same
+    # minimum; ba_full is the closed-form run.
     scene, cams = _ba_start()
     x0, resid, jacobian, unpack = _ba_full_problem(
-        scene, cams, "polynomial", 0.0)
-    x_block, trace_block, status_block = levenberg_marquardt(resid, x0,
-                                                             jacobian)
+        scene, cams, "polynomial", 0.0)[1]
+    x_closed, trace_closed, status_closed = levenberg_marquardt(resid, x0,
+                                                                jacobian)
     x_dense, trace_dense, status_dense = levenberg_marquardt(
         resid, x0, lambda x, r: pipeline._num_jacobian(resid, x, r))
-    assert np.array_equal(x_block, x_dense)
-    assert trace_block == trace_dense and status_block == status_dense
-    cams_dense, model_dense = unpack(x_dense)
+    assert status_closed == status_dense == "converged"
+    assert trace_closed[-1] == pytest.approx(trace_dense[-1], rel=1e-9)
+    assert np.abs(x_closed - x_dense).max() <= 1e-6 * np.abs(x_dense).max()
+    cams_closed, model_closed = unpack(x_closed)
     cams_ba, model_ba, rms_ba = ba_full(scene, cams, "polynomial")
-    assert model_ba.k == model_dense.k
-    assert rms_ba == reprojection_rms(scene, cams_dense, model_dense)
-    for a, b in zip(cams_ba, cams_dense):
+    assert model_ba.k == model_closed.k
+    assert rms_ba == reprojection_rms(scene, cams_closed, model_closed)
+    for a, b in zip(cams_ba, cams_closed):
         assert np.array_equal(a.R, b.R) and np.array_equal(a.t, b.t) \
             and np.array_equal(a.K, b.K)
 
 
-def _one_camera_problem(weight, i=1):
+def _one_camera_problem(weight, i=1, rotation=None):
+    """ba_refine's problem for camera i: one camera, the model fixed, no
+    coefficient columns.  Given ``rotation``, the world is turned so that
+    the camera's rotation is ``rotation`` and its camera-frame points stay
+    as they were."""
     scene, cams = _ba_start()
     view = replace(scene, pixels=[scene.pixels[i]],
                    point_indices=[scene.point_indices[i]])
-    return pipeline._pose_problem(view, [cams[i]], BARREL, (), weight)
+    cam = cams[i]
+    if rotation is not None:
+        turn = rotation.T @ cam.R
+        view = replace(view, target=scene.target @ turn.T)
+        cam = Camera(rotation, cam.t, cam.K)
+    args = (view, [cam], BARREL, (), weight)
+    return args, pipeline._pose_problem(*args)
 
 
 @pytest.mark.parametrize("weight", [0.0, 1.0])
 @pytest.mark.parametrize("case", ["start", "column_raises",
                                   "focal_crosses_zero", "sentinel"])
 def test_one_camera_block_jacobian(case, weight):
-    # ba_refine's problem: one camera, the model fixed, no coefficient
-    # columns.  The block Jacobian must be _num_jacobian bit for bit.
-    problem = _one_camera_problem(weight)
+    args, problem = _one_camera_problem(weight)
     x0, resid = problem[:2]
     x = x0.copy()
-    if case == "column_raises":
+    if case == "start":
+        _assert_jacobian_matches_oracle(args, problem, x)
+    elif case == "column_raises":
         x[:6] = [0.0, 0.0, 0.0, 0.0, 0.0, 1e-9]
         assert not np.all(resid(x) == 1e8)
         assert np.all(resid(pipeline._forward_step(x, 0)[0]) == 1e8)
+        _assert_oracle_is_the_dense_difference(args, problem, x)
+        _assert_finite_where_a_step_fails(problem, x)
     elif case == "focal_crosses_zero":
         x[6] = -0.5e-7
-        assert np.all(resid(x) == 1e8)
         xp, _ = pipeline._forward_step(x, 6)
         assert xp[6] > 0 and not np.all(resid(xp) == 1e8)
-    elif case == "sentinel":
+        _assert_sentinel_fallback(problem, x)
+    else:
         x[5] = -100.0  # the camera behind the target plane
-        assert np.all(resid(x) == 1e8)
-    _assert_block_jacobian_exact(problem, x)
+        _assert_sentinel_fallback(problem, x)
+
+
+@pytest.mark.parametrize("weight", [0.0, 1.0])
+@pytest.mark.parametrize("angle", [0.0, math.pi - 1e-3, math.pi - 1e-9],
+                         ids=["zero", "pi-1e-3", "pi-1e-9"])
+def test_one_camera_jacobian_at_extreme_rotations(angle, weight):
+    # v = 0 takes the series of the left Jacobian; near pi the axis-angle
+    # vector comes from the symmetric part of R.
+    rotation = rodrigues(angle * np.array([1.0, -2.0, 2.0]) / 3.0)
+    args, problem = _one_camera_problem(weight, rotation=rotation)
+    x0 = problem[0]
+    assert np.linalg.norm(x0[:3]) == pytest.approx(angle, abs=1e-12)
+    _assert_jacobian_matches_oracle(args, problem, x0)
 
 
 def _pole_column_problem(column, weight, i=1):
@@ -363,28 +440,30 @@ def _pole_column_problem(column, weight, i=1):
     view = replace(scene, pixels=[scene.pixels[i]],
                    point_indices=[scene.point_indices[i]])
     xp, _ = pipeline._forward_step(pipeline._cam_params(cams[i]), column)
-    stepped = _camera_at(cams[i], xp)
+    stepped = pipeline._camera_at(cams[i], xp)
     xy = ideal_normalized(stepped, scene.target[scene.point_indices[i][:1]])
     r_pole = np.hypot(xy[0, 0], xy[0, 1])
     model = DistortionModel("division", (0, 0, 0, -1.0 / r_pole, 0, 0))
-    return pipeline._pose_problem(view, [cams[i]], model, (), weight)
+    args = (view, [cams[i]], model, (), weight)
+    return args, pipeline._pose_problem(*args)
 
 
 @pytest.mark.parametrize("weight", [0.0, 1.0])
 @pytest.mark.parametrize("column", [1, 3], ids=["rotation", "translation"])
 def test_one_camera_block_jacobian_when_one_column_crosses_a_pole(column,
                                                                   weight):
-    # Only the stepped column raises PoleError; the stacked projection
-    # must mask exactly that column.  A translation step cannot put a point
-    # behind the camera (tx, ty keep depths, tz grows them), so the
-    # translation column fails through the pole.
-    problem = _pole_column_problem(column, weight)
+    # Only the stepped column raises PoleError; the oracle's stacked
+    # projection must mask exactly that column.  A translation step cannot
+    # put a point behind the camera (tx, ty keep depths, tz grows them),
+    # so the translation column fails through the pole.
+    args, problem = _pole_column_problem(column, weight)
     x0, resid = problem[:2]
     assert not np.all(resid(x0) == 1e8)
     crossed = [j for j in range(7)
                if np.all(resid(pipeline._forward_step(x0, j)[0]) == 1e8)]
     assert crossed == [column]
-    _assert_block_jacobian_exact(problem, x0)
+    _assert_oracle_is_the_dense_difference(args, problem, x0)
+    _assert_finite_where_a_step_fails(problem, x0)
 
 
 def _refine_oracle(scene, cameras, model, weight):
@@ -397,7 +476,7 @@ def _refine_oracle(scene, cameras, model, weight):
             if p[6] <= 0:
                 return np.full(pix.size + 1, 1e8)
             try:
-                trial = _camera_at(cam, p)
+                trial = pipeline._camera_at(cam, p)
                 err = (project(trial, pts, model) - pix).ravel()
             except (ValueError, ArithmeticError):
                 return np.full(pix.size + 1, 1e8)
@@ -410,9 +489,35 @@ def _refine_oracle(scene, cameras, model, weight):
             refined.append(cam)
             statuses.append("reverted")
             continue
-        refined.append(_camera_at(cam, p))
+        refined.append(pipeline._camera_at(cam, p))
         statuses.append(status)
     return refined, reprojection_rms(scene, refined, model), statuses
+
+
+def _assert_batch_is_each_camera_alone(scene, cams0, model, weight):
+    """ba_refine over all cameras equals ba_refine of each camera's own
+    view, bit for bit, with the same statuses and LM traces."""
+    traces = []
+    lockstep = pipeline._lm_lockstep
+
+    def traced(*a):
+        out = lockstep(*a)
+        traces.append(out[1])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_lm_lockstep", traced)
+        cams, rms, statuses = ba_refine(scene, cams0, model, weight)
+        for i, cam in enumerate(cams0):
+            view = replace(scene, pixels=[scene.pixels[i]],
+                           point_indices=[scene.point_indices[i]])
+            alone, _, status = ba_refine(view, [cam], model, weight)
+            assert status == [statuses[i]]
+            assert traces[-1] == [traces[0][i]]
+            assert np.array_equal(alone[0].R, cams[i].R) \
+                and np.array_equal(alone[0].t, cams[i].t) \
+                and np.array_equal(alone[0].K, cams[i].K)
+    return cams, rms, statuses
 
 
 @pytest.mark.parametrize("model, weight", [
@@ -420,13 +525,37 @@ def _refine_oracle(scene, cameras, model, weight):
 def test_ba_refine_matches_the_dense_oracle(model, weight):
     scene = add_noise(small_scene(seed=5, cameras=4), 0.5)
     cams0 = perturb_cameras(scene.cameras, 5)
-    cams, rms, statuses = ba_refine(scene, cams0, model, weight)
+    cams, rms, statuses = _assert_batch_is_each_camera_alone(scene, cams0,
+                                                             model, weight)
     cams_ref, rms_ref, statuses_ref = _refine_oracle(scene, cams0, model,
                                                      weight)
-    assert rms == rms_ref and statuses == statuses_ref
+    # Both runs stop on the relative cost improvement, so they stop at
+    # slightly different points along the weakly determined focal-depth
+    # direction (up to 3e-6 relative on this scene); the cost agrees far
+    # closer.
+    assert statuses == statuses_ref
+    assert rms == pytest.approx(rms_ref, rel=1e-8)
     for a, b in zip(cams, cams_ref):
-        assert np.array_equal(a.R, b.R) and np.array_equal(a.t, b.t) \
-            and np.array_equal(a.K, b.K)
+        assert np.abs(a.R - b.R).max() <= 1e-6
+        assert np.abs(a.t - b.t).max() <= 1e-5 * np.abs(b.t).max()
+        assert a.focal == pytest.approx(b.focal, rel=1e-5)
+
+
+@pytest.mark.parametrize("weight", [0.0, 1.0])
+def test_ba_refine_batches_cameras_that_see_different_point_counts(weight):
+    # Camera i sees the first 64 - 9 i points, so the batch pads every
+    # camera but the first; padding must change no bit of any camera.
+    scene = add_noise(small_scene(seed=5, cameras=4), 0.5)
+    keep = [64 - 9 * i for i in range(4)]
+    scene = replace(scene,
+                    pixels=[p[:n] for p, n in zip(scene.pixels, keep)],
+                    point_indices=[q[:n] for q, n in
+                                   zip(scene.point_indices, keep)])
+    cams0 = perturb_cameras(scene.cameras, 5)
+    cams, rms, statuses = _assert_batch_is_each_camera_alone(scene, cams0,
+                                                             BARREL, weight)
+    assert statuses == ["converged"] * 4
+    assert rms <= 1.0
 
 
 def test_camera_rejects_what_the_projection_cannot_use():
@@ -561,6 +690,8 @@ def test_experiment_report_roundtrip_and_csv():
     ({"sigmas": (0.5, -1.0)}, "sigmas must be nonnegative and finite"),
     ({"sigmas": (np.inf,)}, "sigmas must be nonnegative and finite"),
     ({"sigmas": (0.0, np.nan)}, "sigmas must be nonnegative and finite"),
+    ({"rbar": -1.0}, "rbar must be positive and finite"),
+    ({"margin_p": 1.5}, "margin_p must lie strictly between 0 and 1"),
 ])
 def test_experiment_config_rejects_what_it_cannot_run(kwargs, message):
     with pytest.raises(ValueError, match=message):

@@ -9,7 +9,7 @@ from scipy.linalg.lapack import dpotrs
 
 from dataclasses import dataclass
 
-from shapecal import sdp
+from shapecal import pipeline, sdp
 from shapecal.calib import Correspondence
 from shapecal.distortion import DistortionModel
 from shapecal.poly import Polynomial, PolyMatrix, basis
@@ -326,3 +326,69 @@ def transposing_schur_solve(L, rhs):
     if info:
         raise ValueError(f"illegal value in argument {-info} of dpotrs")
     return x
+
+
+def pose_block_jacobian(scene, cameras, model, free, weight, x):
+    """Forward differences of ``pipeline._pose_problem``'s residual at x.
+
+    The oracle for the problem's closed-form Jacobian.  Column j steps
+    parameter j as ``pipeline._forward_step`` does.  A camera's 7 columns
+    come from one ``_pixel_errors`` stack of 7 copies of the camera, copy k
+    with parameter k stepped; a coefficient column re-evaluates every
+    camera at x with the stepped coefficient.  A column whose step fails as
+    the residual would (non-finite, focal <= 0, depth <= 0, |g| below
+    POLE_EPS, a model that refuses the coefficient) gets the sentinel
+    difference.  Wherever the residual at x is not the sentinel this is
+    ``pipeline._num_jacobian`` of the residual, bit for bit.
+    """
+    free = list(free)
+    ncam = len(cameras)
+    resid = pipeline._pose_problem(scene, cameras, model, free, weight)[1]
+    r0 = resid(x)
+    pts, pix, valid = pipeline._observations(scene)
+    principal = np.array([c.principal for c in cameras])
+    bounds = np.cumsum([0] + [2 * int(n) for n in valid.sum(axis=1)])
+    J = np.zeros((len(r0), len(x)))
+
+    def model_at(p):
+        k = np.array(model.k)
+        k[free] = p[7 * ncam:]
+        return DistortionModel(model.kind, tuple(k))
+
+    def stack_errors(P, cams, coeffs):
+        """Residual pixel rows of stacked cameras, and where they fail."""
+        ok, err = pipeline._pixel_errors(P, pts[cams], pix[cams], valid[cams],
+                                         principal[cams], coeffs)
+        return [e[v].ravel() for e, v in zip(err, valid[cams])], ok
+
+    coeffs = model_at(x)
+    for i in range(ncam):
+        cols = slice(7 * i, 7 * i + 7)
+        hs = pipeline._step_size(x[cols])
+        P = np.tile(x[cols], (7, 1))
+        P[np.arange(7), np.arange(7)] += hs
+        rows, ok = stack_errors(P, np.full(7, i), coeffs)
+        pixel_rows = slice(bounds[i], bounds[i + 1])
+        prior_row = bounds[-1] + i
+        for k in np.flatnonzero(ok):
+            J[pixel_rows, 7 * i + k] = (rows[k] - r0[pixel_rows]) / hs[k]
+        if ok[6]:
+            J[prior_row, 7 * i + 6] = (
+                weight * math.log(P[6, 6] / cameras[i].focal)
+                - r0[prior_row]) / hs[6]
+        for k in np.flatnonzero(~ok):
+            J[:, 7 * i + k] = (1e8 - r0) / hs[k]
+    base = x[:7 * ncam].reshape(ncam, 7)
+    for j in range(7 * ncam, len(x)):
+        xp, h = pipeline._forward_step(x, j)
+        try:
+            rows, ok = stack_errors(base, np.arange(ncam), model_at(xp))
+        except ValueError:
+            ok = [False]
+        if not all(ok):
+            J[:, j] = (1e8 - r0) / h
+            continue
+        rp = r0.copy()
+        rp[:bounds[-1]] = np.concatenate(rows)
+        J[:, j] = (rp - r0) / h
+    return J
