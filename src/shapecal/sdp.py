@@ -20,28 +20,37 @@ dual side of a standard conic pair, and is solved by an infeasible-start
 path-following method with Nesterov-Todd scaling and a Mehrotra
 predictor-corrector step.  The Schur complement M_ij = sum_b <A_i, W_b A_j
 W_b> is formed explicitly and factored densely; the intended problem sizes
-are blocks up to roughly 100 and up to a few thousand variables.  Each block's share of M comes from one
-of two formulas, chosen by one size rule (``SPARSE_SCHUR_MIN_ENTRIES``):
-small blocks keep their coefficients as a dense tensor and use two GEMMs,
-while the blocks of large moment relaxations, whose coefficients are about
-0.1% dense, keep (variable, row, column, value) triplets and use the
-sparse formula of Fujisawa, Kojima and Nakata (1997).  A sparse block's
-share touches only the rows and columns of M of the variables it holds;
-the entries it skips would only have received signed zeros, which leave
-M bit for bit unchanged because M never holds -0.0.
+are blocks up to roughly 100 and up to a few thousand variables.  One size
+rule (``SPARSE_SCHUR_MIN_ENTRIES``, a cut on q m^2 for q variables and m
+rows) decides two things.  It picks each block's formula for its share of
+M: small blocks keep their coefficients as a dense tensor and use two
+GEMMs, while the blocks of large moment relaxations, whose coefficients
+are about 0.1% dense, keep (variable, row, column, value) triplets and use
+the sparse formula of Fujisawa, Kojima and Nakata (1997).  A sparse
+block's share touches only the rows and columns of M of the variables it
+holds; the entries it skips would only have received signed zeros, which
+leave M bit for bit unchanged because M never holds -0.0.  And it lets the
+dense blocks, when together they stay under the cut, be joined into one
+block-diagonal block, as SDPT3 handles the Nesterov-Todd direction of a
+block-diagonal cone (Todd, Toh and Tutuncu 1998).
 
-The blocks of the package's programs are tiny (often 1x1 to 4x4), so the
-kernels call LAPACK directly (``dtrtrs`` for step lengths, with the
-arguments scipy's triangular solve would pass, and ``dpotrs`` for the
-Schur solve) and keep scipy's checks: non-finite input raises ValueError
-and a singular triangular factor raises LinAlgError; each factor is
-checked once, where a step forms it.  The order-2 Schur complement (1364
-variables, 15 MB) is never copied in transposed order: its upper triangle
-is symmetrized in tiles of rows, numpy factors M' through its column
-order, and ``dpotrs`` takes the F-ordered transpose of the factor.  Every
-iterate keeps the bits of a full ``(M + M') / 2``, numpy's Cholesky of M
-and a solve with the C-ordered factor, which the tests hold as the
-reference.
+Most blocks of the package's programs are tiny (a barrel program has
+five, 1x1 to 4x4), and a step costs a fixed few numpy calls per block;
+joined, it factors, scales and line-searches one 9x9 matrix instead of
+five.  In exact arithmetic nothing changes: the iterates stay block
+diagonal and the largest step is the least over the diagonal blocks.
+Each program block stays a part of the joined block with its own
+tolerances (see ``solve``).  The kernels call LAPACK
+directly (``dtrtrs`` for step lengths, with the arguments scipy's
+triangular solve would pass, and ``dpotrs`` for the Schur solve) and keep
+scipy's checks: non-finite input raises ValueError and a singular
+triangular factor raises LinAlgError; each factor is checked once, where
+a step forms it.  The order-2 Schur complement (1364 variables, 15 MB) is
+never copied in transposed order: its upper triangle is symmetrized in
+tiles of rows, numpy factors M' through its column order, and ``dpotrs``
+takes the F-ordered transpose of the factor.  Every iterate keeps the bits
+of a full ``(M + M') / 2``, numpy's Cholesky of M and a solve with the
+C-ordered factor, which the tests hold as the reference.
 
 The solver is reentrant and keeps no global state; a single call is
 single-threaded.
@@ -428,6 +437,21 @@ def _chol_with_jitter(M, scale=None):
     raise np.linalg.LinAlgError("Cholesky failed after regularization")
 
 
+def _block_cholesky(M, parts):
+    """Lower Cholesky factor of a block whose diagonal blocks span the
+    slices ``parts``: of the whole block, or, when that fails, of each
+    part alone by ``_chol_with_jitter`` with the part's own scale.
+    """
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        pass
+    L = np.zeros_like(M)
+    for s in parts:
+        L[s, s] = _chol_with_jitter(M[s, s])
+    return L
+
+
 def _finite(*arrays):
     """Raise ValueError on a non-finite entry, as scipy's check_finite does."""
     for a in arrays:
@@ -696,7 +720,9 @@ def _reduce(program):
     below ``SPARSE_SCHUR_MIN_ENTRIES`` entries of q m^2 B is a dense array,
     at or above it B and N' are CSR matrices.  With a selection N the
     product copies entries exactly.  The constant shifts by z0_i A_i in the
-    blocks' variable order, one entry at a time.
+    blocks' variable order, one entry at a time.  The blocks stay one per
+    program block; ``solve`` joins the dense ones afterwards
+    (``_join_dense``).
     """
     z0, N = _eliminate_equalities(program)
     if N is None:
@@ -726,12 +752,49 @@ def _reduce(program):
     return z0, N, Cs, coeffs
 
 
+def _join_dense(Cs, coeffs):
+    """The reduced blocks with every dense-formula block joined into one
+    block-diagonal block, when that block's q m^2 stays below
+    ``SPARSE_SCHUR_MIN_ENTRIES``; otherwise the blocks as they are.
+
+    Returns (Cs, coeffs, parts), where parts[b] lists, as slices, the
+    diagonal blocks of block b that are blocks of the program: one slice
+    over the whole of a block that was not joined.  The joined block comes
+    first and the sparse blocks follow in their order.
+    """
+    parts = [[slice(0, C.shape[0])] for C in Cs]
+    dense = [b for b, A in enumerate(coeffs) if isinstance(A, _DenseCoeffs)]
+    if len(dense) < 2:
+        return Cs, coeffs, parts
+    q = coeffs[dense[0]].A.shape[0]
+    m = sum(Cs[b].shape[0] for b in dense)
+    if q * m * m >= SPARSE_SCHUR_MIN_ENTRIES:
+        return Cs, coeffs, parts
+    C, A, joined = np.zeros((m, m)), np.zeros((q, m, m)), []
+    for b in dense:
+        start = joined[-1].stop if joined else 0
+        s = slice(start, start + Cs[b].shape[0])
+        C[s, s] = Cs[b]
+        A[:, s, s] = coeffs[b].A
+        joined.append(s)
+    rest = [b for b in range(len(Cs)) if b not in dense]
+    return ([C] + [Cs[b] for b in rest],
+            [_DenseCoeffs(A)] + [coeffs[b] for b in rest],
+            [joined] + [parts[b] for b in rest])
+
+
 def solve(program, options=None):
     """Solve an LMI program; see the module docstring for the method.
 
     The returned status is 'optimal' only when the relative duality gap and
     both residuals meet the configured tolerances.  Deterministic for
     identical inputs and options.
+
+    The loop runs on the blocks of ``_join_dense``.  Each part of a joined
+    block (a program block C_b) keeps what bounds its correctness: its
+    primal residual is measured against its own 1 + ||C_b||_F, the initial
+    S shifts it by max(0, that scale - lambda_min(C_b)), and when the whole
+    block does not factor it gets its own Cholesky jitter.
     """
     opts = options or SolverOptions()
     n = program.nvars
@@ -769,21 +832,25 @@ def solve(program, options=None):
         coeffs = [A.restrict(live) for A in coeffs]
         c_red = c_red[live]
 
+    Cs, coeffs, parts = _join_dense(Cs, coeffs)
     q = c_red.size
-    m_sizes = [C.shape[0] for C in Cs]
-    m_total = sum(m_sizes)
+    m_total = sum(C.shape[0] for C in Cs)
 
     # Standard conic pair: our z is the dual vector y with b = -c.
     b = -c_red
     b_scale = 1.0 + np.abs(b).max()
-    C_scales = [1.0 + np.linalg.norm(C, "fro") for C in Cs]
+    C_scales = [[1.0 + np.linalg.norm(C[s, s], "fro") for s in p]
+                for C, p in zip(Cs, parts)]
 
     y = np.zeros(q)
     Xs, Ss = [], []
-    for C, sc in zip(Cs, C_scales):
-        lam_min = np.linalg.eigvalsh(C)[0]
-        shift = max(0.0, sc - lam_min)
-        Ss.append(C + shift * np.eye(C.shape[0]))
+    for C, p, scales in zip(Cs, parts, C_scales):
+        S = C.copy()
+        for s, sc in zip(p, scales):
+            lam_min = np.linalg.eigvalsh(C[s, s])[0]
+            shift = max(0.0, sc - lam_min)
+            S[s, s] += shift * np.eye(s.stop - s.start)
+        Ss.append(S)
         Xs.append(b_scale * np.eye(C.shape[0]))
 
     def metrics(y, Xs, Ss):
@@ -794,15 +861,16 @@ def solve(program, options=None):
         rp = b - sum(A.inner(X) for A, X in zip(coeffs, Xs))
         Rds = [C - S - A.combine(y) for C, S, A in zip(Cs, Ss, coeffs)]
         relgap = gap / (1.0 + max(abs(pobj), abs(dobj)))
-        pres = max(np.linalg.norm(Rd, "fro") / sc
-                   for Rd, sc in zip(Rds, C_scales))
+        pres = max(np.linalg.norm(Rd[s, s], "fro") / sc
+                   for Rd, p, scales in zip(Rds, parts, C_scales)
+                   for s, sc in zip(p, scales))
         dres = np.abs(rp).max() / b_scale
         return gap, pobj, dobj, rp, Rds, relgap, pres, dres
 
     def take_step(y, Xs, Ss, rp, Rds, mu, mode):
         """One interior-point step; mode is 'mehrotra' or 'center'."""
-        Lxs = [_chol_with_jitter(X) for X in Xs]
-        Lss = [_chol_with_jitter(S) for S in Ss]
+        Lxs = [_block_cholesky(X, p) for X, p in zip(Xs, parts)]
+        Lss = [_block_cholesky(S, p) for S, p in zip(Ss, parts)]
         _finite(*Lxs, *Lss)
         Gs, Ginvs, Ws, sigs = [], [], [], []
         for Lx, Ls in zip(Lxs, Lss):

@@ -625,6 +625,146 @@ def test_order2_exits_for_the_same_reason_on_both_schur_paths(
 
 
 # ---------------------------------------------------------------------------
+# Dense blocks joined into one block-diagonal block
+# ---------------------------------------------------------------------------
+
+def _apart(Cs, coeffs):
+    """``_join_dense`` that joins nothing."""
+    return Cs, coeffs, [[slice(0, C.shape[0])] for C in Cs]
+
+
+def _joined(program):
+    return sdp._join_dense(*sdp._reduce(program)[2:])
+
+
+@pytest.fixture(scope="module")
+def bench_small_programs(bench_escalating_set):
+    """The bench set's barrel, positivity, order-1 and repair programs."""
+    cost, pmi = bench_escalating_set.cost, bench_escalating_set.pmi
+    programs = {
+        "barrel": calib.shape_program(cost, "barrel",
+                                      CalibConfig(rbar=1.0, shape="barrel"))[0],
+        "positivity": calib.shape_program(
+            cost, "positivity",
+            CalibConfig(rbar=1.0, margin_p=0.1, shape="positivity"))[0],
+        "order1": relax.relax(pmi, 1)[0]}
+
+    def capture(program, options=None):
+        programs["repair"] = program
+        return _failed_solve(program)
+
+    # ``repair`` at the order-1 candidate's division coefficients.
+    k = relax.solve_order(pmi, 1, calib.TIGHT).extracted[:3]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdp, "solve", capture)
+        bench_escalating_set.repair(k)
+    return programs
+
+
+@pytest.mark.parametrize("name", ["barrel", "positivity", "order1", "repair"])
+def test_joined_solves_agree_with_the_blocks_solved_apart(
+        name, bench_small_programs, monkeypatch):
+    program = bench_small_programs[name]
+    assert len(_joined(program)[0]) == 1 < len(program.blocks)
+    joined = solve(program, calib.TIGHT)
+    monkeypatch.setattr(sdp, "_join_dense", _apart)
+    apart = solve(program, calib.TIGHT)
+    assert joined.status == apart.status == "optimal"
+    for a, b in ((joined.primal_objective, apart.primal_objective),
+                 (joined.dual_objective, apart.dual_objective)):
+        assert abs(a - b) <= 1e-9 * (1.0 + abs(b))
+    for blk in program.blocks:
+        lam = np.linalg.eigvalsh(blk.value_at(joined.z))[0]
+        assert lam >= -calib.TIGHT.feas_tol * (
+            1.0 + np.linalg.norm(blk.constant, "fro"))
+
+
+def test_joined_blocks_keep_their_own_residual_scales():
+    # minimize -1e3 (z0 + z1) subject to 1e-6 - z0 >= 0, 1e6 - z1 >= 0 and
+    # [[z0, 5e-4], [5e-4, 1]] PSD.  Measured against one scale for the
+    # joined block, about 1e6, the small block ended about 600 times its
+    # own tolerance infeasible.
+    one = np.ones((1, 1))
+    program = LmiProgram(2, AffineForm({0: -1e3, 1: -1e3}), [
+        AffineBlock(1, 1e-6 * one, {0: -one}),
+        AffineBlock(1, 1e6 * one, {1: -one}),
+        AffineBlock(2, np.array([[0.0, 5e-4], [5e-4, 1.0]]),
+                    {0: np.diag([1.0, 0.0])})])
+    Cs, _, parts = _joined(program)
+    assert len(Cs) == 1 and len(parts[0]) == 3
+    sol = solve(program, TIGHT)
+    assert sol.status == "optimal"
+    for blk in program.blocks:
+        lam = np.linalg.eigvalsh(blk.value_at(sol.z))[0]
+        assert lam >= -TIGHT.feas_tol * (1.0 + np.linalg.norm(blk.constant))
+
+
+def test_a_refused_joined_factor_jitters_only_the_failing_part():
+    rng = np.random.default_rng(9)
+    G = rng.normal(size=(3, 3))
+    first, last = G @ G.T + np.eye(3), np.array([[2.0]])
+    singular = np.ones((2, 2))
+    parts = [slice(0, 3), slice(3, 5), slice(5, 6)]
+    M = np.zeros((6, 6))
+    for s, P in zip(parts, (first, singular, last)):
+        M[s, s] = P
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(M)
+    L = sdp._block_cholesky(M, parts)
+    assert L[parts[0], parts[0]].tobytes() == np.linalg.cholesky(first).tobytes()
+    assert L[parts[2], parts[2]].tobytes() == np.linalg.cholesky(last).tobytes()
+    assert L[parts[1], parts[1]].tobytes() == \
+        sdp._chol_with_jitter(singular).tobytes()
+    L[parts[0], parts[0]] = L[parts[1], parts[1]] = L[parts[2], parts[2]] = 0
+    assert not L.any()
+    # A joined block that factors whole is not split.
+    M[parts[1], parts[1]] += np.eye(2)
+    assert sdp._block_cholesky(M, parts).tobytes() == \
+        np.linalg.cholesky(M).tobytes()
+
+
+def test_only_dense_programs_under_the_schur_rule_are_joined(
+        bench_escalating_set, bench_small_programs, monkeypatch):
+    for name in ("barrel", "order1"):
+        program = bench_small_programs[name]
+        Cs, coeffs, parts = _joined(program)
+        assert len(Cs) == 1 and isinstance(coeffs[0], sdp._DenseCoeffs)
+        assert [s.stop - s.start for s in parts[0]] == \
+            [blk.size for blk in program.blocks]
+        # The joined block holds each block's constant and coefficients on
+        # its diagonal and nothing else.
+        _, _, Cs_apart, coeffs_apart = sdp._reduce(program)
+        C, A = Cs[0].copy(), coeffs[0].A.copy()
+        for s, C_b, A_b in zip(parts[0], Cs_apart, coeffs_apart):
+            assert C[s, s].tobytes() == C_b.tobytes()
+            assert A[:, s, s].tobytes() == A_b.A.tobytes()
+            C[s, s], A[:, s, s] = 0.0, 0.0
+        assert not C.any() and not A.any()
+
+    # The structured pass: 150 variables and 82 rows are over the rule.
+    programs = []
+    monkeypatch.setattr(sdp, "solve", lambda program, options=None:
+                        programs.append(program) or _failed_solve(program))
+    calib._pincushion_structured(bench_escalating_set.pmi)
+    Cs, coeffs, parts = _joined(programs[0])
+    assert len(Cs) == len(programs[0].blocks) == 8
+    assert all(isinstance(A, sdp._DenseCoeffs) for A in coeffs)
+    assert all(len(p) == 1 for p in parts)
+    # Order 2 is all sparse and keeps its blocks.
+    Cs, coeffs, parts = _joined(bench_escalating_set.order2)
+    assert len(Cs) == len(bench_escalating_set.order2.blocks)
+    assert all(isinstance(A, sdp._SparseCoeffs) for A in coeffs)
+
+    # The barrel program joins exactly while q m^2 (9 rows) is below the
+    # cut.
+    barrel = bench_small_programs["barrel"]
+    entries = sdp._reduce(barrel)[1].shape[1] * 9 ** 2
+    for cut, blocks in ((entries + 1, 1), (entries, 5)):
+        monkeypatch.setattr(sdp, "SPARSE_SCHUR_MIN_ENTRIES", cut)
+        assert len(_joined(barrel)[0]) == blocks
+
+
+# ---------------------------------------------------------------------------
 # Direct LAPACK kernels and the small-program reduction
 # ---------------------------------------------------------------------------
 
