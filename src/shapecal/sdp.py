@@ -40,17 +40,20 @@ joined, it factors, scales and line-searches one 9x9 matrix instead of
 five.  In exact arithmetic nothing changes: the iterates stay block
 diagonal and the largest step is the least over the diagonal blocks.
 Each program block stays a part of the joined block with its own
-tolerances (see ``solve``).  The kernels call LAPACK
-directly (``dtrtrs`` for step lengths, with the arguments scipy's
-triangular solve would pass, and ``dpotrs`` for the Schur solve) and keep
-scipy's checks: non-finite input raises ValueError and a singular
+tolerances (see ``solve``).  The kernels call LAPACK directly (``dpotrf``
+for every Cholesky factor, ``dtrtrs`` for step lengths, with the arguments
+scipy's triangular solve would pass, and ``dpotrs`` for the Schur solve)
+and keep scipy's checks: non-finite input raises ValueError and a singular
 triangular factor raises LinAlgError; each factor is checked once, where
-a step forms it.  The order-2 Schur complement (1364 variables, 15 MB) is
-never copied in transposed order: its upper triangle is symmetrized in
-tiles of rows, numpy factors M' through its column order, and ``dpotrs``
-takes the F-ordered transpose of the factor.  Every iterate keeps the bits
-of a full ``(M + M') / 2``, numpy's Cholesky of M and a solve with the
-C-ordered factor, which the tests hold as the reference.
+a step forms it.  ``dpotrf`` factors a C-ordered matrix as the upper
+triangle of its F-ordered transpose, so it reads the lower triangle and
+leaves the lower factor in C order.  The Schur complement (1364 variables
+and 15 MB at order 2) is formed into one buffer per solve and never
+copied: its lower triangle is symmetrized in tiles of rows, ``dpotrf``
+factors it in place, and ``dpotrs`` takes the factor as it lies.  Every
+iterate keeps the bits of a full ``(M + M') / 2``, the same factor of a
+copy of it and a solve with its C-ordered transpose, which the tests hold
+as the reference.
 
 The solver is reentrant and keeps no global state; a single call is
 single-threaded.
@@ -64,7 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.lapack import dpotrs, dtrtrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 
 class SdpError(Exception):
@@ -413,28 +416,49 @@ class LmiBuilder:
 # Interior-point solver
 # ---------------------------------------------------------------------------
 
+def _cholesky(A):
+    """Lower Cholesky factor of the C-ordered A, in A's memory, or None
+    when A is not positive definite.
+
+    LAPACK factors A' (F-ordered, no copy) as U' U from its upper triangle,
+    which is the lower triangle of A, and zeroes the rest; U' is the lower
+    factor, C-ordered.  A is overwritten either way.
+    """
+    U, info = dpotrf(A.T, lower=0, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    return None if info else U.T
+
+
+def _jitter_ladder(A, form, scale):
+    """``_cholesky`` of the matrix ``form()`` writes into A, with jitter *
+    scale added to its diagonal, for the least jitter of 1e-14, 1e-12,
+    1e-10 and 1e-8 that factors.  A is formed again for every jitter,
+    since a failed factorization has overwritten it."""
+    for jitter in (1e-14, 1e-12, 1e-10, 1e-8):
+        form()
+        np.fill_diagonal(A, A.diagonal() + jitter * scale)
+        L = _cholesky(A)
+        if L is not None:
+            return L
+    raise np.linalg.LinAlgError("Cholesky failed after regularization")
+
+
 def _chol_with_jitter(M, scale=None):
-    """Lower Cholesky factor of M, or of one copy of M with jitter * scale
-    added to its diagonal when M itself does not factor.  Both
-    factorizations read only the lower triangle of M.
+    """Lower Cholesky factor of M, C-ordered, factored in one copy of M:
+    of M itself or, when that fails, of M with a jitter of
+    ``_jitter_ladder`` times scale on its diagonal.  Reads only the lower
+    triangle of M.
 
     ``scale`` defaults to 1 + max |M_ij| and is computed only then.
     """
-    try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        pass
+    A = np.array(M, order="C")
+    L = _cholesky(A)
+    if L is not None:
+        return L
     if scale is None:
         scale = 1.0 + np.abs(M).max()
-    diagonal = M.diagonal().copy()
-    M = M.copy()
-    for jitter in (1e-14, 1e-12, 1e-10, 1e-8):
-        np.fill_diagonal(M, diagonal + jitter * scale)
-        try:
-            return np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            continue
-    raise np.linalg.LinAlgError("Cholesky failed after regularization")
+    return _jitter_ladder(A, lambda: np.copyto(A, M), scale)
 
 
 def _block_cholesky(M, parts):
@@ -442,10 +466,9 @@ def _block_cholesky(M, parts):
     slices ``parts``: of the whole block, or, when that fails, of each
     part alone by ``_chol_with_jitter`` with the part's own scale.
     """
-    try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        pass
+    L = _cholesky(np.array(M, order="C"))
+    if L is not None:
+        return L
     L = np.zeros_like(M)
     for s in parts:
         L[s, s] = _chol_with_jitter(M[s, s])
@@ -460,7 +483,7 @@ def _finite(*arrays):
 
 
 def _lower_solve(L, B):
-    """L^-1 B for a finite numpy (C-ordered) lower Cholesky factor L.
+    """L^-1 B for a finite C-ordered lower Cholesky factor L.
 
     LAPACK reads L' in column order as an upper factor solved transposed,
     which is the call scipy's triangular solve makes for such an L.  The
@@ -486,43 +509,53 @@ def _max_step(chol_factor, direction):
     return -1.0 / lam
 
 
-# Rows of the Schur complement symmetrized at a time, so the transposed
-# operand of a tile is read 1 KB (128 doubles) per row.
+# Columns of the Schur complement symmetrized at a time (its transposed
+# operand is as many rows), so a tile is written 1 KB (128 doubles) per row.
 SYMMETRIZE_ROWS = 128
 
 
-def _symmetrize_upper(M):
-    """Write (M_ij + M_ji) * 0.5 over the upper triangle of M, in place.
+def _symmetrize_lower(M):
+    """Write (M_ij + M_ji) * 0.5 over the lower triangle of M, in place.
 
-    That is the upper triangle of ``M += M.T; M *= 0.5``, bit for bit, in
-    tiles of SYMMETRIZE_ROWS rows; below the diagonal tiles M keeps its
-    values.
+    That is the lower triangle of ``M += M.T; M *= 0.5``, bit for bit, in
+    tiles of SYMMETRIZE_ROWS columns; right of the diagonal tiles M keeps
+    its values.
     """
     for i in range(0, M.shape[0], SYMMETRIZE_ROWS):
-        rows = slice(i, i + SYMMETRIZE_ROWS)
-        upper = M[rows, i:]
-        upper += M[i:, rows].T
-        upper *= 0.5
+        cols = slice(i, i + SYMMETRIZE_ROWS)
+        lower = M[i:, cols]
+        lower += M[cols, i:].T
+        lower *= 0.5
 
 
-def _schur_factor(M):
-    """Upper Cholesky factor U, F-ordered, with U' U = (M + M') / 2.
+def _schur_factor(M, form):
+    """Upper Cholesky factor U, F-ordered, with U' U = (M + M') / 2 for
+    the matrix M that ``form(M)`` writes into the C-ordered buffer M.
 
-    Overwrites the upper triangle of M.  numpy factors M' (the lower
-    triangle it reads is the upper one of M) in its own column order, so
-    it copies without transposing, and returns a C-ordered lower factor
-    whose transpose U ``dpotrs`` takes without a copy.  Jitter as in
-    ``_chol_with_jitter``; a non-finite factor raises ValueError.
+    U is factored in place and shares M's memory: ``dpotrf`` reads the
+    lower triangle, symmetrized by ``_symmetrize_lower``, and leaves U' in
+    it, whose transpose U ``dpotrs`` takes without a copy.  When M does
+    not factor, it is formed and symmetrized again for every rung of the
+    jitter ladder, scaled by max(trace(M) / q, 1e-30); a non-finite factor
+    raises ValueError.
     """
-    _symmetrize_upper(M)
-    L = _chol_with_jitter(M.T, max(np.trace(M) / M.shape[0], 1e-30))
+    def formed():
+        form(M)
+        _symmetrize_lower(M)
+
+    formed()
+    scale = max(np.trace(M) / M.shape[0], 1e-30)
+    L = _cholesky(M)
+    if L is None:
+        L = _jitter_ladder(M, formed, scale)
     _finite(L)
     return L.T
 
 
 def _schur_solve(U, rhs):
-    """M^-1 rhs for the factor U of ``_schur_factor``; a non-finite rhs
-    raises ValueError, as scipy's check_finite does."""
+    """M^-1 rhs for the factor U of ``_schur_factor``, which ``dpotrs``
+    reads in place; a non-finite rhs raises ValueError, as scipy's
+    check_finite does."""
     _finite(rhs)
     x, info = dpotrs(U, rhs, lower=0)
     if info:
@@ -843,6 +876,7 @@ def solve(program, options=None):
                 for C, p in zip(Cs, parts)]
 
     y = np.zeros(q)
+    schur = np.empty((q, q))
     Xs, Ss = [], []
     for C, p, scales in zip(Cs, parts, C_scales):
         S = C.copy()
@@ -884,12 +918,14 @@ def solve(program, options=None):
             sigs.append(sig)
 
         # Schur complement M_ij = sum_b <A_i, W A_j W>, shared by the
-        # predictor and corrector solves of this iteration.
-        M = np.zeros((q, q))
-        for A, W in zip(coeffs, Ws):
-            A.add_schur(M, W)
-        Mfactor = _schur_factor(M)
-        del M
+        # predictor and corrector solves of this iteration and factored
+        # in the solve's one buffer.
+        def form(M):
+            M.fill(0.0)
+            for A, W in zip(coeffs, Ws):
+                A.add_schur(M, W)
+
+        Mfactor = _schur_factor(schur, form)
 
         base_rhs = rp + sum(A.inner(W @ Rd @ W)
                             for A, W, Rd in zip(coeffs, Ws, Rds))

@@ -355,9 +355,12 @@ def test_exit_reasons_of_the_plain_exits():
 
 def test_barrel_stall_reports_a_stalled_exit():
     # This noiseless barrel fit stops improving before the tight targets
-    # are met; its best iterate is accepted, and the exit says so.
+    # are met; its best iterate is accepted, and the exit says so.  What
+    # is pinned is that report, not this program's stall: whether a fit
+    # stalls hangs on the last bits of the solver's arithmetic, so a change
+    # to those bits may need another seed that stalls.
     data = synth_correspondences(pipeline.DEFAULT_TRUE_MODELS["barrel"],
-                                 (0.02, 0.9), n=200, seed=7)
+                                 (0.02, 0.9), n=200, seed=25)
     program, _ = calib.shape_program(assemble_cost(data), "barrel",
                                      CalibConfig(rbar=1.0, shape="barrel"))
     sol = solve(program, calib.TIGHT)
@@ -708,11 +711,13 @@ def test_a_refused_joined_factor_jitters_only_the_failing_part():
     M = np.zeros((6, 6))
     for s, P in zip(parts, (first, singular, last)):
         M[s, s] = P
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.cholesky(M)
+    assert sdp._cholesky(M.copy()) is None
     L = sdp._block_cholesky(M, parts)
-    assert L[parts[0], parts[0]].tobytes() == np.linalg.cholesky(first).tobytes()
-    assert L[parts[2], parts[2]].tobytes() == np.linalg.cholesky(last).tobytes()
+    assert L[parts[0], parts[0]].tobytes() == \
+        sdp._cholesky(first.copy()).tobytes()
+    assert L[parts[2], parts[2]].tobytes() == \
+        sdp._cholesky(last.copy()).tobytes()
+    assert sdp._cholesky(singular.copy()) is None
     assert L[parts[1], parts[1]].tobytes() == \
         sdp._chol_with_jitter(singular).tobytes()
     L[parts[0], parts[0]] = L[parts[1], parts[1]] = L[parts[2], parts[2]] = 0
@@ -720,7 +725,7 @@ def test_a_refused_joined_factor_jitters_only_the_failing_part():
     # A joined block that factors whole is not split.
     M[parts[1], parts[1]] += np.eye(2)
     assert sdp._block_cholesky(M, parts).tobytes() == \
-        np.linalg.cholesky(M).tobytes()
+        sdp._cholesky(M.copy()).tobytes()
 
 
 def test_only_dense_programs_under_the_schur_rule_are_joined(
@@ -872,17 +877,22 @@ def _asymmetric_schur(rng, q):
     return G @ G.T + q * np.eye(q) + 1e-9 * rng.normal(size=(q, q))
 
 
+def _writes(M):
+    """A ``form`` for ``sdp._schur_factor`` that writes M into the buffer."""
+    return lambda buffer: np.copyto(buffer, M)
+
+
 @pytest.mark.parametrize("q", [1, 127, 128, 129, 300])
 def test_tiled_schur_factor_and_solve_match_the_transposing_oracle(q):
     rng = np.random.default_rng(q)
     M = _asymmetric_schur(rng, q)
     tiled, full = M.copy(), M.copy()
-    sdp._symmetrize_upper(tiled)
+    sdp._symmetrize_lower(tiled)
     full += full.T
     full *= 0.5
-    assert np.triu(tiled).tobytes() == np.triu(full).tobytes()
-    U = sdp._schur_factor(M.copy())
-    L = transposing_schur_factor(M.copy())
+    assert np.tril(tiled).tobytes() == np.tril(full).tobytes()
+    U = sdp._schur_factor(np.empty((q, q)), _writes(M))
+    L = transposing_schur_factor(np.empty((q, q)), _writes(M))
     assert U.flags.f_contiguous and U.T.tobytes() == L.tobytes()
     rhs = rng.normal(size=q)
     assert sdp._schur_solve(U, rhs).tobytes() == \
@@ -931,40 +941,86 @@ def test_schur_solve_hands_dpotrs_a_column_ordered_factor(monkeypatch):
     assert seen and all(shape == (14, 14) and f for shape, f in seen)
 
 
+def test_schur_factor_runs_in_place_in_one_buffer_per_solve(monkeypatch):
+    # Every iteration factors the 14 x 14 complement in the same buffer:
+    # F-ordered (no f2py copy), overwritten, and solved with as it lies.
+    factored, solved = [], []
+    real_dpotrf, real_dpotrs = sdp.dpotrf, sdp.dpotrs
+
+    def dpotrf(a, **kwargs):
+        if a.shape == (14, 14):
+            factored.append((a, kwargs))
+        return real_dpotrf(a, **kwargs)
+
+    def dpotrs(c, b, **kwargs):
+        solved.append(c)
+        return real_dpotrs(c, b, **kwargs)
+
+    monkeypatch.setattr(sdp, "dpotrf", dpotrf)
+    monkeypatch.setattr(sdp, "dpotrs", dpotrs)
+    sol = solve(_small_order2_program(), TIGHT)
+    assert sol.status == "optimal"
+    assert len(factored) >= sol.iterations - 1 > 1 and solved
+    buffer = factored[0][0]
+    for a, kwargs in factored:
+        assert a.flags.f_contiguous and kwargs["overwrite_a"]
+        assert kwargs["lower"] == 0 and np.shares_memory(a, buffer)
+    assert all(np.shares_memory(c, buffer) for c in solved)
+
+
+def test_schur_factor_allocates_less_than_one_complement():
+    q = 300
+    M = _asymmetric_schur(np.random.default_rng(4), q)
+    buffer, form = np.empty((q, q)), _writes(M)
+    sdp._schur_factor(buffer, form)     # warm up
+    tracemalloc.start()
+    try:
+        U = sdp._schur_factor(buffer, form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(U, buffer)
+    assert peak < M.nbytes
+
+
 def test_schur_factor_and_solve_refuse_non_finite_values():
-    U = sdp._schur_factor(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    U = sdp._schur_factor(np.empty((2, 2)),
+                          _writes(np.array([[2.0, 0.5], [0.5, 1.0]])))
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError) as exc:
             sdp._schur_solve(U, np.array([1.0, bad]))
         assert not isinstance(exc.value, np.linalg.LinAlgError)
     # diag(1, inf) factors to diag(1, inf) without a LAPACK error.
     with pytest.raises(ValueError) as exc:
-        sdp._schur_factor(np.diag([1.0, np.inf]))
+        sdp._schur_factor(np.empty((2, 2)), _writes(np.diag([1.0, np.inf])))
     assert not isinstance(exc.value, np.linalg.LinAlgError)
 
 
 def test_refused_schur_factorization_jitters_to_the_oracles_exit(
         monkeypatch):
     # The stand-in refuses the fifth factorization of the 14 x 14 Schur
-    # complement, so the jitter branch factors a copy; it must read the
+    # complement after overwriting it, as a failed LAPACK call may, so the
+    # jitter branch must form the complement again; it must read the
     # triangle the tiled symmetrization wrote.  Tiles of four rows leave
-    # unsymmetrized entries below the diagonal tiles, and the complement
-    # of the first iteration, symmetric to the bit, could not tell.
+    # unsymmetrized entries right of the diagonal tiles, and the
+    # complement of the first iteration, symmetric to the bit, could not
+    # tell.
     monkeypatch.setattr(sdp, "SYMMETRIZE_ROWS", 4)
     program = _small_order2_program()
-    real = np.linalg.cholesky
+    real = sdp.dpotrf
 
     def run():
         schur = []
 
-        def cholesky(a, *args, **kwargs):
+        def dpotrf(a, **kwargs):
             if a.shape == (14, 14):
                 schur.append(a)
                 if len(schur) == 5:
-                    raise np.linalg.LinAlgError("refused")
-            return real(a, *args, **kwargs)
+                    c, _ = real(a, **kwargs)
+                    return c, 1
+            return real(a, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        monkeypatch.setattr(sdp, "dpotrf", dpotrf)
         outcome = _solve_outcome(program, TIGHT)
         assert len(schur) > 6
         return outcome

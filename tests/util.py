@@ -308,11 +308,12 @@ def full_range_add_schur(csr, m, M, W):
         M[:, run] += csr @ X.reshape(len(X), -1).T
 
 
-def transposing_schur_factor(M):
-    """The oracle for ``sdp._schur_factor``: ``M += M.T; M *= 0.5`` over
-    the whole matrix, then numpy's Cholesky (with its jitter) of the
-    C-ordered M, which numpy copies into column order.  Returns the
-    C-ordered lower factor."""
+def transposing_schur_factor(M, form):
+    """The oracle for ``sdp._schur_factor``: ``form(M)``, then ``M += M.T;
+    M *= 0.5`` over the whole matrix, then ``sdp._chol_with_jitter`` (with
+    its jitter) of a copy of the C-ordered M.  Returns the C-ordered lower
+    factor."""
+    form(M)
     M += M.T
     M *= 0.5
     return sdp._chol_with_jitter(M, max(np.trace(M) / M.shape[0], 1e-30))
