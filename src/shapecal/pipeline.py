@@ -15,9 +15,11 @@ On top of the scene generator sit the pose estimation pieces:
   problem in one lock-step run;
 * ``ba_full``: the classical joint bundle adjustment baseline with the
   distortion coefficients as free variables;
-* both refinements solve the ``_pose_problem`` residual, whose Jacobian is
-  in closed form; one pixel-error function projects a stack of cameras and,
-  on request, also gives the derivatives;
+* both refinements solve the ``_pose_problem`` residual; one pixel-error
+  function projects a stack of cameras and, on request, also gives their
+  closed-form derivatives, from which each camera's block of the normal
+  equations is summed over its own observations, so no Jacobian of the
+  whole residual is formed;
 * ``aso_loop``: alternation of the shape-constrained distortion solve with
   ``ba_refine``;
 * ``run_experiment``: the BA / SO / ASO comparison over noise levels, with
@@ -353,50 +355,52 @@ LM_DAMPING = 1e-3
 LM_DAMPING_MAX = 1e12
 
 
-def levenberg_marquardt(fun, x0, jacobian):
+def levenberg_marquardt(fun, x0, normal):
     """Damped least squares on the residual vector ``fun(x)``.
 
-    ``jacobian(x, r)`` returns the Jacobian of ``fun`` at ``x``, given
-    ``r = fun(x)``; ``ba_full`` passes its ``_pose_problem``'s closed form.
-    This is ``_lm_lockstep`` on a batch of one problem: only improving
-    steps are accepted, so the cost trace is non-increasing; stops on
-    relative improvement below ``LM_REL_TOL``, after ``LM_MAX_ITERATIONS``
+    ``normal(x, r)`` returns the normal equations of ``fun`` at ``x``,
+    (J'J, J'r) of its Jacobian J, given ``r = fun(x)``; ``ba_full`` passes
+    its ``_pose_problem``'s, assembled from camera blocks.  This is
+    ``_lm_lockstep`` on a batch of one problem: only improving steps are
+    accepted, so the cost trace is non-increasing; stops on relative
+    improvement below ``LM_REL_TOL``, after ``LM_MAX_ITERATIONS``
     iterations, or with the damping exceeding ``LM_DAMPING_MAX`` (reported
     as diverged).  Returns (x, cost trace, status).
     """
     X, traces, statuses = _lm_lockstep(
-        lambda X, rows: [fun(X[0])], np.asarray(x0, dtype=float)[None],
-        lambda X, R, rows: [jacobian(X[0], R[0])])
+        lambda X, rows: [(fun(X[0]), None)],
+        np.asarray(x0, dtype=float)[None], lambda x, r, b: normal(x, r))
     return X[0], traces[0], statuses[0]
 
 
-def _lm_lockstep(fun, X0, jacobian):
+def _lm_lockstep(fun, X0, normal):
     """Levenberg-Marquardt on a batch of independent problems in lock step.
 
     Row b of ``X0`` starts problem b.  ``fun(X, rows)`` returns, as a list,
-    the residual vectors of the problems ``rows`` at their parameter rows
-    ``X``; ``jacobian(X, R, rows)`` returns their Jacobians, given
-    ``R = fun(X, rows)``.  Each problem keeps its own damping, accepted
-    steps, cost trace and stop, as ``levenberg_marquardt`` describes, and
-    takes the steps it would take alone: the batch shares the calls and
-    the damped solves, while each problem's products run over its own
-    residual only.  Returns (X, traces, statuses), one row or entry per
-    problem.
+    one ``(r, normals)`` pair for each of the problems ``rows`` at its
+    parameter row of ``X``: the residual vector and, from the same pass,
+    its normal equations (J'J, J'r), or None where it does not give them.
+    ``normal(x, r, b)`` gives problem b's then, given ``r`` at ``x``; it is
+    called only for a point the problem steps from.  Each problem keeps its
+    own damping, accepted steps, cost trace and stop, as
+    ``levenberg_marquardt`` describes, and takes the steps it would take
+    alone: the batch shares the calls and the damped solves, while each
+    problem's products run over its own residual only.  Returns (X,
+    traces, statuses), one row or entry per problem.
     """
     X = np.array(X0, dtype=float)
-    R = fun(X, np.arange(len(X)))
+    R, N = (list(out) for out in zip(*fun(X, np.arange(len(X)))))
     cost = [float(r @ r) for r in R]
     traces = [[c] for c in cost]
     damping = np.full(len(X), LM_DAMPING)
     statuses = ["maxIterations"] * len(X)
     active = np.arange(len(X))
+    H, G = np.zeros(X.shape + X.shape[1:]), np.zeros_like(X)
     for _ in range(LM_MAX_ITERATIONS):
         if not len(active):
             break
-        Js = jacobian(X[active], [R[b] for b in active], active)
-        G, H = np.zeros_like(X), np.zeros(X.shape + X.shape[1:])
-        for b, J in zip(active, Js):
-            G[b], H[b] = J.T @ R[b], J.T @ J
+        for b in active:
+            H[b], G[b] = N[b] if N[b] is not None else normal(X[b], R[b], b)
         accepted = np.zeros(len(X), dtype=bool)
         pending = active
         while True:
@@ -408,11 +412,11 @@ def _lm_lockstep(fun, X0, jacobian):
             damping[pending[~solved]] *= 10.0
             tried = pending[solved]
             X_new = X[tried] + steps[solved]
-            R_new = fun(X_new, tried) if len(tried) else []
-            for j, (b, r) in enumerate(zip(tried, R_new)):
+            out = fun(X_new, tried) if len(tried) else []
+            for j, (b, (r, normals)) in enumerate(zip(tried, out)):
                 cost_new = float(r @ r)
                 if cost_new < cost[b]:
-                    X[b], R[b], cost[b] = X_new[j], r, cost_new
+                    X[b], R[b], N[b], cost[b] = X_new[j], r, normals, cost_new
                     damping[b] = max(damping[b] / 3.0, 1e-12)
                     accepted[b] = True
                 else:
@@ -460,6 +464,34 @@ def _num_jacobian(fun, x, r0):
     return J
 
 
+def _difference_normals(fun, x, r0):
+    """(J'J, J'r0) of the forward-difference Jacobian of ``fun`` at x."""
+    J = _num_jacobian(fun, x, r0)
+    return J.T @ J, J.T @ r0
+
+
+def _normal_blocks(err, D, counts):
+    """Each camera's share of the normal equations, over its own rows.
+
+    ``err`` (B, N, 2) and ``D`` (B, N, 2, m) are ``_pixel_errors``' errors
+    and their derivatives with respect to m parameters (the camera's 7,
+    then any free coefficients); camera b's own observations are its first
+    ``counts[b]``.  Returns J_b'J_b (B, m, m) and J_b'e_b (B, m), where J_b
+    stacks the x rows, then the y rows, of camera b's own observations.
+    Each camera's sums run over its own rows alone, so its blocks do not
+    depend on the rest of the stack or on its padding.
+    """
+    E = np.moveaxis(err, -1, 0)
+    A = np.moveaxis(D, (2, 3), (0, 1))
+    H = np.empty((len(counts),) + D.shape[-1:] * 2)
+    g = np.empty((len(counts), D.shape[-1]))
+    for b, n in enumerate(counts):
+        (x, y), (ex, ey) = A[:, :, b, :n], E[:, b, :n]
+        H[b] = x @ x.T + y @ y.T
+        g[b] = x @ ex + y @ ey
+    return H, g
+
+
 def _step_size(v):
     """Forward-difference step for parameters of value v."""
     return 1e-7 * (1.0 + np.abs(v))
@@ -502,9 +534,9 @@ def ba_refine(scene, cameras, model, focal_prior_weight=0.0):
     is reverted to its starting pose and reported as such.  Returns
     (refined cameras, pixel RMS, per-camera LM statuses).
     """
-    X0, fun, jacobian = _camera_problems(scene, cameras, model,
-                                         focal_prior_weight)
-    X, _, statuses = _lm_lockstep(fun, X0, jacobian)
+    X0, fun, normal = _camera_problems(scene, cameras, model,
+                                       focal_prior_weight)
+    X, _, statuses = _lm_lockstep(fun, X0, normal)
     refined = []
     for i, (cam, x) in enumerate(zip(cameras, X)):
         if cam.focal / 4.0 <= x[6] <= cam.focal * 4.0:
@@ -523,10 +555,10 @@ def ba_full(scene, cameras, kind):
     log-focal prior rows carry weight zero.  Returns (cameras, model,
     pixel RMS).
     """
-    x0, resid, jacobian, unpack = _pose_problem(
+    x0, resid, normal, unpack = _pose_problem(
         scene, cameras, DistortionModel.identity(kind),
         calib.KIND_INDICES[kind], 0.0)
-    p_opt = levenberg_marquardt(resid, x0, jacobian)[0]
+    p_opt = levenberg_marquardt(resid, x0, normal)[0]
     cams, model = unpack(p_opt)
     return cams, model, reprojection_rms(scene, cams, model)
 
@@ -561,8 +593,8 @@ def _pixel_errors(P, pts, pix, valid, principal, model, free=None):
     the errors xy L(r) focal + principal - pix (B, N, 2), in ``project``'s
     arithmetic, meaningless where not ``ok``.
     Given ``free``, coefficient indices, also returns in closed form the
-    derivatives of the errors with respect to each camera's parameters
-    (B, N, 2, 7) and to ``model.k[free]`` (B, N, 2, len(free)).  The chain
+    derivatives of the errors with respect to each camera's parameters,
+    then to ``model.k[free]`` (B, N, 2, 7 + len(free)).  The chain
     runs through d(R X + t)/dv = -[R X]x J_l(v) and d(R X + t)/dt = I
     (Triggs et al. 2000), the division by depth and L(r); the focal column
     is xy L and the coefficient columns take the quotient rule on f / g.
@@ -602,7 +634,7 @@ def _pixel_errors(P, pts, pix, valid, principal, model, free=None):
     # d(R X)/dv, C[c, j]: column j is J_l[:, j] x R X.
     W = np.moveaxis(_left_jacobians(P[:, :3]), 0, -1)[..., None]
     C = W[[1, 2, 0]] * q[[2, 0, 1], None] - W[[2, 0, 1]] * q[[1, 2, 0], None]
-    D = np.empty((2, 7) + r.shape)
+    D = np.empty((2, 7 + len(free)) + r.shape)
     D[:, :3] = G[:, 0, None] * C[0]
     D[:, :3] += G[:, 1, None] * C[1]
     D[:, :3] += G[:, 2, None] * C[2]
@@ -610,13 +642,13 @@ def _pixel_errors(P, pts, pix, valid, principal, model, free=None):
     D[:, 6] = xy * L
     dL = np.array([r ** (j % 3 + 1) / gv * (1.0 if j < 3 else -L)
                    for j in free]).reshape((len(free),) + r.shape)
-    Dk = xy[:, None] * (dL * focal)
-    return (ok, np.moveaxis(err, 0, -1), np.moveaxis(D, (0, 1), (2, 3)),
-            np.moveaxis(Dk, (0, 1), (2, 3)))
+    D[:, 7:] = xy[:, None] * (dL * focal)
+    return ok, np.moveaxis(err, 0, -1), np.moveaxis(D, (0, 1), (2, 3))
 
 
 def _pose_problem(scene, cameras, model, free, focal_prior_weight):
-    """Start point, residual, Jacobian and unpacking of a joint refinement.
+    """Start point, residual, normal equations and unpacking of a joint
+    refinement.
 
     The cameras pair with the scene's observation lists in order.  The
     parameters are 7 per camera (axis-angle, translation, focal), then the
@@ -625,11 +657,17 @@ def _pose_problem(scene, cameras, model, free, focal_prior_weight):
     prior row per camera, ``focal_prior_weight * log(focal / start)``; any
     failure gives the sentinel vector of 1e8.  ``_pixel_errors`` gives the
     pixel errors of every camera at once, and with them, for
-    ``jacobian(x, r0)`` (``r0 = resid(x)``), their closed-form derivatives;
-    a prior row's derivative is ``focal_prior_weight / focal``.  At a
-    sentinel or non-finite ``r0`` the Jacobian differences the whole
-    residual (``_num_jacobian``).  Returns ``(x0, resid, jacobian,
-    unpack)``.
+    ``normal(x, r0)`` (``r0 = resid(x)``), their closed-form derivatives.
+    ``normal`` returns (J'J, J'r0) of the residual's Jacobian J without
+    forming J: a camera's rows touch only its own 7 parameters and the
+    coefficients, so J'J is assembled from each camera's blocks
+    (``_normal_blocks``), J_c'J_c on the diagonal, J_c'J_k beside it and
+    the sum of the J_k'J_k, and J'r0 likewise.  A prior row's derivative
+    d = ``focal_prior_weight / focal`` adds d * d to its focal's diagonal
+    entry and d times its value to J'r0.  At a sentinel or non-finite
+    ``r0`` they are the products of the forward-difference Jacobian of the
+    whole residual (``_difference_normals``).  Returns ``(x0, resid,
+    normal, unpack)``.
     """
     free = list(free)
     ncam = len(cameras)
@@ -638,8 +676,9 @@ def _pose_problem(scene, cameras, model, free, focal_prior_weight):
     f0s = np.array([c.focal for c in cameras])
     x0 = np.concatenate([_cam_params(c) for c in cameras]
                         + [np.array(model.k)[free]])
-    bounds = np.cumsum([0] + [2 * int(n) for n in valid.sum(axis=1)])
-    nres = int(bounds[-1]) + ncam
+    counts = valid.sum(axis=1)
+    nres = 2 * int(counts.sum()) + ncam
+    focals = np.arange(6, 7 * ncam, 7)
 
     def model_at(p):
         if not free:
@@ -670,20 +709,26 @@ def _pose_problem(scene, cameras, model, free, focal_prior_weight):
                   for i in range(ncam)]
         return np.concatenate([out[0][valid].ravel(), priors])
 
-    def jacobian(x, r0):
+    def normal(x, r0):
         if not np.isfinite(r0).all() or np.all(r0 == 1e8):
-            return _num_jacobian(resid, x, r0)
-        _, D, Dk = evaluate(x, True)
-        J = np.zeros((nres, len(x)))
+            return _difference_normals(resid, x, r0)
+        Hc, gc = _normal_blocks(*evaluate(x, True), counts)
+        H, g = np.zeros((len(x), len(x))), np.zeros(len(x))
+        k = slice(7 * ncam, None)
         for i in range(ncam):
-            rows = slice(bounds[i], bounds[i + 1])
-            n = bounds[i + 1] - bounds[i]
-            J[rows, 7 * i:7 * i + 7] = D[i, valid[i]].reshape(n, 7)
-            J[rows, 7 * ncam:] = Dk[i, valid[i]].reshape(n, len(free))
-            J[bounds[-1] + i, 7 * i + 6] = focal_prior_weight / x[7 * i + 6]
-        return J
+            c = slice(7 * i, 7 * i + 7)
+            H[c, c] = Hc[i, :7, :7]
+            H[c, k] = Hc[i, :7, 7:]
+            H[k, c] = Hc[i, 7:, :7]
+            H[k, k] += Hc[i, 7:, 7:]
+            g[c] = gc[i, :7]
+            g[k] += gc[i, 7:]
+        d = focal_prior_weight / x[focals]
+        H[focals, focals] += d * d
+        g[focals] += d * r0[-ncam:]
+        return H, g
 
-    return x0, resid, jacobian, unpack
+    return x0, resid, normal, unpack
 
 
 def _camera_problems(scene, cameras, model, focal_prior_weight):
@@ -694,29 +739,28 @@ def _camera_problems(scene, cameras, model, focal_prior_weight):
     ``_lm_lockstep`` batch: row b of ``X0`` holds its parameters, and its
     residual is its own rows of the joint residual, pixel errors then the
     prior row, or 1e8 in each where they fail.  The cameras of one call
-    share one ``_pixel_errors`` stack, padded to the largest observation
-    count, and each problem gets back only its own rows.  A problem whose
-    residual is the sentinel or non-finite differences its residual
-    (``_num_jacobian``).  Returns ``(X0, fun, jacobian)``.
+    share one ``_pixel_errors`` stack with derivatives, padded to the
+    largest observation count, and ``fun`` gives each problem its residual
+    and, from the same pass, its 7x7 normal equations: its own rows'
+    blocks (``_normal_blocks``) plus its prior row's share.  A problem
+    whose residual is the sentinel or non-finite gets none from the pass;
+    ``normal`` gives it the products of its residual's forward-difference
+    Jacobian (``_difference_normals``).  Returns ``(X0, fun, normal)``.
     """
     pts, pix, valid = _observations(scene)
     principal = np.array([c.principal for c in cameras])
     f0s = np.array([c.focal for c in cameras])
     X0 = np.array([_cam_params(c) for c in cameras]).reshape(-1, 7)
-    sizes = 2 * valid.sum(axis=1) + 1
+    counts = valid.sum(axis=1)
+    sizes = 2 * counts + 1
     width = 2 * valid.shape[1]
 
-    def evaluate(X, rows, derivatives):
-        return _pixel_errors(X, pts[rows], pix[rows], valid[rows],
-                             principal[rows], model,
-                             () if derivatives else None)
-
-    def split(stacked, rows):
-        """Each problem's own rows: its valid pixel rows then its prior."""
-        return [stacked[j, :sizes[b]] for j, b in enumerate(rows)]
-
-    def fun(X, rows):
-        ok, err = evaluate(X, rows, False)
+    def residuals(X, rows, derivatives):
+        """Each problem's own rows (valid pixel rows, then its prior),
+        whether the pass defines its normal equations, and the pass."""
+        ok, err, *D = _pixel_errors(X, pts[rows], pix[rows], valid[rows],
+                                    principal[rows], model,
+                                    () if derivatives else None)
         out = np.zeros((len(rows), width + 1))
         pixel_rows = out[:, :width].reshape(err.shape)
         pixel_rows[...] = err
@@ -725,23 +769,27 @@ def _camera_problems(scene, cameras, model, focal_prior_weight):
             out[j, sizes[rows[j]] - 1] = focal_prior_weight * math.log(
                 X[j, 6] / f0s[rows[j]])
         out[~ok] = 1e8
-        return split(out, rows)
+        R = [out[j, :sizes[b]] for j, b in enumerate(rows)]
+        return R, ok & np.isfinite(out).all(axis=1), err, D
 
-    def jacobian(X, R, rows):
-        ok, _, D, _ = evaluate(X, rows, True)
-        J = np.zeros((len(rows), width + 1, 7))
-        pixel_rows = J[:, :width].reshape(D.shape)
-        pixel_rows[...] = D
-        pixel_rows[~valid[rows]] = 0.0
-        J[ok, sizes[rows[ok]] - 1, 6] = focal_prior_weight / X[ok, 6]
-        Js = split(J, rows)
-        for j, (b, r) in enumerate(zip(rows, R)):
-            if not np.isfinite(r).all() or np.all(r == 1e8):
-                Js[j] = _num_jacobian(
-                    lambda x, b=b: fun(x[None], np.array([b]))[0], X[j], r)
-        return Js
+    def fun(X, rows):
+        R, usable, err, (D,) = residuals(X, rows, True)
+        # A problem the pass does not serve sums over none of its rows.
+        H, g = _normal_blocks(err, D, np.where(usable, counts[rows], 0))
+        out = []
+        for j, r in enumerate(R):
+            if usable[j]:
+                d = focal_prior_weight / X[j, 6]
+                H[j, 6, 6] += d * d
+                g[j, 6] += d * r[-1]
+            out.append((r, (H[j], g[j]) if usable[j] else None))
+        return out
 
-    return X0, fun, jacobian
+    def normal(x, r, b):
+        return _difference_normals(
+            lambda x: residuals(x[None], [b], False)[0][0], x, r)
+
+    return X0, fun, normal
 
 
 def _pixel_rms(cameras, pairs, model):

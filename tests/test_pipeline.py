@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +10,9 @@ from shapecal import calib, pipeline
 from shapecal.distortion import DistortionModel, shape_check
 from shapecal.pipeline import (Camera, ExperimentConfig, ExperimentReport,
                                SceneConfig, add_noise, aso_loop, ba_full,
-                               ba_refine, correspondences, generate_scene,
-                               ideal_normalized, levenberg_marquardt,
+                               ba_refine, bootstrap_poses, correspondences,
+                               generate_scene, ideal_normalized,
+                               levenberg_marquardt,
                                perturb_cameras, project, reprojection_rms,
                                rodrigues, rodrigues_inverse, run_experiment,
                                scene_from_json, scene_to_json,
@@ -178,7 +180,8 @@ def test_levenberg_marquardt_monotone_trace():
         return A @ x - b + 0.1 * np.sin(x).sum()
 
     x, trace, status = levenberg_marquardt(
-        fun, np.zeros(3), lambda x, r: pipeline._num_jacobian(fun, x, r))
+        fun, np.zeros(3),
+        lambda x, r: pipeline._difference_normals(fun, x, r))
     assert all(t2 <= t1 + 1e-12 for t1, t2 in zip(trace, trace[1:]))
 
 
@@ -248,30 +251,36 @@ def _assert_oracle_is_the_dense_difference(args, problem, x):
                           pipeline._num_jacobian(resid, x, resid(x)))
 
 
-def _assert_jacobian_matches_oracle(args, problem, x):
-    """Closed form against forward differences, within 1e-5 of each
-    column's largest entry."""
-    _, resid, jacobian, _ = problem
+def _assert_normals_match_oracle(args, problem, x):
+    """Closed-form (J'J, J'r) against the same products of the forward
+    differences, within 1e-5 of each entry's scale (|J|'|J| and
+    |J|'|r|)."""
+    _, resid, normal, _ = problem
     _assert_oracle_is_the_dense_difference(args, problem, x)
     oracle = pose_block_jacobian(*args, x)
-    J = jacobian(x, resid(x))
-    assert (np.abs(J - oracle) <= 1e-5 * np.abs(oracle).max(axis=0)).all()
+    r = resid(x)
+    H, g = normal(x, r)
+    scale = np.abs(oracle)
+    assert (np.abs(H - oracle.T @ oracle) <= 1e-5 * (scale.T @ scale)).all()
+    assert (np.abs(g - oracle.T @ r) <= 1e-5 * (scale.T @ np.abs(r))).all()
 
 
 def _assert_sentinel_fallback(problem, x):
-    # At a sentinel residual every column differences the whole residual.
-    _, resid, jacobian, _ = problem
+    # At a sentinel residual the normal equations are the products of the
+    # forward-difference Jacobian of the whole residual.
+    _, resid, normal, _ = problem
     r0 = resid(x)
     assert np.all(r0 == 1e8)
-    assert np.array_equal(jacobian(x, r0), pipeline._num_jacobian(resid, x,
-                                                                  r0))
+    J = pipeline._num_jacobian(resid, x, r0)
+    H, g = normal(x, r0)
+    assert np.array_equal(H, J.T @ J) and np.array_equal(g, J.T @ r0)
 
 
 def _assert_finite_where_a_step_fails(problem, x):
     # The forward difference needs a sentinel column here; the closed form
     # needs no step.
-    _, resid, jacobian, _ = problem
-    assert np.isfinite(jacobian(x, resid(x))).all()
+    _, resid, normal, _ = problem
+    assert all(np.isfinite(a).all() for a in normal(x, resid(x)))
 
 
 @pytest.mark.parametrize("kind, weight", [("polynomial", 0.0),
@@ -282,7 +291,26 @@ def test_ba_full_block_jacobian_at_start_point(kind, weight):
     scene, cams = _ba_start()
     args, problem = _ba_full_problem(scene, cams, kind, weight,
                                      START_MODELS[kind])
-    _assert_jacobian_matches_oracle(args, problem, problem[0])
+    _assert_normals_match_oracle(args, problem, problem[0])
+
+
+def _unequal_counts(scene):
+    """The scene with camera i seeing only its first 64 - 9 i points, so
+    that every camera but the first is padded in a pixel-error stack."""
+    keep = [64 - 9 * i for i in range(len(scene.pixels))]
+    return replace(scene,
+                   pixels=[p[:n] for p, n in zip(scene.pixels, keep)],
+                   point_indices=[q[:n] for q, n in
+                                  zip(scene.point_indices, keep)])
+
+
+def test_ba_full_normal_equations_with_unequal_observation_counts():
+    # A padded camera's blocks must still run over its own rows only.
+    scene, cams = _ba_start()
+    args, problem = _ba_full_problem(_unequal_counts(scene), cams,
+                                     "rational", 1.0,
+                                     START_MODELS["rational"])
+    _assert_normals_match_oracle(args, problem, problem[0])
 
 
 def test_ba_full_block_jacobian_when_a_camera_column_raises():
@@ -360,12 +388,12 @@ def test_ba_full_block_jacobian_gives_the_dense_iterates():
     # The closed form and the forward differences lead the LM to the same
     # minimum; ba_full is the closed-form run.
     scene, cams = _ba_start()
-    x0, resid, jacobian, unpack = _ba_full_problem(
+    x0, resid, normal, unpack = _ba_full_problem(
         scene, cams, "polynomial", 0.0)[1]
     x_closed, trace_closed, status_closed = levenberg_marquardt(resid, x0,
-                                                                jacobian)
+                                                                normal)
     x_dense, trace_dense, status_dense = levenberg_marquardt(
-        resid, x0, lambda x, r: pipeline._num_jacobian(resid, x, r))
+        resid, x0, lambda x, r: pipeline._difference_normals(resid, x, r))
     assert status_closed == status_dense == "converged"
     assert trace_closed[-1] == pytest.approx(trace_dense[-1], rel=1e-9)
     assert np.abs(x_closed - x_dense).max() <= 1e-6 * np.abs(x_dense).max()
@@ -376,6 +404,22 @@ def test_ba_full_block_jacobian_gives_the_dense_iterates():
     for a, b in zip(cams_ba, cams_closed):
         assert np.array_equal(a.R, b.R) and np.array_equal(a.t, b.t) \
             and np.array_equal(a.K, b.K)
+
+
+def test_ba_full_peaks_below_one_dense_jacobian():
+    # The normal equations are assembled from camera blocks, so ba_full on
+    # the default scene never holds a (residual rows x parameters) array.
+    scene = add_noise(generate_scene(SceneConfig(), BARREL, 11), 1.0)
+    cams = bootstrap_poses(scene, 11)
+    x0, resid = _ba_full_problem(scene, cams, "polynomial", 0.0)[1][:2]
+    dense = resid(x0).nbytes * len(x0)
+    tracemalloc.start()
+    try:
+        ba_full(scene, cams, "polynomial")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense
 
 
 def _one_camera_problem(weight, i=1, rotation=None):
@@ -395,6 +439,20 @@ def _one_camera_problem(weight, i=1, rotation=None):
     return args, pipeline._pose_problem(*args)
 
 
+def _assert_refine_pass_agrees(args, problem, x):
+    """ba_refine's one-pass residual and normal equations of the camera
+    (``_camera_problems``) are its one-camera pose problem's, bit for
+    bit."""
+    scene, cams, model, _, weight = args
+    _, fun, normal = pipeline._camera_problems(scene, cams, model, weight)
+    [(r, normals)] = fun(x[None], np.array([0]))
+    assert np.array_equal(r, problem[1](x))
+    if normals is None:
+        normals = normal(x, r, 0)
+    for a, b in zip(normals, problem[2](x, r)):
+        assert np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("weight", [0.0, 1.0])
 @pytest.mark.parametrize("case", ["start", "column_raises",
                                   "focal_crosses_zero", "sentinel"])
@@ -403,7 +461,7 @@ def test_one_camera_block_jacobian(case, weight):
     x0, resid = problem[:2]
     x = x0.copy()
     if case == "start":
-        _assert_jacobian_matches_oracle(args, problem, x)
+        _assert_normals_match_oracle(args, problem, x)
     elif case == "column_raises":
         x[:6] = [0.0, 0.0, 0.0, 0.0, 0.0, 1e-9]
         assert not np.all(resid(x) == 1e8)
@@ -418,6 +476,7 @@ def test_one_camera_block_jacobian(case, weight):
     else:
         x[5] = -100.0  # the camera behind the target plane
         _assert_sentinel_fallback(problem, x)
+    _assert_refine_pass_agrees(args, problem, x)
 
 
 @pytest.mark.parametrize("weight", [0.0, 1.0])
@@ -430,7 +489,8 @@ def test_one_camera_jacobian_at_extreme_rotations(angle, weight):
     args, problem = _one_camera_problem(weight, rotation=rotation)
     x0 = problem[0]
     assert np.linalg.norm(x0[:3]) == pytest.approx(angle, abs=1e-12)
-    _assert_jacobian_matches_oracle(args, problem, x0)
+    _assert_normals_match_oracle(args, problem, x0)
+    _assert_refine_pass_agrees(args, problem, x0)
 
 
 def _pole_column_problem(column, weight, i=1):
@@ -464,6 +524,7 @@ def test_one_camera_block_jacobian_when_one_column_crosses_a_pole(column,
     assert crossed == [column]
     _assert_oracle_is_the_dense_difference(args, problem, x0)
     _assert_finite_where_a_step_fails(problem, x0)
+    _assert_refine_pass_agrees(args, problem, x0)
 
 
 def _refine_oracle(scene, cameras, model, weight):
@@ -484,7 +545,8 @@ def _refine_oracle(scene, cameras, model, weight):
 
         p, _, status = levenberg_marquardt(
             resid, pipeline._cam_params(cam),
-            lambda x, r, resid=resid: pipeline._num_jacobian(resid, x, r))
+            lambda x, r, resid=resid: pipeline._difference_normals(resid, x,
+                                                                   r))
         if not cam.focal / 4.0 <= p[6] <= cam.focal * 4.0:
             refined.append(cam)
             statuses.append("reverted")
@@ -543,14 +605,9 @@ def test_ba_refine_matches_the_dense_oracle(model, weight):
 
 @pytest.mark.parametrize("weight", [0.0, 1.0])
 def test_ba_refine_batches_cameras_that_see_different_point_counts(weight):
-    # Camera i sees the first 64 - 9 i points, so the batch pads every
-    # camera but the first; padding must change no bit of any camera.
-    scene = add_noise(small_scene(seed=5, cameras=4), 0.5)
-    keep = [64 - 9 * i for i in range(4)]
-    scene = replace(scene,
-                    pixels=[p[:n] for p, n in zip(scene.pixels, keep)],
-                    point_indices=[q[:n] for q, n in
-                                   zip(scene.point_indices, keep)])
+    # The batch pads every camera but the first; padding must change no
+    # bit of any camera.
+    scene = _unequal_counts(add_noise(small_scene(seed=5, cameras=4), 0.5))
     cams0 = perturb_cameras(scene.cameras, 5)
     cams, rms, statuses = _assert_batch_is_each_camera_alone(scene, cams0,
                                                              BARREL, weight)

@@ -332,7 +332,8 @@ def transposing_schur_solve(L, rhs):
 def pose_block_jacobian(scene, cameras, model, free, weight, x):
     """Forward differences of ``pipeline._pose_problem``'s residual at x.
 
-    The oracle for the problem's closed-form Jacobian.  Column j steps
+    The oracle for the problem's closed-form normal equations, through
+    its products J'J and J'r.  Column j steps
     parameter j as ``pipeline._forward_step`` does.  A camera's 7 columns
     come from one ``_pixel_errors`` stack of 7 copies of the camera, copy k
     with parameter k stepped; a coefficient column re-evaluates every
