@@ -49,11 +49,12 @@ a step forms it.  ``dpotrf`` factors a C-ordered matrix as the upper
 triangle of its F-ordered transpose, so it reads the lower triangle and
 leaves the lower factor in C order.  The Schur complement (1364 variables
 and 15 MB at order 2) is formed into one buffer per solve and never
-copied: its lower triangle is symmetrized in tiles of rows, ``dpotrf``
-factors it in place, and ``dpotrs`` takes the factor as it lies.  Every
-iterate keeps the bits of a full ``(M + M') / 2``, the same factor of a
-copy of it and a solve with its C-ordered transpose, which the tests hold
-as the reference.
+copied: the sparse blocks add only their share's lower triangle, the
+dense blocks add all of it, ``dpotrf`` factors the lower triangle in
+place as formed, and ``dpotrs`` takes the factor as it lies.  Every
+iterate keeps the bits of the same factor of a copy of that triangle and
+a solve with its C-ordered transpose, which the tests hold as the
+reference.
 
 The solver is reentrant and keeps no global state; a single call is
 single-threaded.
@@ -509,45 +510,22 @@ def _max_step(chol_factor, direction):
     return -1.0 / lam
 
 
-# Columns of the Schur complement symmetrized at a time (its transposed
-# operand is as many rows), so a tile is written 1 KB (128 doubles) per row.
-SYMMETRIZE_ROWS = 128
-
-
-def _symmetrize_lower(M):
-    """Write (M_ij + M_ji) * 0.5 over the lower triangle of M, in place.
-
-    That is the lower triangle of ``M += M.T; M *= 0.5``, bit for bit, in
-    tiles of SYMMETRIZE_ROWS columns; right of the diagonal tiles M keeps
-    its values.
-    """
-    for i in range(0, M.shape[0], SYMMETRIZE_ROWS):
-        cols = slice(i, i + SYMMETRIZE_ROWS)
-        lower = M[i:, cols]
-        lower += M[cols, i:].T
-        lower *= 0.5
-
-
 def _schur_factor(M, form):
-    """Upper Cholesky factor U, F-ordered, with U' U = (M + M') / 2 for
-    the matrix M that ``form(M)`` writes into the C-ordered buffer M.
+    """Upper Cholesky factor U, F-ordered, with U' U = M for the symmetric
+    M whose lower triangle ``form(M)`` writes into the C-ordered buffer M.
 
-    U is factored in place and shares M's memory: ``dpotrf`` reads the
-    lower triangle, symmetrized by ``_symmetrize_lower``, and leaves U' in
-    it, whose transpose U ``dpotrs`` takes without a copy.  When M does
-    not factor, it is formed and symmetrized again for every rung of the
-    jitter ladder, scaled by max(trace(M) / q, 1e-30); a non-finite factor
-    raises ValueError.
+    U is factored in place and shares M's memory: ``dpotrf`` reads only
+    the lower triangle, as formed, and leaves U' in it, whose transpose U
+    ``dpotrs`` takes without a copy; the strict upper triangle is never
+    read, so ``form`` need not write it.  When M does not factor, it is
+    formed again for every rung of the jitter ladder, scaled by
+    max(trace(M) / q, 1e-30); a non-finite factor raises ValueError.
     """
-    def formed():
-        form(M)
-        _symmetrize_lower(M)
-
-    formed()
+    form(M)
     scale = max(np.trace(M) / M.shape[0], 1e-30)
     L = _cholesky(M)
     if L is None:
-        L = _jitter_ladder(M, formed, scale)
+        L = _jitter_ladder(M, lambda: form(M), scale)
     _finite(L)
     return L.T
 
@@ -633,8 +611,10 @@ def _eliminate_equalities(program):
 # it and their coefficients are about 0.1% dense; every other program of the
 # package is far below it and keeps the dense GEMM formula.
 SPARSE_SCHUR_MIN_ENTRIES = 100_000
-# Entries of W A_j W the sparse formula forms at a time (4 MB).
-SCHUR_CHUNK_ENTRIES = 2 ** 19
+# Entries of W A_j W the sparse formula forms at a time (0.5 MB).  A run
+# this short costs little, as its layout is built once per block, and its
+# X_j and their transposed copy stay small.
+SCHUR_CHUNK_ENTRIES = 2 ** 16
 
 
 class _DenseCoeffs:
@@ -660,11 +640,18 @@ class _DenseCoeffs:
         return (y @ self.flat).reshape(self.A.shape[1:])
 
     def add_schur(self, M, W):
-        """M_ij += <A_i, W A_j W>; the congruences run as two large GEMMs."""
+        """M_ij += <A_i, W A_j W>; the congruences run as two large GEMMs.
+
+        The share is averaged with its transpose, one pass over a small
+        q x q, because the stall of the barrel programs, one dense block
+        each, turns on the last bits of M: with the lower triangle
+        unaveraged, trials-barrel seed 3 took 2057 solver iterations
+        instead of 1812."""
         q, m = self.A.shape[0], W.shape[0]
         AW = (self.A.reshape(q * m, m) @ W).reshape(q, m, m)
         U = (AW.transpose(0, 2, 1).reshape(q * m, m) @ W).reshape(q, m, m)
-        M += self.flat @ np.ascontiguousarray(U.reshape(q, -1).T)
+        M += _symmetrized(
+            self.flat @ np.ascontiguousarray(U.reshape(q, -1).T))
 
 
 class _SparseCoeffs:
@@ -684,6 +671,17 @@ class _SparseCoeffs:
     receive a sum of +-0.0 products, and M, which starts at +0.0 and is
     only added to, never holds -0.0, so adding a signed zero leaves it
     unchanged to the bit.
+
+    Only the lower triangle of the share is formed, which is all that
+    ``_schur_factor`` reads.  The X_j go in runs of live variables that
+    fit SCHUR_CHUNK_ENTRIES, laid out once here: the run that starts at
+    position j of ``live`` takes the rows ``live[j:]`` of ``live_csr``, a
+    view of its entries, and lands its share in M through one slice when
+    every variable is live and through int32 flat indices otherwise (q^2
+    stays below 2^31 for the few thousand variables the solver is meant
+    for).  Each entry it forms is the dot product of one row of
+    ``live_csr`` with one X_j, the same sum a product over every row
+    computes.
     """
 
     def __init__(self, csr, m):
@@ -708,6 +706,31 @@ class _SparseCoeffs:
         self.rows[var, slot] = row
         self.cols[var, slot] = col
         self.vals[var, slot] = val
+        self.runs = self._runs()
+
+    def _runs(self):
+        """(run, suffix, target) per run of live variables: the run's
+        slice of ``live``, the rows ``live_csr[j:]`` as a CSR view, and
+        where its share lands: a (rows, columns) slice of M when every
+        variable is live, else flat indices into M."""
+        live, m, q = self.live, self.m, self.csr.shape[0]
+        every = live.size == q
+        data, indices, indptr = (self.live_csr.data, self.live_csr.indices,
+                                 self.live_csr.indptr)
+        step = max(1, SCHUR_CHUNK_ENTRIES // (m * m))
+        runs = []
+        for j in range(0, live.size, step):
+            run = slice(j, j + step)
+            lo = indptr[j]
+            suffix = sparse.csr_matrix(
+                (data[lo:], indices[lo:], indptr[j:] - lo),
+                shape=(live.size - j, m * m))
+            if every:
+                target = (slice(j, None), run)
+            else:
+                target = (live[j:, None] * q + live[run]).astype(np.int32)
+            runs.append((run, suffix, target))
+        return runs
 
     def magnitude(self):
         return abs(self.csr).max(axis=1).toarray().ravel()
@@ -722,23 +745,18 @@ class _SparseCoeffs:
         return (self.csr.T @ y).reshape(self.m, self.m)
 
     def add_schur(self, M, W):
-        # The X_j go in runs of live variables that fit SCHUR_CHUNK_ENTRIES,
-        # so no q x m x m array is ever held.  When every variable is live
-        # the run's columns of M are updated in place, which spares a
-        # q x q fancy-index scatter.
-        live, m = self.live, self.m
-        every = live.size == self.csr.shape[0]
-        step = max(1, SCHUR_CHUNK_ENTRIES // (m * m))
-        for j in range(0, live.size, step):
-            run = slice(j, j + step)
+        """M_ij += <A_i, W A_j W> for i >= j (and a few i < j beside the
+        diagonal), over the live variables."""
+        flat = M.reshape(-1, copy=False)
+        for run, suffix, target in self.runs:
             left = W[:, self.rows[run]].transpose(1, 0, 2) \
                 * self.vals[run, None, :]
             X = left @ W[self.cols[run]]
-            share = self.live_csr @ X.reshape(len(X), -1).T
-            if every:
-                M[:, run] += share
+            share = suffix @ X.reshape(len(X), -1).T
+            if isinstance(target, tuple):
+                M[target] += share
             else:
-                M[np.ix_(live, live[run])] += share
+                flat[target] += share
 
 
 def _reduce(program):

@@ -445,12 +445,15 @@ def test_sparse_and_dense_block_products_agree(program, monkeypatch):
         W = G @ G.T
         Md = np.zeros((q, q))
         D.add_schur(Md, W)
-        # Whole blocks at once, and in runs of three variables.
+        # Whole blocks at once, and in runs of three variables; a block
+        # lays out its runs when it is built.  The sparse share is formed
+        # only in the lower triangle.
         for chunk in (sdp.SCHUR_CHUNK_ENTRIES, 3 * m * m):
             monkeypatch.setattr(sdp, "SCHUR_CHUNK_ENTRIES", chunk)
             Ms = np.zeros((q, q))
-            S.add_schur(Ms, W)
-            assert np.abs(Ms - Md).max() <= 1e-12 * np.abs(Md).max()
+            sdp._SparseCoeffs(S.csr, S.m).add_schur(Ms, W)
+            assert np.abs(np.tril(Ms - Md)).max() <= \
+                1e-12 * np.abs(Md).max()
         X = W + W.T
         assert np.allclose(S.inner(X), D.inner(X), rtol=1e-12, atol=1e-12)
         y = rng.normal(size=q)
@@ -508,11 +511,21 @@ def _oracle_add_schur(self, M, W):
     full_range_add_schur(self.csr, self.m, M, W)
 
 
+def _scalings(coeffs, rng):
+    """A random positive definite W for each block."""
+    Ws = []
+    for A in coeffs:
+        G = rng.normal(size=(A.m, A.m))
+        Ws.append(G @ G.T)
+    return Ws
+
+
 @pytest.mark.parametrize("name", ["bench-order2", "order2", "partly-held"])
 def test_live_schur_shares_match_the_full_range_oracle_bit_for_bit(
         name, request, monkeypatch):
     # Blocks add up into one M in program order, as in the solver; each
-    # block forms X_j and adds to M only over the variables it holds.
+    # block forms X_j and adds to M only over the variables it holds, and
+    # only the lower triangle, which is all the factor reads.
     program = {
         "bench-order2": lambda: request.getfixturevalue(
             "bench_escalating_set").order2,
@@ -523,19 +536,34 @@ def test_live_schur_shares_match_the_full_range_oracle_bit_for_bit(
     q = coeffs[0].csr.shape[0]
     if name != "order2":
         assert any(A.live.size < q for A in coeffs)
-    rng = np.random.default_rng(5)
-    Ws = []
-    for A in coeffs:
-        G = rng.normal(size=(A.m, A.m))
-        Ws.append(G @ G.T)
+    Ws = _scalings(coeffs, np.random.default_rng(5))
     for whole in (True, False):
         M, M_ref = np.zeros((q, q)), np.zeros((q, q))
         for A, W in zip(coeffs, Ws):
             if not whole:
                 monkeypatch.setattr(sdp, "SCHUR_CHUNK_ENTRIES", 3 * A.m ** 2)
+                A = sdp._SparseCoeffs(A.csr, A.m)
             A.add_schur(M, W)
             _oracle_add_schur(A, M_ref, W)
-            assert M.tobytes() == M_ref.tobytes()
+            assert np.tril(M).tobytes() == np.tril(M_ref).tobytes()
+
+
+def test_sparse_schur_shares_hold_little_beside_m(bench_escalating_set):
+    # One pass over the bench set's eight order-2 blocks, their run layouts
+    # built: each run holds at most SCHUR_CHUNK_ENTRIES of X_j, a copy of
+    # them and its rows of the share, not whole blocks of them.
+    coeffs = sdp._reduce(bench_escalating_set.order2)[3]
+    q = coeffs[0].csr.shape[0]
+    Ws = _scalings(coeffs, np.random.default_rng(9))
+    M = np.zeros((q, q))
+    tracemalloc.start()
+    try:
+        for A, W in zip(coeffs, Ws):
+            A.add_schur(M, W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 @pytest.mark.parametrize("path", FORCE)
@@ -886,17 +914,29 @@ def _writes(M):
 def test_tiled_schur_factor_and_solve_match_the_transposing_oracle(q):
     rng = np.random.default_rng(q)
     M = _asymmetric_schur(rng, q)
-    tiled, full = M.copy(), M.copy()
-    sdp._symmetrize_lower(tiled)
-    full += full.T
-    full *= 0.5
-    assert np.tril(tiled).tobytes() == np.tril(full).tobytes()
     U = sdp._schur_factor(np.empty((q, q)), _writes(M))
     L = transposing_schur_factor(np.empty((q, q)), _writes(M))
     assert U.flags.f_contiguous and U.T.tobytes() == L.tobytes()
     rhs = rng.normal(size=q)
     assert sdp._schur_solve(U, rhs).tobytes() == \
         transposing_schur_solve(L, rhs).tobytes()
+
+
+def test_schur_factor_reads_only_the_lower_triangle():
+    # The blocks form only the lower triangle of M: NaN above the diagonal
+    # gives the bits of the same M with that triangle mirrored from below.
+    q = 129
+    rng = np.random.default_rng(8)
+    M = _asymmetric_schur(rng, q)
+    unread = M.copy()
+    unread[np.triu_indices(q, 1)] = np.nan
+    mirrored = np.tril(M) + np.tril(M, -1).T
+    U = sdp._schur_factor(np.empty((q, q)), _writes(unread))
+    U_ref = sdp._schur_factor(np.empty((q, q)), _writes(mirrored))
+    assert U.tobytes() == U_ref.tobytes()
+    rhs = rng.normal(size=q)
+    assert sdp._schur_solve(U, rhs).tobytes() == \
+        sdp._schur_solve(U_ref, rhs).tobytes()
 
 
 def _solve_outcome(program, options):
@@ -1000,12 +1040,7 @@ def test_refused_schur_factorization_jitters_to_the_oracles_exit(
         monkeypatch):
     # The stand-in refuses the fifth factorization of the 14 x 14 Schur
     # complement after overwriting it, as a failed LAPACK call may, so the
-    # jitter branch must form the complement again; it must read the
-    # triangle the tiled symmetrization wrote.  Tiles of four rows leave
-    # unsymmetrized entries right of the diagonal tiles, and the
-    # complement of the first iteration, symmetric to the bit, could not
-    # tell.
-    monkeypatch.setattr(sdp, "SYMMETRIZE_ROWS", 4)
+    # jitter branch must form the complement again before it factors.
     program = _small_order2_program()
     real = sdp.dpotrf
 

@@ -309,14 +309,13 @@ def full_range_add_schur(csr, m, M, W):
 
 
 def transposing_schur_factor(M, form):
-    """The oracle for ``sdp._schur_factor``: ``form(M)``, then ``M += M.T;
-    M *= 0.5`` over the whole matrix, then ``sdp._chol_with_jitter`` (with
-    its jitter) of a copy of the C-ordered M.  Returns the C-ordered lower
+    """The oracle for ``sdp._schur_factor``: ``form(M)``, then
+    ``sdp._chol_with_jitter`` (with its jitter) of a copy of the lower
+    triangle of the C-ordered M as formed.  Returns the C-ordered lower
     factor."""
     form(M)
-    M += M.T
-    M *= 0.5
-    return sdp._chol_with_jitter(M, max(np.trace(M) / M.shape[0], 1e-30))
+    return sdp._chol_with_jitter(np.tril(M),
+                                 max(np.trace(M) / M.shape[0], 1e-30))
 
 
 def transposing_schur_solve(L, rhs):
