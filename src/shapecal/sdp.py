@@ -41,20 +41,21 @@ five.  In exact arithmetic nothing changes: the iterates stay block
 diagonal and the largest step is the least over the diagonal blocks.
 Each program block stays a part of the joined block with its own
 tolerances (see ``solve``).  The kernels call LAPACK directly (``dpotrf``
-for every Cholesky factor, ``dtrtrs`` for step lengths, with the arguments
-scipy's triangular solve would pass, and ``dpotrs`` for the Schur solve)
-and keep scipy's checks: non-finite input raises ValueError and a singular
-triangular factor raises LinAlgError; each factor is checked once, where
-a step forms it.  ``dpotrf`` factors a C-ordered matrix as the upper
-triangle of its F-ordered transpose, so it reads the lower triangle and
-leaves the lower factor in C order.  The Schur complement (1364 variables
-and 15 MB at order 2) is formed into one buffer per solve and never
-copied: the sparse blocks add only their share's lower triangle, the
-dense blocks add all of it, ``dpotrf`` factors the lower triangle in
-place as formed, and ``dpotrs`` takes the factor as it lies.  Every
-iterate keeps the bits of the same factor of a copy of that triangle and
-a solve with its C-ordered transpose, which the tests hold as the
-reference.
+for the Cholesky factors of the X and S blocks, ``dtrtrs`` for step
+lengths, with the arguments scipy's triangular solve would pass, and
+``dpftrf`` and ``dpftrs`` for the Schur complement) and keep scipy's
+checks: non-finite input raises ValueError and a singular triangular
+factor raises LinAlgError; each factor is checked once, where a step
+forms it.  ``dpotrf`` factors a C-ordered matrix as the upper triangle of
+its F-ordered transpose, so it reads the lower triangle and leaves the
+lower factor in C order.  The Schur complement (1364 variables at order 2)
+is stored as its lower triangle only, in LAPACK's rectangular full packed
+format (7.4 MB at order 2 instead of 14.9 MB in full), in one buffer per
+solve that is never copied: every block adds its share's lower triangle
+straight into packed positions, ``dpftrf`` factors it in place with
+level-3 BLAS, and ``dpftrs`` takes the factor as it lies.  Every iterate
+keeps the bits of the same factor of a copy of the packed triangle and a
+solve with it, which the tests hold as the reference.
 
 The solver is reentrant and keeps no global state; a single call is
 single-threaded.
@@ -68,7 +69,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+from scipy.linalg.lapack import dpftrf, dpftrs, dpotrf, dtrttf, dtrtrs
 
 
 class SdpError(Exception):
@@ -431,35 +432,33 @@ def _cholesky(A):
     return None if info else U.T
 
 
-def _jitter_ladder(A, form, scale):
-    """``_cholesky`` of the matrix ``form()`` writes into A, with jitter *
-    scale added to its diagonal, for the least jitter of 1e-14, 1e-12,
-    1e-10 and 1e-8 that factors.  A is formed again for every jitter,
-    since a failed factorization has overwritten it."""
+def _jitter_ladder(flat, diagonal, form, factor, scale):
+    """``factor()`` of the matrix ``form()`` writes, with jitter * scale
+    added to its diagonal, the entries ``diagonal`` of its storage
+    ``flat``, for the least jitter of 1e-14, 1e-12, 1e-10 and 1e-8 that
+    factors.  The matrix is formed again for every jitter, since a failed
+    factorization has overwritten it."""
     for jitter in (1e-14, 1e-12, 1e-10, 1e-8):
         form()
-        np.fill_diagonal(A, A.diagonal() + jitter * scale)
-        L = _cholesky(A)
+        flat[diagonal] += jitter * scale
+        L = factor()
         if L is not None:
             return L
     raise np.linalg.LinAlgError("Cholesky failed after regularization")
 
 
-def _chol_with_jitter(M, scale=None):
+def _chol_with_jitter(M):
     """Lower Cholesky factor of M, C-ordered, factored in one copy of M:
     of M itself or, when that fails, of M with a jitter of
-    ``_jitter_ladder`` times scale on its diagonal.  Reads only the lower
-    triangle of M.
-
-    ``scale`` defaults to 1 + max |M_ij| and is computed only then.
-    """
+    ``_jitter_ladder`` times 1 + max |M_ij| on its diagonal.  Reads only
+    the lower triangle of M."""
     A = np.array(M, order="C")
     L = _cholesky(A)
     if L is not None:
         return L
-    if scale is None:
-        scale = 1.0 + np.abs(M).max()
-    return _jitter_ladder(A, lambda: np.copyto(A, M), scale)
+    return _jitter_ladder(A.reshape(-1), slice(None, None, len(A) + 1),
+                          lambda: np.copyto(A, M), lambda: _cholesky(A),
+                          1.0 + np.abs(M).max())
 
 
 def _block_cholesky(M, parts):
@@ -510,34 +509,63 @@ def _max_step(chol_factor, direction):
     return -1.0 / lam
 
 
-def _schur_factor(M, form):
-    """Upper Cholesky factor U, F-ordered, with U' U = M for the symmetric
-    M whose lower triangle ``form(M)`` writes into the C-ordered buffer M.
+def _packed_index(i, j, q):
+    """Positions in a Schur buffer of order q (see ``_schur_factor``) of
+    the entries (i, j) of M, broadcast; entries above the diagonal go to
+    the discard slot.
 
-    U is factored in place and shares M's memory: ``dpotrf`` reads only
-    the lower triangle, as formed, and leaves U' in it, whose transpose U
-    ``dpotrs`` takes without a copy; the strict upper triangle is never
-    read, so ``form`` need not write it.  When M does not factor, it is
-    formed again for every rung of the jitter ladder, scaled by
-    max(trace(M) / q, 1e-30); a non-finite factor raises ValueError.
+    The packed M is LAPACK's rectangular full packed storage of its lower
+    triangle (TRANSR = 'N', UPLO = 'L'): an F-ordered grid of q + 1 - q % 2
+    rows and h = ceil(q / 2) columns, where column j < h of M lies from row
+    j + 1 - q % 2 of grid column j down, and column j >= h lies transposed,
+    as row j - h of the grid from column j - q // 2 on (Gustavson,
+    Wasniewski, Dongarra and Langou, ACM TOMS 37(2), 2010).  The int32
+    positions hold for the few thousand variables the solver is meant for.
     """
+    h, rows = (q + 1) // 2, q + 1 - q % 2
+    i, j = np.broadcast_arrays(i, j)
+    at = np.where(j < h, j * rows + i + rows - q, (i - q // 2) * rows + j - h)
+    return np.where(i >= j, at, q * (q + 1) // 2).astype(np.int32)
+
+
+def _schur_factor(M, diagonal, form):
+    """Lower Cholesky factor of the symmetric M whose lower triangle
+    ``form(M)`` adds into the Schur buffer M, as a view of M; ``diagonal``
+    holds the positions of M's q diagonal entries.
+
+    The buffer holds q (q + 1) / 2 doubles of packed M (``_packed_index``)
+    and a last, discard slot that takes the entries the blocks form above
+    the diagonal, which M does not store.  ``dpftrf`` factors the packed M
+    in place with level-3 BLAS, and ``_schur_solve`` takes the factor as
+    it lies.  When M does not factor, it is formed again for every rung of
+    the jitter ladder, scaled by max(trace(M) / q, 1e-30); a non-finite
+    factor raises ValueError.
+    """
+    q, packed = diagonal.size, M[:-1]
+
+    def factor():
+        L, info = dpftrf(q, packed, uplo="L", overwrite_a=1)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dpftrf")
+        return None if info else L
+
     form(M)
-    scale = max(np.trace(M) / M.shape[0], 1e-30)
-    L = _cholesky(M)
+    scale = max(packed[diagonal].sum() / q, 1e-30)
+    L = factor()
     if L is None:
-        L = _jitter_ladder(M, lambda: form(M), scale)
+        L = _jitter_ladder(packed, diagonal, lambda: form(M), factor, scale)
     _finite(L)
-    return L.T
+    return L
 
 
-def _schur_solve(U, rhs):
-    """M^-1 rhs for the factor U of ``_schur_factor``, which ``dpotrs``
-    reads in place; a non-finite rhs raises ValueError, as scipy's
-    check_finite does."""
+def _schur_solve(L, rhs):
+    """M^-1 rhs for the packed factor L of ``_schur_factor``, which
+    ``dpftrs`` reads in place; a non-finite rhs raises ValueError, as
+    scipy's check_finite does."""
     _finite(rhs)
-    x, info = dpotrs(U, rhs, lower=0)
+    x, info = dpftrs(rhs.size, L, rhs, uplo="L")
     if info:
-        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+        raise ValueError(f"illegal value in argument {-info} of dpftrs")
     return x
 
 
@@ -640,18 +668,23 @@ class _DenseCoeffs:
         return (y @ self.flat).reshape(self.A.shape[1:])
 
     def add_schur(self, M, W):
-        """M_ij += <A_i, W A_j W>; the congruences run as two large GEMMs.
+        """M_ij += <A_i, W A_j W> for i >= j, into the Schur buffer M of
+        ``_schur_factor``; the congruences run as two large GEMMs, and
+        ``dtrttf`` packs the lower triangle of the share.
 
         The share is averaged with its transpose, one pass over a small
         q x q, because the stall of the barrel programs, one dense block
         each, turns on the last bits of M: with the lower triangle
-        unaveraged, trials-barrel seed 3 took 2057 solver iterations
-        instead of 1812."""
+        unaveraged, traced trials-barrel seeds 1-5 took 9151 solver
+        iterations in all instead of 8867."""
         q, m = self.A.shape[0], W.shape[0]
         AW = (self.A.reshape(q * m, m) @ W).reshape(q, m, m)
         U = (AW.transpose(0, 2, 1).reshape(q * m, m) @ W).reshape(q, m, m)
-        M += _symmetrized(
+        share = _symmetrized(
             self.flat @ np.ascontiguousarray(U.reshape(q, -1).T))
+        # Symmetric to the bit, so its F-ordered transpose reaches LAPACK
+        # uncopied and holds the same lower triangle.
+        M[:-1] += dtrttf(share.T, uplo="L")[0]
 
 
 class _SparseCoeffs:
@@ -672,16 +705,17 @@ class _SparseCoeffs:
     only added to, never holds -0.0, so adding a signed zero leaves it
     unchanged to the bit.
 
-    Only the lower triangle of the share is formed, which is all that
-    ``_schur_factor`` reads.  The X_j go in runs of live variables that
-    fit SCHUR_CHUNK_ENTRIES, laid out once here: the run that starts at
-    position j of ``live`` takes the rows ``live[j:]`` of ``live_csr``, a
-    view of its entries, and lands its share in M through one slice when
-    every variable is live and through int32 flat indices otherwise (q^2
-    stays below 2^31 for the few thousand variables the solver is meant
-    for).  Each entry it forms is the dot product of one row of
-    ``live_csr`` with one X_j, the same sum a product over every row
-    computes.
+    Only the lower triangle of the share is formed (and the upper entries
+    inside each run's diagonal tile, which go to the discard slot), since
+    the packed M of ``_schur_factor`` stores nothing else.  The X_j go in
+    runs of live variables that fit SCHUR_CHUNK_ENTRIES, laid out once
+    here: the run that starts at position j of ``live`` takes the rows
+    ``live[j:]`` of ``live_csr``, a view of its entries, and lands its
+    share in the packed M through slices of the packed grid when every
+    variable is live and through int32 packed positions otherwise.  Each
+    entry it forms is the dot product of one row of ``live_csr`` with one
+    X_j, the same sum a product over every row computes, and each entry
+    of M receives the adds that the lower triangle of a full M would.
     """
 
     def __init__(self, csr, m):
@@ -709,27 +743,44 @@ class _SparseCoeffs:
         self.runs = self._runs()
 
     def _runs(self):
-        """(run, suffix, target) per run of live variables: the run's
-        slice of ``live``, the rows ``live_csr[j:]`` as a CSR view, and
-        where its share lands: a (rows, columns) slice of M when every
-        variable is live, else flat indices into M."""
+        """(run, suffix, target, slabs) per run of live variables: the
+        run's slice of ``live``, the rows ``live_csr[j:]`` as a CSR view,
+        the packed positions (``_packed_index``) of the first rows of its
+        share, and the slice adds of the rest.  When every variable is
+        live, the target covers only the run's diagonal tile, and the rows
+        below it land in the packed grid by one slice for the run's
+        columns before ceil(q / 2) and one transposed slice for the rest;
+        otherwise the target covers every row."""
         live, m, q = self.live, self.m, self.csr.shape[0]
-        every = live.size == q
+        h, rows = (q + 1) // 2, q + 1 - q % 2
         data, indices, indptr = (self.live_csr.data, self.live_csr.indices,
                                  self.live_csr.indptr)
         step = max(1, SCHUR_CHUNK_ENTRIES // (m * m))
         runs = []
         for j in range(0, live.size, step):
             run = slice(j, j + step)
+            k = min(j + step, live.size)
             lo = indptr[j]
             suffix = sparse.csr_matrix(
                 (data[lo:], indices[lo:], indptr[j:] - lo),
                 shape=(live.size - j, m * m))
-            if every:
-                target = (slice(j, None), run)
-            else:
-                target = (live[j:, None] * q + live[run]).astype(np.int32)
-            runs.append((run, suffix, target))
+            if live.size < q:
+                runs.append((run, suffix,
+                             _packed_index(live[j:, None], live[run], q), ()))
+                continue
+            # Rows k..q-1 of columns j..k-1 of M, split at column h.
+            split = min(max(j, h), k)
+            slabs = []
+            if split > j:
+                slabs.append(((slice(k + rows - q, rows), slice(j, split)),
+                              slice(0, split - j), False))
+            if k > split:
+                slabs.append(((slice(split - h, k - h),
+                               slice(k - q // 2, q - q // 2)),
+                              slice(split - j, k - j), True))
+            tile = np.arange(j, k)
+            runs.append((run, suffix,
+                         _packed_index(tile[:, None], tile, q), slabs))
         return runs
 
     def magnitude(self):
@@ -745,18 +796,19 @@ class _SparseCoeffs:
         return (self.csr.T @ y).reshape(self.m, self.m)
 
     def add_schur(self, M, W):
-        """M_ij += <A_i, W A_j W> for i >= j (and a few i < j beside the
-        diagonal), over the live variables."""
-        flat = M.reshape(-1, copy=False)
-        for run, suffix, target in self.runs:
+        """M_ij += <A_i, W A_j W> for i >= j over the live variables, into
+        the Schur buffer M of ``_schur_factor``."""
+        q = self.csr.shape[0]
+        grid = M[:-1].reshape(q + 1 - q % 2, -1, order="F")   # packed M
+        for run, suffix, target, slabs in self.runs:
             left = W[:, self.rows[run]].transpose(1, 0, 2) \
                 * self.vals[run, None, :]
             X = left @ W[self.cols[run]]
             share = suffix @ X.reshape(len(X), -1).T
-            if isinstance(target, tuple):
-                M[target] += share
-            else:
-                flat[target] += share
+            M[target] += share[:len(target)]
+            below = share[len(target):]
+            for at, cols, transposed in slabs:
+                grid[at] += below[:, cols].T if transposed else below[:, cols]
 
 
 def _reduce(program):
@@ -894,7 +946,9 @@ def solve(program, options=None):
                 for C, p in zip(Cs, parts)]
 
     y = np.zeros(q)
-    schur = np.empty((q, q))
+    # The Schur buffer and the positions of M's diagonal in it.
+    schur = np.empty(q * (q + 1) // 2 + 1)
+    diagonal = _packed_index(np.arange(q), np.arange(q), q)
     Xs, Ss = [], []
     for C, p, scales in zip(Cs, parts, C_scales):
         S = C.copy()
@@ -943,7 +997,7 @@ def solve(program, options=None):
             for A, W in zip(coeffs, Ws):
                 A.add_schur(M, W)
 
-        Mfactor = _schur_factor(schur, form)
+        Mfactor = _schur_factor(schur, diagonal, form)
 
         base_rhs = rp + sum(A.inner(W @ Rd @ W)
                             for A, W, Rd in zip(coeffs, Ws, Rds))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtfttr
 
 from shapecal import calib, pipeline, relax, sdp
 from shapecal.calib import CalibConfig, assemble_cost
@@ -15,7 +16,7 @@ from shapecal.poly import Polynomial, PolyMatrix
 from shapecal.sdp import (AffineBlock, AffineForm, LmiBuilder, LmiProgram,
                           SolverOptions, epigraph_block, factor_psd, solve)
 from util import (dense_blocks, dense_program_json, dense_reduce,
-                  dense_relaxation_blocks, full_range_add_schur,
+                  dense_relaxation_blocks, full_range_add_schur, packed,
                   synth_correspondences, transposing_schur_factor,
                   transposing_schur_solve)
 
@@ -25,6 +26,11 @@ ROOT = Path(__file__).resolve().parents[1]
 # twice the 2.2 MB measured with triplet storage (134 MB with one dense
 # matrix per variable and block).
 ORDER2_BUILD_PEAK_BYTES = 4_400_000
+
+# Bound on tracemalloc's peak in the order-2 solve of the benchmark's
+# escalating set: 16 MB measured with the packed Schur complement, 23 MB
+# with the full q x q one.
+ORDER2_SOLVE_PEAK_BYTES = 18_000_000
 
 TIGHT = SolverOptions(feas_tol=1e-9, gap_tol=1e-9,
                       accept_feas_tol=1e-8, accept_gap_tol=1e-7)
@@ -360,7 +366,7 @@ def test_barrel_stall_reports_a_stalled_exit():
     # stalls hangs on the last bits of the solver's arithmetic, so a change
     # to those bits may need another seed that stalls.
     data = synth_correspondences(pipeline.DEFAULT_TRUE_MODELS["barrel"],
-                                 (0.02, 0.9), n=200, seed=25)
+                                 (0.02, 0.9), n=200, seed=10)
     program, _ = calib.shape_program(assemble_cost(data), "barrel",
                                      CalibConfig(rbar=1.0, shape="barrel"))
     sol = solve(program, calib.TIGHT)
@@ -374,6 +380,16 @@ def test_barrel_stall_reports_a_stalled_exit():
 
 # Cuts of the Schur rule that force every block onto one path.
 FORCE = {"dense": math.inf, "sparse": 0}
+
+
+def _buffer(q):
+    """A zeroed Schur buffer of order q: the packed M and a discard slot."""
+    return np.zeros(q * (q + 1) // 2 + 1)
+
+
+def _diagonal(q):
+    """The positions of M's diagonal in a Schur buffer of order q."""
+    return sdp._packed_index(np.arange(q), np.arange(q), q)
 
 
 def _coeffs(program, path):
@@ -443,17 +459,17 @@ def test_sparse_and_dense_block_products_agree(program, monkeypatch):
         q, m = D.A.shape[0], D.A.shape[1]
         G = rng.normal(size=(m, m))
         W = G @ G.T
-        Md = np.zeros((q, q))
+        Md = _buffer(q)
         D.add_schur(Md, W)
         # Whole blocks at once, and in runs of three variables; a block
-        # lays out its runs when it is built.  The sparse share is formed
-        # only in the lower triangle.
+        # lays out its runs when it is built.  Both add only the lower
+        # triangle, packed.
         for chunk in (sdp.SCHUR_CHUNK_ENTRIES, 3 * m * m):
             monkeypatch.setattr(sdp, "SCHUR_CHUNK_ENTRIES", chunk)
-            Ms = np.zeros((q, q))
+            Ms = _buffer(q)
             sdp._SparseCoeffs(S.csr, S.m).add_schur(Ms, W)
-            assert np.abs(np.tril(Ms - Md)).max() <= \
-                1e-12 * np.abs(Md).max()
+            assert np.abs(Ms[:-1] - Md[:-1]).max() <= \
+                1e-12 * np.abs(Md[:-1]).max()
         X = W + W.T
         assert np.allclose(S.inner(X), D.inner(X), rtol=1e-12, atol=1e-12)
         y = rng.normal(size=q)
@@ -508,7 +524,12 @@ def test_schur_rule_sends_only_full_order2_blocks_to_the_sparse_path(
 
 
 def _oracle_add_schur(self, M, W):
-    full_range_add_schur(self.csr, self.m, M, W)
+    """``add_schur`` by the full-range oracle: the block's share formed
+    in full storage, then its lower triangle packed and added to M."""
+    q = self.csr.shape[0]
+    share = np.zeros((q, q))
+    full_range_add_schur(self.csr, self.m, share, W)
+    M[:-1] += packed(share)
 
 
 def _scalings(coeffs, rng):
@@ -525,7 +546,7 @@ def test_live_schur_shares_match_the_full_range_oracle_bit_for_bit(
         name, request, monkeypatch):
     # Blocks add up into one M in program order, as in the solver; each
     # block forms X_j and adds to M only over the variables it holds, and
-    # only the lower triangle, which is all the factor reads.
+    # only the lower triangle, which is all M stores.
     program = {
         "bench-order2": lambda: request.getfixturevalue(
             "bench_escalating_set").order2,
@@ -538,14 +559,40 @@ def test_live_schur_shares_match_the_full_range_oracle_bit_for_bit(
         assert any(A.live.size < q for A in coeffs)
     Ws = _scalings(coeffs, np.random.default_rng(5))
     for whole in (True, False):
-        M, M_ref = np.zeros((q, q)), np.zeros((q, q))
+        M, M_ref = _buffer(q), np.zeros((q, q))
         for A, W in zip(coeffs, Ws):
             if not whole:
                 monkeypatch.setattr(sdp, "SCHUR_CHUNK_ENTRIES", 3 * A.m ** 2)
                 A = sdp._SparseCoeffs(A.csr, A.m)
             A.add_schur(M, W)
-            _oracle_add_schur(A, M_ref, W)
-            assert np.tril(M).tobytes() == np.tril(M_ref).tobytes()
+            full_range_add_schur(A.csr, A.m, M_ref, W)
+            assert M[:-1].tobytes() == packed(M_ref).tobytes()
+
+
+@pytest.mark.parametrize("dense_equality", [False, True], ids=["q40", "q39"])
+@pytest.mark.parametrize("width", [3, 7])
+def test_runs_straddling_the_packed_fold_match_the_full_range_oracle(
+        dense_equality, width, monkeypatch):
+    # One block holding every variable, in runs of ``width`` variables, one
+    # of which spans column ceil(q / 2), where the packed storage folds the
+    # columns of M over: its rows below the tile land in two slices, one of
+    # them transposed.
+    program = _random_sparse_program(np.random.default_rng(3),
+                                     dense_equality)
+    A = _coeffs(program, "sparse")[0]
+    q = A.csr.shape[0]
+    assert A.live.size == q == 39 + (not dense_equality)
+    monkeypatch.setattr(sdp, "SCHUR_CHUNK_ENTRIES", width * A.m ** 2)
+    A = sdp._SparseCoeffs(A.csr, A.m)
+    h = (q + 1) // 2
+    assert any(run.start < h < run.stop for run, *_ in A.runs)
+    G = np.random.default_rng(7).normal(size=(A.m, A.m))
+    W = G @ G.T
+    M, M_ref = _buffer(q), np.zeros((q, q))
+    for _ in range(2):
+        A.add_schur(M, W)
+        full_range_add_schur(A.csr, A.m, M_ref, W)
+        assert M[:-1].tobytes() == packed(M_ref).tobytes()
 
 
 def test_sparse_schur_shares_hold_little_beside_m(bench_escalating_set):
@@ -555,7 +602,7 @@ def test_sparse_schur_shares_hold_little_beside_m(bench_escalating_set):
     coeffs = sdp._reduce(bench_escalating_set.order2)[3]
     q = coeffs[0].csr.shape[0]
     Ws = _scalings(coeffs, np.random.default_rng(9))
-    M = np.zeros((q, q))
+    M = _buffer(q)
     tracemalloc.start()
     try:
         for A, W in zip(coeffs, Ws):
@@ -627,7 +674,7 @@ def test_blocks_holding_no_live_variable_add_nothing(monkeypatch):
     W = np.array([[2.0, 0.5], [0.5, 1.0]])
     for A in (coeffs[1], inert):
         assert A.live.size == 0
-        M = np.zeros((A.csr.shape[0], A.csr.shape[0]))
+        M = _buffer(A.csr.shape[0])
         A.add_schur(M, W)
         assert not M.any()
     sols = {}
@@ -906,37 +953,89 @@ def _asymmetric_schur(rng, q):
 
 
 def _writes(M):
-    """A ``form`` for ``sdp._schur_factor`` that writes M into the buffer."""
-    return lambda buffer: np.copyto(buffer, M)
+    """A ``form`` for ``sdp._schur_factor`` that writes the packed lower
+    triangle of M into the buffer."""
+    P = packed(M)
+    return lambda buffer: np.copyto(buffer[:-1], P)
+
+
+def _unpacked(q, L):
+    """The full lower triangle of a packed factor."""
+    A, info = dtfttr(q, L, uplo="L")
+    assert info == 0
+    return np.tril(A)
 
 
 @pytest.mark.parametrize("q", [1, 127, 128, 129, 300])
 def test_tiled_schur_factor_and_solve_match_the_transposing_oracle(q):
+    # Both parities of q: the packed grid has q + 1 rows for even q and q
+    # rows for odd q.
     rng = np.random.default_rng(q)
     M = _asymmetric_schur(rng, q)
-    U = sdp._schur_factor(np.empty((q, q)), _writes(M))
-    L = transposing_schur_factor(np.empty((q, q)), _writes(M))
-    assert U.flags.f_contiguous and U.T.tobytes() == L.tobytes()
-    rhs = rng.normal(size=q)
-    assert sdp._schur_solve(U, rhs).tobytes() == \
-        transposing_schur_solve(L, rhs).tobytes()
-
-
-def test_schur_factor_reads_only_the_lower_triangle():
-    # The blocks form only the lower triangle of M: NaN above the diagonal
-    # gives the bits of the same M with that triangle mirrored from below.
-    q = 129
-    rng = np.random.default_rng(8)
-    M = _asymmetric_schur(rng, q)
-    unread = M.copy()
-    unread[np.triu_indices(q, 1)] = np.nan
+    L = sdp._schur_factor(_buffer(q), _diagonal(q), _writes(M))
+    L_ref = transposing_schur_factor(_buffer(q), _diagonal(q), _writes(M))
+    assert L.size == q * (q + 1) // 2 and L.tobytes() == L_ref.tobytes()
+    lower = _unpacked(q, L)
     mirrored = np.tril(M) + np.tril(M, -1).T
-    U = sdp._schur_factor(np.empty((q, q)), _writes(unread))
-    U_ref = sdp._schur_factor(np.empty((q, q)), _writes(mirrored))
-    assert U.tobytes() == U_ref.tobytes()
+    assert np.allclose(lower @ lower.T, mirrored, rtol=1e-12, atol=1e-9)
     rhs = rng.normal(size=q)
-    assert sdp._schur_solve(U, rhs).tobytes() == \
-        sdp._schur_solve(U_ref, rhs).tobytes()
+    assert sdp._schur_solve(L, rhs).tobytes() == \
+        transposing_schur_solve(L_ref, rhs).tobytes()
+
+
+class _UpperPoisoned:
+    """A run's CSR rows whose product is NaN above the diagonal of the
+    run's tile, the entries a block forms that M does not store."""
+
+    def __init__(self, suffix):
+        self.suffix = suffix
+
+    def __matmul__(self, X):
+        share = self.suffix @ X
+        share[np.triu_indices(share.shape[0], 1, share.shape[1])] = np.nan
+        return share
+
+
+@pytest.mark.parametrize("name", ["bench-order2", "partly-held"])
+def test_upper_tile_entries_never_reach_the_factor(name, request):
+    # Fully-live and partly-live runs alike send the entries above the
+    # diagonal to the discard slot: NaN there gives the bits of the clean M
+    # and its factor.
+    program = {
+        "bench-order2": lambda: request.getfixturevalue(
+            "bench_escalating_set").order2,
+        "partly-held": lambda: _partly_held_program(
+            np.random.default_rng(6))}[name]()
+    coeffs = _coeffs(program, "sparse")
+    q = coeffs[0].csr.shape[0]
+    poisoned = []
+    for A in coeffs:
+        A = sdp._SparseCoeffs(A.csr, A.m)
+        A.runs = [(run, _UpperPoisoned(suffix), target, slabs)
+                  for run, suffix, target, slabs in A.runs]
+        poisoned.append(A)
+    Ws = _scalings(coeffs, np.random.default_rng(5))
+
+    def form(blocks):
+        def form(M):
+            M.fill(0.0)
+            for A, W in zip(blocks, Ws):
+                A.add_schur(M, W)
+        return form
+
+    # A diagonal of q keeps M positive definite whatever the W.
+    shift = _buffer(q)
+    shift[_diagonal(q)] = q
+    M, M_ref = _buffer(q), _buffer(q)
+    form(poisoned)(M)
+    form(coeffs)(M_ref)
+    assert np.isnan(M[-1]) and np.isfinite(M[:-1]).all()
+    assert M[:-1].tobytes() == M_ref[:-1].tobytes()
+    L = sdp._schur_factor(M, _diagonal(q), lambda M: (
+        form(poisoned)(M), np.add(M, shift, out=M)))
+    L_ref = sdp._schur_factor(M_ref, _diagonal(q), lambda M: (
+        form(coeffs)(M), np.add(M, shift, out=M)))
+    assert L.tobytes() == L_ref.tobytes()
 
 
 def _solve_outcome(program, options):
@@ -967,95 +1066,111 @@ def test_solves_match_the_transposing_schur_oracle_bit_for_bit(
     assert got == _solve_outcome(program, options)
 
 
-def test_schur_solve_hands_dpotrs_a_column_ordered_factor(monkeypatch):
-    # A C-ordered factor would make f2py copy all q^2 entries per call.
+def test_schur_solve_hands_dpftrs_the_factor_as_it_lies(monkeypatch):
+    # The packed factor is one contiguous run of q (q + 1) / 2 doubles,
+    # which f2py passes without a copy.
     seen = []
-    real = sdp.dpotrs
+    real = sdp.dpftrs
 
-    def spy(c, b, **kwargs):
-        seen.append((c.shape, c.flags.f_contiguous))
-        return real(c, b, **kwargs)
+    def spy(n, a, b, **kwargs):
+        seen.append((n, a.shape, a.flags.c_contiguous, kwargs))
+        return real(n, a, b, **kwargs)
 
-    monkeypatch.setattr(sdp, "dpotrs", spy)
+    monkeypatch.setattr(sdp, "dpftrs", spy)
     assert solve(_small_order2_program(), TIGHT).status == "optimal"
-    assert seen and all(shape == (14, 14) and f for shape, f in seen)
+    assert seen and all(entry == (14, (105,), True, {"uplo": "L"})
+                        for entry in seen)
 
 
 def test_schur_factor_runs_in_place_in_one_buffer_per_solve(monkeypatch):
-    # Every iteration factors the 14 x 14 complement in the same buffer:
-    # F-ordered (no f2py copy), overwritten, and solved with as it lies.
+    # Every iteration factors the order-14 complement in the same buffer:
+    # packed, overwritten, and solved with as it lies.
     factored, solved = [], []
-    real_dpotrf, real_dpotrs = sdp.dpotrf, sdp.dpotrs
+    real_dpftrf, real_dpftrs = sdp.dpftrf, sdp.dpftrs
 
-    def dpotrf(a, **kwargs):
-        if a.shape == (14, 14):
-            factored.append((a, kwargs))
-        return real_dpotrf(a, **kwargs)
+    def dpftrf(n, a, **kwargs):
+        factored.append((n, a, kwargs))
+        return real_dpftrf(n, a, **kwargs)
 
-    def dpotrs(c, b, **kwargs):
-        solved.append(c)
-        return real_dpotrs(c, b, **kwargs)
+    def dpftrs(n, a, b, **kwargs):
+        solved.append(a)
+        return real_dpftrs(n, a, b, **kwargs)
 
-    monkeypatch.setattr(sdp, "dpotrf", dpotrf)
-    monkeypatch.setattr(sdp, "dpotrs", dpotrs)
+    monkeypatch.setattr(sdp, "dpftrf", dpftrf)
+    monkeypatch.setattr(sdp, "dpftrs", dpftrs)
     sol = solve(_small_order2_program(), TIGHT)
     assert sol.status == "optimal"
     assert len(factored) >= sol.iterations - 1 > 1 and solved
-    buffer = factored[0][0]
-    for a, kwargs in factored:
-        assert a.flags.f_contiguous and kwargs["overwrite_a"]
-        assert kwargs["lower"] == 0 and np.shares_memory(a, buffer)
-    assert all(np.shares_memory(c, buffer) for c in solved)
+    buffer = factored[0][1]
+    for n, a, kwargs in factored:
+        assert n == 14 and a.size == 105 and a.flags.c_contiguous
+        assert kwargs == {"uplo": "L", "overwrite_a": 1}
+        assert np.shares_memory(a, buffer)
+    assert all(np.shares_memory(a, buffer) for a in solved)
 
 
 def test_schur_factor_allocates_less_than_one_complement():
     q = 300
     M = _asymmetric_schur(np.random.default_rng(4), q)
-    buffer, form = np.empty((q, q)), _writes(M)
-    sdp._schur_factor(buffer, form)     # warm up
+    buffer, diagonal, form = _buffer(q), _diagonal(q), _writes(M)
+    sdp._schur_factor(buffer, diagonal, form)     # warm up
     tracemalloc.start()
     try:
-        U = sdp._schur_factor(buffer, form)
+        L = sdp._schur_factor(buffer, diagonal, form)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.shares_memory(U, buffer)
-    assert peak < M.nbytes
+    assert np.shares_memory(L, buffer)
+    assert peak < L.nbytes
+
+
+def test_order2_solve_holds_the_packed_schur_complement(
+        bench_escalating_set):
+    # q = 1364: the packed M is 7.4 MB against 14.9 MB in full storage.
+    tracemalloc.start()
+    try:
+        sol = solve(bench_escalating_set.order2, calib.LOOSE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.status == "optimal"
+    assert peak < ORDER2_SOLVE_PEAK_BYTES
 
 
 def test_schur_factor_and_solve_refuse_non_finite_values():
-    U = sdp._schur_factor(np.empty((2, 2)),
+    L = sdp._schur_factor(_buffer(2), _diagonal(2),
                           _writes(np.array([[2.0, 0.5], [0.5, 1.0]])))
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError) as exc:
-            sdp._schur_solve(U, np.array([1.0, bad]))
+            sdp._schur_solve(L, np.array([1.0, bad]))
         assert not isinstance(exc.value, np.linalg.LinAlgError)
     # diag(1, inf) factors to diag(1, inf) without a LAPACK error.
     with pytest.raises(ValueError) as exc:
-        sdp._schur_factor(np.empty((2, 2)), _writes(np.diag([1.0, np.inf])))
+        sdp._schur_factor(_buffer(2), _diagonal(2),
+                          _writes(np.diag([1.0, np.inf])))
     assert not isinstance(exc.value, np.linalg.LinAlgError)
 
 
 def test_refused_schur_factorization_jitters_to_the_oracles_exit(
         monkeypatch):
-    # The stand-in refuses the fifth factorization of the 14 x 14 Schur
+    # The stand-in refuses the fifth factorization of the order-14 Schur
     # complement after overwriting it, as a failed LAPACK call may, so the
     # jitter branch must form the complement again before it factors.
     program = _small_order2_program()
-    real = sdp.dpotrf
+    real = sdp.dpftrf
 
     def run():
         schur = []
 
-        def dpotrf(a, **kwargs):
-            if a.shape == (14, 14):
+        def dpftrf(n, a, **kwargs):
+            if n == 14:
                 schur.append(a)
                 if len(schur) == 5:
-                    c, _ = real(a, **kwargs)
+                    c, _ = real(n, a, **kwargs)
                     return c, 1
-            return real(a, **kwargs)
+            return real(n, a, **kwargs)
 
-        monkeypatch.setattr(sdp, "dpotrf", dpotrf)
+        monkeypatch.setattr(sdp, "dpftrf", dpftrf)
         outcome = _solve_outcome(program, TIGHT)
         assert len(schur) > 6
         return outcome

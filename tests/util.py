@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import scipy.sparse
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpftrs, dtfttr, dtrttf
 
 from dataclasses import dataclass
 
@@ -308,23 +308,52 @@ def full_range_add_schur(csr, m, M, W):
         M[:, run] += csr @ X.reshape(len(X), -1).T
 
 
-def transposing_schur_factor(M, form):
-    """The oracle for ``sdp._schur_factor``: ``form(M)``, then
-    ``sdp._chol_with_jitter`` (with its jitter) of a copy of the lower
-    triangle of the C-ordered M as formed.  Returns the C-ordered lower
+def packed(M):
+    """The lower triangle of the full M in the storage of ``sdp``'s Schur
+    buffer, packed by LAPACK's ``dtrttf``."""
+    arf, info = dtrttf(M, uplo="L")
+    assert info == 0
+    return arf
+
+
+def transposing_schur_factor(M, diagonal, form):
+    """The oracle for ``sdp._schur_factor``: ``form(M)``, the packed
+    triangle as formed unpacked into a full q x q copy T by ``dtfttr``,
+    then ``dpftrf`` (looked up in ``sdp``, where the tests patch it) of T
+    packed again by ``dtrttf``.  When that fails, the jitter ladder of
+    ``sdp._jitter_ladder`` runs on T, formed and unpacked again for every
+    rung, with its full-storage diagonal.  Returns the packed lower
     factor."""
-    form(M)
-    return sdp._chol_with_jitter(np.tril(M),
-                                 max(np.trace(M) / M.shape[0], 1e-30))
+    q = diagonal.size
+    T = np.empty((q, q))
+
+    def unpack():
+        form(M)
+        A, info = dtfttr(q, M[:-1], uplo="L")
+        assert info == 0
+        np.copyto(T, A)
+
+    def factor():
+        L, info = sdp.dpftrf(q, packed(T), uplo="L")
+        return None if info else L
+
+    unpack()
+    scale = max(np.trace(T) / q, 1e-30)
+    L = factor()
+    if L is None:
+        L = sdp._jitter_ladder(T.reshape(-1), slice(None, None, q + 1),
+                               unpack, factor, scale)
+    sdp._finite(L)
+    return L
 
 
 def transposing_schur_solve(L, rhs):
-    """The oracle for ``sdp._schur_solve`` on the lower factor of
-    ``transposing_schur_factor``, which f2py copies into column order."""
-    sdp._finite(L, rhs)
-    x, info = dpotrs(L, rhs, lower=1)
+    """The oracle for ``sdp._schur_solve``: ``dpftrs`` on copies of the
+    packed factor and of rhs."""
+    sdp._finite(rhs)
+    x, info = dpftrs(rhs.size, L.copy(), rhs.copy(), uplo="L")
     if info:
-        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+        raise ValueError(f"illegal value in argument {-info} of dpftrs")
     return x
 
 
