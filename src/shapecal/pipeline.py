@@ -15,11 +15,13 @@ On top of the scene generator sit the pose estimation pieces:
   problem in one lock-step run;
 * ``ba_full``: the classical joint bundle adjustment baseline with the
   distortion coefficients as free variables;
-* both refinements solve the ``_pose_problem`` residual; one pixel-error
-  function projects a stack of cameras and, on request, also gives their
-  closed-form derivatives, from which each camera's block of the normal
-  equations is summed over its own observations, so no Jacobian of the
-  whole residual is formed;
+* both refinements take their residual from one row function,
+  ``_camera_rows``: one pixel-error pass over a stack of cameras gives each
+  camera its pixel rows and log-focal prior row and, from the closed-form
+  derivatives of the same pass, its block of the normal equations, summed
+  over its own observations, so no Jacobian of the whole residual is
+  formed; both Levenberg-Marquardt loops take each trial point's residual
+  and normal equations from that one pass;
 * ``aso_loop``: alternation of the shape-constrained distortion solve with
   ``ba_refine``;
 * ``run_experiment``: the BA / SO / ASO comparison over noise levels, with
@@ -356,20 +358,21 @@ LM_DAMPING_MAX = 1e12
 
 
 def levenberg_marquardt(fun, x0, normal):
-    """Damped least squares on the residual vector ``fun(x)``.
+    """Damped least squares on the residual vector of ``fun``.
 
-    ``normal(x, r)`` returns the normal equations of ``fun`` at ``x``,
-    (J'J, J'r) of its Jacobian J, given ``r = fun(x)``; ``ba_full`` passes
-    its ``_pose_problem``'s, assembled from camera blocks.  This is
-    ``_lm_lockstep`` on a batch of one problem: only improving steps are
-    accepted, so the cost trace is non-increasing; stops on relative
-    improvement below ``LM_REL_TOL``, after ``LM_MAX_ITERATIONS``
-    iterations, or with the damping exceeding ``LM_DAMPING_MAX`` (reported
-    as diverged).  Returns (x, cost trace, status).
+    ``fun(x)`` returns ``(r, normals)`` from one pass: the residual vector
+    at x and its normal equations (J'J, J'r) of its Jacobian J, or None
+    where the pass does not give them; ``normal(x, r)`` then gives them.
+    ``ba_full`` passes its ``_pose_problem``'s.  This is ``_lm_lockstep``
+    on a batch of one problem: only improving steps are accepted, so the
+    cost trace is non-increasing; stops on relative improvement below
+    ``LM_REL_TOL``, after ``LM_MAX_ITERATIONS`` iterations, or with the
+    damping exceeding ``LM_DAMPING_MAX`` (reported as diverged).  Returns
+    (x, cost trace, status).
     """
     X, traces, statuses = _lm_lockstep(
-        lambda X, rows: [(fun(X[0]), None)],
-        np.asarray(x0, dtype=float)[None], lambda x, r, b: normal(x, r))
+        lambda X, rows: [fun(X[0])], np.asarray(x0, dtype=float)[None],
+        lambda x, r, b: normal(x, r))
     return X[0], traces[0], statuses[0]
 
 
@@ -526,17 +529,24 @@ def ba_refine(scene, cameras, model, focal_prior_weight=0.0):
     """Pose refinement with the distortion model frozen.
 
     Cameras decouple given a fixed model and fixed target, so each camera
-    is its own problem over (axis-angle rotation, translation, focal), and
-    one ``_lm_lockstep`` runs all of them (``_camera_problems``).
+    is its own problem over (axis-angle rotation, translation, focal): one
+    ``_lm_lockstep`` runs all of them, each of its passes one
+    ``_camera_rows`` pass over the cameras it evaluates.
     ``focal_prior_weight`` optionally weights the log-focal residual against
     the starting value, which pins the focal-depth gauge of near-frontal
     planar views; a camera whose focal escapes a factor of four regardless
     is reverted to its starting pose and reported as such.  Returns
     (refined cameras, pixel RMS, per-camera LM statuses).
     """
-    X0, fun, normal = _camera_problems(scene, cameras, model,
-                                       focal_prior_weight)
-    X, _, statuses = _lm_lockstep(fun, X0, normal)
+    rows = _camera_rows(scene, cameras, (), focal_prior_weight)
+
+    def normal(x, r, b):
+        return _difference_normals(
+            lambda x: rows(x[None], np.array([b]), model)[1][0][0], x, r)
+
+    X0 = np.array([_cam_params(c) for c in cameras]).reshape(-1, 7)
+    X, _, statuses = _lm_lockstep(
+        lambda X, cams: rows(X, cams, model, True)[1], X0, normal)
     refined = []
     for i, (cam, x) in enumerate(zip(cameras, X)):
         if cam.focal / 4.0 <= x[6] <= cam.focal * 4.0:
@@ -555,10 +565,10 @@ def ba_full(scene, cameras, kind):
     log-focal prior rows carry weight zero.  Returns (cameras, model,
     pixel RMS).
     """
-    x0, resid, normal, unpack = _pose_problem(
+    x0, fun, normal, unpack = _pose_problem(
         scene, cameras, DistortionModel.identity(kind),
         calib.KIND_INDICES[kind], 0.0)
-    p_opt = levenberg_marquardt(resid, x0, normal)[0]
+    p_opt = levenberg_marquardt(fun, x0, normal)[0]
     cams, model = unpack(p_opt)
     return cams, model, reprojection_rms(scene, cams, model)
 
@@ -646,39 +656,86 @@ def _pixel_errors(P, pts, pix, valid, principal, model, free=None):
     return ok, np.moveaxis(err, 0, -1), np.moveaxis(D, (0, 1), (2, 3))
 
 
-def _pose_problem(scene, cameras, model, free, focal_prior_weight):
-    """Start point, residual, normal equations and unpacking of a joint
-    refinement.
+def _camera_rows(scene, cameras, free, focal_prior_weight):
+    """Each camera's rows of the pose residual, for both bundle adjustments.
 
-    The cameras pair with the scene's observation lists in order.  The
-    parameters are 7 per camera (axis-angle, translation, focal), then the
-    coefficients of ``model`` indexed by ``free``; the others stay fixed.
-    The residual stacks each camera's pixel errors, then one log-focal
-    prior row per camera, ``focal_prior_weight * log(focal / start)``; any
-    failure gives the sentinel vector of 1e8.  ``_pixel_errors`` gives the
-    pixel errors of every camera at once, and with them, for
-    ``normal(x, r0)`` (``r0 = resid(x)``), their closed-form derivatives.
-    ``normal`` returns (J'J, J'r0) of the residual's Jacobian J without
-    forming J: a camera's rows touch only its own 7 parameters and the
-    coefficients, so J'J is assembled from each camera's blocks
-    (``_normal_blocks``), J_c'J_c on the diagonal, J_c'J_k beside it and
-    the sum of the J_k'J_k, and J'r0 likewise.  A prior row's derivative
-    d = ``focal_prior_weight / focal`` adds d * d to its focal's diagonal
-    entry and d times its value to J'r0.  At a sentinel or non-finite
-    ``r0`` they are the products of the forward-difference Jacobian of the
-    whole residual (``_difference_normals``).  Returns ``(x0, resid,
+    The cameras pair with the scene's observation lists in order; a
+    camera's parameters are its 7 (axis-angle, translation, focal), and
+    ``free`` indexes the coefficients of the model that vary with the
+    problem.  Returns ``rows(P, cams, model, derivatives=False)``: one
+    ``_pixel_errors`` pass over the cameras ``cams`` (an index array) at the
+    parameter rows of ``P`` under ``model``, padded to the largest
+    observation count.  It returns whether each camera is defined, and one
+    ``(r, normals)`` pair per camera.  The residual r is its valid pixel
+    errors, x then y of each point, then its log-focal prior row
+    ``focal_prior_weight * log(focal / start)``, or 1e8 in every row where
+    the camera is not defined.  Given ``derivatives`` and a finite r,
+    ``normals`` is J_b'J_b and J_b'r_b of its own rows (``_normal_blocks``),
+    over its 7 parameters and then the coefficients ``free``, plus its prior
+    row's share: d * d on the focal's diagonal entry and d times the prior
+    on the focal's entry of J'r, d = ``focal_prior_weight / focal``;
+    otherwise it is None.
+    """
+    pts, pix, valid = _observations(scene)
+    principal = np.array([c.principal for c in cameras])
+    f0s = np.array([c.focal for c in cameras])
+    counts = valid.sum(axis=1)
+    sizes = 2 * counts + 1
+    width = 2 * valid.shape[1]
+
+    def rows(P, cams, model, derivatives=False):
+        ok, err, *D = _pixel_errors(P, pts[cams], pix[cams], valid[cams],
+                                    principal[cams], model,
+                                    free if derivatives else None)
+        out = np.zeros((len(cams), width + 1))
+        pixel_rows = out[:, :width].reshape(err.shape)
+        pixel_rows[...] = err
+        pixel_rows[~valid[cams]] = 0.0
+        for j in np.flatnonzero(ok):
+            out[j, sizes[cams[j]] - 1] = focal_prior_weight * math.log(
+                P[j, 6] / f0s[cams[j]])
+        out[~ok] = 1e8
+        usable = ok & np.isfinite(out).all(axis=1) & derivatives
+        if derivatives:
+            # A camera the pass does not serve sums over none of its rows.
+            H, g = _normal_blocks(err, D[0], np.where(usable, counts[cams], 0))
+        pairs = []
+        for j, b in enumerate(cams):
+            r = out[j, :sizes[b]]
+            if usable[j]:
+                d = focal_prior_weight / P[j, 6]
+                H[j, 6, 6] += d * d
+                g[j, 6] += d * r[-1]
+            pairs.append((r, (H[j], g[j]) if usable[j] else None))
+        return ok, pairs
+
+    return rows
+
+
+def _pose_problem(scene, cameras, model, free, focal_prior_weight):
+    """Start point, one-pass residual, fallback normal equations and
+    unpacking of a joint refinement.
+
+    The parameters are 7 per camera, then the coefficients of ``model``
+    indexed by ``free``; the others stay fixed.  ``fun(x)`` evaluates every
+    camera in one ``_camera_rows`` pass and returns ``(r, normals)``.  The
+    residual r stacks every camera's pixel rows, then every camera's prior
+    row, or is the sentinel vector of 1e8 where a camera is not defined or
+    a coefficient is not finite.  ``normals`` is (J'J, J'r) of r's Jacobian
+    J, assembled without forming J: a camera's rows touch only its own 7
+    parameters and the coefficients, so J'J holds each camera's J_c'J_c on
+    the diagonal, its J_c'J_k beside it and the sum of the J_k'J_k, and J'r
+    likewise.  Where a camera's pass gives none, ``normals`` is None and
+    ``normal(x, r)`` gives the products of the forward-difference Jacobian
+    of the whole residual (``_difference_normals``).  Returns ``(x0, fun,
     normal, unpack)``.
     """
     free = list(free)
     ncam = len(cameras)
-    pts, pix, valid = _observations(scene)
-    principal = np.array([c.principal for c in cameras])
-    f0s = np.array([c.focal for c in cameras])
+    rows = _camera_rows(scene, cameras, free, focal_prior_weight)
     x0 = np.concatenate([_cam_params(c) for c in cameras]
                         + [np.array(model.k)[free]])
-    counts = valid.sum(axis=1)
-    nres = 2 * int(counts.sum()) + ncam
-    focals = np.arange(6, 7 * ncam, 7)
+    nres = sum(2 * len(idx) + 1 for idx in scene.point_indices)
 
     def model_at(p):
         if not free:
@@ -692,104 +749,32 @@ def _pose_problem(scene, cameras, model, free, focal_prior_weight):
                  for i, cam in enumerate(cameras)], model_at(p))
 
     def evaluate(p, derivatives):
-        """``_pixel_errors`` of every camera at p, or None where ``resid``
-        fails."""
         if not np.isfinite(p[7 * ncam:]).all():
-            return None
-        ok, *out = _pixel_errors(p[:7 * ncam].reshape(ncam, 7), pts, pix,
-                                 valid, principal, model_at(p),
-                                 free if derivatives else None)
-        return out if ok.all() else None
-
-    def resid(p):
-        out = evaluate(p, False)
-        if out is None:
-            return np.full(nres, 1e8)
-        priors = [focal_prior_weight * math.log(p[7 * i + 6] / f0s[i])
-                  for i in range(ncam)]
-        return np.concatenate([out[0][valid].ravel(), priors])
-
-    def normal(x, r0):
-        if not np.isfinite(r0).all() or np.all(r0 == 1e8):
-            return _difference_normals(resid, x, r0)
-        Hc, gc = _normal_blocks(*evaluate(x, True), counts)
-        H, g = np.zeros((len(x), len(x))), np.zeros(len(x))
+            return np.full(nres, 1e8), None
+        ok, pairs = rows(p[:7 * ncam].reshape(ncam, 7), np.arange(ncam),
+                         model_at(p), derivatives)
+        if not ok.all():
+            return np.full(nres, 1e8), None
+        R, N = zip(*pairs)
+        r = np.concatenate([r[:-1] for r in R] + [[r[-1] for r in R]])
+        if not derivatives or None in N:
+            return r, None
+        H, g = np.zeros((len(p), len(p))), np.zeros(len(p))
         k = slice(7 * ncam, None)
-        for i in range(ncam):
+        for i, (Hc, gc) in enumerate(N):
             c = slice(7 * i, 7 * i + 7)
-            H[c, c] = Hc[i, :7, :7]
-            H[c, k] = Hc[i, :7, 7:]
-            H[k, c] = Hc[i, 7:, :7]
-            H[k, k] += Hc[i, 7:, 7:]
-            g[c] = gc[i, :7]
-            g[k] += gc[i, 7:]
-        d = focal_prior_weight / x[focals]
-        H[focals, focals] += d * d
-        g[focals] += d * r0[-ncam:]
-        return H, g
+            H[c, c] = Hc[:7, :7]
+            H[c, k] = Hc[:7, 7:]
+            H[k, c] = Hc[7:, :7]
+            H[k, k] += Hc[7:, 7:]
+            g[c] = gc[:7]
+            g[k] += gc[7:]
+        return r, (H, g)
 
-    return x0, resid, normal, unpack
+    def normal(x, r):
+        return _difference_normals(lambda p: evaluate(p, False)[0], x, r)
 
-
-def _camera_problems(scene, cameras, model, focal_prior_weight):
-    """``_pose_problem`` with ``model`` fixed, one problem per camera.
-
-    With no free coefficient, a camera's pixel errors and its prior row
-    depend on its own 7 parameters only.  So camera b is problem b of an
-    ``_lm_lockstep`` batch: row b of ``X0`` holds its parameters, and its
-    residual is its own rows of the joint residual, pixel errors then the
-    prior row, or 1e8 in each where they fail.  The cameras of one call
-    share one ``_pixel_errors`` stack with derivatives, padded to the
-    largest observation count, and ``fun`` gives each problem its residual
-    and, from the same pass, its 7x7 normal equations: its own rows'
-    blocks (``_normal_blocks``) plus its prior row's share.  A problem
-    whose residual is the sentinel or non-finite gets none from the pass;
-    ``normal`` gives it the products of its residual's forward-difference
-    Jacobian (``_difference_normals``).  Returns ``(X0, fun, normal)``.
-    """
-    pts, pix, valid = _observations(scene)
-    principal = np.array([c.principal for c in cameras])
-    f0s = np.array([c.focal for c in cameras])
-    X0 = np.array([_cam_params(c) for c in cameras]).reshape(-1, 7)
-    counts = valid.sum(axis=1)
-    sizes = 2 * counts + 1
-    width = 2 * valid.shape[1]
-
-    def residuals(X, rows, derivatives):
-        """Each problem's own rows (valid pixel rows, then its prior),
-        whether the pass defines its normal equations, and the pass."""
-        ok, err, *D = _pixel_errors(X, pts[rows], pix[rows], valid[rows],
-                                    principal[rows], model,
-                                    () if derivatives else None)
-        out = np.zeros((len(rows), width + 1))
-        pixel_rows = out[:, :width].reshape(err.shape)
-        pixel_rows[...] = err
-        pixel_rows[~valid[rows]] = 0.0
-        for j in np.flatnonzero(ok):
-            out[j, sizes[rows[j]] - 1] = focal_prior_weight * math.log(
-                X[j, 6] / f0s[rows[j]])
-        out[~ok] = 1e8
-        R = [out[j, :sizes[b]] for j, b in enumerate(rows)]
-        return R, ok & np.isfinite(out).all(axis=1), err, D
-
-    def fun(X, rows):
-        R, usable, err, (D,) = residuals(X, rows, True)
-        # A problem the pass does not serve sums over none of its rows.
-        H, g = _normal_blocks(err, D, np.where(usable, counts[rows], 0))
-        out = []
-        for j, r in enumerate(R):
-            if usable[j]:
-                d = focal_prior_weight / X[j, 6]
-                H[j, 6, 6] += d * d
-                g[j, 6] += d * r[-1]
-            out.append((r, (H[j], g[j]) if usable[j] else None))
-        return out
-
-    def normal(x, r, b):
-        return _difference_normals(
-            lambda x: residuals(x[None], [b], False)[0][0], x, r)
-
-    return X0, fun, normal
+    return x0, lambda p: evaluate(p, True), normal, unpack
 
 
 def _pixel_rms(cameras, pairs, model):
@@ -941,8 +926,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown shape {self.shape!r}")
         if not all(0 <= s < math.inf for s in self.sigmas):
             raise ValueError("sigmas must be nonnegative and finite")
-        # Every trial's fit takes this configuration: refuse up front what
-        # it would refuse in each trial.
+        if self.trials < 1:
+            raise ValueError("need at least one trial")
+        # Every trial's fit and ASO loop take this configuration: refuse up
+        # front what they would refuse in each trial.
+        if self.aso_iterations < 1:
+            raise ValueError("need at least one ASO iteration")
         calib.CalibConfig(rbar=self.rbar, margin_p=self.margin_p,
                           shape=self.shape)
 
@@ -1043,8 +1032,6 @@ def run_experiment(cfg):
     another in job order: sigma-major, then trial.  Per-trial failures are
     recorded as error entries rather than aborting the run.
     """
-    if cfg.trials < 1:
-        raise ValueError("need at least one trial")
     records = []
     errors = []
     for sigma in cfg.sigmas:

@@ -84,9 +84,6 @@ class Polynomial:
             return 0
         return max(sum(a) for a in self.terms)
 
-    def is_zero(self, tol=COEFF_EPS):
-        return all(abs(c) <= tol for c in self.terms.values())
-
     def univariate_coeffs(self, length=None):
         """Dense coefficient vector for a univariate polynomial, low degree first."""
         if self.dim != 1:

@@ -24,10 +24,9 @@ solves and extracts at one order.
 One candidate core serves every solved relaxation.  It reads the candidate
 minimizer off the first-order moments and certifies it by direct
 feasibility plus matching of the candidate cost against the relaxation
-bound, the solver's dual objective; for a full order it also compares the
-ranks of the moment matrices of consecutive orders (flat extension).
-``extract`` and ``structured_candidate`` are its two entry points.  An
-uncertified bound is a valid, honestly reported outcome.
+bound, the solver's dual objective.  ``extract`` and
+``structured_candidate`` are its two entry points.  An uncertified bound
+is a valid, honestly reported outcome.
 """
 
 from __future__ import annotations
@@ -104,7 +103,7 @@ def relax(pmi, delta):
     d = pmi.dim
     gam = max((gamma_offset(G) for G in pmi.constraints), default=1)
     loc_rows = basis(d, delta - gam).monomials
-    shifted = [Polynomial(d, {_mono_sum(beta, alpha): c
+    shifted = [Polynomial(d, {tuple(map(sum, zip(beta, alpha))): c
                               for alpha, c in q.terms.items()})
                for q in pmi.equalities
                for beta in basis(d, 2 * delta - q.degree).monomials]
@@ -120,7 +119,6 @@ class RelaxationResult:
     extracted: np.ndarray | None
     certified: bool
     order: int
-    rank_flat: bool = False
     candidate_cost: float = math.nan
     solver_status: str = ""
 
@@ -129,28 +127,17 @@ class RelaxationResult:
 # match of its cost to the bound, both looser than the solver tolerances.
 CANDIDATE_FEAS_TOL = 1e-6
 CANDIDATE_GAP_RTOL = 1e-5
-RANK_RTOL = 1e-6    # singular values below this fraction of the top are 0
 
 
-def _mono_sum(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _numeric_rank(M):
-    sv = np.linalg.svd(M, compute_uv=False)
-    return int((sv > RANK_RTOL * sv[0]).sum()) if sv[0] > 0 else 0
-
-
-def _candidate(sol, pos, pmi, order, rank_rows=None):
+def _candidate(sol, pos, pmi, order):
     """The candidate core behind ``extract`` and ``structured_candidate``.
 
     ``pos`` maps a moment exponent to its position in ``sol.z``.  The
     candidate is the vector of first-order moments; the bound is the dual
     objective, below the relaxation's value as the primal one is above it.
     The candidate is certified when it is feasible for the PMI within
-    ``CANDIDATE_FEAS_TOL`` and either its cost matches the bound within
-    ``CANDIDATE_GAP_RTOL`` or, when ``rank_rows`` gives the row exponents
-    of M_delta and M_(delta-gamma), both moment matrices have rank one.
+    ``CANDIDATE_FEAS_TOL`` and its cost matches the bound within
+    ``CANDIDATE_GAP_RTOL``.
     """
     if sol.status != "optimal":
         raise ValueError(f"candidate needs an optimal solution, got "
@@ -159,19 +146,6 @@ def _candidate(sol, pos, pmi, order, rank_rows=None):
     z = np.asarray(sol.z)
     x_star = z[[pos[tuple(1 if j == i else 0 for j in range(d))]
                 for i in range(d)]]
-    rank_flat = rank_one = False
-    if rank_rows is not None:
-        rank_hi, rank_lo = (
-            _numeric_rank(z[np.array([[pos[_mono_sum(a, b)] for b in rows]
-                                      for a in rows])])
-            for rows in rank_rows)
-        rank_flat = rank_hi == rank_lo
-        # A flat rank comparison certifies exactness of the bound, but only
-        # a rank-one moment matrix makes the first-order moments an atom of
-        # the representing measure; higher flat ranks are mixtures whose
-        # barycenter need not be optimal, so they stay uncertified here.
-        rank_one = rank_flat and rank_hi == 1
-
     feasible = pmi.feasible(x_star)
     cand_cost = pmi.cost.eval(x_star)
     bound = sol.dual_objective
@@ -179,27 +153,21 @@ def _candidate(sol, pos, pmi, order, rank_rows=None):
     return RelaxationResult(
         lower_bound=bound,
         extracted=x_star,
-        certified=bool(feasible and (cost_ok or rank_one)),
+        certified=bool(feasible and cost_ok),
         order=order,
-        rank_flat=rank_flat,
         candidate_cost=cand_cost,
         solver_status=sol.status,
     )
 
 
 def extract(sol, pos, pmi, order):
-    """Candidate of a solved full-order relaxation, with the flat rank test.
+    """Candidate of a solved full-order relaxation, reported at ``order``.
 
     One call of the candidate core over ``relax``'s moment positions
-    ``pos``; the rank test compares the moment matrices of orders ``order``
-    and order - gamma.  Raises ``ValueError`` on a non-optimal solution.
-    Returns a RelaxationResult; uncertified is a valid outcome carrying the
-    bound.
+    ``pos``.  Raises ``ValueError`` on a non-optimal solution.  Returns a
+    RelaxationResult; uncertified is a valid outcome carrying the bound.
     """
-    gam = max((gamma_offset(G) for G in pmi.constraints), default=1)
-    rank_rows = (basis(pmi.dim, order).monomials,
-                 basis(pmi.dim, order - gam).monomials)
-    return _candidate(sol, pos, pmi, order, rank_rows)
+    return _candidate(sol, pos, pmi, order)
 
 
 def solve_order(pmi, delta, options=None):
@@ -291,8 +259,7 @@ def structured_relaxation(pmi, mm_rows, loc_rows):
 def structured_candidate(sol, pos, pmi):
     """Candidate of a solved ``structured_relaxation``, reported at order 0.
 
-    One call of the candidate core over the program's ``pos``; no rank test,
-    so only feasibility plus a cost match certifies.  Raises ``ValueError``
-    on a non-optimal solution.
+    One call of the candidate core over the program's ``pos``.  Raises
+    ``ValueError`` on a non-optimal solution.
     """
     return _candidate(sol, pos, pmi, 0)

@@ -131,12 +131,6 @@ class AffineBlock:
                                        mats[k, row, col]))
         self.coeff = _triplets(self.size, entries)
 
-    def value_at(self, z):
-        var, row, col, val = self.coeff
-        out = self.constant.copy()
-        np.add.at(out, (row, col), np.asarray(z)[var] * val)
-        return out
-
 
 def _symmetrized(a):
     return 0.5 * (a + a.T)

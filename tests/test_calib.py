@@ -11,8 +11,8 @@ from shapecal.calib import (CalibConfig, Correspondence, assemble_cost,
                             write_correspondences)
 from shapecal.distortion import DistortionModel, shape_check
 
-from util import build_rows, common_root_mustache, pincushion_feasible, \
-    synth_correspondences
+from util import block_value, build_rows, common_root_mustache, \
+    pincushion_feasible, synth_correspondences
 
 
 def test_build_rows_zero_radius():
@@ -571,6 +571,6 @@ def test_pincushion_pmi_epigraph_is_the_sdp_epigraph_block():
     rng = np.random.default_rng(0)
     for _ in range(5):
         z = rng.normal(size=dim)
-        assert np.allclose(pmi.constraints[0].eval(z), block.value_at(z),
+        assert np.allclose(pmi.constraints[0].eval(z), block_value(block, z),
                            rtol=0.0, atol=1e-12)
     assert pmi.cost.eval(z) == z[-1]

@@ -180,7 +180,7 @@ def test_levenberg_marquardt_monotone_trace():
         return A @ x - b + 0.1 * np.sin(x).sum()
 
     x, trace, status = levenberg_marquardt(
-        fun, np.zeros(3),
+        lambda x: (fun(x), None), np.zeros(3),
         lambda x, r: pipeline._difference_normals(fun, x, r))
     assert all(t2 <= t1 + 1e-12 for t1, t2 in zip(trace, trace[1:]))
 
@@ -243,35 +243,40 @@ def _ba_full_problem(scene, cams, kind, weight, model=None):
     return args, pipeline._pose_problem(*args)
 
 
+def _residual(problem):
+    """The residual alone of a pose problem's one-pass ``fun``."""
+    fun = problem[1]
+    return lambda x: fun(x)[0]
+
+
 def _assert_oracle_is_the_dense_difference(args, problem, x):
     # The block oracle is the forward difference of the whole residual,
     # sentinel columns included.
-    resid = problem[1]
+    resid = _residual(problem)
     assert np.array_equal(pose_block_jacobian(*args, x),
                           pipeline._num_jacobian(resid, x, resid(x)))
 
 
 def _assert_normals_match_oracle(args, problem, x):
-    """Closed-form (J'J, J'r) against the same products of the forward
-    differences, within 1e-5 of each entry's scale (|J|'|J| and
-    |J|'|r|)."""
-    _, resid, normal, _ = problem
+    """Closed-form (J'J, J'r), from the residual's own pass, against the
+    same products of the forward differences, within 1e-5 of each entry's
+    scale (|J|'|J| and |J|'|r|)."""
     _assert_oracle_is_the_dense_difference(args, problem, x)
     oracle = pose_block_jacobian(*args, x)
-    r = resid(x)
-    H, g = normal(x, r)
+    r, (H, g) = problem[1](x)
     scale = np.abs(oracle)
     assert (np.abs(H - oracle.T @ oracle) <= 1e-5 * (scale.T @ scale)).all()
     assert (np.abs(g - oracle.T @ r) <= 1e-5 * (scale.T @ np.abs(r))).all()
 
 
 def _assert_sentinel_fallback(problem, x):
-    # At a sentinel residual the normal equations are the products of the
-    # forward-difference Jacobian of the whole residual.
-    _, resid, normal, _ = problem
-    r0 = resid(x)
-    assert np.all(r0 == 1e8)
-    J = pipeline._num_jacobian(resid, x, r0)
+    # At a sentinel residual the pass gives no normal equations, and the
+    # fallback gives the products of the forward-difference Jacobian of the
+    # whole residual.
+    fun, normal = problem[1:3]
+    r0, normals = fun(x)
+    assert np.all(r0 == 1e8) and normals is None
+    J = pipeline._num_jacobian(_residual(problem), x, r0)
     H, g = normal(x, r0)
     assert np.array_equal(H, J.T @ J) and np.array_equal(g, J.T @ r0)
 
@@ -279,8 +284,8 @@ def _assert_sentinel_fallback(problem, x):
 def _assert_finite_where_a_step_fails(problem, x):
     # The forward difference needs a sentinel column here; the closed form
     # needs no step.
-    _, resid, normal, _ = problem
-    assert all(np.isfinite(a).all() for a in normal(x, resid(x)))
+    normals = problem[1](x)[1]
+    assert normals is not None and all(np.isfinite(a).all() for a in normals)
 
 
 @pytest.mark.parametrize("kind, weight", [("polynomial", 0.0),
@@ -316,7 +321,7 @@ def test_ba_full_normal_equations_with_unequal_observation_counts():
 def test_ba_full_block_jacobian_when_a_camera_column_raises():
     scene, cams = _ba_start()
     args, problem = _ba_full_problem(scene, cams, "polynomial", 1.0)
-    x0, resid = problem[:2]
+    x0, resid = problem[0], _residual(problem)
     # Camera 1 faces the target plane from 1e-9 away: every point is in
     # front, but tilting it by one difference step puts some behind it.
     x = x0.copy()
@@ -331,7 +336,7 @@ def test_ba_full_block_jacobian_when_a_camera_column_raises():
 def test_ba_full_block_jacobian_when_a_focal_crosses_zero():
     scene, cams = _ba_start()
     args, problem = _ba_full_problem(scene, cams, "polynomial", 1.0)
-    x0, resid = problem[:2]
+    x0, resid = problem[0], _residual(problem)
     x = x0.copy()
     x[6] = -0.5e-7
     xp, _ = pipeline._forward_step(x, 6)
@@ -344,10 +349,11 @@ def test_ba_full_block_jacobian_when_a_focal_crosses_zero():
                          ids=["rotation", "translation", "focal", "k1"])
 def test_pose_residual_is_the_sentinel_at_a_non_finite_parameter(j, value):
     scene, cams = _ba_start()
-    x0, resid = _ba_full_problem(scene, cams, "polynomial", 1.0)[1][:2]
+    x0, fun = _ba_full_problem(scene, cams, "polynomial", 1.0)[1][:2]
     x = x0.copy()
     x[j] = value
-    assert np.all(resid(x) == 1e8)
+    r, normals = fun(x)
+    assert np.all(r == 1e8) and normals is None
 
 
 def test_ba_full_block_jacobian_at_sentinel_residual():
@@ -367,7 +373,7 @@ def test_ba_full_block_jacobian_when_a_coefficient_column_fails(case):
     # difference.
     scene, cams = _ba_start()
     args, problem = _ba_full_problem(scene, cams, "division", 0.0)
-    x0, resid = problem[:2]
+    x0, resid = problem[0], _residual(problem)
     x = x0.copy()
     if case == "pole":
         xy = pipeline.ideal_normalized(cams[0], scene.target[
@@ -388,12 +394,14 @@ def test_ba_full_block_jacobian_gives_the_dense_iterates():
     # The closed form and the forward differences lead the LM to the same
     # minimum; ba_full is the closed-form run.
     scene, cams = _ba_start()
-    x0, resid, normal, unpack = _ba_full_problem(
-        scene, cams, "polynomial", 0.0)[1]
-    x_closed, trace_closed, status_closed = levenberg_marquardt(resid, x0,
+    problem = _ba_full_problem(scene, cams, "polynomial", 0.0)[1]
+    x0, fun, normal, unpack = problem
+    resid = _residual(problem)
+    x_closed, trace_closed, status_closed = levenberg_marquardt(fun, x0,
                                                                 normal)
     x_dense, trace_dense, status_dense = levenberg_marquardt(
-        resid, x0, lambda x, r: pipeline._difference_normals(resid, x, r))
+        lambda x: (resid(x), None), x0,
+        lambda x, r: pipeline._difference_normals(resid, x, r))
     assert status_closed == status_dense == "converged"
     assert trace_closed[-1] == pytest.approx(trace_dense[-1], rel=1e-9)
     assert np.abs(x_closed - x_dense).max() <= 1e-6 * np.abs(x_dense).max()
@@ -411,8 +419,8 @@ def test_ba_full_peaks_below_one_dense_jacobian():
     # the default scene never holds a (residual rows x parameters) array.
     scene = add_noise(generate_scene(SceneConfig(), BARREL, 11), 1.0)
     cams = bootstrap_poses(scene, 11)
-    x0, resid = _ba_full_problem(scene, cams, "polynomial", 0.0)[1][:2]
-    dense = resid(x0).nbytes * len(x0)
+    problem = _ba_full_problem(scene, cams, "polynomial", 0.0)[1]
+    dense = problem[1](problem[0])[0].nbytes * len(problem[0])
     tracemalloc.start()
     try:
         ba_full(scene, cams, "polynomial")
@@ -420,6 +428,31 @@ def test_ba_full_peaks_below_one_dense_jacobian():
     finally:
         tracemalloc.stop()
     assert peak < dense
+
+
+def test_ba_full_takes_one_pixel_error_pass_per_lm_point():
+    # The start and every trial point get their residual and normal
+    # equations from one pass; an accepted point is not projected again.
+    scene, cams = _ba_start()
+    passes, points = [], []
+    pixel_errors, lm = pipeline._pixel_errors, pipeline.levenberg_marquardt
+
+    def counted_errors(*args):
+        passes.append(args[0].shape)
+        return pixel_errors(*args)
+
+    def counted_lm(fun, x0, normal):
+        def counted_fun(x):
+            points.append(x)
+            return fun(x)
+        return lm(counted_fun, x0, normal)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_pixel_errors", counted_errors)
+        mp.setattr(pipeline, "levenberg_marquardt", counted_lm)
+        ba_full(scene, cams, "polynomial")
+    assert len(points) > 2
+    assert 1 <= len(passes) <= len(points)
 
 
 def _one_camera_problem(weight, i=1, rotation=None):
@@ -440,16 +473,21 @@ def _one_camera_problem(weight, i=1, rotation=None):
 
 
 def _assert_refine_pass_agrees(args, problem, x):
-    """ba_refine's one-pass residual and normal equations of the camera
-    (``_camera_problems``) are its one-camera pose problem's, bit for
+    """ba_refine's row of the camera (``_camera_rows`` over the one camera,
+    as ba_refine's lock-step passes and its fallback call it) is its
+    one-camera pose problem's residual and normal equations, bit for
     bit."""
     scene, cams, model, _, weight = args
-    _, fun, normal = pipeline._camera_problems(scene, cams, model, weight)
-    [(r, normals)] = fun(x[None], np.array([0]))
-    assert np.array_equal(r, problem[1](x))
+    rows = pipeline._camera_rows(scene, cams, (), weight)
+    _, [(r, normals)] = rows(x[None], np.array([0]), model, True)
+    r_joint, normals_joint = problem[1](x)
+    assert np.array_equal(r, r_joint)
+    assert (normals is None) == (normals_joint is None)
     if normals is None:
-        normals = normal(x, r, 0)
-    for a, b in zip(normals, problem[2](x, r)):
+        normals = pipeline._difference_normals(
+            lambda x: rows(x[None], np.array([0]), model)[1][0][0], x, r)
+        normals_joint = problem[2](x, r)
+    for a, b in zip(normals, normals_joint, strict=True):
         assert np.array_equal(a, b)
 
 
@@ -458,7 +496,7 @@ def _assert_refine_pass_agrees(args, problem, x):
                                   "focal_crosses_zero", "sentinel"])
 def test_one_camera_block_jacobian(case, weight):
     args, problem = _one_camera_problem(weight)
-    x0, resid = problem[:2]
+    x0, resid = problem[0], _residual(problem)
     x = x0.copy()
     if case == "start":
         _assert_normals_match_oracle(args, problem, x)
@@ -517,7 +555,7 @@ def test_one_camera_block_jacobian_when_one_column_crosses_a_pole(column,
     # put a point behind the camera (tx, ty keep depths, tz grows them),
     # so the translation column fails through the pole.
     args, problem = _pole_column_problem(column, weight)
-    x0, resid = problem[:2]
+    x0, resid = problem[0], _residual(problem)
     assert not np.all(resid(x0) == 1e8)
     crossed = [j for j in range(7)
                if np.all(resid(pipeline._forward_step(x0, j)[0]) == 1e8)]
@@ -544,7 +582,8 @@ def _refine_oracle(scene, cameras, model, weight):
             return np.concatenate([err, [weight * math.log(p[6] / cam.focal)]])
 
         p, _, status = levenberg_marquardt(
-            resid, pipeline._cam_params(cam),
+            lambda p, resid=resid: (resid(p), None),
+            pipeline._cam_params(cam),
             lambda x, r, resid=resid: pipeline._difference_normals(resid, x,
                                                                    r))
         if not cam.focal / 4.0 <= p[6] <= cam.focal * 4.0:
@@ -749,6 +788,8 @@ def test_experiment_report_roundtrip_and_csv():
     ({"sigmas": (0.0, np.nan)}, "sigmas must be nonnegative and finite"),
     ({"rbar": -1.0}, "rbar must be positive and finite"),
     ({"margin_p": 1.5}, "margin_p must lie strictly between 0 and 1"),
+    ({"trials": 0}, "need at least one trial"),
+    ({"aso_iterations": 0}, "need at least one ASO iteration"),
 ])
 def test_experiment_config_rejects_what_it_cannot_run(kwargs, message):
     with pytest.raises(ValueError, match=message):

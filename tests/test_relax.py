@@ -7,7 +7,8 @@ from shapecal import relax, sdp
 from shapecal.poly import Polynomial, PolyMatrix, basis
 from shapecal.relax import (PmiProgram, extract, gamma_offset, min_order,
                             relax as build_relaxation, solve_order)
-from util import basis_vector, localizing_matrix, moment_matrix
+from util import (basis_vector, block_value, localizing_matrix,
+                  moment_matrix)
 
 OPTS = sdp.SolverOptions(feas_tol=1e-9, gap_tol=1e-9,
                          accept_feas_tol=1e-8, accept_gap_tol=1e-7)
@@ -188,7 +189,7 @@ def test_point_mass_moments_feasible_for_relaxation():
     xhat = 0.37
     y = np.array([xhat ** a[0] for a in pos])
     for blk in program.blocks:
-        w = np.linalg.eigvalsh(blk.value_at(y))
+        w = np.linalg.eigvalsh(block_value(blk, y))
         assert w[0] >= -1e-8
     for eq in program.equalities:
         assert abs(eq.eval(y)) <= 1e-10
@@ -376,22 +377,27 @@ QUAD = PmiProgram(1, (X - 0.3) * (X - 0.3), [BOX01])
 
 
 def test_candidate_point_mass_certified_by_rank_one_flatness():
-    # The bound is set off the true cost, so only the rank test certifies.
+    # A point mass at the minimizer 0.3 whose bound is set off its true cost
+    # 0: a bound that the candidate's cost does not match certifies nothing,
+    # at a full order or a structured one.  The same moments with the bound
+    # at the true cost certify.
     sol, pos = _hand_solution(QUAD, 2, [0.3], [1.0], -0.5)
     full = extract(sol, pos, QUAD, 2)
     part = relax.structured_candidate(sol, pos, QUAD)
-    assert full.rank_flat and full.certified and full.order == 2
-    assert not part.rank_flat and not part.certified and part.order == 0
+    assert not full.certified and full.order == 2
+    assert not part.certified and part.order == 0
     assert full.extracted[0] == part.extracted[0] == pytest.approx(0.3)
+    assert full.lower_bound == part.lower_bound == -0.5
+    sol, pos = _hand_solution(QUAD, 2, [0.3], [1.0], 0.0)
+    assert extract(sol, pos, QUAD, 2).certified
 
 
 def test_candidate_two_atom_mixture_is_flat_but_uncertified():
-    # Equal atoms at 0.2 and 0.8: the flat ranks are 2, the barycenter 0.5
-    # is feasible, and its cost 0.04 misses the mixture's 0.13.
+    # Equal atoms at 0.2 and 0.8: the barycenter 0.5 is feasible, and its
+    # cost 0.04 misses the mixture's 0.13.
     sol, pos = _hand_solution(QUAD, 2, [0.2, 0.8], [0.5, 0.5], 0.13)
     full = extract(sol, pos, QUAD, 2)
     part = relax.structured_candidate(sol, pos, QUAD)
-    assert full.rank_flat
     assert not full.certified and not part.certified
     assert full.extracted[0] == pytest.approx(0.5)
 

@@ -15,9 +15,9 @@ from shapecal.calib import CalibConfig, assemble_cost
 from shapecal.poly import Polynomial, PolyMatrix
 from shapecal.sdp import (AffineBlock, AffineForm, LmiBuilder, LmiProgram,
                           SolverOptions, epigraph_block, factor_psd, solve)
-from util import (dense_blocks, dense_program_json, dense_reduce,
-                  dense_relaxation_blocks, full_range_add_schur, packed,
-                  synth_correspondences, transposing_schur_factor,
+from util import (block_value, dense_blocks, dense_program_json,
+                  dense_reduce, dense_relaxation_blocks, full_range_add_schur,
+                  packed, synth_correspondences, transposing_schur_factor,
                   transposing_schur_solve)
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -77,7 +77,7 @@ def test_solution_feasible_at_optimal():
     prog = hyperbola_program()
     sol = solve(prog)
     for blk in prog.blocks:
-        w = np.linalg.eigvalsh(blk.value_at(sol.z))
+        w = np.linalg.eigvalsh(block_value(blk, sol.z))
         assert w[0] >= -1e-8
 
 
@@ -180,7 +180,7 @@ def test_epigraph_block_equivalence():
         quad = float(k @ M @ k + m @ k + c)
         for offset in (+1e-4, -1e-4):
             z = np.concatenate([k, [quad + offset]])
-            lam = np.linalg.eigvalsh(block.value_at(z))[0]
+            lam = np.linalg.eigvalsh(block_value(block, z))[0]
             if offset > 0:
                 assert lam >= -1e-8
             else:
@@ -752,7 +752,7 @@ def test_joined_solves_agree_with_the_blocks_solved_apart(
                  (joined.dual_objective, apart.dual_objective)):
         assert abs(a - b) <= 1e-9 * (1.0 + abs(b))
     for blk in program.blocks:
-        lam = np.linalg.eigvalsh(blk.value_at(joined.z))[0]
+        lam = np.linalg.eigvalsh(block_value(blk, joined.z))[0]
         assert lam >= -calib.TIGHT.feas_tol * (
             1.0 + np.linalg.norm(blk.constant, "fro"))
 
@@ -773,7 +773,7 @@ def test_joined_blocks_keep_their_own_residual_scales():
     sol = solve(program, TIGHT)
     assert sol.status == "optimal"
     for blk in program.blocks:
-        lam = np.linalg.eigvalsh(blk.value_at(sol.z))[0]
+        lam = np.linalg.eigvalsh(block_value(blk, sol.z))[0]
         assert lam >= -TIGHT.feas_tol * (1.0 + np.linalg.norm(blk.constant))
 
 
@@ -1351,4 +1351,4 @@ def test_triplet_duplicates_add_in_the_given_order():
         (2, 0, 0, 0.5), (2, 0, 0, -0.5)])
     var, row, col, val = blk.coeff
     assert var.tolist() == [4] and val.tolist() == [1.0]
-    assert blk.value_at(np.arange(5.0)).tolist() == [[4.0]]
+    assert block_value(blk, np.arange(5.0)).tolist() == [[4.0]]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from shapecal import pipeline, sdp
 from shapecal.calib import Correspondence
 from shapecal.distortion import DistortionModel
-from shapecal.poly import Polynomial, PolyMatrix, basis
+from shapecal.poly import COEFF_EPS, Polynomial, PolyMatrix, basis
 
 
 def synth_correspondences(model, radii, n=200, seed=0, noise=0.0):
@@ -86,6 +86,19 @@ def common_root_mustache(rho=2.0, a=-0.16, b=0.02, c=-0.25, d=0.03):
 def from_univariate(coeffs):
     """Dense univariate coefficient vector (low degree first) to Polynomial."""
     return Polynomial(1, {(i,): c for i, c in enumerate(coeffs)})
+
+
+def is_zero(p, tol=COEFF_EPS):
+    """Whether every coefficient of the polynomial p is within tol of 0."""
+    return all(abs(c) <= tol for c in p.terms.values())
+
+
+def block_value(block, z):
+    """The matrix of an ``sdp.AffineBlock`` at the variable vector z."""
+    var, row, col, val = block.coeff
+    out = block.constant.copy()
+    np.add.at(out, (row, col), np.asarray(z)[var] * val)
+    return out
 
 
 def basis_vector(b, x):
@@ -358,7 +371,8 @@ def transposing_schur_solve(L, rhs):
 
 
 def pose_block_jacobian(scene, cameras, model, free, weight, x):
-    """Forward differences of ``pipeline._pose_problem``'s residual at x.
+    """Forward differences of ``pipeline._pose_problem``'s residual at x,
+    the first entry of its ``fun``.
 
     The oracle for the problem's closed-form normal equations, through
     its products J'J and J'r.  Column j steps
@@ -373,8 +387,8 @@ def pose_block_jacobian(scene, cameras, model, free, weight, x):
     """
     free = list(free)
     ncam = len(cameras)
-    resid = pipeline._pose_problem(scene, cameras, model, free, weight)[1]
-    r0 = resid(x)
+    fun = pipeline._pose_problem(scene, cameras, model, free, weight)[1]
+    r0 = fun(x)[0]
     pts, pix, valid = pipeline._observations(scene)
     principal = np.array([c.principal for c in cameras])
     bounds = np.cumsum([0] + [2 * int(n) for n in valid.sum(axis=1)])
