@@ -15,13 +15,11 @@ On top of the scene generator sit the pose estimation pieces:
   problem in one lock-step run;
 * ``ba_full``: the classical joint bundle adjustment baseline with the
   distortion coefficients as free variables;
-* both refinements take their residual from one row function,
+* both refinements take each trial point's residual from one row function,
   ``_camera_rows``: one pixel-error pass over a stack of cameras gives each
-  camera its pixel rows and log-focal prior row and, from the closed-form
-  derivatives of the same pass, its block of the normal equations, summed
-  over its own observations, so no Jacobian of the whole residual is
-  formed; both Levenberg-Marquardt loops take each trial point's residual
-  and normal equations from that one pass;
+  camera its pixel rows, its log-focal prior row and, from the closed-form
+  derivatives of the same pass, its block of the normal equations, so no
+  Jacobian of the whole residual is formed;
 * ``aso_loop``: alternation of the shape-constrained distortion solve with
   ``ba_refine``;
 * ``run_experiment``: the BA / SO / ASO comparison over noise levels, with
@@ -162,49 +160,41 @@ def rodrigues_inverse(R):
     return skew * (theta / (2.0 * sin_theta))
 
 
-def _hats(V):
-    """The cross-product matrix [v]x of each row v of V, (B, 3, 3)."""
-    Z = np.zeros(len(V))
-    return np.stack([Z, -V[:, 2], V[:, 1], V[:, 2], Z, -V[:, 0],
-                     -V[:, 1], V[:, 0], Z], axis=1).reshape(-1, 3, 3)
+# Row-order entries of I and of [v]x, the latter _HAT_SIGN * v[_HAT].
+_EYE, _HAT = np.eye(3).ravel(), np.array([0, 2, 1, 2, 0, 0, 1, 0, 0])
+_HAT_SIGN = np.array([0.0, -1.0, 1.0, 1.0, 0.0, -1.0, -1.0, 1.0, 0.0])
 
 
-def _rotations(V):
-    """Rotation matrices of the axis-angle rows of V (B, 3), and which
-    angles are finite.
+def _rotations(V, jacobians=False):
+    """Rotation matrices of the axis-angle rows of V (B, 3), which angles
+    are finite and, given ``jacobians``, each row's SO(3) left Jacobian.
 
-    R = I + sin(theta) [k]x + (1 - cos(theta)) (k k' - I) with k the unit
-    axis, and first order, I + [v]x, below theta = 1e-12.  Elementwise, so
-    a row's matrix does not depend on the rest of the stack.
-    """
-    theta = np.sqrt(V[:, 0] ** 2 + V[:, 1] ** 2 + V[:, 2] ** 2)
-    ok = np.isfinite(theta)
-    small = theta < 1e-12
-    t = np.where(ok & ~small, theta, 1.0)[:, None, None]
-    k = V / t[:, :, 0]
-    # Below 1e-12, t = 1 and k = v.
-    s = np.where(small[:, None, None], 1.0, np.sin(t))
-    c = np.where(small[:, None, None], 1.0, np.cos(t))
-    kk = k[:, :, None] * k[:, None, :] - np.eye(3)
-    return np.eye(3) + s * _hats(k) + (1.0 - c) * kk, ok
-
-
-def _left_jacobians(V):
-    """SO(3) left Jacobian J_l(v) of each axis-angle row v of V.
-
-    d(rodrigues(v) X)/dv = -[rodrigues(v) X]x J_l(v).  Near zero the two
-    coefficients come from their series, which the closed forms lose to
-    cancellation.
+    R = I + sin(theta) [k]x + (1 - cos(theta)) (k k' - I), k the unit axis,
+    or I + [v]x below theta = 1e-12.  J_l(v) = I + a [v]x + b [v]x^2, with
+    d(R X)/dv = -[R X]x J_l(v), shares R's angle terms; a and b take their
+    series below theta^2 = 1e-8, where the closed forms cancel.  Entrywise,
+    so a row's matrices do not depend on the stack.
     """
     theta2 = V[:, 0] ** 2 + V[:, 1] ** 2 + V[:, 2] ** 2
-    small = theta2 < 1e-8
-    t = np.where(small, 1.0, np.sqrt(theta2))
-    a = np.where(small, 0.5 - theta2 / 24.0, (1.0 - np.cos(t)) / t ** 2)
-    b = np.where(small, 1.0 / 6.0 - theta2 / 120.0,
-                 (t - np.sin(t)) / t ** 3)
+    theta = np.sqrt(theta2)
+    ok = np.isfinite(theta)
+    small = theta < 1e-12
+    t = np.where(ok & ~small, theta, 1.0)[:, None]
+    s = np.where(small, 1.0, np.sin(t[:, 0]))[:, None]
+    c = np.where(small, 1.0, np.cos(t[:, 0]))[:, None]
+    k = V / t
+    R = _EYE + s * (k[:, _HAT] * _HAT_SIGN) + (1.0 - c) * (
+        (k[:, :, None] * k[:, None]).reshape(-1, 9) - _EYE)
+    if not jacobians:
+        return R.reshape(-1, 3, 3), ok
+    theta2 = theta2[:, None]
+    series = theta2 < 1e-8
+    a = np.where(series, 0.5 - theta2 / 24.0, (1.0 - c) / t ** 2)
+    b = np.where(series, 1.0 / 6.0 - theta2 / 120.0, (t - s) / t ** 3)
     # [v]x^2 = v v' - |v|^2 I.
-    vv = V[:, :, None] * V[:, None, :] - theta2[:, None, None] * np.eye(3)
-    return np.eye(3) + a[:, None, None] * _hats(V) + b[:, None, None] * vv
+    J = _EYE + a * (V[:, _HAT] * _HAT_SIGN) + b * (
+        (V[:, :, None] * V[:, None]).reshape(-1, 9) - theta2 * _EYE)
+    return R.reshape(-1, 3, 3), ok, J.reshape(-1, 3, 3)
 
 
 def look_at(position, target_point, up_hint):
@@ -218,8 +208,7 @@ def look_at(position, target_point, up_hint):
         nx = np.linalg.norm(x)
     x = x / nx
     y = np.cross(z, x)
-    R_wc = np.stack([x, y, z], axis=0)   # world -> camera axes as rows
-    return R_wc
+    return np.stack([x, y, z], axis=0)   # world -> camera axes as rows
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +273,6 @@ def generate_scene(cfg, model, seed):
         roll = rng.uniform(0.0, 2.0 * math.pi)
         up = np.array([math.cos(roll), math.sin(roll), 0.0])
         distance = 3.0 * target_radius
-        cam = None
         for _ in range(3):
             position = direction * distance
             R = look_at(position, np.zeros(3), up)
@@ -379,17 +367,14 @@ def levenberg_marquardt(fun, x0, normal):
 def _lm_lockstep(fun, X0, normal):
     """Levenberg-Marquardt on a batch of independent problems in lock step.
 
-    Row b of ``X0`` starts problem b.  ``fun(X, rows)`` returns, as a list,
-    one ``(r, normals)`` pair for each of the problems ``rows`` at its
-    parameter row of ``X``: the residual vector and, from the same pass,
-    its normal equations (J'J, J'r), or None where it does not give them.
-    ``normal(x, r, b)`` gives problem b's then, given ``r`` at ``x``; it is
-    called only for a point the problem steps from.  Each problem keeps its
-    own damping, accepted steps, cost trace and stop, as
-    ``levenberg_marquardt`` describes, and takes the steps it would take
-    alone: the batch shares the calls and the damped solves, while each
-    problem's products run over its own residual only.  Returns (X,
-    traces, statuses), one row or entry per problem.
+    Row b of ``X0`` starts problem b.  ``fun(X, rows)`` returns a list of
+    one ``(r, normals)`` pair per problem of ``rows``, at its row of ``X``:
+    the residual and, from the same pass, its normal equations (J'J, J'r)
+    or None; ``normal(x, r, b)`` then gives problem b's, only at a point it
+    steps from.  Each problem keeps its own damping, steps, cost trace and
+    stop, as ``levenberg_marquardt`` describes, and takes the steps it
+    would take alone: the batch shares the calls and the damped solves.
+    Returns (X, traces, statuses), one row or entry per problem.
     """
     X = np.array(X0, dtype=float)
     R, N = (list(out) for out in zip(*fun(X, np.arange(len(X)))))
@@ -481,17 +466,19 @@ def _normal_blocks(err, D, counts):
     then any free coefficients); camera b's own observations are its first
     ``counts[b]``.  Returns J_b'J_b (B, m, m) and J_b'e_b (B, m), where J_b
     stacks the x rows, then the y rows, of camera b's own observations.
-    Each camera's sums run over its own rows alone, so its blocks do not
-    depend on the rest of the stack or on its padding.
+    The cameras of one count take one batched product over their own rows,
+    which gives each the bits of its product alone; count 0 gives zeros.
+    So a camera's blocks depend neither on its padding nor on the stack.
     """
-    E = np.moveaxis(err, -1, 0)
-    A = np.moveaxis(D, (2, 3), (0, 1))
-    H = np.empty((len(counts),) + D.shape[-1:] * 2)
-    g = np.empty((len(counts), D.shape[-1]))
-    for b, n in enumerate(counts):
-        (x, y), (ex, ey) = A[:, :, b, :n], E[:, b, :n]
-        H[b] = x @ x.T + y @ y.T
-        g[b] = x @ ex + y @ ey
+    E, A = err.transpose(2, 0, 1)[..., None], D.transpose(2, 0, 3, 1)
+    H = np.zeros((len(counts),) + D.shape[-1:] * 2)
+    g = np.zeros((len(counts), D.shape[-1]))
+    for n in np.unique(counts[counts > 0]):
+        group = counts == n
+        cams = slice(None) if group.all() else group
+        (x, y), (ex, ey) = A[:, cams, :, :n], E[:, cams, :n]
+        H[group] = x @ x.swapaxes(1, 2) + y @ y.swapaxes(1, 2)
+        g[group] = (x @ ex + y @ ey)[..., 0]
     return H, g
 
 
@@ -511,11 +498,14 @@ def _cam_params(cam):
     return np.concatenate([rodrigues_inverse(cam.R), cam.t, [cam.focal]])
 
 
-def _camera_at(cam, p):
-    """``cam`` moved to the pose and focal of the 7 parameters ``p``."""
-    K = cam.K.copy()
-    K[0, 0] = K[1, 1] = p[6]
-    return Camera(rodrigues(p[:3]), p[3:6], K)
+def _cameras_at(cameras, X):
+    """``cameras`` at the 7 parameters of each row of X, one rotation stack."""
+    out = []
+    for cam, x, R in zip(cameras, X, _rotations(X[:, :3])[0]):
+        K = cam.K.copy()
+        K[0, 0] = K[1, 1] = x[6]
+        out.append(Camera(R, x[3:6], K))
+    return out
 
 
 # Weight of the optional log-focal prior used by the distortion-blind
@@ -535,8 +525,10 @@ def ba_refine(scene, cameras, model, focal_prior_weight=0.0):
     ``focal_prior_weight`` optionally weights the log-focal residual against
     the starting value, which pins the focal-depth gauge of near-frontal
     planar views; a camera whose focal escapes a factor of four regardless
-    is reverted to its starting pose and reported as such.  Returns
-    (refined cameras, pixel RMS, per-camera LM statuses).
+    is reverted to its starting pose and reported as such.  The pixel RMS
+    comes from one more pass at the refined cameras, or, where one is not
+    defined, from ``reprojection_rms``, which may raise.  Returns (refined
+    cameras, pixel RMS, per-camera LM statuses).
     """
     rows = _camera_rows(scene, cameras, (), focal_prior_weight)
 
@@ -547,14 +539,17 @@ def ba_refine(scene, cameras, model, focal_prior_weight=0.0):
     X0 = np.array([_cam_params(c) for c in cameras]).reshape(-1, 7)
     X, _, statuses = _lm_lockstep(
         lambda X, cams: rows(X, cams, model, True)[1], X0, normal)
-    refined = []
-    for i, (cam, x) in enumerate(zip(cameras, X)):
-        if cam.focal / 4.0 <= x[6] <= cam.focal * 4.0:
-            refined.append(_camera_at(cam, x))
-        else:
-            refined.append(cam)
-            statuses[i] = "reverted"
-    return refined, reprojection_rms(scene, refined, model), statuses
+    keep = (X0[:, 6] / 4.0 <= X[:, 6]) & (X[:, 6] <= X0[:, 6] * 4.0)
+    X[~keep] = X0[~keep]
+    refined = [m if k else c
+               for c, m, k in zip(cameras, _cameras_at(cameras, X), keep)]
+    statuses = [s if k else "reverted" for s, k in zip(statuses, keep)]
+    ok, pairs = rows(X, np.arange(len(X)), model)
+    if not ok.all():
+        # An undefined camera raises, or not, as ``reprojection_rms`` does.
+        return refined, reprojection_rms(scene, refined, model), statuses
+    e = np.concatenate([r[:-1] for r, _ in pairs])
+    return refined, math.sqrt(float(e @ e) / max(len(e), 1)), statuses
 
 
 def ba_full(scene, cameras, kind):
@@ -576,16 +571,17 @@ def ba_full(scene, cameras, kind):
 def _observations(scene):
     """The scene's observations stacked per camera, padded to one count.
 
-    Returns world points (C, N, 3), pixels (C, N, 2) and ``valid`` (C, N),
-    which marks each camera's own observations; padding rows are zero.
+    Returns world points (3, C, N) and pixels (2, C, N), coordinate first,
+    and ``valid`` (C, N), which marks each camera's own observations;
+    padding entries are zero.
     """
     counts = np.array([len(idx) for idx in scene.point_indices])
     n = int(counts.max(initial=0))
-    pts = np.zeros((len(counts), n, 3))
-    pix = np.zeros((len(counts), n, 2))
+    pts = np.zeros((3, len(counts), n))
+    pix = np.zeros((2, len(counts), n))
     for i, (idx, p) in enumerate(zip(scene.point_indices, scene.pixels)):
-        pts[i, :len(idx)] = scene.target[idx]
-        pix[i, :len(idx)] = p
+        pts[:, i, :len(idx)] = scene.target[idx].T
+        pix[:, i, :len(idx)] = p.T
     return pts, pix, np.arange(n) < counts[:, None]
 
 
@@ -594,28 +590,28 @@ def _observations(scene):
 def _pixel_errors(P, pts, pix, valid, principal, model, free=None):
     """Pixel errors of a stack of cameras and, on request, their derivatives.
 
-    Row b of ``P`` holds camera b's 7 parameters (axis-angle, translation,
-    focal); ``pts`` (B, N, 3) are its world points and ``pix`` (B, N, 2)
-    its observed pixels, of which ``valid`` (B, N) marks its own, and
-    ``principal`` (B, 2) is its principal point.  Returns ``ok`` (B,),
-    whether camera b's residual is defined: finite parameters, a positive
-    focal, and every valid point at depth > 0 with |g(r)| >= POLE_EPS; and
-    the errors xy L(r) focal + principal - pix (B, N, 2), in ``project``'s
-    arithmetic, meaningless where not ``ok``.
+    Camera b has the 7 parameters in row b of ``P`` (axis-angle,
+    translation, focal), world points ``pts[:, b]`` and observed pixels
+    ``pix[:, b]`` (coordinate first: (3, B, N) and (2, B, N)), of which
+    ``valid[b]`` marks its own, and principal point ``principal[b]``.
+    Returns ``ok`` (B,), whether camera b's residual is defined: finite
+    parameters, a positive focal, and every valid point at depth > 0 with
+    |g(r)| >= POLE_EPS; and the errors xy L(r) focal + principal - pix
+    (B, N, 2), in ``project``'s arithmetic, meaningless where not ``ok``.
     Given ``free``, coefficient indices, also returns in closed form the
     derivatives of the errors with respect to each camera's parameters,
-    then to ``model.k[free]`` (B, N, 2, 7 + len(free)).  The chain
-    runs through d(R X + t)/dv = -[R X]x J_l(v) and d(R X + t)/dt = I
-    (Triggs et al. 2000), the division by depth and L(r); the focal column
-    is xy L and the coefficient columns take the quotient rule on f / g.
-    The arithmetic runs on coordinate-leading arrays, elementwise and with
-    every sum in a fixed order, so a camera's values do not depend on the
-    rest of the stack.
+    then to ``model.k[free]`` (B, N, 2, 7 + len(free)).  The chain runs
+    through d(R X + t)/dv = -[R X]x J_l(v) and d(R X + t)/dt = I (Triggs et
+    al. 2000), the division by depth and L(r); the focal column is xy L
+    and the coefficient columns take the quotient rule on f / g.  The
+    arithmetic is elementwise, with every sum in a fixed order, so a
+    camera's values do not depend on the rest of the stack.
     """
-    R, ok = _rotations(P[:, :3])
-    X = np.moveaxis(pts, -1, 0)
-    Rc = np.moveaxis(R, 0, -1)[..., None]            # Rc[i, k] = R[:, i, k]
-    q = Rc[:, 0] * X[0] + Rc[:, 1] * X[1] + Rc[:, 2] * X[2]      # R X
+    R, ok, *W = _rotations(P[:, :3], free is not None)
+    Rc = R.transpose(1, 2, 0)[..., None]             # Rc[i, k] = R[:, i, k]
+    q = Rc[:, 0] * pts[0]                            # R X
+    q += Rc[:, 1] * pts[1]
+    q += Rc[:, 2] * pts[2]
     pc = q + P[:, 3:6].T[..., None]
     xy = pc[:2] / pc[2]
     r = np.hypot(xy[0], xy[1])
@@ -626,34 +622,38 @@ def _pixel_errors(P, pts, pix, valid, principal, model, free=None):
     ok &= ~(((pc[2] <= 0) | (np.abs(gv) < POLE_EPS)) & valid).any(axis=1)
     L = fv / gv
     focal = P[:, 6, None]
-    err = xy * L * focal + principal.T[..., None] - np.moveaxis(pix, -1, 0)
+    xyL = xy * L
+    err = xyL * focal + principal.T[..., None] - pix
     if free is None:
-        return ok, np.moveaxis(err, 0, -1)
+        return ok, err.transpose(1, 2, 0)
     powers = np.arange(1, 4)
     L1 = (np.polyval((fc[1:] * powers)[::-1], r) * gv
           - fv * np.polyval((gc[1:] * powers)[::-1], r)) / gv ** 2
     s = focal / pc[2]
     u = xy / np.where(r > 0, r, 1.0)                 # xy / r, 0 at r = 0
-    # d err / d(R X + t), G[a, c]: s (L e_a + L' xy_a u) in the x and y
-    # columns, -s (L + L' r) xy_a in the depth column.
-    G = np.empty((2, 3) + r.shape)
-    G[:, :2] = s * L1 * xy[:, None] * u
-    G[0, 0] += s * L
-    G[1, 1] += s * L
-    G[:, 2] = -s * (L + L1 * r) * xy
-    # d(R X)/dv, C[c, j]: column j is J_l[:, j] x R X.
-    W = np.moveaxis(_left_jacobians(P[:, :3]), 0, -1)[..., None]
-    C = W[[1, 2, 0]] * q[[2, 0, 1], None] - W[[2, 0, 1]] * q[[1, 2, 0], None]
     D = np.empty((2, 7 + len(free)) + r.shape)
-    D[:, :3] = G[:, 0, None] * C[0]
-    D[:, :3] += G[:, 1, None] * C[1]
-    D[:, :3] += G[:, 2, None] * C[2]
-    D[:, 3:6] = G
-    D[:, 6] = xy * L
-    dL = np.array([r ** (j % 3 + 1) / gv * (1.0 if j < 3 else -L)
-                   for j in free]).reshape((len(free),) + r.shape)
-    D[:, 7:] = xy[:, None] * (dL * focal)
-    return ok, np.moveaxis(err, 0, -1), np.moveaxis(D, (0, 1), (2, 3))
+    # d err / d(R X + t) = D's translation columns, G[a, c]: s (L e_a +
+    # L' xy_a u) in the x and y columns, -s (L + L' r) xy_a in the depth one.
+    G = D[:, 3:6]
+    np.multiply((s * L1 * xy)[:, None], u, out=G[:, :2])
+    sL = s * L
+    G[0, 0] += sL
+    G[1, 1] += sL
+    np.multiply(-s * (L + L1 * r), xy, out=G[:, 2])
+    # d(R X)/dv: C[c, j] is entry c of J_l[:, j] x R X, summed against G.
+    W = W[0].transpose(1, 2, 0)[..., None]           # W[i, j] = J_l[:, i, j]
+    C, GC = np.empty(q.shape), np.empty((2, 3) + r.shape)
+    for c in range(3):
+        np.multiply(W[c - 2], q[c - 1], out=C)
+        C -= W[c - 1] * q[c - 2]
+        np.multiply(G[:, c, None], C, out=GC if c else D[:, :3])
+        if c:
+            D[:, :3] += GC
+    D[:, 6] = xyL
+    for col, j in enumerate(free, 7):
+        dL = r ** (j % 3 + 1) / gv
+        np.multiply(xy, (dL if j < 3 else dL * -L) * focal, out=D[:, col])
+    return ok, err.transpose(1, 2, 0), D.transpose(2, 3, 0, 1)
 
 
 def _camera_rows(scene, cameras, free, focal_prior_weight):
@@ -670,44 +670,41 @@ def _camera_rows(scene, cameras, free, focal_prior_weight):
     errors, x then y of each point, then its log-focal prior row
     ``focal_prior_weight * log(focal / start)``, or 1e8 in every row where
     the camera is not defined.  Given ``derivatives`` and a finite r,
-    ``normals`` is J_b'J_b and J_b'r_b of its own rows (``_normal_blocks``),
-    over its 7 parameters and then the coefficients ``free``, plus its prior
-    row's share: d * d on the focal's diagonal entry and d times the prior
-    on the focal's entry of J'r, d = ``focal_prior_weight / focal``;
-    otherwise it is None.
+    ``normals`` is J_b'J_b and J_b'r_b of its own rows (``_normal_blocks``,
+    batched per observation count), over its 7 parameters and then the
+    coefficients ``free``, plus its prior row's share: d * d on the focal's
+    diagonal entry and d times the prior on the focal's entry of J'r, d =
+    ``focal_prior_weight / focal``; otherwise it is None.
     """
     pts, pix, valid = _observations(scene)
     principal = np.array([c.principal for c in cameras])
     f0s = np.array([c.focal for c in cameras])
     counts = valid.sum(axis=1)
-    sizes = 2 * counts + 1
     width = 2 * valid.shape[1]
 
     def rows(P, cams, model, derivatives=False):
-        ok, err, *D = _pixel_errors(P, pts[cams], pix[cams], valid[cams],
-                                    principal[cams], model,
+        sel = slice(None) if len(cams) == len(valid) else cams  # stack: views
+        ok, err, *D = _pixel_errors(P, pts[:, sel], pix[:, sel], valid[sel],
+                                    principal[sel], model,
                                     free if derivatives else None)
         out = np.zeros((len(cams), width + 1))
         pixel_rows = out[:, :width].reshape(err.shape)
         pixel_rows[...] = err
-        pixel_rows[~valid[cams]] = 0.0
-        for j in np.flatnonzero(ok):
-            out[j, sizes[cams[j]] - 1] = focal_prior_weight * math.log(
-                P[j, 6] / f0s[cams[j]])
+        pixel_rows[~valid[sel]] = 0.0
+        ends, live = 2 * counts[cams], np.flatnonzero(ok)
+        out[live, ends[live]] = [focal_prior_weight * math.log(f) for f
+                                 in (P[live, 6] / f0s[cams[live]]).tolist()]
         out[~ok] = 1e8
         usable = ok & np.isfinite(out).all(axis=1) & derivatives
         if derivatives:
             # A camera the pass does not serve sums over none of its rows.
             H, g = _normal_blocks(err, D[0], np.where(usable, counts[cams], 0))
-        pairs = []
-        for j, b in enumerate(cams):
-            r = out[j, :sizes[b]]
-            if usable[j]:
-                d = focal_prior_weight / P[j, 6]
-                H[j, 6, 6] += d * d
-                g[j, 6] += d * r[-1]
-            pairs.append((r, (H[j], g[j]) if usable[j] else None))
-        return ok, pairs
+            u = np.flatnonzero(usable)
+            d = focal_prior_weight / P[u, 6]
+            H[u, 6, 6] += d * d
+            g[u, 6] += d * out[u, ends[u]]
+        return ok, [(out[j, :e + 1], (H[j], g[j]) if usable[j] else None)
+                    for j, e in enumerate(ends)]
 
     return rows
 
@@ -745,8 +742,8 @@ def _pose_problem(scene, cameras, model, free, focal_prior_weight):
         return DistortionModel(model.kind, tuple(k))
 
     def unpack(p):
-        return ([_camera_at(cam, p[7 * i:7 * i + 7])
-                 for i, cam in enumerate(cameras)], model_at(p))
+        return (_cameras_at(cameras, p[:7 * ncam].reshape(ncam, 7)),
+                model_at(p))
 
     def evaluate(p, derivatives):
         if not np.isfinite(p[7 * ncam:]).all():
@@ -825,20 +822,23 @@ def validation_points(scene, grid=VALIDATION_GRID):
     undistorted with the true model and intersected with the target plane,
     so the true projection of the returned points is the lattice itself.
     Points whose inverse mapping fails (outside the distortion range) are
-    dropped; returns a list of (points, true_pixels) per camera.
+    dropped; cameras of one K share one undistortion.  Returns a list of
+    (points, true_pixels) per camera.
     """
     cfg = scene.config
     us = np.linspace(0.0, cfg.image_width, grid)
     vs = np.linspace(0.0, cfg.image_height, grid)
     gu, gv = np.meshgrid(us, vs)
     lattice = np.stack([gu.ravel(), gv.ravel()], axis=1)
-    out = []
+    out, undistorted = [], {}
     for cam in scene.cameras:
-        distorted = (lattice - cam.principal) / cam.focal
-        search_max = 3.0 * float(np.hypot(*distorted.T).max())
-        ideal, ok = undistort_points(scene.true_model, distorted, search_max)
-        ideal = ideal[ok]
-        pix = lattice[ok]
+        if cam.K.tobytes() not in undistorted:
+            distorted = (lattice - cam.principal) / cam.focal
+            search_max = 3.0 * float(np.hypot(*distorted.T).max())
+            undistorted[cam.K.tobytes()] = undistort_points(
+                scene.true_model, distorted, search_max)
+        ideal, ok = undistorted[cam.K.tobytes()]
+        ideal, pix = ideal[ok], lattice[ok]
         # Ray through the ideal direction, intersected with the plane z = 0.
         Rt = cam.R.T
         dirs = np.concatenate([ideal, np.ones((len(ideal), 1))], axis=1)

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shapecal import calib, pipeline
 from shapecal.distortion import DistortionModel, shape_check
@@ -17,7 +18,8 @@ from shapecal.pipeline import (Camera, ExperimentConfig, ExperimentReport,
                                rodrigues, rodrigues_inverse, run_experiment,
                                scene_from_json, scene_to_json,
                                validation_points, validation_rms)
-from util import pose_block_jacobian
+from util import (per_camera_normal_blocks, pose_block_jacobian,
+                  reference_pixel_errors)
 
 BARREL = pipeline.DEFAULT_TRUE_MODELS["barrel"]
 
@@ -455,6 +457,14 @@ def test_ba_full_takes_one_pixel_error_pass_per_lm_point():
     assert 1 <= len(passes) <= len(points)
 
 
+def _camera_at(cam, p):
+    """``cam`` moved to the pose and focal of the 7 parameters ``p``, its
+    rotation from ``rodrigues``."""
+    K = cam.K.copy()
+    K[0, 0] = K[1, 1] = p[6]
+    return Camera(rodrigues(p[:3]), p[3:6], K)
+
+
 def _one_camera_problem(weight, i=1, rotation=None):
     """ba_refine's problem for camera i: one camera, the model fixed, no
     coefficient columns.  Given ``rotation``, the world is turned so that
@@ -538,7 +548,7 @@ def _pole_column_problem(column, weight, i=1):
     view = replace(scene, pixels=[scene.pixels[i]],
                    point_indices=[scene.point_indices[i]])
     xp, _ = pipeline._forward_step(pipeline._cam_params(cams[i]), column)
-    stepped = pipeline._camera_at(cams[i], xp)
+    stepped = _camera_at(cams[i], xp)
     xy = ideal_normalized(stepped, scene.target[scene.point_indices[i][:1]])
     r_pole = np.hypot(xy[0, 0], xy[0, 1])
     model = DistortionModel("division", (0, 0, 0, -1.0 / r_pole, 0, 0))
@@ -575,7 +585,7 @@ def _refine_oracle(scene, cameras, model, weight):
             if p[6] <= 0:
                 return np.full(pix.size + 1, 1e8)
             try:
-                trial = pipeline._camera_at(cam, p)
+                trial = _camera_at(cam, p)
                 err = (project(trial, pts, model) - pix).ravel()
             except (ValueError, ArithmeticError):
                 return np.full(pix.size + 1, 1e8)
@@ -590,7 +600,7 @@ def _refine_oracle(scene, cameras, model, weight):
             refined.append(cam)
             statuses.append("reverted")
             continue
-        refined.append(pipeline._camera_at(cam, p))
+        refined.append(_camera_at(cam, p))
         statuses.append(status)
     return refined, reprojection_rms(scene, refined, model), statuses
 
@@ -654,6 +664,126 @@ def test_ba_refine_batches_cameras_that_see_different_point_counts(weight):
     assert rms <= 1.0
 
 
+def _same_bits(a, b):
+    """Equal shapes and equal bits, signed zeros included; NaNs match NaNs
+    whatever their payload."""
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64),
+                               b[~nan].view(np.int64)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(sorted(calib.KIND_INDICES)),
+       derivatives=st.booleans(), behind=st.booleans(), pole=st.booleans(),
+       focal=st.sampled_from([500.0, np.inf, -np.inf, np.nan]),
+       unserved=st.booleans())
+def test_pixel_errors_and_normal_blocks_match_their_oracles(
+        seed, kind, derivatives, behind, pole, focal, unserved):
+    # A stack of 5 cameras over at most 9 points, each camera its own count.
+    # Camera 1 may have a non-finite focal, camera 2 may see its points
+    # behind it, and camera 3, at the identity rotation, may put its first
+    # point on a pole of g; the normal blocks may serve no rows of one
+    # camera.  Every output equals the oracle's, bit for bit.
+    rng = np.random.default_rng(seed)
+    B, N = 5, 9
+    counts = rng.integers(1, N + 1, size=B)
+    counts[:2] = N, rng.integers(1, N)
+    valid = np.arange(N) < counts[:, None]
+    pts = np.zeros((B, N, 3))
+    pts[..., :2] = rng.uniform(-1.0, 1.0, (B, N, 2))
+    pix = rng.uniform(0.0, 640.0, (B, N, 2))
+    pts[~valid], pix[~valid] = 0.0, 0.0
+    angles = rng.choice([0.0, 1e-13, 1e-6, 3e-5, 1e-3, 0.3, 3.0], size=(B, 1))
+    P = np.column_stack([rng.normal(size=(B, 3)) * angles,
+                         rng.uniform(-0.5, 0.5, (B, 2)),
+                         rng.uniform(4.0, 8.0, B), rng.uniform(400, 600, B)])
+    principal = rng.uniform(300.0, 340.0, (B, 2))
+    k = np.zeros(6)
+    free = list(calib.KIND_INDICES["rational" if pole else kind])
+    k[free] = rng.uniform(-0.05, 0.05, len(free))
+    if pole:
+        # R = I, so the point's radius is 0.5 exactly and g(0.5) = 0.
+        k[3:] = -2.0, 0.0, 0.0
+        P[3, :6] = 0.0, 0.0, 0.0, 0.0, 0.0, 1.0
+        pts[3, 0] = 0.5, 0.0, 0.0
+    P[1, 6] = focal
+    if behind:
+        P[2, 5] = -10.0
+    model = DistortionModel("rational" if pole else kind, tuple(k))
+    args = (valid, principal, model, free if derivatives else None)
+    out = pipeline._pixel_errors(P, pts.transpose(2, 0, 1),
+                                 pix.transpose(2, 0, 1), *args)
+    oracle = reference_pixel_errors(P, pts, pix, *args)
+    assert len(out) == len(oracle) == (3 if derivatives else 2)
+    ok = out[0]
+    assert np.array_equal(ok, oracle[0])
+    assert list(ok[1:4]) == [focal == 500.0, not behind, not pole]
+    for a, b in zip(out[1:], oracle[1:]):
+        assert _same_bits(a, b)
+    if derivatives:
+        # As ``_camera_rows`` calls it: a camera that is not defined is not
+        # served.
+        served = np.where(ok, counts, 0)
+        if unserved:
+            served[rng.integers(B)] = 0
+        for a, b in zip(pipeline._normal_blocks(out[1], out[2], served),
+                        per_camera_normal_blocks(out[1], out[2], served),
+                        strict=True):
+            assert _same_bits(a, b)
+
+
+def _refine_returning(monkeypatch, change):
+    """Make ba_refine's lock-step LM return its parameters changed in place
+    by ``change``."""
+    lockstep = pipeline._lm_lockstep
+
+    def changed(*args):
+        X, traces, statuses = lockstep(*args)
+        change(X)
+        return X, traces, statuses
+
+    monkeypatch.setattr(pipeline, "_lm_lockstep", changed)
+
+
+def test_ba_refine_rms_is_the_reprojection_rms(monkeypatch):
+    # The RMS comes from one pixel-error pass at the returned cameras, a
+    # reverted camera at its start, and projects no point.
+    scene = add_noise(small_scene(seed=5, cameras=4), 0.5)
+    cams0 = perturb_cameras(scene.cameras, 5)
+    projections, project_ = [], pipeline.project
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "project",
+                   lambda *a: projections.append(a) or project_(*a))
+        cams, rms, statuses = ba_refine(scene, cams0, BARREL)
+    assert not projections and "reverted" not in statuses
+    assert rms == pytest.approx(reprojection_rms(scene, cams, BARREL),
+                                rel=1e-12)
+
+    def escape(X):
+        X[2, 6] *= 5.0
+
+    _refine_returning(monkeypatch, escape)
+    cams, rms, statuses = ba_refine(scene, cams0, BARREL, 1.0)
+    assert statuses[2] == "reverted" and cams[2] is cams0[2]
+    assert rms == pytest.approx(reprojection_rms(scene, cams, BARREL),
+                                rel=1e-12)
+
+
+def test_ba_refine_rms_raises_where_a_returned_camera_sees_behind_it(
+        monkeypatch):
+    scene = add_noise(small_scene(seed=5, cameras=4), 0.5)
+    cams0 = perturb_cameras(scene.cameras, 5)
+
+    def flip(X):
+        X[1, 5] = -X[1, 5]
+
+    _refine_returning(monkeypatch, flip)
+    with pytest.raises(ValueError, match="point behind the camera"):
+        ba_refine(scene, cams0, BARREL)
+
+
 def test_camera_rejects_what_the_projection_cannot_use():
     R, t = rodrigues([0.1, -0.2, 0.3]), np.array([0.5, -0.1, 12.0])
     K = np.array([[512.5, 0.0, 320.0], [0.0, 512.5, 240.0], [0.0, 0.0, 1.0]])
@@ -704,6 +834,51 @@ def test_validation_rms_zero_at_truth():
     for X, pix in val:
         assert len(X) == len(pix)
         assert len(X) >= 0.9 * 15 * 15
+
+
+def _counted_undistortion(monkeypatch):
+    """Count the undistortions ``validation_points`` asks for."""
+    calls, undistort = [], pipeline.undistort_points
+
+    def counted(*args):
+        calls.append(args)
+        return undistort(*args)
+
+    monkeypatch.setattr(pipeline, "undistort_points", counted)
+    return calls
+
+
+def _assert_lattices_are_each_cameras_own(scene, val):
+    # What undistorting each camera alone gives, bit for bit.
+    for cam, (X, pix) in zip(scene.cameras, val, strict=True):
+        [(X_own, pix_own)] = validation_points(replace(scene, cameras=[cam]),
+                                               grid=15)
+        assert np.array_equal(X, X_own) and np.array_equal(pix, pix_own)
+
+
+def test_validation_points_undistort_once_for_cameras_that_share_k(
+        monkeypatch):
+    scene = small_scene(seed=8)
+    calls = _counted_undistortion(monkeypatch)
+    val = validation_points(scene, grid=15)
+    assert len(calls) == 1
+    _assert_lattices_are_each_cameras_own(scene, val)
+
+
+def test_validation_points_of_a_camera_with_its_own_focal(monkeypatch):
+    scene = small_scene(seed=8)
+    cam = scene.cameras[1]
+    K = cam.K.copy()
+    K[0, 0] = K[1, 1] = 600.0
+    scene = replace(scene, cameras=[scene.cameras[0], Camera(cam.R, cam.t, K),
+                                    scene.cameras[2]])
+    calls = _counted_undistortion(monkeypatch)
+    val = validation_points(scene, grid=15)
+    assert len(calls) == 2
+    _assert_lattices_are_each_cameras_own(scene, val)
+    [(X_shared, _)] = validation_points(replace(scene, cameras=[cam]),
+                                        grid=15)
+    assert not np.array_equal(val[1][0], X_shared)
 
 
 def _so_fit(scene, cameras, cfg):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from shapecal import pipeline, sdp
 from shapecal.calib import Correspondence
-from shapecal.distortion import DistortionModel
+from shapecal.distortion import POLE_EPS, DistortionModel
 from shapecal.poly import COEFF_EPS, Polynomial, PolyMatrix, basis
 
 
@@ -401,8 +401,8 @@ def pose_block_jacobian(scene, cameras, model, free, weight, x):
 
     def stack_errors(P, cams, coeffs):
         """Residual pixel rows of stacked cameras, and where they fail."""
-        ok, err = pipeline._pixel_errors(P, pts[cams], pix[cams], valid[cams],
-                                         principal[cams], coeffs)
+        ok, err = pipeline._pixel_errors(P, pts[:, cams], pix[:, cams],
+                                         valid[cams], principal[cams], coeffs)
         return [e[v].ravel() for e, v in zip(err, valid[cams])], ok
 
     coeffs = model_at(x)
@@ -436,3 +436,81 @@ def pose_block_jacobian(scene, cameras, model, free, weight, x):
         rp[:bounds[-1]] = np.concatenate(rows)
         J[:, j] = (rp - r0) / h
     return J
+
+
+def _left_jacobians(V):
+    """SO(3) left Jacobian J_l(v) of each axis-angle row v of V, from its
+    own angle terms: the half of ``reference_pixel_errors`` that
+    ``pipeline._rotations`` does not give."""
+    theta2 = V[:, 0] ** 2 + V[:, 1] ** 2 + V[:, 2] ** 2
+    small = theta2 < 1e-8
+    t = np.where(small, 1.0, np.sqrt(theta2))
+    a = np.where(small, 0.5 - theta2 / 24.0, (1.0 - np.cos(t)) / t ** 2)
+    b = np.where(small, 1.0 / 6.0 - theta2 / 120.0,
+                 (t - np.sin(t)) / t ** 3)
+    vv = V[:, :, None] * V[:, None, :] - theta2[:, None, None] * np.eye(3)
+    Z = np.zeros(len(V))
+    hats = np.stack([Z, -V[:, 2], V[:, 1], V[:, 2], Z, -V[:, 0],
+                     -V[:, 1], V[:, 0], Z], axis=1).reshape(-1, 3, 3)
+    return np.eye(3) + a[:, None, None] * hats + b[:, None, None] * vv
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def reference_pixel_errors(P, pts, pix, valid, principal, model, free=None):
+    """The oracle for ``pipeline._pixel_errors``: the same arithmetic, one
+    temporary per operation, the cross products through fancy-index copies
+    of R X and the left Jacobians from their own angle terms.  It takes
+    ``pts`` (B, N, 3) and ``pix`` (B, N, 2), point first."""
+    R, ok = pipeline._rotations(P[:, :3])[:2]
+    X = np.moveaxis(pts, -1, 0)
+    Rc = np.moveaxis(R, 0, -1)[..., None]
+    q = Rc[:, 0] * X[0] + Rc[:, 1] * X[1] + Rc[:, 2] * X[2]
+    pc = q + P[:, 3:6].T[..., None]
+    xy = pc[:2] / pc[2]
+    r = np.hypot(xy[0], xy[1])
+    fc, gc = model.f_coeffs, model.g_coeffs
+    fv = np.polyval(fc[::-1], r)
+    gv = np.polyval(gc[::-1], r)
+    ok &= np.isfinite(P[:, 3:]).all(axis=1) & (P[:, 6] > 0)
+    ok &= ~(((pc[2] <= 0) | (np.abs(gv) < POLE_EPS)) & valid).any(axis=1)
+    L = fv / gv
+    focal = P[:, 6, None]
+    err = xy * L * focal + principal.T[..., None] - np.moveaxis(pix, -1, 0)
+    if free is None:
+        return ok, np.moveaxis(err, 0, -1)
+    powers = np.arange(1, 4)
+    L1 = (np.polyval((fc[1:] * powers)[::-1], r) * gv
+          - fv * np.polyval((gc[1:] * powers)[::-1], r)) / gv ** 2
+    s = focal / pc[2]
+    u = xy / np.where(r > 0, r, 1.0)
+    G = np.empty((2, 3) + r.shape)
+    G[:, :2] = s * L1 * xy[:, None] * u
+    G[0, 0] += s * L
+    G[1, 1] += s * L
+    G[:, 2] = -s * (L + L1 * r) * xy
+    W = np.moveaxis(_left_jacobians(P[:, :3]), 0, -1)[..., None]
+    C = W[[1, 2, 0]] * q[[2, 0, 1], None] - W[[2, 0, 1]] * q[[1, 2, 0], None]
+    D = np.empty((2, 7 + len(free)) + r.shape)
+    D[:, :3] = G[:, 0, None] * C[0]
+    D[:, :3] += G[:, 1, None] * C[1]
+    D[:, :3] += G[:, 2, None] * C[2]
+    D[:, 3:6] = G
+    D[:, 6] = xy * L
+    dL = np.array([r ** (j % 3 + 1) / gv * (1.0 if j < 3 else -L)
+                   for j in free]).reshape((len(free),) + r.shape)
+    D[:, 7:] = xy[:, None] * (dL * focal)
+    return ok, np.moveaxis(err, 0, -1), np.moveaxis(D, (0, 1), (2, 3))
+
+
+def per_camera_normal_blocks(err, D, counts):
+    """The oracle for ``pipeline._normal_blocks``: one camera at a time,
+    each camera's products over its own first ``counts[b]`` rows."""
+    E = np.moveaxis(err, -1, 0)
+    A = np.moveaxis(D, (2, 3), (0, 1))
+    H = np.empty((len(counts),) + D.shape[-1:] * 2)
+    g = np.empty((len(counts), D.shape[-1]))
+    for b, n in enumerate(counts):
+        (x, y), (ex, ey) = A[:, :, b, :n], E[:, b, :n]
+        H[b] = x @ x.T + y @ y.T
+        g[b] = x @ ex + y @ ey
+    return H, g
