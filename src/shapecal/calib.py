@@ -89,10 +89,6 @@ class Correspondence:
     xhat: float
     yhat: float
 
-    @property
-    def radius(self):
-        return math.hypot(self.x, self.y)
-
 
 @dataclass
 class CostData:

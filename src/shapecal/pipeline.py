@@ -345,36 +345,37 @@ LM_DAMPING = 1e-3
 LM_DAMPING_MAX = 1e12
 
 
-def levenberg_marquardt(fun, x0, normal):
+def levenberg_marquardt(fun, x0):
     """Damped least squares on the residual vector of ``fun``.
 
     ``fun(x)`` returns ``(r, normals)`` from one pass: the residual vector
-    at x and its normal equations (J'J, J'r) of its Jacobian J, or None
-    where the pass does not give them; ``normal(x, r)`` then gives them.
-    ``ba_full`` passes its ``_pose_problem``'s.  This is ``_lm_lockstep``
-    on a batch of one problem: only improving steps are accepted, so the
-    cost trace is non-increasing; stops on relative improvement below
-    ``LM_REL_TOL``, after ``LM_MAX_ITERATIONS`` iterations, or with the
-    damping exceeding ``LM_DAMPING_MAX`` (reported as diverged).  Returns
-    (x, cost trace, status).
+    at x and the normal equations (J'J, J'r) of its Jacobian J, or None
+    where they are not defined; ``ba_full`` passes its ``_pose_problem``'s.
+    This is ``_lm_lockstep`` on a batch of one problem: only improving
+    steps are accepted, so the cost trace is non-increasing.  Returns (x,
+    cost trace, status), the status one of "converged" (relative
+    improvement below ``LM_REL_TOL``), "maxIterations" (after
+    ``LM_MAX_ITERATIONS``), "diverged" (no step helps up to a damping of
+    ``LM_DAMPING_MAX``) or "undefined" (x has no normal equations, so the
+    run stops there).
     """
     X, traces, statuses = _lm_lockstep(
-        lambda X, rows: [fun(X[0])], np.asarray(x0, dtype=float)[None],
-        lambda x, r, b: normal(x, r))
+        lambda X, rows: [fun(X[0])], np.asarray(x0, dtype=float)[None])
     return X[0], traces[0], statuses[0]
 
 
-def _lm_lockstep(fun, X0, normal):
+def _lm_lockstep(fun, X0):
     """Levenberg-Marquardt on a batch of independent problems in lock step.
 
     Row b of ``X0`` starts problem b.  ``fun(X, rows)`` returns a list of
     one ``(r, normals)`` pair per problem of ``rows``, at its row of ``X``:
     the residual and, from the same pass, its normal equations (J'J, J'r)
-    or None; ``normal(x, r, b)`` then gives problem b's, only at a point it
-    steps from.  Each problem keeps its own damping, steps, cost trace and
+    or None.  Each problem keeps its own damping, steps, cost trace and
     stop, as ``levenberg_marquardt`` describes, and takes the steps it
-    would take alone: the batch shares the calls and the damped solves.
-    Returns (X, traces, statuses), one row or entry per problem.
+    would take alone: the batch shares the calls and the damped solves.  A
+    problem stops as "undefined" at a point it would step from that has no
+    normal equations.  Returns (X, traces, statuses), one row or entry per
+    problem.
     """
     X = np.array(X0, dtype=float)
     R, N = (list(out) for out in zip(*fun(X, np.arange(len(X)))))
@@ -385,10 +386,14 @@ def _lm_lockstep(fun, X0, normal):
     active = np.arange(len(X))
     H, G = np.zeros(X.shape + X.shape[1:]), np.zeros_like(X)
     for _ in range(LM_MAX_ITERATIONS):
+        for b in active:
+            if N[b] is None:
+                statuses[b] = "undefined"
+            else:
+                H[b], G[b] = N[b]
+        active = active[[N[b] is not None for b in active]]
         if not len(active):
             break
-        for b in active:
-            H[b], G[b] = N[b] if N[b] is not None else normal(X[b], R[b], b)
         accepted = np.zeros(len(X), dtype=bool)
         pending = active
         while True:
@@ -414,8 +419,8 @@ def _lm_lockstep(fun, X0, normal):
             trace = traces[b]
             trace.append(cost[b])
             if not accepted[b]:
-                statuses[b] = ("diverged" if damping[b] > LM_DAMPING_MAX
-                               else "stalled")
+                # The damping loop above gave up on it: past LM_DAMPING_MAX.
+                statuses[b] = "diverged"
             elif trace[-2] - trace[-1] <= LM_REL_TOL * (1.0 + trace[-2]):
                 statuses[b] = "converged"
         active = active[[statuses[b] == "maxIterations" for b in active]]
@@ -443,21 +448,6 @@ def _damped_steps(H, G, damping):
         return steps, solved
 
 
-def _num_jacobian(fun, x, r0):
-    n = len(x)
-    J = np.empty((len(r0), n))
-    for j in range(n):
-        xp, h = _forward_step(x, j)
-        J[:, j] = (fun(xp) - r0) / h
-    return J
-
-
-def _difference_normals(fun, x, r0):
-    """(J'J, J'r0) of the forward-difference Jacobian of ``fun`` at x."""
-    J = _num_jacobian(fun, x, r0)
-    return J.T @ J, J.T @ r0
-
-
 def _normal_blocks(err, D, counts):
     """Each camera's share of the normal equations, over its own rows.
 
@@ -480,18 +470,6 @@ def _normal_blocks(err, D, counts):
         H[group] = x @ x.swapaxes(1, 2) + y @ y.swapaxes(1, 2)
         g[group] = (x @ ex + y @ ey)[..., 0]
     return H, g
-
-
-def _step_size(v):
-    """Forward-difference step for parameters of value v."""
-    return 1e-7 * (1.0 + np.abs(v))
-
-
-def _forward_step(x, j):
-    h = _step_size(x[j])
-    xp = x.copy()
-    xp[j] += h
-    return xp, h
 
 
 def _cam_params(cam):
@@ -521,7 +499,8 @@ def ba_refine(scene, cameras, model, focal_prior_weight=0.0):
     Cameras decouple given a fixed model and fixed target, so each camera
     is its own problem over (axis-angle rotation, translation, focal): one
     ``_lm_lockstep`` runs all of them, each of its passes one
-    ``_camera_rows`` pass over the cameras it evaluates.
+    ``_camera_rows`` pass over the cameras it evaluates; a camera with no
+    normal equations at its start stops there as "undefined".
     ``focal_prior_weight`` optionally weights the log-focal residual against
     the starting value, which pins the focal-depth gauge of near-frontal
     planar views; a camera whose focal escapes a factor of four regardless
@@ -531,14 +510,9 @@ def ba_refine(scene, cameras, model, focal_prior_weight=0.0):
     cameras, pixel RMS, per-camera LM statuses).
     """
     rows = _camera_rows(scene, cameras, (), focal_prior_weight)
-
-    def normal(x, r, b):
-        return _difference_normals(
-            lambda x: rows(x[None], np.array([b]), model)[1][0][0], x, r)
-
     X0 = np.array([_cam_params(c) for c in cameras]).reshape(-1, 7)
     X, _, statuses = _lm_lockstep(
-        lambda X, cams: rows(X, cams, model, True)[1], X0, normal)
+        lambda X, cams: rows(X, cams, model, True)[1], X0)
     keep = (X0[:, 6] / 4.0 <= X[:, 6]) & (X[:, 6] <= X0[:, 6] * 4.0)
     X[~keep] = X0[~keep]
     refined = [m if k else c
@@ -560,10 +534,10 @@ def ba_full(scene, cameras, kind):
     log-focal prior rows carry weight zero.  Returns (cameras, model,
     pixel RMS).
     """
-    x0, fun, normal, unpack = _pose_problem(
+    x0, fun, unpack = _pose_problem(
         scene, cameras, DistortionModel.identity(kind),
         calib.KIND_INDICES[kind], 0.0)
-    p_opt = levenberg_marquardt(fun, x0, normal)[0]
+    p_opt = levenberg_marquardt(fun, x0)[0]
     cams, model = unpack(p_opt)
     return cams, model, reprojection_rms(scene, cams, model)
 
@@ -674,7 +648,8 @@ def _camera_rows(scene, cameras, free, focal_prior_weight):
     batched per observation count), over its 7 parameters and then the
     coefficients ``free``, plus its prior row's share: d * d on the focal's
     diagonal entry and d times the prior on the focal's entry of J'r, d =
-    ``focal_prior_weight / focal``; otherwise it is None.
+    ``focal_prior_weight / focal``; otherwise it is None, and a
+    Levenberg-Marquardt problem at that point stops as "undefined".
     """
     pts, pix, valid = _observations(scene)
     principal = np.array([c.principal for c in cameras])
@@ -710,8 +685,7 @@ def _camera_rows(scene, cameras, free, focal_prior_weight):
 
 
 def _pose_problem(scene, cameras, model, free, focal_prior_weight):
-    """Start point, one-pass residual, fallback normal equations and
-    unpacking of a joint refinement.
+    """Start point, one-pass residual and unpacking of a joint refinement.
 
     The parameters are 7 per camera, then the coefficients of ``model``
     indexed by ``free``; the others stay fixed.  ``fun(x)`` evaluates every
@@ -722,10 +696,8 @@ def _pose_problem(scene, cameras, model, free, focal_prior_weight):
     J, assembled without forming J: a camera's rows touch only its own 7
     parameters and the coefficients, so J'J holds each camera's J_c'J_c on
     the diagonal, its J_c'J_k beside it and the sum of the J_k'J_k, and J'r
-    likewise.  Where a camera's pass gives none, ``normals`` is None and
-    ``normal(x, r)`` gives the products of the forward-difference Jacobian
-    of the whole residual (``_difference_normals``).  Returns ``(x0, fun,
-    normal, unpack)``.
+    likewise.  Where r is the sentinel or a camera's pass gives none,
+    ``normals`` is None.  Returns ``(x0, fun, unpack)``.
     """
     free = list(free)
     ncam = len(cameras)
@@ -745,16 +717,16 @@ def _pose_problem(scene, cameras, model, free, focal_prior_weight):
         return (_cameras_at(cameras, p[:7 * ncam].reshape(ncam, 7)),
                 model_at(p))
 
-    def evaluate(p, derivatives):
+    def fun(p):
         if not np.isfinite(p[7 * ncam:]).all():
             return np.full(nres, 1e8), None
         ok, pairs = rows(p[:7 * ncam].reshape(ncam, 7), np.arange(ncam),
-                         model_at(p), derivatives)
+                         model_at(p), True)
         if not ok.all():
             return np.full(nres, 1e8), None
         R, N = zip(*pairs)
         r = np.concatenate([r[:-1] for r in R] + [[r[-1] for r in R]])
-        if not derivatives or None in N:
+        if None in N:
             return r, None
         H, g = np.zeros((len(p), len(p))), np.zeros(len(p))
         k = slice(7 * ncam, None)
@@ -768,10 +740,7 @@ def _pose_problem(scene, cameras, model, free, focal_prior_weight):
             g[k] += gc[7:]
         return r, (H, g)
 
-    def normal(x, r):
-        return _difference_normals(lambda p: evaluate(p, False)[0], x, r)
-
-    return x0, lambda p: evaluate(p, True), normal, unpack
+    return x0, fun, unpack
 
 
 def _pixel_rms(cameras, pairs, model):

@@ -93,9 +93,6 @@ class AffineForm:
             v[i] = c
         return v
 
-    def eval(self, z):
-        return self.constant + sum(c * z[i] for i, c in self.coefficients.items())
-
 
 @dataclass
 class AffineBlock:

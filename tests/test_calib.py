@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shapecal import calib, pipeline, sdp
-from shapecal.calib import (CalibConfig, Correspondence, assemble_cost,
+from shapecal.calib import (CalibConfig, assemble_cost,
                             read_correspondences, residual_rms,
                             solve_barrel, solve_pincushion,
                             solve_unconstrained, solve_zero_crossing,
@@ -77,11 +77,6 @@ def test_cost_matrix_psd():
     data = rng.normal(size=(50, 4))
     cost = assemble_cost(data)
     assert np.linalg.eigvalsh(cost.M)[0] >= -1e-10
-
-
-def test_correspondence_radius_from_ideal():
-    c = Correspondence(3.0, 4.0, 0.0, 0.0)
-    assert c.radius == pytest.approx(5.0)
 
 
 TRUE_RATIONAL = DistortionModel("rational",

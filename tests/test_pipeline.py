@@ -18,8 +18,9 @@ from shapecal.pipeline import (Camera, ExperimentConfig, ExperimentReport,
                                rodrigues, rodrigues_inverse, run_experiment,
                                scene_from_json, scene_to_json,
                                validation_points, validation_rms)
-from util import (per_camera_normal_blocks, pose_block_jacobian,
-                  reference_pixel_errors)
+from util import (forward_step, num_jacobian, per_camera_normal_blocks,
+                  pose_block_jacobian, reference_pixel_errors,
+                  with_difference_normals)
 
 BARREL = pipeline.DEFAULT_TRUE_MODELS["barrel"]
 
@@ -181,10 +182,24 @@ def test_levenberg_marquardt_monotone_trace():
     def fun(x):
         return A @ x - b + 0.1 * np.sin(x).sum()
 
-    x, trace, status = levenberg_marquardt(
-        lambda x: (fun(x), None), np.zeros(3),
-        lambda x, r: pipeline._difference_normals(fun, x, r))
+    x, trace, status = levenberg_marquardt(with_difference_normals(fun),
+                                           np.zeros(3))
     assert all(t2 <= t1 + 1e-12 for t1, t2 in zip(trace, trace[1:]))
+
+
+def test_levenberg_marquardt_stops_at_an_undefined_start():
+    # A start with no normal equations is where the run ends: x0 bit for
+    # bit, after the one pass that found it so.
+    x0 = np.array([0.1, -2.0, 3e-7])
+    calls = []
+
+    def fun(x):
+        calls.append(x.copy())
+        return np.full(4, 1e8), None
+
+    x, trace, status = levenberg_marquardt(fun, x0)
+    assert status == "undefined" and trace == [4e16] and len(calls) == 1
+    assert x.tobytes() == x0.tobytes()
 
 
 def test_ba_refine_fixed_point_at_truth():
@@ -256,7 +271,7 @@ def _assert_oracle_is_the_dense_difference(args, problem, x):
     # sentinel columns included.
     resid = _residual(problem)
     assert np.array_equal(pose_block_jacobian(*args, x),
-                          pipeline._num_jacobian(resid, x, resid(x)))
+                          num_jacobian(resid, x, resid(x)))
 
 
 def _assert_normals_match_oracle(args, problem, x):
@@ -271,16 +286,11 @@ def _assert_normals_match_oracle(args, problem, x):
     assert (np.abs(g - oracle.T @ r) <= 1e-5 * (scale.T @ np.abs(r))).all()
 
 
-def _assert_sentinel_fallback(problem, x):
-    # At a sentinel residual the pass gives no normal equations, and the
-    # fallback gives the products of the forward-difference Jacobian of the
-    # whole residual.
-    fun, normal = problem[1:3]
-    r0, normals = fun(x)
+def _assert_sentinel_pass(problem, x):
+    # At a sentinel residual the pass gives no normal equations, so an LM
+    # run stops there as undefined.
+    r0, normals = problem[1](x)
     assert np.all(r0 == 1e8) and normals is None
-    J = pipeline._num_jacobian(_residual(problem), x, r0)
-    H, g = normal(x, r0)
-    assert np.array_equal(H, J.T @ J) and np.array_equal(g, J.T @ r0)
 
 
 def _assert_finite_where_a_step_fails(problem, x):
@@ -329,7 +339,7 @@ def test_ba_full_block_jacobian_when_a_camera_column_raises():
     x = x0.copy()
     x[7:13] = [0.0, 0.0, 0.0, 0.0, 0.0, 1e-9]
     assert not np.all(resid(x) == 1e8)
-    xp, _ = pipeline._forward_step(x, 7)
+    xp, _ = forward_step(x, 7)
     assert np.all(resid(xp) == 1e8)
     _assert_oracle_is_the_dense_difference(args, problem, x)
     _assert_finite_where_a_step_fails(problem, x)
@@ -341,9 +351,9 @@ def test_ba_full_block_jacobian_when_a_focal_crosses_zero():
     x0, resid = problem[0], _residual(problem)
     x = x0.copy()
     x[6] = -0.5e-7
-    xp, _ = pipeline._forward_step(x, 6)
+    xp, _ = forward_step(x, 6)
     assert xp[6] > 0 and not np.all(resid(xp) == 1e8)
-    _assert_sentinel_fallback(problem, x)
+    _assert_sentinel_pass(problem, x)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -363,7 +373,7 @@ def test_ba_full_block_jacobian_at_sentinel_residual():
     problem = _ba_full_problem(scene, cams, "division", 0.0)[1]
     x = problem[0].copy()
     x[7 * 2 + 5] = -100.0  # camera 2 behind the target plane
-    _assert_sentinel_fallback(problem, x)
+    _assert_sentinel_pass(problem, x)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -385,7 +395,7 @@ def test_ba_full_block_jacobian_when_a_coefficient_column_fails(case):
     else:
         x[7 * len(cams)] = np.finfo(float).max
     assert np.isfinite(resid(x)).all() and not np.all(resid(x) == 1e8)
-    xp, _ = pipeline._forward_step(x, 7 * len(cams))
+    xp, _ = forward_step(x, 7 * len(cams))
     assert np.all(resid(xp) == 1e8)
     _assert_oracle_is_the_dense_difference(args, problem, x)
     if case == "pole":
@@ -397,13 +407,10 @@ def test_ba_full_block_jacobian_gives_the_dense_iterates():
     # minimum; ba_full is the closed-form run.
     scene, cams = _ba_start()
     problem = _ba_full_problem(scene, cams, "polynomial", 0.0)[1]
-    x0, fun, normal, unpack = problem
-    resid = _residual(problem)
-    x_closed, trace_closed, status_closed = levenberg_marquardt(fun, x0,
-                                                                normal)
+    x0, fun, unpack = problem
+    x_closed, trace_closed, status_closed = levenberg_marquardt(fun, x0)
     x_dense, trace_dense, status_dense = levenberg_marquardt(
-        lambda x: (resid(x), None), x0,
-        lambda x, r: pipeline._difference_normals(resid, x, r))
+        with_difference_normals(_residual(problem)), x0)
     assert status_closed == status_dense == "converged"
     assert trace_closed[-1] == pytest.approx(trace_dense[-1], rel=1e-9)
     assert np.abs(x_closed - x_dense).max() <= 1e-6 * np.abs(x_dense).max()
@@ -443,11 +450,11 @@ def test_ba_full_takes_one_pixel_error_pass_per_lm_point():
         passes.append(args[0].shape)
         return pixel_errors(*args)
 
-    def counted_lm(fun, x0, normal):
+    def counted_lm(fun, x0):
         def counted_fun(x):
             points.append(x)
             return fun(x)
-        return lm(counted_fun, x0, normal)
+        return lm(counted_fun, x0)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "_pixel_errors", counted_errors)
@@ -484,20 +491,16 @@ def _one_camera_problem(weight, i=1, rotation=None):
 
 def _assert_refine_pass_agrees(args, problem, x):
     """ba_refine's row of the camera (``_camera_rows`` over the one camera,
-    as ba_refine's lock-step passes and its fallback call it) is its
-    one-camera pose problem's residual and normal equations, bit for
-    bit."""
+    as ba_refine's lock-step passes call it) is its one-camera pose
+    problem's residual and normal equations, bit for bit, or neither has
+    normal equations."""
     scene, cams, model, _, weight = args
     rows = pipeline._camera_rows(scene, cams, (), weight)
     _, [(r, normals)] = rows(x[None], np.array([0]), model, True)
     r_joint, normals_joint = problem[1](x)
     assert np.array_equal(r, r_joint)
     assert (normals is None) == (normals_joint is None)
-    if normals is None:
-        normals = pipeline._difference_normals(
-            lambda x: rows(x[None], np.array([0]), model)[1][0][0], x, r)
-        normals_joint = problem[2](x, r)
-    for a, b in zip(normals, normals_joint, strict=True):
+    for a, b in zip(normals or (), normals_joint or (), strict=True):
         assert np.array_equal(a, b)
 
 
@@ -513,17 +516,17 @@ def test_one_camera_block_jacobian(case, weight):
     elif case == "column_raises":
         x[:6] = [0.0, 0.0, 0.0, 0.0, 0.0, 1e-9]
         assert not np.all(resid(x) == 1e8)
-        assert np.all(resid(pipeline._forward_step(x, 0)[0]) == 1e8)
+        assert np.all(resid(forward_step(x, 0)[0]) == 1e8)
         _assert_oracle_is_the_dense_difference(args, problem, x)
         _assert_finite_where_a_step_fails(problem, x)
     elif case == "focal_crosses_zero":
         x[6] = -0.5e-7
-        xp, _ = pipeline._forward_step(x, 6)
+        xp, _ = forward_step(x, 6)
         assert xp[6] > 0 and not np.all(resid(xp) == 1e8)
-        _assert_sentinel_fallback(problem, x)
+        _assert_sentinel_pass(problem, x)
     else:
         x[5] = -100.0  # the camera behind the target plane
-        _assert_sentinel_fallback(problem, x)
+        _assert_sentinel_pass(problem, x)
     _assert_refine_pass_agrees(args, problem, x)
 
 
@@ -547,7 +550,7 @@ def _pole_column_problem(column, weight, i=1):
     scene, cams = _ba_start()
     view = replace(scene, pixels=[scene.pixels[i]],
                    point_indices=[scene.point_indices[i]])
-    xp, _ = pipeline._forward_step(pipeline._cam_params(cams[i]), column)
+    xp, _ = forward_step(pipeline._cam_params(cams[i]), column)
     stepped = _camera_at(cams[i], xp)
     xy = ideal_normalized(stepped, scene.target[scene.point_indices[i][:1]])
     r_pole = np.hypot(xy[0, 0], xy[0, 1])
@@ -568,7 +571,7 @@ def test_one_camera_block_jacobian_when_one_column_crosses_a_pole(column,
     x0, resid = problem[0], _residual(problem)
     assert not np.all(resid(x0) == 1e8)
     crossed = [j for j in range(7)
-               if np.all(resid(pipeline._forward_step(x0, j)[0]) == 1e8)]
+               if np.all(resid(forward_step(x0, j)[0]) == 1e8)]
     assert crossed == [column]
     _assert_oracle_is_the_dense_difference(args, problem, x0)
     _assert_finite_where_a_step_fails(problem, x0)
@@ -591,11 +594,8 @@ def _refine_oracle(scene, cameras, model, weight):
                 return np.full(pix.size + 1, 1e8)
             return np.concatenate([err, [weight * math.log(p[6] / cam.focal)]])
 
-        p, _, status = levenberg_marquardt(
-            lambda p, resid=resid: (resid(p), None),
-            pipeline._cam_params(cam),
-            lambda x, r, resid=resid: pipeline._difference_normals(resid, x,
-                                                                   r))
+        p, _, status = levenberg_marquardt(with_difference_normals(resid),
+                                           pipeline._cam_params(cam))
         if not cam.focal / 4.0 <= p[6] <= cam.focal * 4.0:
             refined.append(cam)
             statuses.append("reverted")
@@ -782,6 +782,54 @@ def test_ba_refine_rms_raises_where_a_returned_camera_sees_behind_it(
     _refine_returning(monkeypatch, flip)
     with pytest.raises(ValueError, match="point behind the camera"):
         ba_refine(scene, cams0, BARREL)
+
+
+@pytest.mark.parametrize("start", ["behind", "negative_focal"])
+def test_refinement_stops_a_camera_at_an_undefined_start(monkeypatch, start):
+    # Camera 1 starts with its points behind it, or with a negative focal:
+    # its residual has no normal equations there, so its LM problem stops
+    # at once as undefined.  The other cameras refine as they do without
+    # it, in as many pixel-error passes.
+    scene = add_noise(small_scene(seed=5, cameras=4), 0.5)
+    cams0 = perturb_cameras(scene.cameras, 5)
+    cam = cams0[1]
+    if start == "behind":
+        cams0[1] = Camera(cam.R, cam.t * [1.0, 1.0, -1.0], cam.K)
+    else:
+        cams0[1] = Camera(cam.R, cam.t, cam.K * [[-1.0], [-1.0], [1.0]])
+    runs, passes = [], []
+    lockstep, pixel_errors = pipeline._lm_lockstep, pipeline._pixel_errors
+
+    def traced(*a):
+        X, traces, statuses = lockstep(*a)
+        runs.append((X.copy(), traces, statuses))  # before any revert
+        return X, traces, statuses
+
+    monkeypatch.setattr(pipeline, "_lm_lockstep", traced)
+    monkeypatch.setattr(pipeline, "_pixel_errors",
+                        lambda *a: passes.append(a) or pixel_errors(*a))
+    keep = [0, 2, 3]
+    others = replace(scene, pixels=[scene.pixels[i] for i in keep],
+                     point_indices=[scene.point_indices[i] for i in keep])
+    ba_refine(others, [cams0[i] for i in keep], BARREL)
+    passes_without = len(passes)
+    passes.clear()
+    if start == "behind":
+        with pytest.raises(ValueError, match="point behind the camera"):
+            ba_refine(scene, cams0, BARREL)
+    else:
+        cams, _, statuses = ba_refine(scene, cams0, BARREL)
+        assert statuses[1] == "reverted" and cams[1] is cams0[1]
+    assert len(passes) == passes_without
+    (X_without, _, statuses_without), (X, traces, statuses) = runs
+    assert statuses[1] == "undefined" and len(traces[1]) == 1
+    assert X[1].tobytes() == pipeline._cam_params(cams0[1]).tobytes()
+    assert X[keep].tobytes() == X_without.tobytes()
+    assert [statuses[i] for i in keep] == statuses_without
+    if start == "behind":
+        with pytest.raises(ValueError, match="point behind the camera"):
+            ba_full(scene, cams0, "polynomial")
+        assert runs[-1][2] == ["undefined"]
 
 
 def test_camera_rejects_what_the_projection_cannot_use():

@@ -192,7 +192,8 @@ def test_point_mass_moments_feasible_for_relaxation():
         w = np.linalg.eigvalsh(block_value(blk, y))
         assert w[0] >= -1e-8
     for eq in program.equalities:
-        assert abs(eq.eval(y)) <= 1e-10
+        value = eq.constant + sum(c * y[i] for i, c in eq.coefficients.items())
+        assert abs(value) <= 1e-10
 
 
 def test_polynomial_equalities_enter_as_moment_equalities():

@@ -370,20 +370,58 @@ def transposing_schur_solve(L, rhs):
     return x
 
 
+def step_size(v):
+    """Forward-difference step for parameters of value v."""
+    return 1e-7 * (1.0 + np.abs(v))
+
+
+def forward_step(x, j):
+    """x with parameter j stepped forward, and the step."""
+    h = step_size(x[j])
+    xp = x.copy()
+    xp[j] += h
+    return xp, h
+
+
+def num_jacobian(fun, x, r0):
+    """Forward-difference Jacobian of ``fun`` at x, where fun(x) is r0."""
+    J = np.empty((len(r0), len(x)))
+    for j in range(len(x)):
+        xp, h = forward_step(x, j)
+        J[:, j] = (fun(xp) - r0) / h
+    return J
+
+
+def difference_normals(fun, x, r0):
+    """(J'J, J'r0) of the forward-difference Jacobian of ``fun`` at x."""
+    J = num_jacobian(fun, x, r0)
+    return J.T @ J, J.T @ r0
+
+
+def with_difference_normals(fun):
+    """The one-pass ``fun`` of ``pipeline.levenberg_marquardt`` for the
+    residual ``fun``: its value and ``difference_normals`` there.  The
+    dense LM that the closed-form normal equations are checked against."""
+    def one_pass(x):
+        r = fun(x)
+        return r, difference_normals(fun, x, r)
+    return one_pass
+
+
 def pose_block_jacobian(scene, cameras, model, free, weight, x):
     """Forward differences of ``pipeline._pose_problem``'s residual at x,
     the first entry of its ``fun``.
 
     The oracle for the problem's closed-form normal equations, through
     its products J'J and J'r.  Column j steps
-    parameter j as ``pipeline._forward_step`` does.  A camera's 7 columns
+    parameter j as ``forward_step`` does.  A camera's 7 columns
     come from one ``_pixel_errors`` stack of 7 copies of the camera, copy k
     with parameter k stepped; a coefficient column re-evaluates every
     camera at x with the stepped coefficient.  A column whose step fails as
     the residual would (non-finite, focal <= 0, depth <= 0, |g| below
     POLE_EPS, a model that refuses the coefficient) gets the sentinel
     difference.  Wherever the residual at x is not the sentinel this is
-    ``pipeline._num_jacobian`` of the residual, bit for bit.
+    ``num_jacobian`` of the residual, bit for bit.
     """
     free = list(free)
     ncam = len(cameras)
@@ -408,7 +446,7 @@ def pose_block_jacobian(scene, cameras, model, free, weight, x):
     coeffs = model_at(x)
     for i in range(ncam):
         cols = slice(7 * i, 7 * i + 7)
-        hs = pipeline._step_size(x[cols])
+        hs = step_size(x[cols])
         P = np.tile(x[cols], (7, 1))
         P[np.arange(7), np.arange(7)] += hs
         rows, ok = stack_errors(P, np.full(7, i), coeffs)
@@ -424,7 +462,7 @@ def pose_block_jacobian(scene, cameras, model, free, weight, x):
             J[:, 7 * i + k] = (1e8 - r0) / hs[k]
     base = x[:7 * ncam].reshape(ncam, 7)
     for j in range(7 * ncam, len(x)):
-        xp, h = pipeline._forward_step(x, j)
+        xp, h = forward_step(x, j)
         try:
             rows, ok = stack_errors(base, np.arange(ncam), model_at(xp))
         except ValueError:
