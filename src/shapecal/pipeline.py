@@ -23,9 +23,10 @@ On top of the scene generator sit the pose estimation pieces:
 * ``aso_loop``: alternation of the shape-constrained distortion solve with
   ``ba_refine``;
 * ``run_experiment``: the BA / SO / ASO comparison over noise levels, with
-  per-trial seeds split deterministically from one master seed and the
-  trials run one after another in job order, so reports are
-  byte-reproducible.
+  per-trial seeds split deterministically from one master seed.  Its
+  trials run in up to CPUs / BLAS threads processes (``_process_count``),
+  and the report is assembled in job order, so its bytes do not depend on
+  how many processes ran it.
 
 Validation error is measured on a fresh per-camera grid of ground-truth
 points whose true projections cover the full image including the corners.
@@ -35,6 +36,9 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
+import os
+import signal
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -94,6 +98,8 @@ class Camera:
         if abs(self.K[1, 1] - self.K[0, 0]) > 1e-12 \
                 or abs(self.K[0, 1]) > 1e-12:
             raise ValueError("K must have equal focal lengths and no skew")
+        if self.K[0, 0] <= 0:
+            raise ValueError("the focal length must be positive")
 
     @property
     def focal(self):
@@ -994,22 +1000,145 @@ def _one_trial(cfg, sigma, trial):
     return records
 
 
+# Environment variables OpenBLAS takes its thread count from, in the order
+# it reads them.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                         "OMP_NUM_THREADS")
+
+
+def _process_count(jobs):
+    """Processes that run ``jobs`` experiment trials.
+
+    min(jobs, CPUs // BLAS threads), and at least 1.  The CPUs are those
+    this process may run on; the BLAS thread count is read as OpenBLAS
+    reads it, from the first of ``BLAS_THREAD_VARIABLES`` that holds a
+    positive integer, and is the CPU count, OpenBLAS's default, where none
+    does.  So trials overlap only where BLAS is pinned: the SDP solver's
+    small triangular solves stall when BLAS threads share cores with other
+    work.  Without the ``fork`` start method or the CPU affinity call it is
+    1.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods() \
+            or not hasattr(os, "sched_getaffinity"):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    threads = cpus
+    for name in BLAS_THREAD_VARIABLES:
+        try:
+            value = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            threads = value
+            break
+    return max(1, min(jobs, cpus // threads))
+
+
+def _attempt(job, i):
+    """``(job(i), None)``, or ``(None, error text)`` if it raises."""
+    try:
+        return job(i), None
+    except Exception as exc:  # per-trial failures are data, not fatal
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def _work(job, count, claim, slot, conn):
+    """A worker's loop: claim an index, run it, send ``(i, _attempt)``."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops workers
+    while (i := claim(slot)) < count:
+        conn.send((i, _attempt(job, i)))
+
+
+def _run_jobs(job, count):
+    """``_attempt(job, i)`` for every i in range(count), in index order.
+
+    The jobs run in ``_process_count(count)`` processes: this one and, past
+    one process, workers forked from it.  Every process claims the next
+    index from one shared counter, this one index 0 before any worker
+    starts, so it always runs at least one whole job.  A worker sends each
+    result over its pipe as soon as the job ends, and this process reads
+    them between its own jobs.  A job that a worker claimed but never
+    reported, because the worker exited first, gets the error
+    ``WorkerExited: exit code N``; the unclaimed jobs go to the processes
+    that remain.  Every worker is joined before this returns or raises, and
+    on an exception here (KeyboardInterrupt among them) it is terminated
+    first.
+    """
+    procs = _process_count(count)
+    # Locks of the fork context start no resource-tracker process.
+    forks = "fork" in multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if forks else None)
+    counter = ctx.Value("q", 0)
+    owner = ctx.Array("i", count, lock=False)  # slot of the claiming process
+
+    def claim(slot):
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        if i < count:
+            owner[i] = slot
+        return i
+
+    results = [None] * count
+
+    def read(conn, until_closed):
+        while until_closed or conn.poll():
+            try:
+                i, result = conn.recv()
+            except EOFError:
+                return
+            results[i] = result
+
+    workers = []
+    i = claim(0)
+    try:
+        for slot in range(1, procs):
+            conn, child_conn = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_work, daemon=True,
+                               args=(job, count, claim, slot, child_conn))
+            proc.start()
+            child_conn.close()
+            workers.append((proc, conn))
+        while i < count:
+            results[i] = _attempt(job, i)
+            for _, conn in workers:
+                read(conn, False)
+            i = claim(0)
+        for _, conn in workers:
+            read(conn, True)
+    except BaseException:
+        for proc, _ in workers:
+            proc.terminate()
+        raise
+    finally:
+        for proc, conn in workers:
+            proc.join()
+            conn.close()
+    return [result or (None, "WorkerExited: exit code "
+                       f"{workers[owner[i] - 1][0].exitcode}")
+            for i, result in enumerate(results)]
+
+
 def run_experiment(cfg):
     """BA / SO / ASO comparison over the configured noise levels.
 
-    Trials are independent (seeds split per trial index) and run one after
-    another in job order: sigma-major, then trial.  Per-trial failures are
+    Trials are independent (seeds split per trial index), and the jobs,
+    sigma-major, then trial, run in ``_run_jobs``' processes.  The report
+    takes their records and errors in job order, so its bytes do not depend
+    on the process count or on which process ran a job.  Per-trial
+    failures, a worker that exits before it reports its job among them, are
     recorded as error entries rather than aborting the run.
     """
+    jobs = [(sigma, trial) for sigma in cfg.sigmas
+            for trial in range(cfg.trials)]
     records = []
     errors = []
-    for sigma in cfg.sigmas:
-        for trial in range(cfg.trials):
-            try:
-                records.extend(_one_trial(cfg, sigma, trial))
-            except Exception as exc:  # per-trial failures are data, not fatal
-                errors.append({"sigma": sigma, "trial": trial,
-                               "error": f"{type(exc).__name__}: {exc}"})
+    for (sigma, trial), (recs, error) in zip(
+            jobs, _run_jobs(lambda i: _one_trial(cfg, *jobs[i]), len(jobs))):
+        if error is None:
+            records.extend(recs)
+        else:
+            errors.append({"sigma": sigma, "trial": trial, "error": error})
 
     config_doc = {
         "shape": cfg.shape,

@@ -1,5 +1,8 @@
 import json
 import math
+import multiprocessing
+import os
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -789,14 +792,12 @@ def test_refinement_stops_a_camera_at_an_undefined_start(monkeypatch, start):
     # Camera 1 starts with its points behind it, or with a negative focal:
     # its residual has no normal equations there, so its LM problem stops
     # at once as undefined.  The other cameras refine as they do without
-    # it, in as many pixel-error passes.
+    # it, in as many pixel-error passes.  A camera with a negative focal
+    # cannot be built, so that start goes to ``ba_refine``'s LM problem as
+    # parameters.
     scene = add_noise(small_scene(seed=5, cameras=4), 0.5)
     cams0 = perturb_cameras(scene.cameras, 5)
     cam = cams0[1]
-    if start == "behind":
-        cams0[1] = Camera(cam.R, cam.t * [1.0, 1.0, -1.0], cam.K)
-    else:
-        cams0[1] = Camera(cam.R, cam.t, cam.K * [[-1.0], [-1.0], [1.0]])
     runs, passes = [], []
     lockstep, pixel_errors = pipeline._lm_lockstep, pipeline._pixel_errors
 
@@ -815,15 +816,23 @@ def test_refinement_stops_a_camera_at_an_undefined_start(monkeypatch, start):
     passes_without = len(passes)
     passes.clear()
     if start == "behind":
+        cams0[1] = Camera(cam.R, cam.t * [1.0, 1.0, -1.0], cam.K)
+        X0 = np.array([pipeline._cam_params(c) for c in cams0])
         with pytest.raises(ValueError, match="point behind the camera"):
             ba_refine(scene, cams0, BARREL)
     else:
-        cams, _, statuses = ba_refine(scene, cams0, BARREL)
-        assert statuses[1] == "reverted" and cams[1] is cams0[1]
+        with pytest.raises(ValueError, match="focal length must be positive"):
+            Camera(cam.R, cam.t, cam.K * [[-1.0], [-1.0], [1.0]])
+        rows = pipeline._camera_rows(scene, cams0, (), 0.0)
+        X0 = np.array([pipeline._cam_params(c) for c in cams0])
+        X0[1, 6] = -X0[1, 6]
+        pipeline._lm_lockstep(lambda X, cams: rows(X, cams, BARREL, True)[1],
+                              X0.copy())
+        passes.append("rms")  # the pass ba_refine takes after its LM
     assert len(passes) == passes_without
     (X_without, _, statuses_without), (X, traces, statuses) = runs
     assert statuses[1] == "undefined" and len(traces[1]) == 1
-    assert X[1].tobytes() == pipeline._cam_params(cams0[1]).tobytes()
+    assert X[1].tobytes() == X0[1].tobytes()
     assert X[keep].tobytes() == X_without.tobytes()
     assert [statuses[i] for i in keep] == statuses_without
     if start == "behind":
@@ -850,6 +859,12 @@ def test_camera_rejects_what_the_projection_cannot_use():
         bad = K.copy()
         bad[row, col] = value
         with pytest.raises(ValueError, match=reason):
+            Camera(R, t, bad)
+    # The pose residual is undefined at a focal that is not positive.
+    for focal in (-512.5, 0.0):
+        bad = K.copy()
+        bad[0, 0] = bad[1, 1] = focal
+        with pytest.raises(ValueError, match="focal length must be positive"):
             Camera(R, t, bad)
     # An fy that differs from fx would be ignored by ``project``.
     with pytest.raises(ValueError, match="equal focal lengths"):
@@ -1019,7 +1034,9 @@ def test_experiment_config_rejects_what_it_cannot_run(kwargs, message):
         ExperimentConfig(**kwargs)
 
 
-def test_run_experiment_records_a_failed_trial(monkeypatch):
+@pytest.mark.parametrize("procs", [1, 2, 3])
+def test_run_experiment_records_a_failed_trial(monkeypatch, procs):
+    # The report is the same bytes whichever process ran which job.
     cfg = ExperimentConfig(shape="barrel", sigmas=(0.0, 0.5), trials=2,
                            seed=4, aso_iterations=1,
                            scene=SceneConfig(target_rows=6, target_cols=6,
@@ -1027,20 +1044,133 @@ def test_run_experiment_records_a_failed_trial(monkeypatch):
     original = pipeline._one_trial
 
     def one_trial(cfg, sigma, trial):
-        if (sigma, trial) == (0.0, 0):
+        if (sigma, trial) == (0.5, 0):
             raise RuntimeError("injected failure")
         return original(cfg, sigma, trial)
 
     monkeypatch.setattr(pipeline, "_one_trial", one_trial)
+    monkeypatch.setattr(pipeline, "_process_count", lambda jobs: procs)
     report = run_experiment(cfg)
+    assert multiprocessing.active_children() == []
     assert report.config["errors"] == [
-        {"sigma": 0.0, "trial": 0,
+        {"sigma": 0.5, "trial": 0,
          "error": "RuntimeError: injected failure"}]
     assert [(r["sigma"], r["trial"], r["method"]) for r in report.records] \
         == [(sigma, trial, method)
-            for sigma, trial in [(0.0, 1), (0.5, 0), (0.5, 1)]
+            for sigma, trial in [(0.0, 0), (0.0, 1), (0.5, 1)]
             for method in ("BA", "SO", "ASO")]
+    monkeypatch.setattr(pipeline, "_process_count", lambda jobs: 1)
     assert run_experiment(cfg).to_json() == report.to_json()
+
+
+def _job_record(sigma, trial):
+    return [{"method": "BA", "sigma": float(sigma), "trial": trial,
+             "calib_rms": 0.0, "valid_rms": 0.0, "shape_violations": 0}]
+
+
+def test_run_experiment_records_a_worker_that_exits(monkeypatch, tmp_path):
+    # This process runs job 0 and waits in it until the one worker has
+    # claimed jobs 1 to 3: it reports job 1, job 2 raises, and it exits
+    # with code 3 in job 3.  This process then runs jobs 4 and 5.
+    cfg = ExperimentConfig(shape="barrel", sigmas=(0.0, 0.5), trials=3)
+    parent, exited = os.getpid(), tmp_path / "exited"
+
+    def one_trial(cfg, sigma, trial):
+        job = cfg.sigmas.index(sigma) * cfg.trials + trial
+        if os.getpid() == parent:
+            deadline = time.monotonic() + 60.0
+            while job == 0 and not exited.exists() \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+        elif job == 2:
+            raise RuntimeError("injected failure")
+        elif job == 3:
+            exited.touch()
+            os._exit(3)
+        return _job_record(sigma, trial)
+
+    monkeypatch.setattr(pipeline, "_one_trial", one_trial)
+    monkeypatch.setattr(pipeline, "_process_count", lambda jobs: 2)
+    report = run_experiment(cfg)
+    assert multiprocessing.active_children() == []
+    assert report.config["errors"] == [
+        {"sigma": 0.0, "trial": 2, "error": "RuntimeError: injected failure"},
+        {"sigma": 0.5, "trial": 0, "error": "WorkerExited: exit code 3"}]
+    assert [(r["sigma"], r["trial"]) for r in report.records] == [
+        (0.0, 0), (0.0, 1), (0.5, 1), (0.5, 2)]
+
+
+def test_run_experiment_runs_each_job_once_in_more_processes_than_cpus(
+        monkeypatch, tmp_path):
+    # A lost update of the shared counter would run some job twice.
+    cfg = ExperimentConfig(shape="barrel", sigmas=(0.0, 0.5), trials=100)
+    ran = tmp_path / "ran"
+
+    def one_trial(cfg, sigma, trial):
+        with open(ran, "a") as fh:   # one short O_APPEND write per job
+            fh.write(f"{sigma} {trial}\n")
+        return _job_record(sigma, trial)
+
+    monkeypatch.setattr(pipeline, "_one_trial", one_trial)
+    monkeypatch.setattr(pipeline, "_process_count",
+                        lambda jobs: 2 * len(os.sched_getaffinity(0)) + 1)
+    start = time.monotonic()
+    report = run_experiment(cfg)
+    assert time.monotonic() - start < 60.0
+    assert multiprocessing.active_children() == []
+    assert not report.config["errors"]
+    jobs = [(sigma, trial) for sigma in cfg.sigmas
+            for trial in range(cfg.trials)]
+    assert [(r["sigma"], r["trial"]) for r in report.records] == jobs
+    assert sorted(ran.read_text().splitlines()) \
+        == sorted(f"{sigma} {trial}" for sigma, trial in jobs)
+
+
+def test_run_experiment_stops_its_workers_on_an_interrupt(monkeypatch):
+    cfg = ExperimentConfig(shape="barrel", sigmas=(0.0,), trials=4)
+    parent = os.getpid()
+
+    def one_trial(cfg, sigma, trial):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60.0)
+        return _job_record(sigma, trial)
+
+    monkeypatch.setattr(pipeline, "_one_trial", one_trial)
+    monkeypatch.setattr(pipeline, "_process_count", lambda jobs: 3)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(cfg)
+    assert multiprocessing.active_children() == []
+    assert time.monotonic() - start < 30.0
+
+
+@pytest.mark.parametrize("env, jobs, methods, expected", [
+    ({}, 12, None, 1),                     # BLAS threads default to the CPUs
+    ({"OPENBLAS_NUM_THREADS": "1"}, 12, None, 4),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 12, None, 2),
+    ({"OPENBLAS_NUM_THREADS": "8"}, 12, None, 1),
+    ({"OPENBLAS_NUM_THREADS": "one"}, 12, None, 1),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 12, None, 1),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 12, None, 4),
+    ({"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1"}, 12, None, 2),
+    ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 12, None, 2),
+    ({"GOTO_NUM_THREADS": "-1", "OMP_NUM_THREADS": "1"}, 12, None, 4),
+    ({"OMP_NUM_THREADS": "1"}, 3, None, 3),  # fewer jobs than CPUs
+    ({"OMP_NUM_THREADS": "1"}, 1, None, 1),
+    ({"OMP_NUM_THREADS": "1"}, 12, ["spawn", "forkserver"], 1),
+])
+def test_process_count_divides_the_cpus_by_the_blas_threads(
+        monkeypatch, env, jobs, methods, expected):
+    for name in pipeline.BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    if methods is not None:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: methods)
+    assert pipeline._process_count(jobs) == expected
 
 
 def test_trial_hands_its_so_fit_to_the_first_aso_pass(monkeypatch):
