@@ -44,14 +44,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import certs, relax, sdp
-from .distortion import DistortionModel, shape_check
+from .distortion import KIND_INDICES, DistortionModel, shape_check
 from .poly import Polynomial, PolyMatrix
-
-KIND_INDICES = {
-    "polynomial": (0, 1, 2),
-    "division": (3, 4, 5),
-    "rational": (0, 1, 2, 3, 4, 5),
-}
 
 K_NAMES = ("k1", "k2", "k3", "k4", "k5", "k6")
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import calib, pipeline, sdp
 from .calib import CalibDataError, CalibrationError
-from .distortion import (POLE_EPS, NoRootError, load_model, save_model,
+from .distortion import (NoRootError, load_model, save_model,
                          undistort_points)
 
 EXIT_OK = 0
@@ -276,9 +276,8 @@ def cmd_curve(args):
     _require_positive("--rmax", args.rmax)
     model = _load_model(args.model)
     rs = np.linspace(0.0, args.rmax, args.samples)
-    pole = np.abs(np.polyval(model.g_coeffs[::-1], rs)) < POLE_EPS
-    values = np.zeros((rs.size, 3))
-    values[~pole] = np.column_stack(model.L_derivatives(rs[~pole]))
+    Ls, _, pole = model.evaluate(rs, 2)
+    values = np.column_stack(Ls)
     lines = ["r,L,L1,L2"] + [
         f"{_fmt(r)},pole,pole,pole" if at_pole
         else ",".join(map(_fmt, (r, *v)))

@@ -7,15 +7,16 @@ The distortion multiplier is a rational function of the radius,
 
 applied to normalized image coordinates as (xh, yh) = L(r) (x, y) with
 r = sqrt(x^2 + y^2).  Both numerator and denominator have constant term 1,
-so L(0) = 1 for every well-formed model.  The 'polynomial' kind fixes
-k4..k6 = 0, the 'division' kind fixes k1..k3 = 0, and 'rational' uses all
-six coefficients.
+so L(0) = 1 for every well-formed model.  ``KIND_INDICES`` names the
+coefficients each kind leaves free, the rest being zero: 'polynomial'
+k1..k3, 'division' k4..k6 and 'rational' all six.
 
-Derivatives for the shape checks are computed analytically with the
-quotient rule on the polynomial halves; shape certification must not be
-confounded by finite-difference error.  The inverse map has one path,
-``undistort_radii``: the smallest root of r L(r) = rhat, bracketed by the
-exact real roots of g and of the numerator of (r L(r))'.
+``DistortionModel.evaluate`` is the one evaluator of L, of its derivatives
+by the quotient rule on f and g (finite-difference error must not confound
+shape certification) and of the pole rule |g| < POLE_EPS.  The inverse map
+has one path, ``undistort_radii``: the smallest root of r L(r) = rhat,
+bracketed by the exact real roots of g and of the numerator of (r L(r))',
+by Newton steps on r f - rhat g, and gated by ``evaluate``'s pole mask.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-KINDS = ("polynomial", "division", "rational")
+KIND_INDICES = {"polynomial": (0, 1, 2), "division": (3, 4, 5),
+                "rational": (0, 1, 2, 3, 4, 5)}
+KINDS = tuple(KIND_INDICES)
 SHAPES = ("barrel", "pincushion", "positivity")
 
 POLE_EPS = 1e-12
@@ -46,6 +49,9 @@ class NoRootError(ValueError):
 
 @dataclass(frozen=True)
 class DistortionModel:
+    """k1..k6 of a kind, zero outside KIND_INDICES[kind]; ``evaluate`` is
+    the one evaluator of L, L', L'' and g, and the one pole test."""
+
     kind: str
     k: tuple
 
@@ -57,10 +63,10 @@ class DistortionModel:
             raise ValueError("k must have 6 entries")
         if not all(math.isfinite(v) for v in k):
             raise ValueError("k must be finite")
-        if self.kind == "polynomial" and any(abs(v) > 0 for v in k[3:]):
-            raise ValueError("polynomial kind requires k4 = k5 = k6 = 0")
-        if self.kind == "division" and any(abs(v) > 0 for v in k[:3]):
-            raise ValueError("division kind requires k1 = k2 = k3 = 0")
+        fixed = [i for i in range(6) if i not in KIND_INDICES[self.kind]]
+        if any(abs(k[i]) > 0 for i in fixed):
+            raise ValueError(f"{self.kind} kind requires "
+                             + " = ".join(f"k{i + 1}" for i in fixed) + " = 0")
         object.__setattr__(self, "k", k)
 
     @classmethod
@@ -75,36 +81,49 @@ class DistortionModel:
     def g_coeffs(self):
         return np.array([1.0, self.k[3], self.k[4], self.k[5]])
 
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
+    def evaluate(self, r, order=0):
+        """[L, L', L''][:order + 1], g and the pole mask |g| < POLE_EPS at r.
+
+        The one evaluation of the model: f, g and their derivatives come
+        from every coefficient, however small, and L's derivatives from the
+        quotient rule on them.  It neither raises nor warns; values where
+        the mask is set are meaningless.
+        """
+        r = np.asarray(r, dtype=float)
+        f, g = [self.f_coeffs], [self.g_coeffs]
+        for _ in range(order):
+            f.append(_der(f[-1]))
+            g.append(_der(g[-1]))
+        f = [_polyval(c, r) for c in f]
+        g = [_polyval(c, r) for c in g]
+        Ls = [f[0] / g[0]]
+        if order > 0:
+            num1 = f[1] * g[0] - f[0] * g[1]
+            Ls.append(num1 / g[0] ** 2)
+        if order > 1:
+            Ls.append(((f[2] * g[0] - f[0] * g[2]) * g[0]
+                       - 2.0 * g[1] * num1) / g[0] ** 3)
+        return Ls, g[0], np.abs(g[0]) < POLE_EPS
+
+    def _off_poles(self, r, order):
+        """``evaluate``'s values, or PoleError at the first masked radius."""
+        r = np.asarray(r, dtype=float)
+        Ls, _, pole = self.evaluate(r, order)
+        if np.any(pole):
+            raise PoleError(r[pole].flat[0] if r.ndim else float(r))
+        return Ls
+
     def L(self, r):
         """Distortion multiplier at radius r (scalar or array).
 
-        Raises PoleError when the denominator magnitude drops below 1e-12.
+        Raises PoleError where |g| < POLE_EPS.
         """
-        r = np.asarray(r, dtype=float)
-        fv = _polyval(self.f_coeffs, r)
-        gv = _polyval(self.g_coeffs, r)
-        bad = np.abs(gv) < POLE_EPS
-        if np.any(bad):
-            raise PoleError(r[bad].flat[0] if r.ndim else float(r))
-        return fv / gv
+        return self._off_poles(r, 0)[0]
 
     def L_derivatives(self, r):
-        """(L, L', L'') at radius r, by the quotient rule on f and g.
-
-        f and g are evaluated from every coefficient, however small, as in
-        ``L``, so the first entry equals ``L(r)`` bit for bit.
-        """
-        r = np.asarray(r, dtype=float)
-        fv, f1v, f2v = _polyval_derivatives(self.f_coeffs, r)
-        gv, g1v, g2v = _polyval_derivatives(self.g_coeffs, r)
-        bad = np.abs(gv) < POLE_EPS
-        if np.any(bad):
-            raise PoleError(r[bad].flat[0] if r.ndim else float(r))
-        num1 = f1v * gv - fv * g1v
-        L = fv / gv
-        L1 = num1 / gv ** 2
-        L2 = ((f2v * gv - fv * g2v) * gv - 2.0 * g1v * num1) / gv ** 3
-        return L, L1, L2
+        """(L, L', L'') at radius r; raises PoleError as ``L`` does."""
+        return tuple(self._off_poles(r, 2))
 
 
 def _polyval(coeffs_low_first, r):
@@ -113,13 +132,6 @@ def _polyval(coeffs_low_first, r):
 
 def _der(coeffs_low_first):
     return coeffs_low_first[1:] * np.arange(1, len(coeffs_low_first))
-
-
-def _polyval_derivatives(coeffs_low_first, r):
-    """Value, first and second derivative at r of a dense polynomial."""
-    d1 = _der(coeffs_low_first)
-    return (_polyval(coeffs_low_first, r), _polyval(d1, r),
-            _polyval(_der(d1), r))
 
 
 def distort(model, point):
@@ -217,9 +229,9 @@ def undistort_radii(model, rhats, search_max):
             step = np.where(np.abs(dh) > 1e-14,
                             (r * fv - target * gv) / dh, 0.0)
             r = np.clip(r - step, ends[piece], ends[piece + 1])
-        gv = _polyval(gc, r)
+        _, gv, pole = model.evaluate(r)
         resid = np.abs(r * _polyval(fc, r) / gv - target)
-    good = (resid <= RESIDUAL_RTOL * (1.0 + target)) & (np.abs(gv) >= POLE_EPS)
+    good = (resid <= RESIDUAL_RTOL * (1.0 + target)) & ~pole
     r_out[idx[good]] = r[good]
     return r_out, ~np.isnan(r_out)
 
@@ -264,22 +276,18 @@ def shape_check(model, shape, rbar, samples=2048, margin=0.1, tol=1e-9):
     if samples < 2:
         raise ValueError("samples must be at least 2 to hold both endpoints")
     rs = np.linspace(0.0, rbar, samples)
-    gv = _polyval(model.g_coeffs, rs)
+    Ls, gv, pole = model.evaluate(rs, 0 if shape == "positivity" else 2)
 
     if shape == "positivity":
         viol = np.maximum(margin - gv, 0.0)
     else:
-        safe = np.abs(gv) >= POLE_EPS
-        viol = np.full_like(rs, np.inf)
-        if safe.any():
-            sub = rs[safe]
-            _, L1, L2 = model.L_derivatives(sub)
-            if shape == "barrel":
-                v = np.maximum(np.maximum(L1, L2), 0.0)
-            else:
-                v = np.maximum(np.maximum(-L1, -L2), 0.0)
-                v = np.maximum(v, np.maximum(-gv[safe], 0.0))
-            viol[safe] = v
+        _, L1, L2 = Ls
+        if shape == "barrel":
+            viol = np.maximum(np.maximum(L1, L2), 0.0)
+        else:
+            viol = np.maximum(np.maximum(-L1, -L2), 0.0)
+            viol = np.maximum(viol, np.maximum(-gv, 0.0))
+        viol[pole] = np.inf
 
     max_violation = float(viol.max())
     violating = rs[viol > tol].tolist()

@@ -44,7 +44,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import calib
-from .distortion import (POLE_EPS, SHAPES, DistortionModel, shape_check,
+from .distortion import (KIND_INDICES, SHAPES, DistortionModel, shape_check,
                          undistort_points)
 
 
@@ -542,7 +542,7 @@ def ba_full(scene, cameras, kind):
     """
     x0, fun, unpack = _pose_problem(
         scene, cameras, DistortionModel.identity(kind),
-        calib.KIND_INDICES[kind], 0.0)
+        KIND_INDICES[kind], 0.0)
     p_opt = levenberg_marquardt(fun, x0)[0]
     cams, model = unpack(p_opt)
     return cams, model, reprojection_rms(scene, cams, model)
@@ -575,15 +575,16 @@ def _pixel_errors(P, pts, pix, valid, principal, model, free=None):
     ``pix[:, b]`` (coordinate first: (3, B, N) and (2, B, N)), of which
     ``valid[b]`` marks its own, and principal point ``principal[b]``.
     Returns ``ok`` (B,), whether camera b's residual is defined: finite
-    parameters, a positive focal, and every valid point at depth > 0 with
-    |g(r)| >= POLE_EPS; and the errors xy L(r) focal + principal - pix
-    (B, N, 2), in ``project``'s arithmetic, meaningless where not ``ok``.
-    Given ``free``, coefficient indices, also returns in closed form the
-    derivatives of the errors with respect to each camera's parameters,
-    then to ``model.k[free]`` (B, N, 2, 7 + len(free)).  The chain runs
-    through d(R X + t)/dv = -[R X]x J_l(v) and d(R X + t)/dt = I (Triggs et
-    al. 2000), the division by depth and L(r); the focal column is xy L
-    and the coefficient columns take the quotient rule on f / g.  The
+    parameters, a positive focal, and every valid point at depth > 0 and
+    off ``model.evaluate``'s poles; and the errors xy L(r) focal +
+    principal - pix (B, N, 2), in ``project``'s arithmetic, meaningless
+    where not ``ok``.  Given ``free``, coefficient indices, also returns in
+    closed form the derivatives of the errors with respect to each camera's
+    parameters, then to ``model.k[free]`` (B, N, 2, 7 + len(free)).  L, L'
+    and g come from one ``model.evaluate`` pass.  The chain runs through
+    d(R X + t)/dv = -[R X]x J_l(v) and d(R X + t)/dt = I (Triggs et al.
+    2000), the division by depth and L(r); the focal column is xy L and the
+    coefficient columns are r^j / g and -L r^j / g times xy focal.  The
     arithmetic is elementwise, with every sum in a fixed order, so a
     camera's values do not depend on the rest of the stack.
     """
@@ -595,20 +596,16 @@ def _pixel_errors(P, pts, pix, valid, principal, model, free=None):
     pc = q + P[:, 3:6].T[..., None]
     xy = pc[:2] / pc[2]
     r = np.hypot(xy[0], xy[1])
-    fc, gc = model.f_coeffs, model.g_coeffs
-    fv = np.polyval(fc[::-1], r)
-    gv = np.polyval(gc[::-1], r)
+    Ls, gv, pole = model.evaluate(r, int(free is not None))
     ok &= np.isfinite(P[:, 3:]).all(axis=1) & (P[:, 6] > 0)
-    ok &= ~(((pc[2] <= 0) | (np.abs(gv) < POLE_EPS)) & valid).any(axis=1)
-    L = fv / gv
+    ok &= ~(((pc[2] <= 0) | pole) & valid).any(axis=1)
+    L = Ls[0]
     focal = P[:, 6, None]
     xyL = xy * L
     err = xyL * focal + principal.T[..., None] - pix
     if free is None:
         return ok, err.transpose(1, 2, 0)
-    powers = np.arange(1, 4)
-    L1 = (np.polyval((fc[1:] * powers)[::-1], r) * gv
-          - fv * np.polyval((gc[1:] * powers)[::-1], r)) / gv ** 2
+    L1 = Ls[1]
     s = focal / pc[2]
     u = xy / np.where(r > 0, r, 1.0)                 # xy / r, 0 at r = 0
     D = np.empty((2, 7 + len(free)) + r.shape)

@@ -9,7 +9,7 @@ from shapecal.calib import (CalibConfig, assemble_cost,
                             solve_barrel, solve_pincushion,
                             solve_unconstrained, solve_zero_crossing,
                             write_correspondences)
-from shapecal.distortion import DistortionModel, shape_check
+from shapecal.distortion import KIND_INDICES, DistortionModel, shape_check
 
 from util import block_value, build_rows, common_root_mustache, \
     pincushion_feasible, synth_correspondences
@@ -133,7 +133,7 @@ def test_unconstrained_fit_runs_no_sdp(monkeypatch):
             # The pseudoinverse closed form is itself unreliable for the
             # ill-conditioned rational columns; it is not compared here.
             continue
-        idx = list(calib.KIND_INDICES[kind])
+        idx = list(KIND_INDICES[kind])
         Mr, mr = cost.M[np.ix_(idx, idx)], cost.m[idx]
         closed = cost.c - 0.25 * mr @ np.linalg.pinv(Mr) @ mr
         assert abs(res.objective - closed) <= 1e-12 * (1.0 + abs(closed))

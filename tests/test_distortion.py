@@ -2,12 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from shapecal.distortion import (DistortionModel, NoRootError, PoleError,
+from shapecal.distortion import (KIND_INDICES, KINDS, SHAPES,
+                                 DistortionModel, NoRootError, PoleError,
                                  distort, load_model, save_model,
                                  shape_check, undistort, undistort_points,
                                  undistort_radii)
 from shapecal.pipeline import DEFAULT_TRUE_MODELS
+
+from util import (reference_L_L1, reference_L_derivatives,
+                  reference_shape_check, same_bits)
 
 
 IDENTITY = DistortionModel.identity()
@@ -281,6 +286,64 @@ def test_L_derivatives_value_is_L_with_a_tiny_coefficient():
     assert np.array_equal(L, model.L(rs))
     assert not np.array_equal(
         L, DistortionModel("rational", (0, 0, 0, -0.1, 0, 0)).L(rs))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(KINDS),
+       rho=st.sampled_from([None, 0.5, 1.0, 2.0]),
+       samples=st.sampled_from([9, 257]))
+def test_evaluate_is_the_model_as_each_caller_stated_it(seed, kind, rho,
+                                                        samples):
+    # Random coefficients of the kind at several scales; with rho, a model
+    # with a denominator g = 1 - (r / rho)^2 that vanishes exactly at +-rho.
+    # The radii hold r = 0, the real parts of g's roots, +-rho and
+    # non-finite values, in random order.  Values, g, the pole mask, the
+    # PoleError radius and the shape reports equal the oracles' bit for
+    # bit.
+    rng = np.random.default_rng(seed)
+    k = np.zeros(6)
+    free = list(KIND_INDICES[kind])
+    k[free] = rng.normal(scale=rng.choice([0.05, 0.5, 3.0]), size=len(free))
+    if kind == "polynomial":
+        rho = None
+    elif rho is not None:
+        k[3:] = 0.0, -1.0 / rho ** 2, 0.0
+    model = DistortionModel(kind, tuple(k))
+    r = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan],
+                        [] if rho is None else [rho, -rho],
+                        np.roots(model.g_coeffs[::-1]).real,
+                        rng.uniform(-3.0, 3.0, 8)])
+    rng.shuffle(r)
+    L, L1, g, pole = reference_L_L1(model, r)
+    assert pole.any() or rho is None
+    for order in range(3):
+        values, g_out, pole_out = model.evaluate(r, order)
+        assert len(values) == order + 1
+        assert same_bits(g_out, g) and np.array_equal(pole_out, pole)
+        assert all(map(same_bits, values[:2], (L, L1)))
+    off_poles = reference_L_derivatives(model, r[~pole])
+    assert all(same_bits(v[~pole], w)
+               for v, w in zip(model.evaluate(r, 2)[0], off_poles))
+    for x in [r, *r]:
+        if not reference_L_L1(model, x)[3].any():
+            assert all(map(same_bits, model.L_derivatives(x),
+                           reference_L_derivatives(model, x)))
+            assert same_bits(model.L(x), model.L_derivatives(x)[0])
+            continue
+        with pytest.raises(PoleError) as want:
+            reference_L_derivatives(model, x)
+        for method in (model.L, model.L_derivatives):
+            with pytest.raises(PoleError) as got:
+                method(x)
+            assert same_bits(got.value.radius, want.value.radius)
+    rbar = 2.0 * (rho or 1.0)
+    for shape in SHAPES:
+        got = shape_check(model, shape, rbar, samples)
+        want = reference_shape_check(model, shape, rbar, samples)
+        assert got.violating_radii == want.violating_radii
+        assert same_bits(got.max_violation, want.max_violation)
+        assert (rho is None or shape == "positivity"
+                or got.max_violation == np.inf)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"),

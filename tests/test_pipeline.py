@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shapecal import calib, pipeline
-from shapecal.distortion import DistortionModel, shape_check
+from shapecal.distortion import KIND_INDICES, DistortionModel, shape_check
 from shapecal.pipeline import (Camera, ExperimentConfig, ExperimentReport,
                                SceneConfig, add_noise, aso_loop, ba_full,
                                ba_refine, bootstrap_poses, correspondences,
@@ -22,7 +22,7 @@ from shapecal.pipeline import (Camera, ExperimentConfig, ExperimentReport,
                                scene_from_json, scene_to_json,
                                validation_points, validation_rms)
 from util import (forward_step, num_jacobian, per_camera_normal_blocks,
-                  pose_block_jacobian, reference_pixel_errors,
+                  pose_block_jacobian, reference_pixel_errors, same_bits,
                   with_difference_normals)
 
 BARREL = pipeline.DEFAULT_TRUE_MODELS["barrel"]
@@ -259,7 +259,7 @@ START_MODELS = {
 def _ba_full_problem(scene, cams, kind, weight, model=None):
     """The joint problem's arguments and the problem itself."""
     args = (scene, cams, model or DistortionModel.identity(kind),
-            calib.KIND_INDICES[kind], weight)
+            KIND_INDICES[kind], weight)
     return args, pipeline._pose_problem(*args)
 
 
@@ -667,18 +667,9 @@ def test_ba_refine_batches_cameras_that_see_different_point_counts(weight):
     assert rms <= 1.0
 
 
-def _same_bits(a, b):
-    """Equal shapes and equal bits, signed zeros included; NaNs match NaNs
-    whatever their payload."""
-    nan = np.isnan(a)
-    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
-            and np.array_equal(a[~nan].view(np.int64),
-                               b[~nan].view(np.int64)))
-
-
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
-       kind=st.sampled_from(sorted(calib.KIND_INDICES)),
+       kind=st.sampled_from(sorted(KIND_INDICES)),
        derivatives=st.booleans(), behind=st.booleans(), pole=st.booleans(),
        focal=st.sampled_from([500.0, np.inf, -np.inf, np.nan]),
        unserved=st.booleans())
@@ -704,7 +695,7 @@ def test_pixel_errors_and_normal_blocks_match_their_oracles(
                          rng.uniform(4.0, 8.0, B), rng.uniform(400, 600, B)])
     principal = rng.uniform(300.0, 340.0, (B, 2))
     k = np.zeros(6)
-    free = list(calib.KIND_INDICES["rational" if pole else kind])
+    free = list(KIND_INDICES["rational" if pole else kind])
     k[free] = rng.uniform(-0.05, 0.05, len(free))
     if pole:
         # R = I, so the point's radius is 0.5 exactly and g(0.5) = 0.
@@ -724,7 +715,7 @@ def test_pixel_errors_and_normal_blocks_match_their_oracles(
     assert np.array_equal(ok, oracle[0])
     assert list(ok[1:4]) == [focal == 500.0, not behind, not pole]
     for a, b in zip(out[1:], oracle[1:]):
-        assert _same_bits(a, b)
+        assert same_bits(a, b)
     if derivatives:
         # As ``_camera_rows`` calls it: a camera that is not defined is not
         # served.
@@ -734,7 +725,7 @@ def test_pixel_errors_and_normal_blocks_match_their_oracles(
         for a, b in zip(pipeline._normal_blocks(out[1], out[2], served),
                         per_camera_normal_blocks(out[1], out[2], served),
                         strict=True):
-            assert _same_bits(a, b)
+            assert same_bits(a, b)
 
 
 def _refine_returning(monkeypatch, change):

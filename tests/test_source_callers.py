@@ -1,8 +1,10 @@
-"""Every function and class defined in ``src/shapecal`` has a caller there.
+"""Every function and class defined in ``src/shapecal`` has a caller there,
+and every name a module of it imports is read in that module.
 
 A name counts as referenced when some module of the package loads it as a
 bare name or reads it as an attribute.  Dunder methods are called by the
-language itself and are not checked.
+language itself and are not checked.  The package ``__init__`` imports
+only to re-export, so its imports are not checked.
 """
 
 import ast
@@ -24,6 +26,8 @@ ALLOWED = {
     "from_json": "reads back the report that `shapecal experiment` writes",
     "scene_from_json": "reads back the scene that `shapecal synth` writes",
     "add_equality": "bench/tracing.BUILDER_METHODS looks it up at install",
+    "L_derivatives": "public API: the raising form of evaluate(r, 2), which "
+                     "the curve command's test oracle calls",
 }
 
 
@@ -52,3 +56,24 @@ def test_the_allowlist_names_only_unreferenced_definitions():
     defined, referenced = _definitions_and_references()
     assert set(ALLOWED) <= defined
     assert sorted(set(ALLOWED) & referenced) == []
+
+
+def _unread_imports(path):
+    tree = ast.parse(path.read_text(), str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0]
+                         for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+def test_every_import_is_read_in_its_module():
+    unread = {path.name: _unread_imports(path)
+              for path in sorted(SRC.glob("*.py"))
+              if path.name != "__init__.py"}
+    assert {name: names for name, names in unread.items() if names} == {}

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 from shapecal import pipeline, sdp
 from shapecal.calib import Correspondence
-from shapecal.distortion import POLE_EPS, DistortionModel
+from shapecal.distortion import (POLE_EPS, DistortionModel, PoleError,
+                                 ShapeReport)
 from shapecal.poly import COEFF_EPS, Polynomial, PolyMatrix, basis
 
 
@@ -493,6 +494,85 @@ def _left_jacobians(V):
     return np.eye(3) + a[:, None, None] * hats + b[:, None, None] * vv
 
 
+def same_bits(a, b):
+    """Equal shapes and equal bits, signed zeros included; NaNs match NaNs
+    whatever their payload."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64),
+                               b[~nan].view(np.int64)))
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def reference_L_L1(model, r):
+    """L, L', g and the pole mask |g| < POLE_EPS at radii r, as
+    ``pipeline._pixel_errors`` once formed them inline: np.polyval of f, g
+    and their derivative coefficients, and the quotient rule.  An oracle
+    for ``DistortionModel.evaluate``; it does not raise."""
+    r = np.asarray(r, dtype=float)
+    fc, gc = model.f_coeffs, model.g_coeffs
+    fv = np.polyval(fc[::-1], r)
+    gv = np.polyval(gc[::-1], r)
+    powers = np.arange(1, 4)
+    L1 = (np.polyval((fc[1:] * powers)[::-1], r) * gv
+          - fv * np.polyval((gc[1:] * powers)[::-1], r)) / gv ** 2
+    return fv / gv, L1, gv, np.abs(gv) < POLE_EPS
+
+
+def _der(coeffs_low_first):
+    return coeffs_low_first[1:] * np.arange(1, len(coeffs_low_first))
+
+
+def _polyval_derivatives(coeffs_low_first, r):
+    """Value, first and second derivative at r of a dense polynomial."""
+    d1 = _der(coeffs_low_first)
+    return tuple(np.polyval(c[::-1], r)
+                 for c in (coeffs_low_first, d1, _der(d1)))
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def reference_L_derivatives(model, r):
+    """(L, L', L'') at r by the quotient rule on f and g, raising PoleError
+    at the first radius with |g| < POLE_EPS: ``DistortionModel.
+    L_derivatives`` as it stood with its own evaluation of f and g."""
+    r = np.asarray(r, dtype=float)
+    fv, f1v, f2v = _polyval_derivatives(model.f_coeffs, r)
+    gv, g1v, g2v = _polyval_derivatives(model.g_coeffs, r)
+    bad = np.abs(gv) < POLE_EPS
+    if np.any(bad):
+        raise PoleError(r[bad].flat[0] if r.ndim else float(r))
+    num1 = f1v * gv - fv * g1v
+    L = fv / gv
+    L1 = num1 / gv ** 2
+    L2 = ((f2v * gv - fv * g2v) * gv - 2.0 * g1v * num1) / gv ** 3
+    return L, L1, L2
+
+
+def reference_shape_check(model, shape, rbar, samples=2048, margin=0.1,
+                          tol=1e-9):
+    """``distortion.shape_check`` with its own pole masking: g on the grid,
+    then ``reference_L_derivatives`` on the radii with |g| >= POLE_EPS
+    only; the other radii violate by infinity."""
+    rs = np.linspace(0.0, rbar, samples)
+    gv = np.polyval(model.g_coeffs[::-1], rs)
+    if shape == "positivity":
+        viol = np.maximum(margin - gv, 0.0)
+    else:
+        safe = np.abs(gv) >= POLE_EPS
+        viol = np.full_like(rs, np.inf)
+        if safe.any():
+            _, L1, L2 = reference_L_derivatives(model, rs[safe])
+            if shape == "barrel":
+                v = np.maximum(np.maximum(L1, L2), 0.0)
+            else:
+                v = np.maximum(np.maximum(-L1, -L2), 0.0)
+                v = np.maximum(v, np.maximum(-gv[safe], 0.0))
+            viol[safe] = v
+    return ShapeReport(shape, float(rbar), int(samples), float(viol.max()),
+                       rs[viol > tol].tolist())
+
+
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def reference_pixel_errors(P, pts, pix, valid, principal, model, free=None):
     """The oracle for ``pipeline._pixel_errors``: the same arithmetic, one
@@ -506,19 +586,13 @@ def reference_pixel_errors(P, pts, pix, valid, principal, model, free=None):
     pc = q + P[:, 3:6].T[..., None]
     xy = pc[:2] / pc[2]
     r = np.hypot(xy[0], xy[1])
-    fc, gc = model.f_coeffs, model.g_coeffs
-    fv = np.polyval(fc[::-1], r)
-    gv = np.polyval(gc[::-1], r)
+    L, L1, gv, pole = reference_L_L1(model, r)
     ok &= np.isfinite(P[:, 3:]).all(axis=1) & (P[:, 6] > 0)
-    ok &= ~(((pc[2] <= 0) | (np.abs(gv) < POLE_EPS)) & valid).any(axis=1)
-    L = fv / gv
+    ok &= ~(((pc[2] <= 0) | pole) & valid).any(axis=1)
     focal = P[:, 6, None]
     err = xy * L * focal + principal.T[..., None] - np.moveaxis(pix, -1, 0)
     if free is None:
         return ok, np.moveaxis(err, 0, -1)
-    powers = np.arange(1, 4)
-    L1 = (np.polyval((fc[1:] * powers)[::-1], r) * gv
-          - fv * np.polyval((gc[1:] * powers)[::-1], r)) / gv ** 2
     s = focal / pc[2]
     u = xy / np.where(r > 0, r, 1.0)
     G = np.empty((2, 3) + r.shape)
