@@ -30,9 +30,11 @@ warned with the solver's status, and the result names the pass it ends on.
 
 All certificate equality systems are derived programmatically from the
 interval decomposition by one builder, ``_certificates``, and matched by
-``_matched``; the barrel and zero-crossing certificates depend only on rbar
-(and the margin) and are derived once per process.  The hand-eliminated
-closed forms are used only as cross-checks in the tests.
+``_matched``.  The certificates of all three shapes depend only on rbar (and
+the margin), so ``_shape_certificates`` derives each once per process; the
+matching runs on every call of a shape's systems, so a pincushion fit still
+matches and eliminates its systems per fit.  The hand-eliminated closed
+forms are used only as cross-checks in the tests.
 """
 
 from __future__ import annotations
@@ -72,16 +74,6 @@ class CalibrationError(RuntimeError):
     def __init__(self, message, status):
         super().__init__(message)
         self.status = status
-
-
-@dataclass(frozen=True)
-class Correspondence:
-    """One ideal/observed pair in normalized image units."""
-
-    x: float
-    y: float
-    xhat: float
-    yhat: float
 
 
 @dataclass
@@ -128,16 +120,9 @@ class CalibResult:
 
 
 def _as_array(data):
-    if isinstance(data, np.ndarray):
-        arr = np.asarray(data, dtype=float)
-    else:
-        rows = []
-        for c in data:
-            if isinstance(c, Correspondence):
-                rows.append((c.x, c.y, c.xhat, c.yhat))
-            else:
-                rows.append(tuple(c))
-        arr = np.asarray(rows, dtype=float)
+    if not isinstance(data, np.ndarray):
+        data = [tuple(c) for c in data]
+    arr = np.asarray(data, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 4:
         raise CalibDataError("correspondences must be rows of (x, y, xhat, yhat)")
     if not np.isfinite(arr).all():
@@ -288,33 +273,50 @@ def _matched(space, pairs):
                  for target, cert in pairs)
 
 
-@functools.cache
-def _barrel_certificates(rbar):
-    return _certificates(
-        ["k1", "k2", "k3"], rbar,
-        [(2, lambda space, r, ridx: -_model_f(space, r).derivative(ridx)),
-         (1, lambda space, r, ridx:
-          -_model_f(space, r).derivative(ridx).derivative(ridx))])
+def _pincushion_h(space, r, ridx):
+    g = _model_g(space, r)
+    g1 = g.derivative(ridx)
+    return 2 * (g1 * g1) - g * g1.derivative(ridx)
 
 
 @functools.cache
-def _zero_crossing_certificates(rbar, margin_p):
+def _shape_certificates(shape, rbar, margin_p=None):
+    """The ``_certificates`` derivation of a shape, once per process.
+
+    "barrel" certifies -f' and -f'', "positivity" g - margin_p, and
+    "pincushion" g, -g' and h = 2 g'^2 - g g'' (with the unknown ``margin``
+    last in the space, for the certificate-repair LMI).  The targets depend
+    on rbar and the margin only; callers only read what is returned.
+    """
+    if shape == "barrel":
+        return _certificates(
+            ["k1", "k2", "k3"], rbar,
+            [(2, lambda space, r, ridx: -_model_f(space, r).derivative(ridx)),
+             (1, lambda space, r, ridx:
+              -_model_f(space, r).derivative(ridx).derivative(ridx))])
+    if shape == "positivity":
+        return _certificates(
+            K_NAMES, rbar,
+            [(3, lambda space, r, ridx: _model_g(space, r) - margin_p)])
     return _certificates(
-        K_NAMES, rbar,
-        [(3, lambda space, r, ridx: _model_g(space, r) - margin_p)])
+        ["k4", "k5", "k6"], rbar,
+        [(3, lambda space, r, ridx: _model_g(space, r)),
+         (2, lambda space, r, ridx: -_model_g(space, r).derivative(ridx)),
+         (4, _pincushion_h)],
+        extra=["margin"])
 
 
 def barrel_systems(rbar):
     """Matching equalities for the barrel shape, derived symbolically.
 
     Returns (space, gram matrices, equalities) for the two targets -f' and
-    -f'' on [0, rbar], all tuples that callers only read.  The targets and
-    certificates depend on rbar only and are derived once per process.  The
+    -f'' on [0, rbar], all tuples that callers only read.  The certificates
+    come from ``_shape_certificates``, once per rbar and process.  The
     coefficient matching, about a fifth of a derivation, runs per call, so
     that every traced benchmark run still reaches
     ``certs.match_coefficients`` (``bench/tracing.py`` requires it).
     """
-    space, grams, pairs = _barrel_certificates(rbar)
+    space, grams, pairs = _shape_certificates("barrel", rbar)
     eqs1, eqs2 = _matched(space, pairs)
     return space, grams, eqs1 + eqs2
 
@@ -325,7 +327,7 @@ def zero_crossing_systems(rbar, margin_p):
     Derived as ``barrel_systems``: the certificate once per (rbar,
     margin_p) and process, the matching per call.
     """
-    space, grams, pairs = _zero_crossing_certificates(rbar, margin_p)
+    space, grams, pairs = _shape_certificates("positivity", rbar, margin_p)
     (eqs,) = _matched(space, pairs)
     return space, grams, eqs
 
@@ -428,12 +430,6 @@ PINCUSHION_PIVOTS = [
 ]
 
 
-def _pincushion_h(space, r, ridx):
-    g = _model_g(space, r)
-    g1 = g.derivative(ridx)
-    return 2 * (g1 * g1) - g * g1.derivative(ridx)
-
-
 def pincushion_systems(rbar):
     """Symbolic constraint set for the pincushion shape of the division model.
 
@@ -442,14 +438,11 @@ def pincushion_systems(rbar):
     interval certificate.  Returns the space, the Gram matrices (S1, T1, S2,
     T2, S3, T3), and the equality systems of g, -g' and h.  The space ends
     with the unknown ``margin``, which enters no system; the
-    certificate-repair LMI subtracts it from the Gram diagonals.
+    certificate-repair LMI subtracts it from a copy of the Gram diagonals.
+    As for ``barrel_systems``, the certificates are derived once per rbar
+    and process and the matching runs per call.
     """
-    space, grams, pairs = _certificates(
-        ["k4", "k5", "k6"], rbar,
-        [(3, lambda space, r, ridx: _model_g(space, r)),
-         (2, lambda space, r, ridx: -_model_g(space, r).derivative(ridx)),
-         (4, _pincushion_h)],
-        extra=["margin"])
+    space, grams, pairs = _shape_certificates("pincushion", rbar)
     return space, grams, _matched(space, pairs)
 
 

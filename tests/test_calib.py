@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from shapecal import calib, pipeline, sdp
+from shapecal import calib, certs, pipeline, relax, sdp
 from shapecal.calib import (CalibConfig, assemble_cost,
                             read_correspondences, residual_rms,
                             solve_barrel, solve_pincushion,
@@ -474,17 +474,16 @@ def test_pincushion_systems_built_once_per_fit(monkeypatch):
     assert calls == [1.0]
 
 
-@pytest.mark.parametrize("shape, systems, certificates, args", [
-    ("barrel", "barrel_systems", "_barrel_certificates", (1.0,)),
-    ("positivity", "zero_crossing_systems", "_zero_crossing_certificates",
-     (1.0, 0.1)),
+@pytest.mark.parametrize("shape, systems, args", [
+    ("barrel", "barrel_systems", (1.0,)),
+    ("positivity", "zero_crossing_systems", (1.0, 0.1)),
 ])
 def test_affine_shape_certificates_are_derived_once_per_process(
-        shape, systems, certificates, args):
+        shape, systems, args):
     # The certificates depend only on their arguments: a second call shares
     # the first call's space and Gram tuples and matches equal equalities,
     # and a fit on the shared certificates keeps its bits.
-    build, derive = getattr(calib, systems), getattr(calib, certificates)
+    build, derive = getattr(calib, systems), calib._shape_certificates
     data = synth_correspondences(
         DistortionModel("polynomial", (0.1, 0.05, 0, 0, 0, 0)), (0.02, 0.5),
         n=200, seed=5)
@@ -502,6 +501,69 @@ def test_affine_shape_certificates_are_derived_once_per_process(
     assert sdp.program_to_json(
         calib.shape_program(cost, shape, cfg)[0]) == fresh
     assert calib.solve_shape(cost, cfg).model.k == first.model.k
+
+
+def test_pincushion_certificates_are_derived_once_per_process(monkeypatch):
+    # Two fits at one rbar share one derivation of the three certificates,
+    # while each fit still builds its systems, matches the coefficients and
+    # eliminates the pivots.  The order-1 candidate of these data fails the
+    # moment-side certificate, so each fit also solves the repair LMI, which
+    # shifts the Gram diagonals.  The shared objects are only read: the
+    # PMI's order-1 relaxation and the fitted k equal those from a fresh
+    # derivation.
+    counts = {}
+
+    def count(module, name):
+        wrapped = getattr(module, name)
+        counts[name] = 0
+
+        def counting(*args, **kwargs):
+            counts[name] += 1
+            return wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    for module, name in [(calib, "_certificates"),
+                         (calib, "pincushion_systems"),
+                         (certs, "match_coefficients"),
+                         (certs, "eliminate"), (sdp, "solve")]:
+        count(module, name)
+    true = DistortionModel("division", (0, 0, 0, -0.08, 0.0, 0.0))
+    data = synth_correspondences(true, (0.02, 0.5), n=256, seed=2,
+                                 noise=1.0 / 540)
+    cost = assemble_cost(data)
+    cfg = CalibConfig(rbar=1.0, shape="pincushion", delta_max=1)
+
+    def order1_json():
+        pmi = calib.pincushion_pmi(cost, cfg)[0]
+        return sdp.program_to_json(relax.relax(pmi, 1)[0])
+
+    calib._shape_certificates.cache_clear()
+    fresh = order1_json()
+    fits, per_fit = [], []
+    for _ in range(2):
+        before = dict(counts)
+        fits.append(solve_pincushion(cost, cfg))
+        per_fit.append({n: c - before[n] for n, c in counts.items()})
+    # Two solves per fit: the order-1 relaxation and the repair LMI.
+    assert per_fit == [{"_certificates": 0, "pincushion_systems": 1,
+                        "match_coefficients": 3, "eliminate": 3,
+                        "solve": 2}] * 2
+    assert counts["_certificates"] == 1
+    assert calib._shape_certificates.cache_info().currsize == 1
+    space, grams, systems = calib.pincushion_systems(1.0)
+    again = calib.pincushion_systems(1.0)
+    assert again[0] is space and again[1] is grams
+    assert [[e.terms for e in eqs] for eqs in again[2]] == \
+        [[e.terms for e in eqs] for eqs in systems]
+    assert order1_json() == fresh
+
+    calib._shape_certificates.cache_clear()
+    refit = solve_pincushion(cost, cfg)
+    assert counts["_certificates"] == 2
+    assert [f.model.k for f in fits] == [refit.model.k] * 2
+    assert [f.lower_bound for f in fits] == [refit.lower_bound] * 2
+    assert refit.certified and refit.relaxation_pass == "order 1"
 
 
 def _pincushion_fit_failing_above_order1(monkeypatch, cfg):

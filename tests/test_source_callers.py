@@ -1,5 +1,7 @@
 """Every function and class defined in ``src/shapecal`` has a caller there,
-and every name a module of it imports is read in that module.
+every name a module of it imports is read in that module, and every class
+it defines is constructed or subclassed in ``src``, ``tests``, ``demos`` or
+``bench``.
 
 A name counts as referenced when some module of the package loads it as a
 bare name or reads it as an attribute.  Dunder methods are called by the
@@ -10,7 +12,10 @@ only to re-export, so its imports are not checked.
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "shapecal"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "shapecal"
+# The code that may construct a class of the package.
+USERS = [ROOT / "src", ROOT / "tests", ROOT / "demos", ROOT / "bench"]
 
 # The definitions kept without a reference in the package, each with why.
 DEMOS_AND_GATE = "public API: the demos and the acceptance gate call it"
@@ -77,3 +82,52 @@ def test_every_import_is_read_in_its_module():
               for path in sorted(SRC.glob("*.py"))
               if path.name != "__init__.py"}
     assert {name: names for name, names in unread.items() if names} == {}
+
+
+# The classes kept without a construction or subclass, each with why; none
+# at present.
+UNCONSTRUCTED = {}
+
+
+def _classes_and_uses():
+    """Class names defined in the package, and the names of every class
+    called (by name or as an attribute), subclassed, or called as ``cls``
+    in one of its own classmethods in the code of ``USERS``."""
+    defined, used = set(), set()
+    for path in sorted(p for d in USERS for p in d.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name):
+                    used.add(func.id)
+                elif isinstance(func, ast.Attribute):
+                    used.add(func.attr)
+            elif isinstance(node, ast.ClassDef):
+                if SRC in path.parents:
+                    defined.add(node.name)
+                used |= {b.id if isinstance(b, ast.Name) else b.attr
+                         for b in node.bases
+                         if isinstance(b, (ast.Name, ast.Attribute))}
+                used |= _classmethod_constructions(node)
+    return defined, used
+
+
+def _classmethod_constructions(cls_node):
+    """{the class's name} when one of its classmethods calls its first
+    argument, as ``SymbolicGram.create`` calls ``cls``; else empty."""
+    for fn in cls_node.body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.args.args
+                and any(isinstance(d, ast.Name) and d.id == "classmethod"
+                        for d in fn.decorator_list)):
+            continue
+        first = fn.args.args[0].arg
+        if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+               and n.func.id == first for n in ast.walk(fn)):
+            return {cls_node.name}
+    return set()
+
+
+def test_every_class_is_constructed_or_subclassed():
+    defined, used = _classes_and_uses()
+    assert sorted(defined - used) == sorted(UNCONSTRUCTED)

@@ -10,7 +10,6 @@ from scipy.linalg.lapack import dpftrs, dtfttr, dtrttf
 from dataclasses import dataclass
 
 from shapecal import pipeline, sdp
-from shapecal.calib import Correspondence
 from shapecal.distortion import (POLE_EPS, DistortionModel, PoleError,
                                  ShapeReport)
 from shapecal.poly import COEFF_EPS, Polynomial, PolyMatrix, basis
@@ -38,10 +37,7 @@ def build_rows(corr):
     model layout: numerator coefficients negated on the ideal point,
     denominator coefficients on the observed point.
     """
-    if isinstance(corr, Correspondence):
-        x, y, xh, yh = corr.x, corr.y, corr.xhat, corr.yhat
-    else:
-        x, y, xh, yh = (float(v) for v in corr)
+    x, y, xh, yh = (float(v) for v in corr)
     r = math.hypot(x, y)
     powers = np.array([r, r ** 2, r ** 3])
     A = np.zeros((2, 6))
