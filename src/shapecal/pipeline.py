@@ -37,6 +37,7 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import numbers
 import os
 import signal
 from dataclasses import asdict, dataclass, field, replace
@@ -881,34 +882,43 @@ DEFAULT_TRUE_MODELS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One BA / SO / ASO experiment on scenes distorted by
+    ``DEFAULT_TRUE_MODELS[shape]``."""
+
     shape: str = "barrel"
     sigmas: tuple = (0.0, 0.5, 1.0, 1.5, 2.0)
     trials: int = 20
     seed: int = 0
     scene: SceneConfig = field(default_factory=SceneConfig)
-    true_model: DistortionModel | None = None
     rbar: float = 1.0
     margin_p: float = 0.1
     aso_iterations: int = 10
 
     def __post_init__(self):
+        # Refuse up front a run with no jobs and what each job would refuse.
         if self.shape not in SHAPES:
             raise ValueError(f"unknown shape {self.shape!r}")
+        if not self.sigmas:
+            raise ValueError("need at least one sigma")
         if not all(0 <= s < math.inf for s in self.sigmas):
             raise ValueError("sigmas must be nonnegative and finite")
+        if not isinstance(self.scene, SceneConfig):
+            raise ValueError("scene must be a SceneConfig")
+        for name in ("trials", "seed", "aso_iterations"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        # Every trial's fit and ASO loop take this configuration: refuse up
-        # front what they would refuse in each trial.
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.aso_iterations < 1:
             raise ValueError("need at least one ASO iteration")
-        calib.CalibConfig(rbar=self.rbar, margin_p=self.margin_p,
-                          shape=self.shape)
-
-    def resolved_model(self):
-        return self.true_model or DEFAULT_TRUE_MODELS[self.shape]
+        # Every trial's fits and ASO loop take it; not a field, so it stays
+        # out of asdict(self), and the fields it reads are frozen.
+        object.__setattr__(self, "calib_config", calib.CalibConfig(
+            rbar=self.rbar, margin_p=self.margin_p, shape=self.shape))
 
 
 @dataclass
@@ -958,43 +968,36 @@ class ExperimentReport:
 
 
 def _one_trial(cfg, sigma, trial):
-    model_true = cfg.resolved_model()
     seed = int(np.random.SeedSequence((cfg.seed, trial)).generate_state(1)[0])
-    scene = generate_scene(cfg.scene, model_true, seed)
+    scene = generate_scene(cfg.scene, DEFAULT_TRUE_MODELS[cfg.shape], seed)
     noisy = add_noise(scene, sigma)
-    kind = calib.SHAPE_KINDS[cfg.shape]
-    ccfg = calib.CalibConfig(rbar=cfg.rbar, margin_p=cfg.margin_p,
-                             shape=cfg.shape)
     val_points = validation_points(scene)
 
     cams_init = bootstrap_poses(noisy, seed)
-
-    records = []
-
-    def record(method, cameras, model):
-        report = shape_check(model, cfg.shape, cfg.rbar,
-                             margin=cfg.margin_p)
-        records.append({
-            "method": method,
-            "sigma": float(sigma),
-            "trial": int(trial),
-            "calib_rms": reprojection_rms(noisy, cameras, model),
-            "valid_rms": validation_rms(val_points, cameras, model),
-            "shape_violations": len(report.violating_radii),
-        })
-
-    cams_ba, model_ba, _ = ba_full(noisy, cams_init, kind)
-    record("BA", cams_ba, model_ba)
-
+    cams_ba, model_ba, rms_ba = ba_full(noisy, cams_init,
+                                        calib.SHAPE_KINDS[cfg.shape])
     cost_so = calib.assemble_cost(correspondences(noisy, cams_ba))
-    so = calib.solve_shape(cost_so, ccfg)
-    if so.model is not None:
-        record("SO", cams_ba, so.model)
+    so = calib.solve_shape(cost_so, cfg.calib_config)
+    aso, cams_aso, _ = aso_loop(noisy, cams_ba, cfg.calib_config, so,
+                                cfg.aso_iterations)
 
-    aso, cams_aso, _ = aso_loop(noisy, cams_ba, ccfg, so, cfg.aso_iterations)
-    if aso.model is not None:
-        record("ASO", cams_aso, aso.model)
-    return records
+    # (method, cameras, model, calibration RMS, shape report) per record; SO
+    # and ASO take their fit's shape_report, the same shape_check of its
+    # model on cfg.rbar and cfg.margin_p.
+    rows = [("BA", cams_ba, model_ba, rms_ba,
+             shape_check(model_ba, cfg.shape, cfg.rbar, margin=cfg.margin_p))]
+    rows += [(method, cams, fit.model,
+              reprojection_rms(noisy, cams, fit.model), fit.shape_report)
+             for method, cams, fit in (("SO", cams_ba, so),
+                                       ("ASO", cams_aso, aso))
+             if fit.model is not None]
+    return [{"method": method,
+             "sigma": float(sigma),
+             "trial": int(trial),
+             "calib_rms": rms,
+             "valid_rms": validation_rms(val_points, cams, model),
+             "shape_violations": len(report.violating_radii)}
+            for method, cams, model, rms, report in rows]
 
 
 # Environment variables OpenBLAS takes its thread count from, in the order
@@ -1137,23 +1140,16 @@ def run_experiment(cfg):
         else:
             errors.append({"sigma": sigma, "trial": trial, "error": error})
 
-    config_doc = {
-        "shape": cfg.shape,
-        "sigmas": list(cfg.sigmas),
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "rbar": cfg.rbar,
-        "margin_p": cfg.margin_p,
-        "delta_max": calib.CalibConfig.delta_max,
-        "aso_iterations": cfg.aso_iterations,
+    model = DEFAULT_TRUE_MODELS[cfg.shape]
+    config_doc = asdict(cfg) | {
+        "sigmas": list(cfg.sigmas),  # as a report reads back from JSON
+        "delta_max": cfg.calib_config.delta_max,
         "validation_grid": VALIDATION_GRID,
-        "true_model": {"kind": cfg.resolved_model().kind,
-                       "k": list(cfg.resolved_model().k)},
-        # Reports written so far carry no target spacing; keep their bytes.
-        "scene": {k: v for k, v in asdict(cfg.scene).items()
-                  if k != "spacing"},
+        "true_model": {"kind": model.kind, "k": list(model.k)},
         "errors": errors,
     }
+    # Reports written so far carry no target spacing; keep their bytes.
+    del config_doc["scene"]["spacing"]
     return ExperimentReport(config_doc, records)
 
 

@@ -84,15 +84,12 @@ class Polynomial:
             return 0
         return max(sum(a) for a in self.terms)
 
-    def univariate_coeffs(self, length=None):
+    def univariate_coeffs(self):
         """Dense coefficient vector for a univariate polynomial, low degree first."""
         if self.dim != 1:
             raise ValueError("univariate_coeffs requires dim == 1")
-        n = self.degree + 1 if length is None else length
-        out = np.zeros(n)
+        out = np.zeros(self.degree + 1)
         for (e,), c in self.terms.items():
-            if e >= n:
-                raise ValueError("requested length too small for polynomial degree")
             out[e] = c
         return out
 

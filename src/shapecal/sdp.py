@@ -339,9 +339,9 @@ class LmiBuilder:
             self.names.append(name)
         return self.index[name]
 
-    def set_cost(self, coefficients, constant=0.0):
+    def set_cost(self, coefficients):
         self._cost = ({self.variable(n): float(c)
-                       for n, c in coefficients.items()}, float(constant))
+                       for n, c in coefficients.items()}, 0.0)
 
     def add_block(self, block):
         self._blocks.append(block)
@@ -752,9 +752,11 @@ class _SparseCoeffs:
             run = slice(j, j + step)
             k = min(j + step, live.size)
             lo = indptr[j]
-            suffix = sparse.csr_matrix(
-                (data[lo:], indices[lo:], indptr[j:] - lo),
-                shape=(live.size - j, m * m))
+            # Assigned, not passed in: the constructor copies a view
+            # shorter than half of its base.
+            suffix = sparse.csr_matrix((live.size - j, m * m))
+            suffix.data, suffix.indices = data[lo:], indices[lo:]
+            suffix.indptr = indptr[j:] - lo
             if live.size < q:
                 runs.append((run, suffix,
                              _packed_index(live[j:, None], live[run], q), ()))

@@ -4,7 +4,7 @@ import multiprocessing
 import os
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -21,8 +21,9 @@ from shapecal.pipeline import (Camera, ExperimentConfig, ExperimentReport,
                                rodrigues, rodrigues_inverse, run_experiment,
                                scene_from_json, scene_to_json,
                                validation_points, validation_rms)
-from util import (forward_step, num_jacobian, per_camera_normal_blocks,
-                  pose_block_jacobian, reference_pixel_errors, same_bits,
+from util import (experiment_config_doc, forward_step, num_jacobian,
+                  per_camera_normal_blocks, pose_block_jacobian,
+                  reference_one_trial, reference_pixel_errors, same_bits,
                   with_difference_normals)
 
 BARREL = pipeline.DEFAULT_TRUE_MODELS["barrel"]
@@ -1019,10 +1020,66 @@ def test_experiment_report_roundtrip_and_csv():
     ({"margin_p": 1.5}, "margin_p must lie strictly between 0 and 1"),
     ({"trials": 0}, "need at least one trial"),
     ({"aso_iterations": 0}, "need at least one ASO iteration"),
+    ({"aso_iterations": 2.5}, "aso_iterations must be an integer"),
+    ({"trials": 2.5}, "trials must be an integer"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"seed": -1}, "seed must be nonnegative"),
+    ({"sigmas": ()}, "need at least one sigma"),
+    ({"scene": {"cameras": 3}}, "scene must be a SceneConfig"),
 ])
 def test_experiment_config_rejects_what_it_cannot_run(kwargs, message):
     with pytest.raises(ValueError, match=message):
         ExperimentConfig(**kwargs)
+
+
+def test_experiment_config_holds_the_calib_config_of_its_fields():
+    # Its fields are frozen, so the CalibConfig built from them cannot go
+    # stale; replace builds a new one.
+    cfg = ExperimentConfig(shape="positivity", rbar=0.8, margin_p=0.2)
+    assert cfg.calib_config == calib.CalibConfig(rbar=0.8, margin_p=0.2,
+                                                 shape="positivity")
+    with pytest.raises(FrozenInstanceError):
+        cfg.rbar = 2.0
+    assert replace(cfg, rbar=2.0).calib_config.rbar == 2.0
+
+
+def test_experiment_report_config_matches_the_field_by_field_oracle(
+        monkeypatch):
+    scene = SceneConfig(target_rows=5, target_cols=7, spacing=0.5, cameras=2,
+                        image_width=320, image_height=200, focal=300.0,
+                        coverage=0.4, polar_max_deg=30.0)
+    cfg = ExperimentConfig(shape="positivity", sigmas=(0.25, 3.0), trials=2,
+                           seed=9, scene=scene, rbar=0.8, margin_p=0.2,
+                           aso_iterations=3)
+    for obj in (cfg, scene):
+        for f in fields(obj):
+            default = f.default_factory() if f.default is MISSING \
+                else f.default
+            assert getattr(obj, f.name) != default, f.name
+
+    def one_trial(cfg, sigma, trial):
+        if trial == 1:
+            raise RuntimeError("injected failure")
+        return []
+
+    monkeypatch.setattr(pipeline, "_one_trial", one_trial)
+    monkeypatch.setattr(pipeline, "_process_count", lambda jobs: 1)
+    report = run_experiment(cfg)
+    assert len(report.config["errors"]) == 2
+    assert report.config == experiment_config_doc(cfg, report.config["errors"])
+
+
+@pytest.mark.parametrize("shape", ["barrel", "pincushion", "positivity"])
+def test_trial_records_match_the_recomputing_oracle_bit_for_bit(shape):
+    # Each record takes BA's calibration RMS from ba_full and the SO and
+    # ASO shape checks from their fits' reports.
+    cfg = ExperimentConfig(shape=shape, sigmas=(1.0,), trials=1, seed=3,
+                           aso_iterations=2,
+                           scene=SceneConfig(target_rows=6, target_cols=6,
+                                             cameras=3))
+    records = pipeline._one_trial(cfg, 1.0, 0)
+    assert [r["method"] for r in records] == ["BA", "SO", "ASO"]
+    assert json.dumps(records) == json.dumps(reference_one_trial(cfg, 1.0, 0))
 
 
 @pytest.mark.parametrize("procs", [1, 2, 3])

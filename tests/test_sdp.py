@@ -595,6 +595,21 @@ def test_runs_straddling_the_packed_fold_match_the_full_range_oracle(
         assert M[:-1].tobytes() == packed(M_ref).tobytes()
 
 
+def test_run_suffixes_are_views_of_the_live_rows(monkeypatch):
+    # scipy's CSR constructor copies a data or indices view shorter than
+    # half of its base; each run's suffix shares live_csr's entries.
+    program = _random_sparse_program(np.random.default_rng(3), False)
+    A = _coeffs(program, "sparse")[0]
+    monkeypatch.setattr(sdp, "SCHUR_CHUNK_ENTRIES", 3 * A.m ** 2)
+    A = sdp._SparseCoeffs(A.csr, A.m)
+    rows = A.live_csr
+    assert any(2 * suffix.nnz < rows.nnz for _, suffix, *_ in A.runs)
+    for run, suffix, *_ in A.runs:
+        assert np.shares_memory(suffix.data, rows.data)
+        assert np.shares_memory(suffix.indices, rows.indices)
+        assert np.array_equal(suffix.toarray(), rows[run.start:].toarray())
+
+
 def test_sparse_schur_shares_hold_little_beside_m(bench_escalating_set):
     # One pass over the bench set's eight order-2 blocks, their run layouts
     # built: each run holds at most SCHUR_CHUNK_ENTRIES of X_j, a copy of

@@ -7,11 +7,11 @@ import numpy as np
 import scipy.sparse
 from scipy.linalg.lapack import dpftrs, dtfttr, dtrttf
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from shapecal import pipeline, sdp
+from shapecal import calib, pipeline, sdp
 from shapecal.distortion import (POLE_EPS, DistortionModel, PoleError,
-                                 ShapeReport)
+                                 ShapeReport, shape_check)
 from shapecal.poly import COEFF_EPS, Polynomial, PolyMatrix, basis
 
 
@@ -622,3 +622,70 @@ def per_camera_normal_blocks(err, D, counts):
         H[b] = x @ x.T + y @ y.T
         g[b] = x @ ex + y @ ey
     return H, g
+
+
+def experiment_config_doc(cfg, errors):
+    """The oracle for ``run_experiment``'s config block: every entry
+    written out from ``cfg``, with the run's ``errors``."""
+    model = pipeline.DEFAULT_TRUE_MODELS[cfg.shape]
+    return {
+        "shape": cfg.shape,
+        "sigmas": list(cfg.sigmas),
+        "trials": cfg.trials,
+        "seed": cfg.seed,
+        "rbar": cfg.rbar,
+        "margin_p": cfg.margin_p,
+        "delta_max": calib.CalibConfig.delta_max,
+        "aso_iterations": cfg.aso_iterations,
+        "validation_grid": pipeline.VALIDATION_GRID,
+        "true_model": {"kind": model.kind,
+                       "k": list(model.k)},
+        # Reports written so far carry no target spacing; keep their bytes.
+        "scene": {k: v for k, v in asdict(cfg.scene).items()
+                  if k != "spacing"},
+        "errors": errors,
+    }
+
+
+def reference_one_trial(cfg, sigma, trial):
+    """The oracle for ``pipeline._one_trial``: each record recomputes its
+    calibration RMS and shape check from its cameras and model, and the
+    fits take a ``CalibConfig`` built for the trial."""
+    model_true = pipeline.DEFAULT_TRUE_MODELS[cfg.shape]
+    seed = int(np.random.SeedSequence((cfg.seed, trial)).generate_state(1)[0])
+    scene = pipeline.generate_scene(cfg.scene, model_true, seed)
+    noisy = pipeline.add_noise(scene, sigma)
+    kind = calib.SHAPE_KINDS[cfg.shape]
+    ccfg = calib.CalibConfig(rbar=cfg.rbar, margin_p=cfg.margin_p,
+                             shape=cfg.shape)
+    val_points = pipeline.validation_points(scene)
+
+    cams_init = pipeline.bootstrap_poses(noisy, seed)
+
+    records = []
+
+    def record(method, cameras, model):
+        report = shape_check(model, cfg.shape, cfg.rbar,
+                             margin=cfg.margin_p)
+        records.append({
+            "method": method,
+            "sigma": float(sigma),
+            "trial": int(trial),
+            "calib_rms": pipeline.reprojection_rms(noisy, cameras, model),
+            "valid_rms": pipeline.validation_rms(val_points, cameras, model),
+            "shape_violations": len(report.violating_radii),
+        })
+
+    cams_ba, model_ba, _ = pipeline.ba_full(noisy, cams_init, kind)
+    record("BA", cams_ba, model_ba)
+
+    cost_so = calib.assemble_cost(pipeline.correspondences(noisy, cams_ba))
+    so = calib.solve_shape(cost_so, ccfg)
+    if so.model is not None:
+        record("SO", cams_ba, so.model)
+
+    aso, cams_aso, _ = pipeline.aso_loop(noisy, cams_ba, ccfg, so,
+                                         cfg.aso_iterations)
+    if aso.model is not None:
+        record("ASO", cams_aso, aso.model)
+    return records
