@@ -446,21 +446,20 @@ def pincushion_systems(rbar):
     return space, grams, _matched(space, pairs)
 
 
-def _embed(p, src_space, dst_names):
-    """Re-express a polynomial over a smaller named variable list."""
-    pos = [dst_names.index(n) if n in dst_names else None
-           for n in src_space.names]
-    terms = {}
-    for alpha, cval in p.terms.items():
-        beta = [0] * len(dst_names)
-        for i, e in enumerate(alpha):
-            if not e:
-                continue
-            if pos[i] is None:
-                raise ValueError("polynomial involves a dropped variable")
-            beta[pos[i]] = e
-        terms[tuple(beta)] = cval
-    return Polynomial(len(dst_names), terms)
+def _embedding(src_space, dst_names):
+    """Re-expressing over a smaller named variable list, as a function of
+    one polynomial; the name positions are found once."""
+    pos = [src_space.index.get(n) for n in dst_names]
+    dropped = [i for i, n in enumerate(src_space.names) if n not in dst_names]
+
+    def embed(p):
+        if any(alpha[i] for alpha in p.terms for i in dropped):
+            raise ValueError("polynomial involves a dropped variable")
+        return Polynomial(len(dst_names), {
+            tuple(0 if i is None else alpha[i] for i in pos): c
+            for alpha, c in p.terms.items()})
+
+    return embed
 
 
 def pincushion_pmi(cost, cfg):
@@ -470,11 +469,13 @@ def pincushion_pmi(cost, cfg):
     coefficients and a free certificate entry per system remain), which
     keeps the polynomial matrix degree at two and the variable count at
     eleven; escalation of the relaxation order stays tractable that way.
-    Returns (PmiProgram, cost scale, repair); gamma is the last variable and
-    measures the residual divided by the scale.  ``repair(k_div)``
-    tells whether certificate entries exist that make every constraint hold
-    at the division coefficients ``k_div`` exactly, reusing the same
-    symbolic system.
+    Each Gram entry is one unknown, lifted by lookup: a pivot takes the
+    expression ``certs.eliminate`` returned for it, any other entry stays
+    itself.  Returns (PmiProgram, cost scale, repair); gamma is the last
+    variable and measures the residual divided by the scale.
+    ``repair(k_div)`` tells whether certificate entries exist that make
+    every constraint hold at the division coefficients ``k_div`` exactly,
+    reusing the same symbolic system.
     """
     space, grams, systems = pincushion_systems(cfg.rbar)
     substitution = {}
@@ -493,9 +494,11 @@ def pincushion_pmi(cost, cfg):
         entries[i, j] = entries[i, j] + Polynomial.variable(dim, v) * a
     constraints = [PolyMatrix(entries + epi.constant)]
 
+    embed = _embedding(space, pmi_names)
+
     def lift(p):
-        return _embed(certs.substitute_all(p, substitution, space), space,
-                      pmi_names)
+        (alpha,) = p.terms
+        return embed(substitution.get(space.names[alpha.index(1)], p))
 
     constraints += [PolyMatrix([[lift(p) for p in row] for row in G.entries])
                     for G in grams]

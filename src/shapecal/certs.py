@@ -241,10 +241,9 @@ def match_coefficients(target, cert_poly, space, r_name):
     curvature combination of the division model).
     """
     r_idx = space.index[r_name]
-    diff = target - cert_poly
-    by_power = diff.collect(r_idx)
-    t_deg = max(list(target.collect(r_idx)) + [0])
-    c_deg = max(list(cert_poly.collect(r_idx)) + [0])
+    by_power = (target - cert_poly).collect(r_idx)
+    t_deg = max((alpha[r_idx] for alpha in target.terms), default=0)
+    c_deg = max((alpha[r_idx] for alpha in cert_poly.terms), default=0)
     if c_deg < t_deg:
         raise ValueError(
             f"certificate degree budget {c_deg} below target degree {t_deg}")
@@ -296,10 +295,3 @@ def eliminate(equalities, pivots, space):
         out[name] = expr
     return out
 
-
-def substitute_all(p, substitution, space):
-    """Apply a {name: Polynomial} substitution map to a polynomial."""
-    out = p
-    for name, expr in substitution.items():
-        out = out.substitute(space.index[name], expr)
-    return out

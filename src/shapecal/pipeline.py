@@ -69,9 +69,12 @@ class SceneConfig:
             raise ValueError("target must be at least 2x2")
         if self.cameras < 1:
             raise ValueError("need at least one camera")
-        for name in ("spacing", "focal", "coverage"):
+        for name in ("spacing", "focal", "coverage", "image_width",
+                     "image_height"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.polar_max_deg < math.inf:
+            raise ValueError("polar_max_deg must be non-negative and finite")
 
 
 @dataclass

@@ -592,13 +592,12 @@ def _eliminate_equalities(program):
                 active[r] = False
             elif len(nz) == 1:
                 i = nz[0]
-                val = -f[r] / E[r, i]
-                if pinned[i] and abs(z0[i] - val) > 1e-8 * (1 + abs(val)):
-                    return z0, None
-                z0[i] = val
+                # Pinning zeroes column i in every active row, so no row pins
+                # i twice: a contradicting pin ends as an all-zero row above.
+                z0[i] = -f[r] / E[r, i]
                 pinned[i] = True
                 active[r] = False
-                f[active] += E[active, i] * val
+                f[active] += E[active, i] * z0[i]
                 E[active, i] = 0.0
                 changed = True
 
@@ -641,7 +640,8 @@ class _DenseCoeffs:
 
     def __init__(self, A):
         self.A = A
-        self.flat = A.reshape(A.shape[0], -1)
+        # Sizes spelled out: reshape cannot infer a -1 when q is 0.
+        self.flat = A.reshape(A.shape[0], A.shape[1] * A.shape[2])
 
     def magnitude(self):
         """Largest |entry| of each A_i."""

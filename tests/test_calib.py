@@ -10,9 +10,10 @@ from shapecal.calib import (CalibConfig, assemble_cost,
                             solve_unconstrained, solve_zero_crossing,
                             write_correspondences)
 from shapecal.distortion import KIND_INDICES, DistortionModel, shape_check
+from shapecal.poly import PolyMatrix
 
 from util import block_value, build_rows, common_root_mustache, \
-    pincushion_feasible, synth_correspondences
+    pincushion_feasible, same_bits, substitute_all, synth_correspondences
 
 
 def test_build_rows_zero_radius():
@@ -614,6 +615,21 @@ def test_pincushion_repair_matches_direct_feasibility():
         assert not repair(np.array(k_div))
 
 
+def test_solve_shape_sends_shape_none_to_the_unconstrained_fit(monkeypatch):
+    data = synth_correspondences(common_root_mustache(), (0.05, 0.9), n=80,
+                                 seed=4)
+    cost = assemble_cost(data)
+    cfg = CalibConfig(rbar=1.0, shape="none")
+    want = solve_unconstrained(cost)
+    got = calib.solve_shape(cost, cfg)
+    assert got.model == want.model and got.solver_status == "optimal"
+    assert same_bits(got.objective, want.objective)
+    routed = []
+    monkeypatch.setattr(calib, "solve_unconstrained",
+                        lambda c: routed.append(c) or want)
+    assert calib.solve_shape(cost, cfg) is want and routed == [cost]
+
+
 def test_pincushion_pmi_epigraph_is_the_sdp_epigraph_block():
     true = DistortionModel("division", (0, 0, 0, -0.08, 0.0, 0.0))
     data = synth_correspondences(true, (0.02, 0.5), n=100, seed=6,
@@ -631,3 +647,33 @@ def test_pincushion_pmi_epigraph_is_the_sdp_epigraph_block():
         assert np.allclose(pmi.constraints[0].eval(z), block_value(block, z),
                            rtol=0.0, atol=1e-12)
     assert pmi.cost.eval(z) == z[-1]
+
+
+@pytest.mark.parametrize("rbar", [1.0, 0.7])
+def test_pincushion_pmi_lifts_gram_entries_as_the_substitution_route(rbar):
+    # The lookup lift of each Gram entry must hold the terms that applying
+    # every pivot substitution in turn gives: the same keys, in the same
+    # order, with the same coefficient bits.
+    true = DistortionModel("division", (0, 0, 0, -0.08, 0.0, 0.0))
+    data = synth_correspondences(true, (0.02, 0.5), n=100, seed=6,
+                                 noise=1e-3)
+    pmi, _, _ = calib.pincushion_pmi(
+        assemble_cost(data), CalibConfig(rbar=rbar, shape="pincushion"))
+    space, grams, systems = calib.pincushion_systems(rbar)
+    substitution = {}
+    for eqs, pivots in zip(systems, calib.PINCUSHION_PIVOTS):
+        substitution.update(certs.eliminate(eqs, pivots, space))
+    dropped = {"r", "margin"}.union(*calib.PINCUSHION_PIVOTS)
+    names = [n for n in space.names if n not in dropped] + ["gamma"]
+    embed = calib._embedding(space, names)
+    expected = [PolyMatrix([[embed(substitute_all(p, substitution, space))
+                             for p in row] for row in G.entries])
+                for G in grams]
+    assert pmi.dim == len(names)
+    assert len(pmi.constraints) == 1 + len(expected) == 7
+    for got, want in zip(pmi.constraints[1:], expected):
+        assert list(got.terms) == list(want.terms)
+        for beta, C in got.terms.items():
+            assert same_bits(C, want.terms[beta])
+    with pytest.raises(ValueError, match="involves a dropped variable"):
+        embed(space.var("k4") * space.var("s11"))

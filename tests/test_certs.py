@@ -7,7 +7,7 @@ from shapecal.certs import (GramMatrix, IntervalCertificate, SymbolicGram,
                             gram_to_poly, match_coefficients,
                             symbolic_certificate)
 from shapecal.poly import Polynomial
-from util import from_univariate
+from util import from_univariate, substitute_all
 
 
 def test_gram_to_poly_single_entry():
@@ -140,8 +140,8 @@ def test_barrel_second_gram_substitutions():
                               space, "r")
     sub_k = eliminate(eqs1, ["k1", "k2", "k3"], space)
     sub_2 = eliminate(eqs2, ["s21", "t21"], space)
-    s21 = certs.substitute_all(sub_2["s21"], sub_k, space)
-    t21 = certs.substitute_all(sub_2["t21"], sub_k, space)
+    s21 = substitute_all(sub_2["s21"], sub_k, space)
+    t21 = substitute_all(sub_2["t21"], sub_k, space)
     s12, s13, t11 = (space.var(n) for n in ("s12", "s13", "t11"))
     assert s21.almost_equal((2 * s12 + 2 * rbar * s13 - rbar * t11)
                             * (1.0 / rbar), tol=1e-11)

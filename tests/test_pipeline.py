@@ -1,6 +1,7 @@
 import json
 import math
 import multiprocessing
+import operator
 import os
 import time
 import tracemalloc
@@ -68,11 +69,26 @@ def test_rodrigues_roundtrip_within_1e_3_of_pi(axis):
         assert np.abs(rodrigues(rodrigues_inverse(R)) - R).max() <= 1e-9
 
 
-@pytest.mark.parametrize("field", ["spacing", "focal", "coverage"])
+@pytest.mark.parametrize("field", ["spacing", "focal", "coverage",
+                                   "image_width", "image_height"])
 @pytest.mark.parametrize("value", [0.0, -0.5, np.inf, np.nan])
 def test_scene_config_rejects_what_generate_scene_cannot_use(field, value):
     with pytest.raises(ValueError, match=f"{field} must be positive"):
         SceneConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [-30.0, np.inf, np.nan])
+def test_scene_config_refuses_a_polar_limit_no_scene_can_use(value):
+    with pytest.raises(ValueError,
+                       match="polar_max_deg must be non-negative and finite"):
+        SceneConfig(polar_max_deg=value)
+
+
+def test_scene_config_takes_a_zero_polar_limit():
+    scene = generate_scene(SceneConfig(target_rows=2, target_cols=2,
+                                       cameras=1, polar_max_deg=0.0),
+                           BARREL, 3)
+    assert len(scene.cameras) == 1
 
 
 def test_generate_scene_default_protocol():
@@ -975,6 +991,33 @@ def test_aso_single_iteration_is_so_composition():
     first = _so_fit(scene, cams0, cfg)
     result, cams, trace = aso_loop(scene, cams0, cfg, first, 1)
     assert result is first
+    cams_ref, rms_ref, _ = ba_refine(scene, cams0, first.model)
+    assert trace == [rms_ref]
+    for a, b in zip(cams, cams_ref):
+        assert np.array_equal(a.R, b.R) and np.array_equal(a.t, b.t) \
+            and np.array_equal(a.K, b.K)
+
+
+def test_aso_loop_stops_at_a_pass_whose_fit_has_no_model(monkeypatch):
+    scene = small_scene(seed=10)
+    cams0 = perturb_cameras(scene.cameras, 10)
+    cfg = calib.CalibConfig(rbar=1.0, shape="barrel")
+    first = _so_fit(scene, cams0, cfg)
+    failed = calib.CalibResult(None, math.nan, None, "uncertified")
+    calls = []
+
+    def stand_in(cost, c):
+        calls.append(c)
+        return failed
+
+    monkeypatch.setattr(calib, "solve_shape", stand_in)
+    # A first fit with no model stops before any pass refines the cameras.
+    result, cams, trace = aso_loop(scene, cams0, cfg, failed, 3)
+    assert result is failed and trace == [] and calls == []
+    assert len(cams) == len(cams0) and all(map(operator.is_, cams, cams0))
+    # Otherwise the loop stops at the second pass, whose fit has no model.
+    result, cams, trace = aso_loop(scene, cams0, cfg, first, 3)
+    assert result is failed and calls == [cfg]
     cams_ref, rms_ref, _ = ba_refine(scene, cams0, first.model)
     assert trace == [rms_ref]
     for a, b in zip(cams, cams_ref):

@@ -323,8 +323,7 @@ def test_cross_path_barrel_pmi_matches_direct_lmi():
     names = [n for n in space.names if n != "r"] + ["gamma"]
     dim = len(names)
 
-    def lift(p):
-        return calib._embed(p, space, names)
+    lift = calib._embedding(space, names)
 
     L = sdp.factor_psd(Mr)
     rank = L.shape[0]

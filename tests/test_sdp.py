@@ -359,6 +359,58 @@ def test_exit_reasons_of_the_plain_exits():
                                                    "iteration_cap")
 
 
+def pinned_program(value, extra_variable=False):
+    # minimize z0 subject to z0 - 0.5 >= 0 with z0 pinned at ``value``; an
+    # extra variable appears in no block and costs nothing.
+    return LmiProgram(
+        2 if extra_variable else 1, AffineForm({0: 1.0}),
+        [AffineBlock(1, np.array([[-0.5]]), {0: np.array([[1.0]])})],
+        [AffineForm({0: 1.0}, -value)])
+
+
+@pytest.mark.parametrize("extra_variable", [False, True])
+def test_programs_with_no_live_variable_check_their_constant_blocks(
+        extra_variable):
+    # Every variable drops out, so the constant blocks decide: PSD within
+    # feas_tol is optimal at the pinned point, anything else infeasible.
+    for value in (1.0, 0.5 - 1e-9):
+        sol = solve(pinned_program(value, extra_variable))
+        assert (sol.status, sol.exit_reason) == ("optimal", "targets_met")
+        assert sol.primal_objective == sol.dual_objective == value
+        assert (sol.iterations, sol.z[0]) == (0, value)
+    sol = solve(pinned_program(0.5 - 1e-6, extra_variable))
+    assert (sol.status, sol.exit_reason) == ("infeasible", "infeasible")
+    assert sol.primal_objective == 0.5 - 1e-6
+    assert math.isnan(sol.dual_objective)
+
+
+@pytest.mark.parametrize("equalities", [
+    # z0 = 1 and z0 + z1 = 3 pin z1 = 2, which z1 = 1 contradicts
+    [AffineForm({0: 1.0}, -1.0), AffineForm({0: 1.0, 1: 1.0}, -3.0),
+     AffineForm({1: 1.0}, -1.0)],
+    # z0 + z1 = 1 and z0 + z1 = 2: no pins, and least squares misses both
+    [AffineForm({0: 1.0, 1: 1.0}, -1.0), AffineForm({0: 1.0, 1: 1.0}, -2.0)],
+], ids=["pin-against-a-derived-pin", "general-system"])
+def test_contradicting_equalities_are_inconsistent(equalities):
+    prog = LmiProgram(2, AffineForm({0: 1.0, 1: 1.0}),
+                      hyperbola_program().blocks, equalities)
+    sol = solve(prog)
+    assert (sol.status, sol.exit_reason) == ("infeasible",
+                                             "inconsistent_equalities")
+    assert sol.iterations == 0
+
+
+def test_all_zero_equalities_with_negligible_constants_are_dropped():
+    plain = solve(schur_2x2_program(), TIGHT)
+    prog = schur_2x2_program()
+    prog.equalities = [AffineForm({}, 0.0), AffineForm({0: 0.0}, 1e-11)]
+    sol = solve(prog, TIGHT)
+    assert (sol.status, sol.exit_reason) == ("optimal", "targets_met")
+    assert sol.z.tobytes() == plain.z.tobytes()
+    assert (sol.iterations, sol.primal_objective, sol.dual_objective) == \
+        (plain.iterations, plain.primal_objective, plain.dual_objective)
+
+
 def test_barrel_stall_reports_a_stalled_exit():
     # This noiseless barrel fit stops improving before the tight targets
     # are met; its best iterate is accepted, and the exit says so.  What

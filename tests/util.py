@@ -90,6 +90,18 @@ def is_zero(p, tol=COEFF_EPS):
     return all(abs(c) <= tol for c in p.terms.values())
 
 
+def substitute_all(p, substitution, space):
+    """Apply a {name: Polynomial} substitution map to a polynomial, one
+    ``Polynomial.substitute`` pass per name in the map's order.
+
+    The oracle for ``calib.pincushion_pmi``'s lookup lift of Gram entries.
+    """
+    out = p
+    for name, expr in substitution.items():
+        out = out.substitute(space.index[name], expr)
+    return out
+
+
 def block_value(block, z):
     """The matrix of an ``sdp.AffineBlock`` at the variable vector z."""
     var, row, col, val = block.coeff
