@@ -514,9 +514,8 @@ def pincushion_pmi(cost, cfg):
             for i in range(G.size):
                 shifted[i, i] = shifted[i, i] - margin
             bld.add_affine_matrix(shifted, space.names)
-        one = np.array([[1.0]])
-        bld.add_block(sdp.AffineBlock(1, one,
-                                      {bld.variable("margin"): -one}))
+        bld.add_block(sdp.AffineBlock(1, np.ones((1, 1)),
+                                      [(bld.variable("margin"), 0, 0, -1.0)]))
         for eqs in systems:
             for eq in eqs:
                 for name, val in zip(("k4", "k5", "k6"), k_div):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -55,7 +56,7 @@ def build_parser():
     p = sub.add_parser("calibrate", help="fit a distortion model to a CSV")
     p.add_argument("data", help="correspondence CSV (x,y,xhat,yhat)")
     p.add_argument("--shape", default="none",
-                   choices=["none", "barrel", "pincushion", "positivity"])
+                   choices=list(calib.SHAPE_KINDS))
     p.add_argument("--rbar", type=float,
                    help="field-of-view radius bound (required for shapes)")
     p.add_argument("--p", type=float, default=0.1, dest="margin_p",
@@ -157,7 +158,7 @@ def cmd_synth(args):
     scene = pipeline.generate_scene(cfg, model, args.seed)
     if args.sigma > 0:
         scene = pipeline.add_noise(scene, args.sigma)
-    corr_path = args.corr or (args.out.rsplit(".", 1)[0] + "_corr.csv")
+    corr_path = args.corr or (os.path.splitext(args.out)[0] + "_corr.csv")
     with open(args.out, "w") as fh:
         fh.write(pipeline.scene_to_json(scene))
         fh.write("\n")
@@ -174,7 +175,7 @@ def cmd_calibrate(args):
         print("error: --rbar is required for shaped calibration",
               file=sys.stderr)
         return EXIT_USAGE
-    if args.dump_sdp and args.shape not in ("barrel", "positivity"):
+    if args.dump_sdp and args.shape not in calib._AFFINE_SHAPES:
         print("error: --dump-sdp covers only the barrel and positivity "
               "shapes", file=sys.stderr)
         return EXIT_USAGE

@@ -9,28 +9,32 @@ A program is
                 e_j' z + f_j = 0               for every equality j.
 
 Each block stores its constant A0_b dense and its coefficients A_{b,i}
-only as (variable, row, column, value) triplets of their nonzero entries;
-no per-variable dense matrix exists between the program builders and the
-solver.  Equalities are removed up front by restricting z to an affine
-subspace: when every equality pins one variable the basis is a sparse 0/1
-selection, otherwise a particular solution plus an orthonormal null-space
-basis from one SVD; an inconsistent system is reported as infeasible
-without running the interior-point loop.  The reduced problem is the
-dual side of a standard conic pair, and is solved by an infeasible-start
-path-following method with Nesterov-Todd scaling and a Mehrotra
-predictor-corrector step.  The Schur complement M_ij = sum_b <A_i, W_b A_j
-W_b> is formed explicitly and factored densely; the intended problem sizes
-are blocks up to roughly 100 and up to a few thousand variables.  One size
-rule (``SPARSE_SCHUR_MIN_ENTRIES``, a cut on q m^2 for q variables and m
-rows) decides two things.  It picks each block's formula for its share of
-M: small blocks keep their coefficients as a dense tensor and use two
-GEMMs, while the blocks of large moment relaxations, whose coefficients
-are about 0.1% dense, keep (variable, row, column, value) triplets and use
-the sparse formula of Fujisawa, Kojima and Nakata (1997).  A sparse
-block's share touches only the rows and columns of M of the variables it
-holds; the entries it skips would only have received signed zeros, which
-leave M bit for bit unchanged because M never holds -0.0.  And it lets the
-dense blocks, when together they stay under the cut, be joined into one
+only as (variable, row, column, value) triplets of their nonzero entries,
+which every builder hands over as such; no per-variable dense matrix
+exists between the program builders and the solver.  Equalities are
+removed up front by restricting z to an affine subspace: when every
+equality pins one variable the basis is a sparse 0/1 selection, otherwise
+a particular solution plus an orthonormal null-space basis from one SVD;
+an inconsistent system is reported as infeasible without running the
+interior-point loop.  One mask, formed from every block's reduced
+coefficients, marks the inert directions of that subspace (no entry above
+1e-13 in any block), and each block is wrapped for the solver once, over
+the live directions.  The reduced problem is the dual side of a standard
+conic pair, and is solved by an infeasible-start path-following method
+with Nesterov-Todd scaling and a Mehrotra predictor-corrector step.  The
+Schur complement M_ij = sum_b <A_i, W_b A_j W_b> is formed explicitly and
+factored densely; the intended problem sizes are blocks up to roughly 100
+and up to a few thousand variables.  One size rule
+(``SPARSE_SCHUR_MIN_ENTRIES``, a cut on q m^2 for q variables and m rows)
+decides two things.  It picks each block's formula for its share of M:
+small blocks keep their coefficients as a dense tensor and use two GEMMs,
+while the blocks of large moment relaxations, whose coefficients are about
+0.1% dense, keep (variable, row, column, value) triplets and use the
+sparse formula of Fujisawa, Kojima and Nakata (1997).  A sparse block's
+share touches only the rows and columns of M of the variables it holds;
+the entries it skips would only have received signed zeros, which leave M
+bit for bit unchanged because M never holds -0.0.  And it lets the dense
+blocks, when together they stay under the cut, be joined into one
 block-diagonal block, as SDPT3 handles the Nesterov-Todd direction of a
 block-diagonal cone (Todd, Toh and Tutuncu 1998).
 
@@ -297,7 +301,9 @@ def epigraph_block(M, m, c, var_indices, gamma_index):
     ``var_indices`` gives the program indices of the k variables (one per
     row of M) and ``gamma_index`` the epigraph variable.  Uses the Schur
     complement of the identity corner: F = [[I, Lk], [k'L', gamma - m'k - c]]
-    with M = L'L from the spectral factorization.
+    with M = L'L from the spectral factorization, passed as triplets: per
+    k_j, column j of L in the last column and row and -m_j in the corner,
+    then gamma's 1.0 in the corner.
     """
     L = factor_psd(M)
     m = np.asarray(m, dtype=float)
@@ -306,16 +312,12 @@ def epigraph_block(M, m, c, var_indices, gamma_index):
     constant = np.zeros((size, size))
     constant[:rank, :rank] = np.eye(rank)
     constant[rank, rank] = -float(c)
-    coeff = {}
+    coeff = []
     for j, vi in enumerate(var_indices):
-        mat = np.zeros((size, size))
-        mat[:rank, rank] = L[:, j]
-        mat[rank, :rank] = L[:, j]
-        mat[rank, rank] = -m[j]
-        coeff[vi] = coeff.get(vi, np.zeros((size, size))) + mat
-    g = np.zeros((size, size))
-    g[rank, rank] = 1.0
-    coeff[gamma_index] = coeff.get(gamma_index, np.zeros((size, size))) + g
+        coeff += [(vi, i, rank, L[i, j]) for i in range(rank)]
+        coeff += [(vi, rank, i, L[i, j]) for i in range(rank)]
+        coeff.append((vi, rank, rank, -m[j]))
+    coeff.append((gamma_index, rank, rank, 1.0))
     return AffineBlock(size, constant, coeff)
 
 
@@ -331,7 +333,7 @@ class LmiBuilder:
         self.index = {}
         self._blocks = []
         self._equalities = []
-        self._cost = ({}, 0.0)
+        self._cost = {}
 
     def variable(self, name):
         if name not in self.index:
@@ -340,8 +342,8 @@ class LmiBuilder:
         return self.index[name]
 
     def set_cost(self, coefficients):
-        self._cost = ({self.variable(n): float(c)
-                       for n, c in coefficients.items()}, 0.0)
+        self._cost = {self.variable(n): float(c)
+                      for n, c in coefficients.items()}
 
     def add_block(self, block):
         self._blocks.append(block)
@@ -397,8 +399,7 @@ class LmiBuilder:
         return gi
 
     def build(self):
-        coeffs, const = self._cost
-        return LmiProgram(len(self.names), AffineForm(coeffs, const),
+        return LmiProgram(len(self.names), AffineForm(self._cost),
                           list(self._blocks), list(self._equalities))
 
     def value(self, solution, name):
@@ -636,19 +637,12 @@ SCHUR_CHUNK_ENTRIES = 2 ** 16
 
 
 class _DenseCoeffs:
-    """Reduced coefficients A_i of one block as a dense (q, m, m) tensor."""
+    """Reduced coefficients of one block: row i of ``flat`` is vec(A_i),
+    and ``A`` is its dense (q, m, m) view."""
 
-    def __init__(self, A):
-        self.A = A
-        # Sizes spelled out: reshape cannot infer a -1 when q is 0.
-        self.flat = A.reshape(A.shape[0], A.shape[1] * A.shape[2])
-
-    def magnitude(self):
-        """Largest |entry| of each A_i."""
-        return np.abs(self.A).max(axis=(1, 2), initial=0.0)
-
-    def restrict(self, keep):
-        return _DenseCoeffs(self.A[keep])
+    def __init__(self, flat, m):
+        self.flat = flat
+        self.A = flat.reshape(len(flat), m, m)
 
     def inner(self, X):
         """The vector of <A_i, X>."""
@@ -776,12 +770,6 @@ class _SparseCoeffs:
                          _packed_index(tile[:, None], tile, q), slabs))
         return runs
 
-    def magnitude(self):
-        return abs(self.csr).max(axis=1).toarray().ravel()
-
-    def restrict(self, keep):
-        return _SparseCoeffs(self.csr[keep], self.m)
-
     def inner(self, X):
         return self.csr @ X.ravel()
 
@@ -807,25 +795,28 @@ class _SparseCoeffs:
 def _reduce(program):
     """The program restricted to the affine subspace of its equalities.
 
-    Returns (z0, N, Cs, coeffs) with z = z0 + N w: block b requires
-    Cs[b] - sum_j w_j A_{b,j} PSD, where ``coeffs[b]`` holds the A_{b,j}
-    (the standard conic pair's A_i are minus the reduced block
-    coefficients).  N and the rest are None when the equalities are
-    inconsistent.  Each block's negated coefficient triplets go straight
-    into an (nvars, m^2) matrix B, and the reduced coefficients are N' B:
-    below ``SPARSE_SCHUR_MIN_ENTRIES`` entries of q m^2 B is a dense array,
-    at or above it B and N' are CSR matrices.  With a selection N the
-    product copies entries exactly.  The constant shifts by z0_i A_i in the
-    blocks' variable order, one entry at a time.  The blocks stay one per
-    program block; ``solve`` joins the dense ones afterwards
-    (``_join_dense``).
+    Returns (z0, N, Cs, coeffs, live) with z = z0 + N w: block b requires
+    Cs[b] - sum_j w_j A_{b,j} PSD over the live j, where ``coeffs[b]``
+    holds those A_{b,j} (the standard conic pair's A_i are minus the
+    reduced block coefficients).  N and the rest are None when the
+    equalities are inconsistent.  Each block's negated coefficient triplets
+    go straight into an (nvars, m^2) matrix B, and its reduced coefficient
+    matrix is N' B, row j holding vec(A_{b,j}): below
+    ``SPARSE_SCHUR_MIN_ENTRIES`` entries of q m^2 B is a dense array, at or
+    above it B and N' are CSR matrices.  With a selection N the product
+    copies entries exactly.  ``live`` marks the w_j with an entry above
+    1e-13 in some block's row j; only then is each block wrapped, once,
+    over the live rows (the whole matrix when all are live).  The constant
+    shifts by z0_i A_i in the blocks' variable order, one entry at a time.
+    The blocks stay one per program block; ``solve`` joins the dense ones
+    afterwards (``_join_dense``).
     """
     z0, N = _eliminate_equalities(program)
     if N is None:
-        return z0, None, None, None
+        return z0, None, None, None, None
     n, q = N.shape
-    Nt = None
-    Cs, coeffs = [], []
+    Nt, Cs, reduced = None, [], []
+    live = np.zeros(q, dtype=bool)
     for blk in program.blocks:
         var, row, col, val = blk.coeff
         C = blk.constant.copy()
@@ -837,15 +828,18 @@ def _reduce(program):
         if q * m * m < SPARSE_SCHUR_MIN_ENTRIES:
             B = np.zeros((n, m * m))
             B[var, idx] = -val
-            coeffs.append(_DenseCoeffs((N.T @ B).reshape(q, m, m)))
-            continue
-        B = sparse.csr_matrix((-val, (var, idx)), shape=(n, m * m))
-        if Nt is None:
-            Nt = sparse.csr_matrix(N.T)
-        A = Nt @ B
-        A.sort_indices()
-        coeffs.append(_SparseCoeffs(A, m))
-    return z0, N, Cs, coeffs
+            kind, A = _DenseCoeffs, N.T @ B
+            top = np.abs(A).max(axis=1, initial=0.0)
+        else:
+            B = sparse.csr_matrix((-val, (var, idx)), shape=(n, m * m))
+            Nt = sparse.csr_matrix(N.T) if Nt is None else Nt
+            kind, A = _SparseCoeffs, Nt @ B
+            A.sort_indices()
+            top = abs(A).max(axis=1).toarray().ravel()
+        live |= top > 1e-13
+        reduced.append((kind, A, m))
+    coeffs = [kind(A if live.all() else A[live], m) for kind, A, m in reduced]
+    return z0, N, Cs, coeffs, live
 
 
 def _join_dense(Cs, coeffs):
@@ -866,16 +860,16 @@ def _join_dense(Cs, coeffs):
     m = sum(Cs[b].shape[0] for b in dense)
     if q * m * m >= SPARSE_SCHUR_MIN_ENTRIES:
         return Cs, coeffs, parts
-    C, A, joined = np.zeros((m, m)), np.zeros((q, m, m)), []
+    C, A, joined = np.zeros((m, m)), _DenseCoeffs(np.zeros((q, m * m)), m), []
     for b in dense:
         start = joined[-1].stop if joined else 0
         s = slice(start, start + Cs[b].shape[0])
         C[s, s] = Cs[b]
-        A[:, s, s] = coeffs[b].A
+        A.A[:, s, s] = coeffs[b].A
         joined.append(s)
     rest = [b for b in range(len(Cs)) if b not in dense]
     return ([C] + [Cs[b] for b in rest],
-            [_DenseCoeffs(A)] + [coeffs[b] for b in rest],
+            [A] + [coeffs[b] for b in rest],
             [joined] + [parts[b] for b in rest])
 
 
@@ -899,34 +893,27 @@ def solve(program, options=None):
     if not program.blocks and not program.equalities:
         raise ValueError("program needs at least one block or equality")
 
-    c_full = program.cost.dense(n)
-    offset = program.cost.constant
-
-    z0, N, Cs, coeffs = _reduce(program)
+    z0, N, Cs, coeffs, live = _reduce(program)
     if N is None:
         return SdpSolution(z0, math.nan, math.nan, "infeasible", 0,
                            exit_reason="inconsistent_equalities")
+    c_full = program.cost.dense(n)
     c_red = N.T @ c_full
-    offset = offset + float(c_full @ z0)
+    offset = program.cost.constant + float(c_full @ z0)
 
-    # Constant-only feasibility and inert variable directions.
-    live = np.zeros(N.shape[1], dtype=bool)
-    for A in coeffs:
-        live |= A.magnitude() > 1e-13
+    # Inert directions that cost something, then constant-only feasibility.
     dead = ~live
-    if dead.any() and np.abs(c_red[dead]).max(initial=0.0) > 1e-11:
+    if np.abs(c_red[dead]).max(initial=0.0) > 1e-11:
         return SdpSolution(z0, -math.inf, math.nan, "unbounded", 0,
                            exit_reason="unbounded")
-    if (~live).all():
+    if dead.all():
         ok = all(np.linalg.eigvalsh(C)[0] >= -opts.feas_tol * (1 + np.abs(C).max())
                  for C in Cs)
         status = "optimal" if ok else "infeasible"
         return SdpSolution(z0, offset, offset if ok else math.nan, status, 0,
                            exit_reason="targets_met" if ok else "infeasible")
     if dead.any():
-        N = N[:, live]
-        coeffs = [A.restrict(live) for A in coeffs]
-        c_red = c_red[live]
+        N, c_red = N[:, live], c_red[live]
 
     Cs, coeffs, parts = _join_dense(Cs, coeffs)
     q = c_red.size

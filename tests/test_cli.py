@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,24 @@ def test_synth_writes_scene_and_correspondences(tmp_path, capsys):
     assert data.shape == (9 * 256, 4)
     echo = capsys.readouterr().out
     assert "256 points" in echo and "seed=7" in echo
+
+
+@pytest.mark.parametrize("out, corr", [
+    ("./scene", "./scene_corr.csv"),
+    ("run.v2/scene", "run.v2/scene_corr.csv"),
+    ("scene.json", "scene_corr.csv")])
+def test_synth_writes_correspondences_beside_the_scene(tmp_path, monkeypatch,
+                                                       out, corr):
+    # The default path drops only the scene file's extension: a dot in a
+    # directory name or a leading "./" is not one.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.v2").mkdir()
+    code = run_cli("synth", "--out", out, "--cameras", "1",
+                   "--target", "2x2")
+    assert code == 0
+    written = {p.relative_to(tmp_path) for p in tmp_path.rglob("*")
+               if p.is_file()}
+    assert written == {Path(out), Path(corr)}
 
 
 def test_synth_minimal_scene(tmp_path):

@@ -15,9 +15,10 @@ from shapecal.calib import CalibConfig, assemble_cost
 from shapecal.poly import Polynomial, PolyMatrix
 from shapecal.sdp import (AffineBlock, AffineForm, LmiBuilder, LmiProgram,
                           SolverOptions, epigraph_block, factor_psd, solve)
-from util import (block_value, dense_blocks, dense_program_json,
-                  dense_reduce, dense_relaxation_blocks, full_range_add_schur,
-                  packed, synth_correspondences, transposing_schur_factor,
+from util import (block_value, build_then_restrict_reduce, dense_blocks,
+                  dense_program_json, dense_reduce, dense_relaxation_blocks,
+                  dict_epigraph_block, full_range_add_schur, packed,
+                  synth_correspondences, transposing_schur_factor,
                   transposing_schur_solve)
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -185,6 +186,28 @@ def test_epigraph_block_equivalence():
                 assert lam >= -1e-8
             else:
                 assert lam <= 1e-8
+
+
+def test_epigraph_triplets_match_the_per_variable_matrices_bit_for_bit():
+    # Rank-deficient M, zero columns of L, zero m_j and, in every third
+    # block, variables named more than once, whose entries add up.
+    rng = np.random.default_rng(22)
+    zero_columns = 0
+    for trial in range(300):
+        n = int(rng.integers(1, 7))
+        G = rng.normal(size=(int(rng.integers(0, n + 1)), n))
+        G[:, rng.random(n) < 0.3] = 0.0
+        m = np.where(rng.random(n) < 0.3, 0.0, rng.normal(size=n))
+        idx = rng.integers(0, n, size=n) if trial % 3 == 0 \
+            else rng.permutation(n)
+        args = (G.T @ G, m, float(rng.normal()), idx.tolist(), n)
+        got, ref = epigraph_block(*args), dict_epigraph_block(*args)
+        zero_columns += int((factor_psd(args[0]) == 0.0).all(axis=0).sum())
+        assert got.size == ref.size
+        assert got.constant.tobytes() == ref.constant.tobytes()
+        for a, b in zip(got.coeff, ref.coeff):
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+    assert zero_columns > 0
 
 
 def test_factor_psd_identity():
@@ -444,11 +467,16 @@ def _diagonal(q):
     return sdp._packed_index(np.arange(q), np.arange(q), q)
 
 
-def _coeffs(program, path):
-    """Reduced block coefficients with every block forced onto one path."""
+def _reduced(program, path):
+    """``sdp._reduce`` with every block forced onto one path."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sdp, "SPARSE_SCHUR_MIN_ENTRIES", FORCE[path])
-        coeffs = sdp._reduce(program)[3]
+        return sdp._reduce(program)
+
+
+def _coeffs(program, path):
+    """Reduced block coefficients with every block forced onto one path."""
+    coeffs = _reduced(program, path)[3]
     kind = sdp._SparseCoeffs if path == "sparse" else sdp._DenseCoeffs
     assert all(isinstance(A, kind) for A in coeffs)
     return coeffs
@@ -527,7 +555,8 @@ def test_sparse_and_dense_block_products_agree(program, monkeypatch):
         y = rng.normal(size=q)
         assert np.allclose(S.combine(y), D.combine(y), rtol=1e-12,
                            atol=1e-12)
-        assert np.array_equal(S.magnitude() > 1e-13, D.magnitude() > 1e-13)
+    dense_live, sparse_live = (_reduced(program, path)[4] for path in FORCE)
+    assert np.array_equal(dense_live, sparse_live)
 
 
 @pytest.fixture(scope="module")
@@ -736,11 +765,11 @@ def test_blocks_holding_no_live_variable_add_nothing(monkeypatch):
         AffineBlock(2, np.eye(2), {0: diag, 1: np.eye(2)}),
         AffineBlock(2, np.eye(2), {3: 1e-15 * np.eye(2)})],
         [AffineForm({0: 1.0}, -0.5), AffineForm({1: 1.0}, 0.25)])
+    assert _reduced(program, "sparse")[4].tolist() == [True, False]
     coeffs = _coeffs(program, "sparse")
-    inert = coeffs[2].restrict(np.array([True, False]))
     W = np.array([[2.0, 0.5], [0.5, 1.0]])
-    for A in (coeffs[1], inert):
-        assert A.live.size == 0
+    for A in coeffs[1:]:
+        assert A.csr.shape[0] == 1 and A.live.size == 0
         M = _buffer(A.csr.shape[0])
         A.add_schur(M, W)
         assert not M.any()
@@ -752,6 +781,59 @@ def test_blocks_holding_no_live_variable_add_nothing(monkeypatch):
     assert sols["sparse"].z == pytest.approx(sols["dense"].z, abs=1e-7)
     assert sols["sparse"].z[:3] == pytest.approx([0.5, -0.25, -1.0],
                                                  abs=1e-7)
+
+
+def _inert_program(dense_equality):
+    # The partly-held program and two directions that cost nothing: z40
+    # holds coefficients below the inert threshold only, and z41 is in no
+    # block.  z0 is pinned, and z1 + z2 = 0.1 makes N a dense basis.
+    base = _partly_held_program(np.random.default_rng(6))
+    q = base.nvars
+    eqs = [AffineForm({0: 1.0}, -0.5)]
+    if dense_equality:
+        eqs.append(AffineForm({1: 1.0, 2: 1.0}, -0.1))
+    inert = AffineBlock(2, np.eye(2), {q: 1e-15 * np.eye(2)})
+    return LmiProgram(q + 2, base.cost, base.blocks + [inert], eqs)
+
+
+@pytest.mark.parametrize("dense_equality", [False, True],
+                         ids=["selection", "dense-basis"])
+@pytest.mark.parametrize("path", FORCE)
+def test_inert_directions_solve_as_the_build_then_restrict_oracle(
+        path, dense_equality, monkeypatch):
+    monkeypatch.setattr(sdp, "SPARSE_SCHUR_MIN_ENTRIES", FORCE[path])
+    program = _inert_program(dense_equality)
+    assert (~sdp._reduce(program)[4]).sum() == 2
+    got = solve(program, TIGHT)
+    assert got.status == "optimal"
+    monkeypatch.setattr(sdp, "_reduce", build_then_restrict_reduce)
+    ref = solve(program, TIGHT)
+    assert got.z.tobytes() == ref.z.tobytes()
+    assert (got.iterations, got.exit_reason) == \
+        (ref.iterations, ref.exit_reason)
+
+
+def test_sparse_blocks_are_wrapped_once_per_solve(monkeypatch):
+    # The live directions are known before any block is wrapped, so a
+    # sparse block lays out its runs once, over the live rows, also when
+    # directions drop out or none is left.
+    shapes = []
+    init = sdp._SparseCoeffs.__init__
+
+    def counting(self, csr, m):
+        shapes.append(csr.shape)
+        init(self, csr, m)
+
+    monkeypatch.setattr(sdp._SparseCoeffs, "__init__", counting)
+    monkeypatch.setattr(sdp, "SPARSE_SCHUR_MIN_ENTRIES", 0)
+    program = _inert_program(False)
+    assert solve(program, TIGHT).status == "optimal"
+    # 42 variables less the pinned z0 and the inert z40 and z41.
+    assert shapes == [(39, blk.size ** 2) for blk in program.blocks]
+    shapes.clear()
+    sol = solve(pinned_program(1.0, extra_variable=True))
+    assert (sol.status, sol.iterations) == ("optimal", 0)
+    assert shapes == [(0, 1)]
 
 
 def test_order2_solves_alike_on_both_schur_paths(order2_on_both_paths):
@@ -779,7 +861,7 @@ def _apart(Cs, coeffs):
 
 
 def _joined(program):
-    return sdp._join_dense(*sdp._reduce(program)[2:])
+    return sdp._join_dense(*sdp._reduce(program)[2:4])
 
 
 @pytest.fixture(scope="module")
@@ -880,7 +962,7 @@ def test_only_dense_programs_under_the_schur_rule_are_joined(
             [blk.size for blk in program.blocks]
         # The joined block holds each block's constant and coefficients on
         # its diagonal and nothing else.
-        _, _, Cs_apart, coeffs_apart = sdp._reduce(program)
+        _, _, Cs_apart, coeffs_apart, _ = sdp._reduce(program)
         C, A = Cs[0].copy(), coeffs[0].A.copy()
         for s, C_b, A_b in zip(parts[0], Cs_apart, coeffs_apart):
             assert C[s, s].tobytes() == C_b.tobytes()
@@ -1002,8 +1084,9 @@ def _small_programs():
 @pytest.mark.parametrize("name", ["barrel", "positivity", "order1"])
 def test_dense_reduction_scatters_the_coo_products_bit_for_bit(name):
     program = _small_programs()[name]
-    z0, N, Cs, coeffs = sdp._reduce(program)
+    z0, N, Cs, coeffs, live = sdp._reduce(program)
     z0_ref, N_ref, Cs_ref, As_ref = _dense_reduction_through_coo(program)
+    assert live.all()
     N = N.toarray() if scipy.sparse.issparse(N) else N
     assert np.array_equal(z0, z0_ref) and np.array_equal(N, N_ref)
     assert len(coeffs) == len(As_ref) == len(program.blocks)
@@ -1322,7 +1405,8 @@ def test_relaxations_match_the_dense_assembler_bit_for_bit(name,
     for blk, (_, coeff) in zip(program.blocks, blocks):
         assert list(dict.fromkeys(blk.coeff[0].tolist())) == list(coeff)
 
-    z0, N, Cs, coeffs = sdp._reduce(program)
+    z0, N, Cs, coeffs, live = sdp._reduce(program)
+    assert live.all()
     pins = {i: -eq.constant / c for eq in program.equalities
             for i, c in eq.coefficients.items()
             if len(eq.coefficients) == 1}

@@ -110,6 +110,33 @@ def block_value(block, z):
     return out
 
 
+def dict_epigraph_block(M, m, c, var_indices, gamma_index):
+    """``sdp.epigraph_block`` built from one dense (size, size) matrix per
+    variable, as {var: matrix}, which ``sdp.AffineBlock`` reads as the
+    entries of its nonzeros.
+
+    The oracle for the triplets ``sdp.epigraph_block`` emits.
+    """
+    L = sdp.factor_psd(M)
+    m = np.asarray(m, dtype=float)
+    rank = L.shape[0]
+    size = rank + 1
+    constant = np.zeros((size, size))
+    constant[:rank, :rank] = np.eye(rank)
+    constant[rank, rank] = -float(c)
+    coeff = {}
+    for j, vi in enumerate(var_indices):
+        mat = np.zeros((size, size))
+        mat[:rank, rank] = L[:, j]
+        mat[rank, :rank] = L[:, j]
+        mat[rank, rank] = -m[j]
+        coeff[vi] = coeff.get(vi, np.zeros((size, size))) + mat
+    g = np.zeros((size, size))
+    g[rank, rank] = 1.0
+    coeff[gamma_index] = coeff.get(gamma_index, np.zeros((size, size))) + g
+    return sdp.AffineBlock(size, constant, coeff)
+
+
 def basis_vector(b, x):
     """Numeric vector of the basis monomials (1, x1, ..., x_d^order) at x."""
     x = np.asarray(x, dtype=float)
@@ -266,8 +293,8 @@ def dense_program_json(program, blocks):
 
 
 def dense_reduce(blocks, z0, N):
-    """Reduced constants and coefficients of dense ``blocks`` over a dense
-    N, as (Cs, As): each constant shifted by z0_i A_i in dict order, each
+    """Reduced constants and coefficients of dense ``blocks`` over N, as
+    (Cs, As): each constant shifted by z0_i A_i in dict order, each
     B read by a flatnonzero scan, and A a dense (q, m, m) array N' B below
     ``sdp.SPARSE_SCHUR_MIN_ENTRIES`` entries and a sorted CSR N' B at or
     above it."""
@@ -297,6 +324,32 @@ def dense_reduce(blocks, z0, N):
         A.sort_indices()
         As.append(A)
     return Cs, As
+
+
+def build_then_restrict_reduce(program):
+    """``sdp._reduce`` with the inert directions found after the wrap:
+    every block wrapped over every direction w_j, the live mask read from
+    the wrapped blocks' largest |entry| of each A_j, and, when a direction
+    is inert, every block wrapped again over the live ones.
+
+    The oracle for the one wrap ``sdp._reduce`` makes over its mask.
+    """
+    z0, N = sdp._eliminate_equalities(program)
+    Cs, As = dense_reduce(dense_blocks(program), z0, N)
+    coeffs = [sdp._SparseCoeffs(A, C.shape[0]) if scipy.sparse.issparse(A)
+              else sdp._DenseCoeffs(A.reshape(len(A), C.size), C.shape[0])
+              for C, A in zip(Cs, As)]
+    live = np.zeros(N.shape[1], dtype=bool)
+    for A in coeffs:
+        sparse = isinstance(A, sdp._SparseCoeffs)
+        live |= (abs(A.csr).max(axis=1).toarray().ravel() if sparse
+                 else np.abs(A.A).max(axis=(1, 2), initial=0.0)) > 1e-13
+    if not live.all():
+        coeffs = [sdp._SparseCoeffs(A.csr[live], A.m)
+                  if isinstance(A, sdp._SparseCoeffs)
+                  else sdp._DenseCoeffs(A.flat[live], A.A.shape[1])
+                  for A in coeffs]
+    return z0, N, Cs, coeffs, live
 
 
 def full_range_add_schur(csr, m, M, W):
